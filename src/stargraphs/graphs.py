@@ -104,31 +104,11 @@ class BareDiGraph:
         return sum(1 for s, _ in self.edges if s == v)
 
     def has_cycle(self) -> bool:
-        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
+        index = {v: i for i, v in enumerate(self.vertices)}
+        succ: list[list[int]] = [[] for _ in self.vertices]
         for s, t in self.edges:
-            succ[s].append(t)
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self.vertices}
-        for root in self.vertices:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(succ[root]))]
-            color[root] = GREY
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == GREY:
-                        return True
-                    if color[w] == WHITE:
-                        color[w] = GREY
-                        stack.append((w, iter(succ[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = BLACK
-                    stack.pop()
-        return False
+            succ[index[s]].append(index[t])
+        return _has_cycle(succ)
 
 
 # ---------------------------------------------------------------------------
@@ -187,52 +167,89 @@ def parse_graph(text: str) -> DirectedGraph:
 # canonical forms
 
 
-_PERMS: dict[int, tuple] = {}
-
-
-def _perms(n: int):
-    cached = _PERMS.get(n)
-    if cached is None:
-        cached = tuple(itertools.permutations(range(n)))
-        _PERMS[n] = cached
-    return cached
-
-
 def _canonical_raw(n: int, m: int, pairs: Pairs):
     """Minimum of the orbit under internal relabeling x per-vertex L/R swap.
 
     Returns (canonical pairs, sign) with sign in {-1, 0, +1}: the parity of
     L/R swaps needed to reach the canonical labeling, or 0 when the orbit
     reaches it with both parities (the class is the zero cochain).
+
+    The key is the tuple of sorted pairs in new-label order, so it is built
+    one entry at a time.  A frontier holds the partial labelings (old
+    vertices in new-label order, swap parity so far) that give the minimal
+    prefix.  For entry e, a labeling whose new vertex e is not yet fixed
+    tries every unlabeled old vertex there; the still unlabeled internal
+    targets of that vertex then take the next free labels, in both orders
+    when there are two.  Only extensions whose sorted pair equals the least
+    pair over the whole frontier survive.
+
+    This is exact: giving an unlabeled target any label other than the next
+    free one makes entry e strictly larger while leaving the earlier entries
+    alone, so every labeling that reaches the orbit minimum survives every
+    level.  The final frontier is exactly the set of those labelings, and
+    their parities give the sign.  The work is proportional to the number
+    of labelings that tie with the minimum along the way, not to n!.
     """
-    best = None
-    parities = 0  # bitmask: 1 -> even reached, 2 -> odd reached
-    for perm in _perms(n):
-        relabeled = [None] * n
-        parity = 0
-        for pos in range(n):
-            left, right = pairs[pos]
-            if left > m:
-                left = m + 1 + perm[left - m - 1]
-            if right > m:
-                right = m + 1 + perm[right - m - 1]
-            if left > right:
-                left, right = right, left
-                parity ^= 1
-            relabeled[perm[pos]] = (left, right)
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-            parities = 1 << parity
-        elif key == best:
-            parities |= 1 << parity
-    if parities == 3:
+    base = m + 1
+    key = []
+    frontier = [((), 0)]
+    everyone = range(n)
+    for e in range(n):
+        lo = hi = None  # least pair for entry e over the whole frontier
+        survivors = []
+        for order, parity in frontier:
+            if e < len(order):
+                candidates = (order[e],)
+                grow = False
+            else:
+                candidates = [u for u in everyone if u not in order]
+                grow = True
+            for u in candidates:
+                labeled = order + (u,) if grow else order
+                left, right = pairs[u]
+                free = base + len(labeled)
+                open_left = open_right = -1  # old index of an unlabeled target
+                if left > m:
+                    open_left = left - base
+                    if open_left in labeled:
+                        left = base + labeled.index(open_left)
+                        open_left = -1
+                    else:
+                        left = free
+                if right > m:
+                    open_right = right - base
+                    if open_right in labeled:
+                        right = base + labeled.index(open_right)
+                        open_right = -1
+                    else:
+                        right = free + 1 if open_left >= 0 else free
+                flip = left > right
+                if flip:
+                    left, right = right, left
+                if lo is None or left < lo or (left == lo and right < hi):
+                    lo, hi = left, right
+                    survivors = []
+                elif left != lo or right != hi:
+                    continue
+                if open_left >= 0:
+                    if open_right >= 0:
+                        survivors.append((labeled + (open_left, open_right), parity))
+                        survivors.append((labeled + (open_right, open_left), parity ^ 1))
+                        continue
+                    labeled += (open_left,)
+                elif open_right >= 0:
+                    labeled += (open_right,)
+                survivors.append((labeled, parity ^ flip))
+        key.append((lo, hi))
+        frontier = survivors
+    parities = {parity for _, parity in frontier}
+    if len(parities) == 2:
         sign = 0
-    elif parities == 1:
+    elif 0 in parities:
         sign = 1
     else:
         sign = -1
-    return best, sign
+    return tuple(key), sign
 
 
 _CANON_CACHE: dict = {}
@@ -240,7 +257,15 @@ _CANON_CACHE_LIMIT = 120_000
 
 
 def canonical_form(g: DirectedGraph) -> GraphClass:
-    """Orbit-minimal representative with the relating sign; deterministic."""
+    """Class of ``g``: its orbit-minimal relabeling and the relating sign.
+
+    The representative is the lexicographically least tuple of sorted
+    (L, R) pairs over all internal relabelings, found by the pruned
+    level-wise search in ``_canonical_raw``; it depends only on the orbit,
+    so isomorphic graphs get the same representative.  The sign is +1 or -1
+    by the parity of L/R swaps that reach it, and 0 when both parities do.
+    Results are memoised per labeled graph.
+    """
     cached = _CANON_CACHE.get(g.key)
     if cached is not None:
         return cached
@@ -257,17 +282,11 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
 # wheels and truncation
 
 
-def _has_wheel_pairs(n: int, m: int, pairs: Pairs) -> bool:
-    # cycles can only run through internal vertices
-    succ = [[] for _ in range(n)]
-    for pos, (left, right) in enumerate(pairs):
-        if left > m:
-            succ[pos].append(left - m - 1)
-        if right > m:
-            succ[pos].append(right - m - 1)
+def _has_cycle(succ: list) -> bool:
+    """Iterative three-colour DFS over a successor list on vertices 0..len-1."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    for root in range(n):
+    color = [WHITE] * len(succ)
+    for root in range(len(succ)):
         if color[root] != WHITE:
             continue
         stack = [(root, iter(succ[root]))]
@@ -287,6 +306,17 @@ def _has_wheel_pairs(n: int, m: int, pairs: Pairs) -> bool:
                 color[v] = BLACK
                 stack.pop()
     return False
+
+
+def _has_wheel_pairs(n: int, m: int, pairs: Pairs) -> bool:
+    # cycles can only run through internal vertices
+    succ = [[] for _ in range(n)]
+    for pos, (left, right) in enumerate(pairs):
+        if left > m:
+            succ[pos].append(left - m - 1)
+        if right > m:
+            succ[pos].append(right - m - 1)
+    return _has_cycle(succ)
 
 
 def has_wheel(g: DirectedGraph) -> bool:
@@ -492,12 +522,6 @@ class GraphSum:
     def restrict_count(self, n: int) -> "GraphSum":
         return GraphSum(self.arity,
                         [(rep, c) for rep, c in self._terms.items() if rep.n == n])
-
-    def max_wheel_term(self):
-        for rep in sorted(self._terms, key=lambda g: g.key):
-            if has_wheel(rep):
-                return rep
-        return None
 
     # -- algebra -----------------------------------------------------------
 

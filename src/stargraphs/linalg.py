@@ -184,10 +184,6 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
                    inconsistent=inconsistent)
 
 
-def rank_of(rows: Iterable[Row], strategy: str = "markowitz") -> int:
-    return echelon(rows, None, 0, strategy).rank
-
-
 def projected_dimension(vectors: Iterable[Row], keep_cols: int) -> int:
     """Dimension of the span of the vectors after dropping coordinates
     >= keep_cols (rank of the projected collection)."""
@@ -208,7 +204,6 @@ class StreamingReducer:
         self.raw_rows: list = [] if keep_raw else None
         self.raw_rhs: list = [] if keep_raw else None
         self.inconsistent = False
-        self.first_inconsistent_index = None
 
     @property
     def rank(self) -> int:
@@ -244,8 +239,6 @@ class StreamingReducer:
             if raw_row is not None:
                 self.raw_rows.append(raw_row)
                 self.raw_rhs.append(raw_rhs)
-                if self.first_inconsistent_index is None:
-                    self.first_inconsistent_index = len(self.raw_rows) - 1
             return "inconsistent"
         return "redundant"
 

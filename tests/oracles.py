@@ -5,6 +5,7 @@ principles, written before (and kept independent of) the library code they
 check.
 """
 
+import itertools
 from fractions import Fraction
 
 from stargraphs.poly import Poly
@@ -39,6 +40,40 @@ def brute_force_labeled_graphs(n, m):
 
     extend([])
     return results
+
+
+def brute_force_canonical(n, m, pairs):
+    """Orbit minimum and sign by scanning all n! internal relabelings: each
+    relabeled graph is sorted pair by pair, the least tuple wins, and the
+    sign records which L/R swap parities reach it (0 when both do)."""
+    best = None
+    parities = 0  # bitmask: 1 -> even reached, 2 -> odd reached
+    for perm in itertools.permutations(range(n)):
+        relabeled = [None] * n
+        parity = 0
+        for pos in range(n):
+            left, right = pairs[pos]
+            if left > m:
+                left = m + 1 + perm[left - m - 1]
+            if right > m:
+                right = m + 1 + perm[right - m - 1]
+            if left > right:
+                left, right = right, left
+                parity ^= 1
+            relabeled[perm[pos]] = (left, right)
+        key = tuple(relabeled)
+        if best is None or key < best:
+            best = key
+            parities = 1 << parity
+        elif key == best:
+            parities |= 1 << parity
+    if parities == 3:
+        sign = 0
+    elif parities == 1:
+        sign = 1
+    else:
+        sign = -1
+    return best, sign
 
 
 def brute_force_has_wheel(n, m, pairs):

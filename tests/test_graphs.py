@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_has_wheel, brute_force_labeled_graphs
+from oracles import brute_force_canonical, brute_force_has_wheel, brute_force_labeled_graphs
 from stargraphs.errors import BudgetExceededError, GraphError
-from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, encode_graph,
-                               enumerate_graphs, has_wheel, parse_graph,
+from stargraphs.graphs import (DirectedGraph, GraphSum, _canonical_raw, canonical_form,
+                               encode_graph, enumerate_graphs, has_wheel, parse_graph,
                                truncate_argument, truncate_bare, zero_classes)
 
 POISSON = "1 2 ; 3: 1 2"
@@ -127,6 +129,64 @@ def test_sign_zero_census_k32():
     # the third vertex
     assert len(zeros) == 1
     assert zeros[0].encode() == "3 2 ; 3: 1 2 / 4: 1 2 / 5: 3 4"
+
+
+def test_canonical_search_matches_scan_on_all_small_graphs():
+    checked = 0
+    for n in range(1, 5):
+        for m in range(1, 6 - n):
+            for pairs in brute_force_labeled_graphs(n, m):
+                assert _canonical_raw(n, m, pairs) == brute_force_canonical(n, m, pairs)
+                checked += 1
+    assert checked > 20_000
+
+
+@st.composite
+def _admissible_graphs(draw):
+    """Random K_{n,m} graphs, n <= 6, m <= 3: every argument first takes a
+    distinct edge slot, then the open slots get any other legal target."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(max(1, 3 - n), min(3, 2 * n)))  # K_{1,1} has no graph
+    slots = [[None, None] for _ in range(n)]
+    for arg, slot in enumerate(draw(st.permutations(range(2 * n)))[:m], start=1):
+        slots[slot // 2][slot % 2] = arg
+    pairs = []
+    for pos, (left, right) in enumerate(slots):
+        vid = m + 1 + pos
+        if left is None:
+            left = draw(st.sampled_from(
+                [t for t in range(1, n + m + 1) if t not in (vid, right)]))
+        if right is None:
+            right = draw(st.sampled_from(
+                [t for t in range(1, n + m + 1) if t not in (vid, left)]))
+        pairs.append((left, right))
+    return DirectedGraph(n, m, tuple(pairs))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_admissible_graphs())
+def test_canonical_search_matches_scan_on_random_graphs(g):
+    assert _canonical_raw(g.n, g.m, g.out_edges) == brute_force_canonical(g.n, g.m, g.out_edges)
+
+
+@pytest.mark.parametrize("text, rep, sign", [
+    # fully symmetric: every relabeling ties, all with even parity
+    ("6 2 ; 3: 1 2 / 4: 1 2 / 5: 1 2 / 6: 1 2 / 7: 1 2 / 8: 1 2",
+     "6 2 ; 3: 1 2 / 4: 1 2 / 5: 1 2 / 6: 1 2 / 7: 1 2 / 8: 1 2", 1),
+    # the twins 4 and 5 of the representative are swapped by an odd relabeling
+    ("6 2 ; 3: 4 1 / 4: 1 2 / 5: 3 7 / 6: 5 8 / 7: 4 1 / 8: 5 4",
+     "6 2 ; 3: 1 2 / 4: 1 3 / 5: 1 3 / 6: 3 7 / 7: 4 5 / 8: 6 7", 0),
+    # identical target pairs in mixed orientations
+    ("3 2 ; 3: 1 2 / 4: 2 1 / 5: 1 2", "3 2 ; 3: 1 2 / 4: 1 2 / 5: 1 2", -1),
+    ("4 2 ; 3: 2 1 / 4: 1 2 / 5: 2 1 / 6: 1 2",
+     "4 2 ; 3: 1 2 / 4: 1 2 / 5: 1 2 / 6: 1 2", 1),
+    ("3 2 ; 3: 2 1 / 4: 1 2 / 5: 4 3", "3 2 ; 3: 1 2 / 4: 1 2 / 5: 3 4", 0),
+])
+def test_canonical_form_explicit_cases(text, rep, sign):
+    g = parse_graph(text)
+    cls = canonical_form(g)
+    assert (cls.rep.encode(), cls.sign) == (rep, sign)
+    assert _canonical_raw(g.n, g.m, g.out_edges) == brute_force_canonical(g.n, g.m, g.out_edges)
 
 
 # -- enumeration --------------------------------------------------------------
