@@ -20,7 +20,7 @@ from .operators import (PolyDiffOperator, apply_graph, compile_graph, compile_su
 from .poisson import (NOT_POISSON, POISSON, UNCHECKED, PoissonStructure,
                       Polyvector, jacobiator, preset_from_string, preset_poisson,
                       schouten_bracket)
-from .poly import (Poly, monomials_up_to_degree, parse_poly, poly_derive, poly_mul)
+from .poly import Poly, monomials_up_to_degree, parse_poly
 from .solver import (MCReport, StarSeries, antisymmetric_part, cocycle_kernel,
                      eval_obstruction, kontsevich_k2, mc_defect,
                      poisson_class_sum, reparametrize, solve_order, solve_up_to,

@@ -199,10 +199,10 @@ class StreamingReducer:
     verdict can be re-verified later with an independent strategy.
     """
 
-    def __init__(self, keep_raw: bool = True):
+    def __init__(self):
         self.pivots: dict[int, tuple] = {}  # col -> (row, rhs)
-        self.raw_rows: list = [] if keep_raw else None
-        self.raw_rhs: list = [] if keep_raw else None
+        self.raw_rows: list = []
+        self.raw_rhs: list = []
         self.inconsistent = False
 
     @property
@@ -214,8 +214,7 @@ class StreamingReducer:
         become pivots or witness an inconsistency (redundant rows are linear
         combinations of the kept ones, so the kept subsystem has the same
         rank and feasibility verdict)."""
-        rhs = Fraction(rhs)
-        raw_row, raw_rhs = (dict(row), rhs) if self.raw_rows is not None else (None, None)
+        rhs = raw_rhs = Fraction(rhs)
         work = dict(row)
         while work:
             col = min(work)
@@ -226,9 +225,8 @@ class StreamingReducer:
                     work = {c: v / value for c, v in work.items()}
                     rhs /= value
                 self.pivots[col] = (work, rhs)
-                if raw_row is not None:
-                    self.raw_rows.append(raw_row)
-                    self.raw_rhs.append(raw_rhs)
+                self.raw_rows.append(dict(row))
+                self.raw_rhs.append(raw_rhs)
                 return "pivot"
             pivot_row, pivot_rhs = pivot
             factor = work[col]
@@ -236,17 +234,14 @@ class StreamingReducer:
             rhs -= factor * pivot_rhs
         if rhs:
             self.inconsistent = True
-            if raw_row is not None:
-                self.raw_rows.append(raw_row)
-                self.raw_rhs.append(raw_rhs)
+            self.raw_rows.append(dict(row))
+            self.raw_rhs.append(raw_rhs)
             return "inconsistent"
         return "redundant"
 
     def reverify(self, strategy: str = "markowitz") -> dict:
         """Recompute rank and feasibility of the collected raw system with an
         independent elimination; returns the rank data."""
-        if self.raw_rows is None:
-            raise ValueError("raw rows were not kept")
         ech_aug = echelon([dict(r) for r in self.raw_rows], self.raw_rhs, 0, strategy)
         ech_coeff = echelon([dict(r) for r in self.raw_rows], None, 0, strategy)
         return {

@@ -4,7 +4,12 @@ A graph acts on m functions by summing over all assignments of a coordinate
 index to every edge: each internal vertex contributes its bivector entry
 differentiated along the incoming edge indices, each argument vertex its
 function differentiated likewise.  ``compile_graph`` produces the symbolic
-m-linear operator once so repeated evaluations stay cheap.
+m-linear operator once so repeated evaluations stay cheap: it searches the
+index pairs depth first, vertex by vertex, multiplies each vertex factor into
+the shared prefix coefficient once and cuts a subtree at its first zero
+factor.  ``compile_sum`` and ``PolyDiffOperator.apply`` accumulate into one
+exponent dict each; ``apply`` multiplies the argument derivatives (closed-form
+``Poly.derive_multi``) before the coefficient polynomial.
 
 ``oracle_delta`` and ``oracle_compose`` evaluate the Hochschild coboundary and
 the insertion composition purely at operator level (no graph rewriting); they
@@ -14,14 +19,13 @@ are the reference implementations that the graph-level constructions in
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
 from .graphs import DirectedGraph, GraphClass, GraphSum
 from .poisson import PoissonStructure
-from .poly import Poly
+from .poly import Poly, _add_terms, _mul_terms, _wrap
 
 
 class PolyDiffOperator:
@@ -55,82 +59,82 @@ class PolyDiffOperator:
             if f.d != self.d:
                 raise DimensionError("argument dimension %d does not match d=%d"
                                      % (f.d, self.d))
-        total = Poly.zero(self.d)
-        deriv_cache: dict[tuple, Poly] = {}
+        total: dict[tuple, Fraction] = {}
+        deriv_caches: list[dict] = [{} for _ in args]  # per slot: alpha -> terms
+        degrees = [f.degree() for f in args]
         for key, coeff in self.terms.items():
-            product = coeff
-            dead = False
+            # the product of the argument derivatives first (one term each on
+            # monomial arguments), the coefficient polynomial last
+            product = None
             for slot, alpha in enumerate(key):
-                ck = (slot, alpha)
-                der = deriv_cache.get(ck)
+                der = deriv_caches[slot].get(alpha)
                 if der is None:
-                    der = args[slot].derive_multi(alpha)
-                    deriv_cache[ck] = der
-                if der.is_zero:
-                    dead = True
+                    # a derivative of order above the degree vanishes
+                    der = deriv_caches[slot][alpha] = (
+                        {} if sum(alpha) > degrees[slot]
+                        else args[slot].derive_multi(alpha).terms)
+                if not der:
                     break
-                product = product * der
-            if not dead:
-                total = total + product
-        return total
-
-    def add(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        if self.d != other.d or self.arity != other.arity:
-            raise DimensionError("operator mismatch in add")
-        acc = dict(self.terms)
-        for key, poly in other.terms.items():
-            cur = acc.get(key)
-            acc[key] = poly if cur is None else cur + poly
-        return PolyDiffOperator(self.d, self.arity, acc)
-
-    def scale(self, c) -> "PolyDiffOperator":
-        c = Fraction(c)
-        return PolyDiffOperator(self.d, self.arity,
-                                {k: v.scale(c) for k, v in self.terms.items()})
+                product = der if product is None else _mul_terms(product, der, {})
+            else:
+                _mul_terms(product, coeff.terms, total)
+        return _wrap(self.d, total)
 
 
 def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     """Exact operator of one labeled graph (no canonicalization: transposing
-    an L/R pair flips the sign of the result)."""
+    an L/R pair flips the sign of the result).
+
+    Depth-first over the index pair assigned to each internal vertex, from
+    the last position to the first (canonical representatives point at low
+    labels, so a vertex's edge sources mostly sit at later positions).  A
+    vertex's factor is multiplied into the prefix coefficient as soon as the
+    vertex and all its edge sources are assigned, and a zero factor cuts the
+    whole subtree.  A vertex with k incoming edges only takes the pairs
+    whose entry has degree >= k."""
     d, n, m = p.d, g.n, g.m
     pairs = p.nonzero_ordered_pairs()
-    terms: dict[tuple, Poly] = {}
     if not pairs:
-        return PolyDiffOperator(d, m, terms)
+        return PolyDiffOperator(d, m, {})
     in_edges = g.in_edges
     arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
     vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
-    zero_alpha = (0,) * d
-    for assign in itertools.product(pairs, repeat=n):
-        coeff = None
-        dead = False
-        for pos in range(n):
-            sources = vertex_sources[pos]
-            if sources:
-                alpha = [0] * d
-                for src, side in sources:
-                    alpha[assign[src][side] - 1] += 1
-                alpha = tuple(alpha)
+    degree = {(i, j): p.entry(i, j).degree() for i, j in pairs}
+    choices = [[pair for pair in pairs if degree[pair] >= len(sources)]
+               for sources in vertex_sources]
+    # ready[t]: the vertices whose factor is fixed once positions t..n-1
+    # are assigned
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for pos, sources in enumerate(vertex_sources):
+        ready[min([pos] + [src for src, _side in sources])].append(pos)
+    assign: list = [None] * n
+    acc: dict[tuple, dict] = {}
+
+    def alpha_of(sources):
+        alpha = [0] * d
+        for src, side in sources:
+            alpha[assign[src][side] - 1] += 1
+        return tuple(alpha)
+
+    def visit(pos: int, prefix):
+        if pos < 0:
+            key = tuple(alpha_of(sources) for sources in arg_sources)
+            _add_terms(acc.setdefault(key, {}), prefix)
+            return
+        for pair in choices[pos]:
+            assign[pos] = pair
+            coeff = prefix
+            for v in ready[pos]:
+                i, j = assign[v]
+                factor = p.entry_derivative(i, j, alpha_of(vertex_sources[v])).terms
+                if not factor:
+                    break
+                coeff = factor if coeff is None else _mul_terms(coeff, factor, {})
             else:
-                alpha = zero_alpha
-            i, j = assign[pos]
-            factor = p.entry_derivative(i, j, alpha)
-            if factor.is_zero:
-                dead = True
-                break
-            coeff = factor if coeff is None else coeff * factor
-        if dead:
-            continue
-        key_parts = []
-        for sources in arg_sources:
-            alpha = [0] * d
-            for src, side in sources:
-                alpha[assign[src][side] - 1] += 1
-            key_parts.append(tuple(alpha))
-        key = tuple(key_parts)
-        cur = terms.get(key)
-        terms[key] = coeff if cur is None else cur + coeff
-    return PolyDiffOperator(d, m, terms)
+                visit(pos - 1, coeff)
+
+    visit(n - 1, None)
+    return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
 
 
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
@@ -140,13 +144,16 @@ def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     op = cache.get(key)
     if op is not None:
         return op
-    total = PolyDiffOperator(p.d, s.arity, {})
+    acc: dict[tuple, dict] = {}
     for cls, coeff in s.terms():
         gop = cache.get(cls.rep.key)
         if gop is None:
             gop = compile_graph(cls.rep, p)
             cache[cls.rep.key] = gop
-        total = total.add(gop.scale(coeff))
+        for op_key, poly in gop.terms.items():
+            _add_terms(acc.setdefault(op_key, {}), poly.terms, coeff)
+    total = PolyDiffOperator(p.d, s.arity,
+                             {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
     cache[key] = total
     return total
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import perm
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import DimensionError
@@ -106,26 +108,11 @@ class Poly:
         if not other.terms:
             return self
         res = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = res.get(exps)
-            if acc is None:
-                res[exps] = coeff
-            else:
-                acc += coeff
-                if acc:
-                    res[exps] = acc
-                else:
-                    del res[exps]
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", res)
-        return out
+        _add_terms(res, other.terms)
+        return _wrap(self.d, res)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _wrap(self.d, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -134,32 +121,13 @@ class Poly:
         c = Fraction(c)
         if not c:
             return Poly.zero(self.d)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", {e: k * c for e, k in self.terms.items()})
-        return out
+        return _wrap(self.d, {e: k * c for e, k in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        res: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = res.get(key)
-                if acc is None:
-                    res[key] = c1 * c2
-                else:
-                    acc += c1 * c2
-                    if acc:
-                        res[key] = acc
-                    else:
-                        del res[key]
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", res)
-        return out
+        return _wrap(self.d, _mul_terms(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
@@ -174,20 +142,25 @@ class Poly:
             if e:
                 key = exps[:i] + (e - 1,) + exps[i + 1:]
                 res[key] = coeff * e
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "terms", res)
-        return out
+        return _wrap(self.d, res)
 
     def derive_multi(self, alpha: Iterable[int]) -> "Poly":
-        """Apply the multi-derivative with multiplicity vector alpha (length d)."""
-        p = self
-        for i, k in enumerate(alpha, start=1):
-            for _ in range(k):
-                if p.is_zero:
-                    return p
-                p = p.derive(i)
-        return p
+        """Apply the multi-derivative with multiplicity vector alpha (length
+        d) in closed form: d^alpha x^a = a!/(a-alpha)! x^(a-alpha), zero
+        where some alpha_i > a_i."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.d:
+            raise DimensionError("bad derivative multi-index %r for d=%d" % (alpha, self.d))
+        if not any(alpha):
+            return self
+        res: dict[Exponents, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            factor = 1
+            for e, k in zip(exps, alpha):
+                factor *= perm(e, k)  # 0 when k > e
+            if factor:
+                res[tuple(map(sub, exps, alpha))] = coeff * factor
+        return _wrap(self.d, res)
 
     # -- comparison / text -------------------------------------------------
 
@@ -224,14 +197,40 @@ class Poly:
         return "Poly(%d, %s)" % (self.d, str(self))
 
 
-# -- operation aliases matching the module contract -------------------------
+def _wrap(d: int, terms: dict) -> Poly:
+    """Poly over a dict of nonzero coefficients, adopted without a copy."""
+    out = Poly.__new__(Poly)
+    object.__setattr__(out, "d", d)
+    object.__setattr__(out, "terms", terms)
+    return out
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
+
+def _add_terms(acc: dict, terms: Mapping[Exponents, Fraction], c=1) -> None:
+    """acc += c * terms in place, dropping coefficients that cancel."""
+    if c != 1:
+        terms = {exps: coeff * c for exps, coeff in terms.items()}
+    for exps, coeff in terms.items():
+        value = acc.get(exps)
+        value = coeff if value is None else value + coeff
+        if value:
+            acc[exps] = value
+        else:
+            del acc[exps]
 
 
-def poly_derive(a: Poly, var: int) -> Poly:
-    return a.derive(var)
+def _mul_terms(a: Mapping[Exponents, Fraction], b: Mapping[Exponents, Fraction],
+               acc: dict) -> dict:
+    """acc += a * b in place for term dicts: the one polynomial product loop."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            value = acc.get(key)
+            value = c1 * c2 if value is None else value + c1 * c2
+            if value:
+                acc[key] = value
+            else:
+                del acc[key]
+    return acc
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

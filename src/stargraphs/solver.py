@@ -88,15 +88,6 @@ def kontsevich_k2() -> StarSeries:
     ])
     return StarSeries({1: poisson_class_sum(), 2: order2})
 
-KONTSEVICH_K2_ENCODINGS = (
-    "2 2 ; 3: 1 2 / 4: 1 2",
-    "2 2 ; 3: 1 4 / 4: 1 2",
-    "2 2 ; 3: 1 2 / 4: 3 2",
-    "2 2 ; 3: 1 4 / 4: 3 2",
-)
-KONTSEVICH_K2_WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3),
-                         Fraction(-1, 6))
-
 
 def mc_defect(series: StarSeries, k: int) -> GraphSum:
     """(1/2) sum_{a+b=k, a,b>=1} [c_a, c_b]; empty at k = 1."""
@@ -381,7 +372,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
     defect = mc_defect(series, k)
-    reducer = StreamingReducer(keep_raw=True)
+    reducer = StreamingReducer()
     used: list[dict] = []
 
     def feed(p: PoissonStructure, triples, exhaustive: bool) -> bool:

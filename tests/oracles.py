@@ -8,6 +8,7 @@ check.
 import itertools
 from fractions import Fraction
 
+from stargraphs.operators import PolyDiffOperator
 from stargraphs.poly import Poly
 
 
@@ -97,6 +98,73 @@ def brute_force_has_wheel(n, m, pairs):
         return False
 
     return any(reachable(v, v, {v}) for v in internal)
+
+
+def brute_force_compile_graph(g, p):
+    """Operator of one labeled graph by scanning all |pairs|^n assignments of
+    an ordered index pair to every internal vertex, multiplying the n vertex
+    factors from scratch for each assignment."""
+    d, n, m = p.d, g.n, g.m
+    pairs = p.nonzero_ordered_pairs()
+    terms = {}
+    if not pairs:
+        return PolyDiffOperator(d, m, terms)
+    in_edges = g.in_edges
+    arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
+    vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
+    zero_alpha = (0,) * d
+    for assign in itertools.product(pairs, repeat=n):
+        coeff = None
+        dead = False
+        for pos in range(n):
+            sources = vertex_sources[pos]
+            if sources:
+                alpha = [0] * d
+                for src, side in sources:
+                    alpha[assign[src][side] - 1] += 1
+                alpha = tuple(alpha)
+            else:
+                alpha = zero_alpha
+            i, j = assign[pos]
+            factor = p.entry_derivative(i, j, alpha)
+            if factor.is_zero:
+                dead = True
+                break
+            coeff = factor if coeff is None else coeff * factor
+        if dead:
+            continue
+        key_parts = []
+        for sources in arg_sources:
+            alpha = [0] * d
+            for src, side in sources:
+                alpha[assign[src][side] - 1] += 1
+            key_parts.append(tuple(alpha))
+        key = tuple(key_parts)
+        cur = terms.get(key)
+        terms[key] = coeff if cur is None else cur + coeff
+    return PolyDiffOperator(d, m, terms)
+
+
+def brute_force_apply(op, args):
+    """Evaluate a compiled operator term by term with Poly products and sums."""
+    total = Poly.zero(op.d)
+    deriv_cache = {}
+    for key, coeff in op.terms.items():
+        product = coeff
+        dead = False
+        for slot, alpha in enumerate(key):
+            ck = (slot, alpha)
+            der = deriv_cache.get(ck)
+            if der is None:
+                der = args[slot].derive_multi(alpha)
+                deriv_cache[ck] = der
+            if der.is_zero:
+                dead = True
+                break
+            product = product * der
+        if not dead:
+            total = total + product
+    return total
 
 
 def transcribed_tridiff(p, f, g, h):

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import transcribed_tridiff
+from oracles import brute_force_apply, brute_force_compile_graph, transcribed_tridiff
 from stargraphs.errors import DimensionError
-from stargraphs.graphs import GraphSum, canonical_form, enumerate_graphs, parse_graph, zero_classes
+from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
+                               parse_graph, zero_classes)
 from stargraphs.operators import (apply_graph, compile_graph, compile_sum,
                                   oracle_compose, oracle_delta, oracle_gerstenhaber)
-from stargraphs.poisson import PoissonStructure, preset_poisson
+from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 
 x = Poly.variable
@@ -20,6 +21,12 @@ SYMMETRIC = "2 2 ; 3: 1 2 / 4: 1 2"
 
 def so3():
     return preset_poisson("so3")
+
+
+def flip_first_pair(g):
+    pairs = list(g.out_edges)
+    pairs[0] = pairs[0][::-1]
+    return DirectedGraph(g.n, g.m, tuple(pairs))
 
 
 def mono_args(rng, d, count, max_degree=3):
@@ -81,11 +88,7 @@ def test_canonical_sign_semantics():
     classes = enumerate_graphs(2, 2).classes + enumerate_graphs(3, 2).classes[:6]
     for cls in classes:
         g = cls.rep
-        swapped = parse_graph(g.encode())  # copy
-        pairs = list(swapped.out_edges)
-        pairs[0] = (pairs[0][1], pairs[0][0])
-        from stargraphs.graphs import DirectedGraph
-        flipped = DirectedGraph(g.n, g.m, tuple(pairs))
+        flipped = flip_first_pair(g)
         args = mono_args(rng, 3, 2)
         assert apply_graph(flipped, p, args) == -apply_graph(g, p, args)
         fc = canonical_form(flipped)
@@ -111,6 +114,87 @@ def test_dimension_and_arity_guards():
         apply_graph(parse_graph(POISSON), p, (x(2, 1), x(2, 2)))
     with pytest.raises(DimensionError):
         oracle_delta(GraphSum.single(POISSON), p, (x(3, 1), x(3, 2)))
+
+
+# -- compile_graph and apply against the brute-force oracles ------------------
+
+ORACLE_FIXTURES = ("so3", "sl2", "symplectic2", "jacobian:x1^2*x2 + x3^3 - x1*x2*x3",
+                   "free2:2/3*x1^2*x2 - 1/2*x2^3")
+
+
+def small_classes():
+    """Every class of K_{n,2} (n <= 3, all and wheel-free) and K_{n,3} (n <= 2)."""
+    for n in (1, 2, 3):
+        for which in ("all", "wheel_free"):
+            yield from enumerate_graphs(n, 2, which).classes
+    yield from enumerate_graphs(2, 3).classes  # K_{1,3} is empty
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIXTURES)
+def test_compile_graph_matches_brute_force_small(spec):
+    p = preset_from_string(spec)
+    for cls in small_classes():
+        for g in (cls.rep, flip_first_pair(cls.rep)):
+            assert compile_graph(g, p).terms == brute_force_compile_graph(g, p).terms
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIXTURES)
+def test_compile_graph_matches_brute_force_k42_wheel_free(spec):
+    p = preset_from_string(spec)
+    classes = enumerate_graphs(4, 2, "wheel_free").classes
+    assert len(classes) == 74
+    for cls in classes:
+        assert compile_graph(cls.rep, p).terms == brute_force_compile_graph(cls.rep, p).terms
+
+
+def rational_args(rng, d, count):
+    """Multi-term arguments with rational coefficients; some are constant,
+    linear or free of a variable, so that some of their derivatives vanish."""
+    monos = monomials_up_to_degree(d, 3, min_degree=0)
+    args = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            args.append(Poly.const(d, Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))))
+            continue
+        pool = monos
+        if kind == 1:
+            pool = [f for f in monos if f.degree() <= 1]
+        elif kind == 2:
+            pool = [f for f in monos if all(e[0] == 0 for e in f.terms)]
+        total = Poly.zero(d)
+        for f in rng.sample(pool, min(3, len(pool))):
+            total = total + f.scale(Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+        args.append(total)
+    return args
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIXTURES)
+def test_apply_matches_brute_force(spec):
+    rng = random.Random(61)
+    p = preset_from_string(spec)
+    pool = [cls.rep for cls in small_classes()]
+    for _ in range(12):
+        arity = rng.choice((2, 3))
+        reps = [g for g in pool if g.m == arity]
+        s = GraphSum(arity, [(g, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+                             for g in rng.sample(reps, 3)])
+        op = compile_sum(s, p)
+        for _ in range(3):
+            args = rational_args(rng, p.d, arity)
+            assert op.apply(args) == brute_force_apply(op, args)
+
+
+def test_apply_with_vanishing_derivative():
+    p = so3()
+    op = compile_graph(parse_graph(SYMMETRIC), p)  # two derivatives per slot
+    linear = (x(3, 1).scale(Fraction(1, 2)) - x(3, 3), x(3, 2) + Poly.const(3, 4))
+    assert op.apply(linear).is_zero
+    assert brute_force_apply(op, linear).is_zero
+    mixed = (x(3, 1) * x(3, 2).scale(Fraction(-2, 3)) + x(3, 3), linear[1] * x(3, 3))
+    value = op.apply(mixed)
+    assert value == brute_force_apply(op, mixed)
+    assert not value.is_zero
 
 
 # -- oracle_delta -------------------------------------------------------------

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stargraphs.errors import DimensionError
-from stargraphs.poly import (Poly, monomials_up_to_degree, parse_poly, poly_derive,
-                             poly_mul)
+from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 
 
 def rand_poly(rng, d, max_degree=3, n_terms=4):
@@ -26,7 +27,7 @@ def test_difference_of_squares():
 def test_zero_absorbs():
     p = parse_poly("x1^2*x2 - 3*x1", 2)
     assert (Poly.zero(2) * p).is_zero
-    assert poly_mul(p, Poly.zero(2)).is_zero
+    assert (p * Poly.zero(2)).is_zero
 
 
 def test_monomial_product_d3():
@@ -35,22 +36,22 @@ def test_monomial_product_d3():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        poly_mul(Poly.variable(2, 1), Poly.variable(3, 1))
+        Poly.variable(2, 1) * Poly.variable(3, 1)
 
 
 def test_power_rule():
     p = Poly.monomial(3, (2, 1, 0))  # x1^2 x2
-    assert poly_derive(p, 1) == Poly.monomial(3, (1, 1, 0), 2)
+    assert p.derive(1) == Poly.monomial(3, (1, 1, 0), 2)
 
 
 def test_missing_variable_derivative():
     p = parse_poly("x1 + x2", 3)
-    assert poly_derive(p, 3).is_zero
+    assert p.derive(3).is_zero
 
 
 def test_derivative_index_range():
     with pytest.raises(DimensionError):
-        poly_derive(Poly.variable(2, 1), 3)
+        Poly.variable(2, 1).derive(3)
 
 
 def test_leibniz_rule_random():
@@ -113,3 +114,44 @@ def test_derive_multi():
     p = Poly.monomial(2, (2, 2))
     assert p.derive_multi((1, 1)) == Poly.monomial(2, (1, 1), 4)
     assert p.derive_multi((3, 0)).is_zero
+
+
+def test_derive_multi_examples():
+    p = parse_poly("1/2*x1^3*x2 - 2/3*x2^2*x3 + 5", 3)
+    assert p.derive_multi((0, 0, 0)) == p
+    assert p.derive_multi((2, 1, 0)) == parse_poly("3*x1", 3)
+    assert p.derive_multi((0, 2, 1)) == Poly.const(3, Fraction(-4, 3))
+    assert p.derive_multi((4, 0, 0)).is_zero
+    assert p.derive_multi((0, 0, 2)).is_zero
+    assert Poly.zero(3).derive_multi((1, 0, 0)).is_zero
+    with pytest.raises(DimensionError):
+        p.derive_multi((1, 0))
+
+
+def _iterated_derive(p, alpha):
+    for var, k in enumerate(alpha, start=1):
+        for _ in range(k):
+            p = p.derive(var)
+    return p
+
+
+@st.composite
+def _poly_and_multi_index(draw):
+    d = draw(st.sampled_from((2, 3)))
+    exps = st.tuples(*[st.integers(0, 4)] * d)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    p = Poly(d, draw(st.dictionaries(exps, coeffs, max_size=5)))
+    alpha = draw(st.tuples(*[st.integers(0, 6)] * d))
+    return p, alpha
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_poly_and_multi_index())
+def test_derive_multi_closed_form_matches_iterated_derive(case):
+    p, alpha = case
+    result = p.derive_multi(alpha)
+    assert result == _iterated_derive(p, alpha)
+    if not any(alpha):
+        assert result == p
+    if sum(alpha) > p.degree():
+        assert result.is_zero

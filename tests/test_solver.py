@@ -7,10 +7,9 @@ from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta
 from stargraphs.operators import apply_graph, compile_sum, oracle_compose, oracle_delta
-from stargraphs.poisson import preset_poisson
+from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
-from stargraphs.solver import (KONTSEVICH_K2_ENCODINGS, KONTSEVICH_K2_WEIGHTS,
-                               StarSeries, antisymmetric_part, cocycle_kernel,
+from stargraphs.solver import (StarSeries, antisymmetric_part, cocycle_kernel,
                                eval_obstruction, kontsevich_k2, mc_defect,
                                poisson_class_sum, reparametrize, solve_order,
                                solve_up_to, triples_by_total_degree, verify_order)
@@ -33,9 +32,19 @@ def test_series_normalization_guard():
 
 
 def test_kontsevich_k2_weights_read_back():
-    series = kontsevich_k2()
-    order2 = series.order(2)
-    for enc, weight in zip(KONTSEVICH_K2_ENCODINGS, KONTSEVICH_K2_WEIGHTS):
+    order2 = kontsevich_k2().order(2)
+    # canonical representatives carry the sign of the relabeling
+    assert {cls.rep.encode(): coeff for cls, coeff in order2.terms()} == {
+        "2 2 ; 3: 1 2 / 4: 1 2": Fraction(1, 2),
+        "2 2 ; 3: 1 2 / 4: 1 3": Fraction(1, 3),
+        "2 2 ; 3: 1 2 / 4: 2 3": Fraction(-1, 3),
+        "2 2 ; 3: 1 4 / 4: 2 3": Fraction(1, 6),
+    }
+    # the weights as printed, on the graphs as drawn
+    for enc, weight in (("2 2 ; 3: 1 2 / 4: 1 2", Fraction(1, 2)),
+                        ("2 2 ; 3: 1 4 / 4: 1 2", Fraction(1, 3)),
+                        ("2 2 ; 3: 1 2 / 4: 3 2", Fraction(1, 3)),
+                        ("2 2 ; 3: 1 4 / 4: 3 2", Fraction(-1, 6))):
         assert order2.coefficient_of(parse_graph(enc)) == weight
 
 
@@ -79,6 +88,15 @@ def test_k2_defect_vanishes_on_presets():
     series = kontsevich_k2()
     residual = graph_delta(series.order(2)) + mc_defect(series, 2)
     for p in (preset_poisson("symplectic2"), preset_poisson("so3")):
+        assert compile_sum(residual, p).is_zero
+
+
+@pytest.mark.parametrize("spec", ["so3", "sl2", "jacobian:x1^2*x2 + x3^3 - x1*x2*x3"])
+def test_solved_residuals_vanish_at_operator_level(spec):
+    series, _ = solve_up_to(3)
+    p = preset_from_string(spec)
+    for k in (2, 3):
+        residual = graph_delta(series.order(k)) + mc_defect(series, k)
         assert compile_sum(residual, p).is_zero
 
 
@@ -206,6 +224,30 @@ def test_monotonicity_of_growing_fixture_sets():
     # feasibility can only shrink: a feasible large set forces feasible subsets
     if large.status == "inconclusive":
         assert small.status == "inconclusive"
+
+
+def test_eval_obstruction_order4_golden_certificate():
+    series, _ = solve_up_to(3, wheel_free=True)
+    triples = [tuple(parse_poly(f, 3) for f in triple) for triple in (
+        ("x1", "x2", "x3"), ("x1^2", "x2", "x3"), ("x1*x2", "x3^2", "x1"),
+        ("x2", "x1*x3", "x2^2"), ("x1^2", "x2^2", "x3^2"), ("x1*x2", "x2*x3", "x1*x3"),
+        ("x1^2*x2", "x3", "x2*x3"), ("x3^2", "x1^2*x3", "x1*x2^2"),
+        ("x1*x2*x3", "x1^2", "x2"))]
+    report = eval_obstruction(series, 4, fixtures=[(preset_poisson("so3"), triples)])
+    assert report.status == "inconclusive"
+    assert report.matrix_shape == (21, 90)
+    assert report.certificate == {
+        "fixtures": [{"fixture": "so3", "triples_evaluated": 9}],
+        "kind": "evaluated_system_feasible",
+        "policy": "explicit",
+        "rank_augmented": 21,
+        "rank_coefficient": 21,
+        "reverified": {"inconsistent": False, "rank_augmented": 21,
+                       "rank_coefficient": 21, "strategy": "markowitz"},
+        "round_ranks": [21],
+        "rows_collected": 21,
+        "unknowns": 90,
+    }
 
 
 def test_triples_by_total_degree_order():
