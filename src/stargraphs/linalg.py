@@ -103,7 +103,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     for idx in active:
         for col in work[idx]:
             col_rows.setdefault(col, set()).add(idx)
-    pivots = []  # (col, row_index)
+    pivots = []  # (col, row)
     inconsistent = False
 
     def detach(idx):
@@ -184,11 +184,11 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
                    inconsistent=inconsistent)
 
 
-def projected_dimension(vectors: Iterable[Row], keep_cols: int) -> int:
-    """Dimension of the span of the vectors after dropping coordinates
-    >= keep_cols (rank of the projected collection)."""
+def projected_span(vectors: Iterable[Row], keep_cols: int) -> Echelon:
+    """Reduced echelon basis of the span of the vectors after dropping
+    coordinates >= keep_cols; its rank is the dimension of that span."""
     projected = [{c: v for c, v in vec.items() if c < keep_cols} for vec in vectors]
-    return echelon([r for r in projected if r], None, keep_cols, "ordered").rank
+    return echelon([r for r in projected if r], None, keep_cols, "ordered")
 
 
 class StreamingReducer:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, DimensionError, GraphError
 from .graphs import GraphClass, GraphSum, enumerate_graphs, has_wheel, parse_graph
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
-from .linalg import StreamingReducer, echelon, projected_dimension
+from .linalg import StreamingReducer, echelon, projected_span
 from .operators import compile_sum, oracle_delta
 from .poisson import POISSON, PoissonStructure, preset_poisson
 from .poly import Poly, monomials_up_to_degree
@@ -128,54 +128,47 @@ def _wheel_basis(n: int, wheel_free: bool) -> list:
     return list(enumerate_graphs(n, 2, which).classes)
 
 
+def _assemble(columns: list, rhs: GraphSum | None = None):
+    """Sparse rows and right-hand side of the system whose column j is the
+    GraphSum ``columns[j]``: one row per graph class, numbered by first
+    appearance over the columns and then over ``rhs`` (zero when None)."""
+    row_index: dict = {}
+    entries = [(row_index.setdefault(cls.rep.key, len(row_index)), col, coeff)
+               for col, s in enumerate(columns) for cls, coeff in s.terms()]
+    targets = [(row_index.setdefault(cls.rep.key, len(row_index)), coeff)
+               for cls, coeff in (rhs.terms() if rhs is not None else ())]
+    rows: list[dict] = [dict() for _ in row_index]
+    for row, col, coeff in entries:
+        rows[row][col] = coeff
+    b = [Fraction(0)] * len(rows)
+    for row, coeff in targets:
+        b[row] = coeff
+    return rows, b
+
+
+def _images(basis: list) -> list:
+    return [graph_delta(GraphSum.single(cls.rep)) for cls in basis]
+
+
 def _solve_count_block(n: int, defect_n: GraphSum, wheel_free: bool,
                        nonzero_cap: int):
     """Assemble and solve  delta(c) + defect_n = sum lambda_i L_i  over the
     classes with n internal vertices.  Returns a dict describing the block."""
     basis = _wheel_basis(n, wheel_free)
     generators = leibniz_generators(n, 3) if n >= 2 else []
-    row_index: dict = {}
-
-    def row_of(rep) -> int:
-        idx = row_index.get(rep.key)
-        if idx is None:
-            idx = len(row_index)
-            row_index[rep.key] = idx
-        return idx
-
-    ncols = len(basis) + len(generators)
-    columns: list[dict] = []
-    for cls in basis:
-        image = graph_delta(GraphSum.single(cls.rep))
-        columns.append({row_of(c.rep): coeff for c, coeff in image.terms()})
-    for gen in generators:
-        columns.append({row_of(c.rep): -coeff for c, coeff in gen.expansion.terms()})
-    rhs_entries = {row_of(c.rep): -coeff for c, coeff in defect_n.terms()}
-
-    nrows = len(row_index)
-    rows: list[dict] = [dict() for _ in range(nrows)]
-    for col, entries in enumerate(columns):
-        for row, value in entries.items():
-            rows[row][col] = value
-    rhs = [Fraction(0)] * nrows
-    for row, value in rhs_entries.items():
-        rhs[row] = value
-
-    ech = echelon(rows, rhs, ncols, "markowitz", nonzero_budget=nonzero_cap)
-    block = {
+    columns = _images(basis) + [gen.expansion for gen in generators]
+    rows, b = _assemble(columns, defect_n.scale(-1))
+    ech = echelon(rows, b, len(columns), "markowitz", nonzero_budget=nonzero_cap)
+    return {
         "count": n,
         "basis": basis,
         "generators": generators,
-        "rows": rows,
-        "rhs": rhs,
-        "ncols": ncols,
-        "shape": (nrows, ncols),
+        "shape": (len(rows), len(columns)),
         "rank": ech.rank,
         "feasible": not ech.inconsistent,
         "particular": ech.particular_solution(),
         "nullspace": ech.nullspace() if not ech.inconsistent else [],
     }
-    return block
 
 
 def _block_solution(block) -> GraphSum:
@@ -195,26 +188,9 @@ def verify_order(series: StarSeries, k: int, strategy: str = "ordered") -> bool:
         part = residual.restrict_count(n)
         if n < 2:
             return False
-        generators = leibniz_generators(n, 3)
-        row_index: dict = {}
-        for cls, _ in part.terms():
-            row_index.setdefault(cls.rep.key, len(row_index))
-        columns = []
-        for gen in generators:
-            entries = {}
-            for cls, coeff in gen.expansion.terms():
-                idx = row_index.setdefault(cls.rep.key, len(row_index))
-                entries[idx] = coeff
-            columns.append(entries)
-        nrows = len(row_index)
-        rows = [dict() for _ in range(nrows)]
-        for col, entries in enumerate(columns):
-            for row, value in entries.items():
-                rows[row][col] = value
-        rhs = [Fraction(0)] * nrows
-        for cls, coeff in part.terms():
-            rhs[row_index[cls.rep.key]] = coeff
-        if echelon(rows, rhs, len(columns), strategy).inconsistent:
+        columns = [gen.expansion for gen in leibniz_generators(n, 3)]
+        rows, b = _assemble(columns, part)
+        if echelon(rows, b, len(columns), strategy).inconsistent:
             return False
     return True
 
@@ -271,7 +247,7 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
         affine = 0
         for b in blocks:
             solution = solution + _block_solution(b)
-            affine += projected_dimension(b["nullspace"], len(b["basis"]))
+            affine += projected_span(b["nullspace"], len(b["basis"])).rank
         candidate = series.with_order(k, solution)
         if not verify_order(candidate, k, strategy="ordered"):
             raise AssertionError("solution failed the independent re-verification "
@@ -358,16 +334,21 @@ STALL_WINDOW = 250  # consecutive rank-neutral triples before a feed is cut shor
 
 
 def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0,
-                     wheel_free: bool = True, reverify: bool = True) -> MCReport:
+                     wheel_free: bool = True) -> MCReport:
     """Stack the evaluated equations  delta(c_k)(triple) = -defect(triple)
     over concrete Poisson structures; infeasibility of the stacked system is
-    a sound obstruction certificate, feasibility alone is inconclusive.
+    a sound obstruction certificate, feasibility alone is inconclusive.  The
+    verdict is always re-checked by a second elimination with Markowitz
+    pivoting.
 
-    ``fixtures`` is a list of (PoissonStructure, [argument tuples]); when
-    None, the fixture-growth policy feeds so3, then sl2, then two jacobian
-    cubics, then doubles the argument-degree cap, until either an
-    inconsistency appears or the rank is unchanged for two consecutive
-    rounds."""
+    ``fixtures`` is a list of (PoissonStructure, [argument tuples]), each fed
+    in full.  When None, the fixture-growth policy feeds so3, then sl2, then
+    two jacobian cubics, in rounds over the argument-degree caps 2, 4 and 8;
+    a round feeds each fixture the triples new at its cap, and a feed is cut
+    short after ``STALL_WINDOW`` consecutive triples that raise no rank.  The
+    rank is recorded after every feed, and growth stops at the first
+    inconsistency, or once every fixture has been fed and the last three
+    recorded ranks are equal, or when the cap would pass 8."""
     basis: list[GraphClass] = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
@@ -457,11 +438,10 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         "rank_augmented": reducer.rank + (1 if reducer.inconsistent else 0),
         "round_ranks": ranks,
     }
-    if reverify:
-        second = reducer.reverify("markowitz")
-        if second["inconsistent"] != infeasible:
-            raise AssertionError("independent pivoting disagreed on feasibility")
-        certificate["reverified"] = second
+    second = reducer.reverify("markowitz")
+    if second["inconsistent"] != infeasible:
+        raise AssertionError("independent pivoting disagreed on feasibility")
+    certificate["reverified"] = second
     status = "obstructed" if infeasible else "inconclusive"
     return MCReport(order=k, status=status, basis_size=len(basis),
                     matrix_shape=(len(reducer.raw_rows), len(basis)),
@@ -481,38 +461,12 @@ def cocycle_kernel(n: int, wheel_free: bool = True, modulo_leibniz: bool = False
         raise GraphError("need n >= 1, got %d" % n)
     basis = _wheel_basis(n, wheel_free)
     generators = leibniz_generators(n, 3) if (modulo_leibniz and n >= 2) else []
-    row_index: dict = {}
-    columns = []
-    for cls in basis:
-        image = graph_delta(GraphSum.single(cls.rep))
-        entries = {}
-        for c, coeff in image.terms():
-            idx = row_index.setdefault(c.rep.key, len(row_index))
-            entries[idx] = coeff
-        columns.append(entries)
-    for gen in generators:
-        entries = {}
-        for c, coeff in gen.expansion.terms():
-            idx = row_index.setdefault(c.rep.key, len(row_index))
-            entries[idx] = -coeff
-        columns.append(entries)
-    nrows = len(row_index)
-    rows = [dict() for _ in range(nrows)]
-    for col, entries in enumerate(columns):
-        for row, value in entries.items():
-            rows[row][col] = value
+    columns = _images(basis) + [gen.expansion for gen in generators]
+    rows, _ = _assemble(columns)
     ech = echelon(rows, None, len(columns), "markowitz", nonzero_budget=nonzero_cap)
-    null = ech.nullspace()
-    keep = len(basis)
-    projected = [{c: v for c, v in vec.items() if c < keep} for vec in null]
-    projected = [r for r in projected if r]
-    if not projected:
-        return []
-    reduced = echelon(projected, None, keep, "ordered")
-    out = []
-    for row in reduced.rows:
-        out.append(GraphSum(2, [(basis[col].rep, coeff) for col, coeff in row.items()]))
-    return out
+    span = projected_span(ech.nullspace(), len(basis))
+    return [GraphSum(2, [(basis[col].rep, coeff) for col, coeff in row.items()])
+            for row in span.rows]
 
 
 def reparametrize(series: StarSeries, alphas: dict) -> StarSeries:
@@ -555,7 +509,8 @@ def solve_up_to(max_order: int, wheel_free: bool = True, seed: int = 0,
                 nonzero_cap: int = DEFAULT_MATRIX_NONZERO_CAP,
                 order_cap: int = DEFAULT_ORDER_CAP):
     """Build a series order by order; returns (series, [MCReport]).  Solving
-    stops at the first obstructed order."""
+    stops after the first order whose status is not ``solved`` (obstructed
+    or inconclusive); that order's report is the last one."""
     series = StarSeries({})
     reports = []
     for k in range(1, max_order + 1):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dense_rank
 from stargraphs.errors import BudgetExceededError
-from stargraphs.linalg import StreamingReducer, echelon, projected_dimension
+from stargraphs.linalg import StreamingReducer, echelon, projected_span
 
 
 def F(n, d=1):
@@ -119,8 +119,8 @@ def test_streaming_keeps_witness_rows():
 
 def test_projected_dimension():
     vectors = [{0: F(1), 2: F(5)}, {1: F(1), 2: F(-1)}, {0: F(1), 1: F(1), 2: F(9)}]
-    assert projected_dimension(vectors, 2) == 2
-    assert projected_dimension([{2: F(1)}], 2) == 0
+    assert projected_span(vectors, 2).rank == 2
+    assert projected_span([{2: F(1)}], 2).rank == 0
 
 
 def test_nonzero_budget():

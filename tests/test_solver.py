@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,10 +11,12 @@ from stargraphs.homology import graph_delta
 from stargraphs.operators import apply_graph, compile_sum, oracle_compose, oracle_delta
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
-from stargraphs.solver import (StarSeries, antisymmetric_part, cocycle_kernel,
-                               eval_obstruction, kontsevich_k2, mc_defect,
-                               poisson_class_sum, reparametrize, solve_order,
-                               solve_up_to, triples_by_total_degree, verify_order)
+from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries,
+                               _solve_count_block, antisymmetric_part,
+                               cocycle_kernel, eval_obstruction, kontsevich_k2,
+                               mc_defect, poisson_class_sum, reparametrize,
+                               solve_order, solve_up_to, triples_by_total_degree,
+                               verify_order)
 
 x = Poly.variable
 
@@ -163,6 +167,78 @@ def test_reparametrization_composition_rule():
     expected3 = series.order(3) + series.order(2).scale(1)
     assert moved.order(3) == expected3
 
+
+
+# -- golden graph-level results ----------------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _block(count, basis_size, generator_count, shape, rank, feasible):
+    return {"count": count, "basis_size": basis_size,
+            "generator_count": generator_count, "shape": list(shape),
+            "rank": rank, "feasible": feasible}
+
+
+# The same bytes for wheel-free and for all graphs: the particular solution
+# picked at orders 1-3 only uses wheel-free classes.
+SOLUTION_DIGESTS = [
+    "bf2eb310f07ea4daddd2b5d58d1eef78a2a106f5b5a48fc7ea018041bd28ffff",
+    "ca02822fdb0bbd901e9974e6d7b520727653291c3a248e48f0d1049fa7ddc469",
+    "0a3f780a9bb9115374832b0e5c59083071abd97e70ab8370b38908a1f3f5f578",
+]
+
+GOLDEN = {
+    True: {
+        "affine_dims": [0, 1, 2],
+        "order4_blocks": [
+            _block(1, 1, 0, (0, 1), 0, True),
+            _block(2, 3, 1, (5, 4), 4, True),
+            _block(3, 12, 15, (62, 27), 26, True),
+            _block(4, 74, 301, (938, 375), 351, False),
+        ],
+        "kernels_mod_leibniz": {3: (1, "2a10bcbb1350c765158eb9cbead96bdf7d3fc9fc4b6d41b2256787edf394a428"), 4: (12, "4b0fc894e27f954edad7682d376a586a2c8c0bb0f1f5484a2a74256388829fd5")},
+    },
+    False: {
+        "affine_dims": [0, 2, 12],
+        "order4_blocks": [
+            _block(1, 1, 0, (0, 1), 0, True),
+            _block(2, 4, 1, (5, 5), 4, True),
+            _block(3, 30, 15, (71, 45), 35, True),
+            _block(4, 331, 301, (1043, 632), 502, False),
+        ],
+        "kernels_mod_leibniz": {3: (10, "73d6482be8dc2bebdfe1480d8e0ed0ec5d08b9621f14c7aca5aa5e14d03dd408"), 4: (118, "a07e0de3c2741d6888f9e645c5321ac4a148df71494df94194dbd1cbf22f908a")},
+    },
+}
+
+
+@pytest.mark.parametrize("wheel_free", [True, False])
+def test_graph_level_golden(wheel_free):
+    """Solutions, block summaries and Leibniz-relaxed kernels that a change
+    to matrix assembly or pivoting must leave byte for byte unchanged."""
+    golden = GOLDEN[wheel_free]
+    series, reports = solve_up_to(3, wheel_free=wheel_free)
+    assert [r.status for r in reports] == ["solved"] * 3
+    assert [_digest(r.solution.to_lines()) for r in reports] == SOLUTION_DIGESTS
+    assert [r.affine_dim for r in reports] == golden["affine_dims"]
+    # the order-k solve assembles the same count blocks as order 4 below k
+    for k, report in enumerate(reports, start=1):
+        assert report.blocks == (golden["order4_blocks"][:k] if k > 1 else [])
+
+    defect = mc_defect(series, 4)
+    blocks = []
+    for n in range(1, 5):
+        b = _solve_count_block(n, defect.restrict_count(n), wheel_free,
+                               DEFAULT_MATRIX_NONZERO_CAP)
+        blocks.append(_block(n, len(b["basis"]), len(b["generators"]),
+                             b["shape"], b["rank"], b["feasible"]))
+    assert blocks == golden["order4_blocks"]
+
+    for n, (dim, digest) in golden["kernels_mod_leibniz"].items():
+        kernel = cocycle_kernel(n, wheel_free, modulo_leibniz=True)
+        assert len(kernel) == dim
+        assert _digest([vec.to_lines() for vec in kernel]) == digest
 
 # -- kernels ---------------------------------------------------------------------
 
