@@ -17,8 +17,8 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceededError, DimensionError, GraphError, PresetError
-from .graphs import (GraphSum,FILTERS, canonical_form, enumerate_graphs,
-                     has_wheel, parse_graph)
+from .graphs import (DEFAULT_VERTEX_BUDGET, FILTERS, GraphSum, canonical_form,
+                     enumerate_graphs, has_wheel, parse_graph)
 from .homology import graph_compose, graph_delta, graph_gerstenhaber, leibniz_generators
 from .operators import apply_graph, compile_sum
 from .poisson import preset_from_string
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--filter", choices=FILTERS, default="all")
-    p.add_argument("--vertex-budget", type=int, default=9)
+    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     common(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -92,25 +92,6 @@ class GraphClass:
         return self.rep.key
 
 
-@dataclass(frozen=True)
-class BareDiGraph:
-    """A plain directed graph with no admissibility constraints; only used by
-    truncation arguments in property checks."""
-
-    vertices: tuple
-    edges: tuple  # (source, target) pairs
-
-    def outdegree(self, v: int) -> int:
-        return sum(1 for s, _ in self.edges if s == v)
-
-    def has_cycle(self) -> bool:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        succ: list[list[int]] = [[] for _ in self.vertices]
-        for s, t in self.edges:
-            succ[index[s]].append(index[t])
-        return _has_cycle(succ)
-
-
 # ---------------------------------------------------------------------------
 # parsing and encoding
 
@@ -279,7 +260,7 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
 
 
 # ---------------------------------------------------------------------------
-# wheels and truncation
+# wheels
 
 
 def _has_cycle(succ: list) -> bool:
@@ -322,28 +303,6 @@ def _has_wheel_pairs(n: int, m: int, pairs: Pairs) -> bool:
 def has_wheel(g: DirectedGraph) -> bool:
     """True iff the graph contains a directed cycle."""
     return _has_wheel_pairs(g.n, g.m, g.out_edges)
-
-
-def truncate_argument(g: DirectedGraph, arg: int) -> BareDiGraph:
-    """Remove argument vertex ``arg`` and all edges ending there; the result
-    is a bare graph that need not satisfy any admissibility constraints."""
-    if not 1 <= arg <= g.m:
-        raise GraphError("argument index %d out of range 1..%d" % (arg, g.m))
-    vertices = tuple(v for v in range(1, g.m + g.n + 1) if v != arg)
-    edges = []
-    for pos, (left, right) in enumerate(g.out_edges):
-        vid = g.m + 1 + pos
-        for target in (left, right):
-            if target != arg:
-                edges.append((vid, target))
-    return BareDiGraph(vertices, tuple(edges))
-
-
-def truncate_bare(bare: BareDiGraph, vertex: int) -> BareDiGraph:
-    """Same removal on an already-bare graph (for sequential truncations)."""
-    vertices = tuple(v for v in bare.vertices if v != vertex)
-    edges = tuple((s, t) for s, t in bare.edges if s != vertex and t != vertex)
-    return BareDiGraph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GraphError
-from .graphs import (DirectedGraph, GraphSum, canonical_form, has_wheel)
+from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, canonical_form,
+                     has_wheel)
 
 # ---------------------------------------------------------------------------
 # Hochschild differential
@@ -193,8 +194,7 @@ def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) ->
     return GraphSum(m, out)
 
 
-def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False,
-                       vertex_budget: int = 9) -> list:
+def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False) -> list:
     """Complete list of Jacobi-ideal generators with ``n_total`` bivector
     copies and arity ``m``, deduplicated by expansion direction.
 
@@ -208,7 +208,7 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
     if m < 1:
         raise GraphError("need m >= 1, got %d" % m)
     n_ord = n_total - 2
-    if n_ord + 1 + m > vertex_budget:
+    if n_ord + 1 + m > DEFAULT_VERTEX_BUDGET:
         raise BudgetExceededError("Leibniz skeletons with n_total=%d, m=%d exceed "
                                   "the vertex budget" % (n_total, m))
     special_id = m + n_ord + 1

@@ -11,10 +11,13 @@ factor.  ``compile_sum`` and ``PolyDiffOperator.apply`` accumulate into one
 exponent dict each; ``apply`` multiplies the argument derivatives (closed-form
 ``Poly.derive_multi``) before the coefficient polynomial.
 
-``oracle_delta`` and ``oracle_compose`` evaluate the Hochschild coboundary and
-the insertion composition purely at operator level (no graph rewriting); they
-are the reference implementations that the graph-level constructions in
-``homology`` are tested against.
+``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
+Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
+literally at operator level (no graph rewriting).  They are the reference
+implementations that the graph-level constructions in ``homology`` are
+tested against, and they also state the equations of the solver's
+evaluation route: its unknown columns are ``oracle_delta`` of the basis
+graphs and its right-hand side is made of ``oracle_gerstenhaber`` values.
 """
 
 from __future__ import annotations

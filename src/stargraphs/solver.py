@@ -10,9 +10,14 @@ Scaling the bivector splits everything by the number of internal vertices, so
 the linear system decomposes into per-count blocks: unknowns for c_k range
 over (wheel-free) classes with 1..k internal vertices, Leibniz multipliers
 over generators of matching count.  A ``solved`` report re-verifies with an
-independent pivot order; an ``obstructed`` graph-level verdict is always
-grounded by the evaluation route, whose infeasibility certificate quantifies
-over concrete Poisson structures and is therefore sound unconditionally.
+independent pivot order; a graph-level gap is only reported ``obstructed``
+when the evaluation route confirms it.  That route writes the order-k
+equation at operator level on concrete Poisson structures, with the literal
+Hochschild coboundary of each basis graph on the left and the literal
+brackets of the lower orders on the right (``operators.oracle_delta`` and
+``oracle_gerstenhaber``); it uses no graph-level delta, bracket or Leibniz
+span, so its infeasibility certificate holds without them, for the lower
+orders c_1..c_{k-1} that the series fixes.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DimensionError, GraphError
-from .graphs import GraphClass, GraphSum, enumerate_graphs, has_wheel, parse_graph
+from .graphs import GraphClass, GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
-from .operators import compile_sum, oracle_delta
+# compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
+from .operators import compile_sum, oracle_delta, oracle_gerstenhaber  # noqa: F401
 from .poisson import POISSON, PoissonStructure, preset_poisson
 from .poly import Poly, monomials_up_to_degree
 
@@ -323,23 +329,20 @@ def triples_by_total_degree(d: int, cap: int, prev_cap: int = 0):
                             yield (f, g, h)
 
 
-def _delta_value(op, triple):
-    """delta(B)(f, g, h) for one compiled arity-2 operator."""
-    f, g, h = triple
-    return (op.apply((f, g)) * h - f * op.apply((g, h))
-            + op.apply((f * g, h)) - op.apply((f, g * h)))
-
-
 STALL_WINDOW = 250  # consecutive rank-neutral triples before a feed is cut short
 
 
 def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0,
                      wheel_free: bool = True) -> MCReport:
-    """Stack the evaluated equations  delta(c_k)(triple) = -defect(triple)
-    over concrete Poisson structures; infeasibility of the stacked system is
-    a sound obstruction certificate, feasibility alone is inconclusive.  The
-    verdict is always re-checked by a second elimination with Markowitz
-    pivoting.
+    """Stack the evaluated equations
+        sum_j x_j delta(B_j)(f, g, h) = -(1/2) sum_{a+b=k} [c_a, c_b](f, g, h)
+    over concrete Poisson structures, one row per monomial of the values,
+    where B_j runs over the (wheel-free) basis classes with 1..k internal
+    vertices.  Both sides are evaluated at operator level by
+    ``oracle_delta`` and ``oracle_gerstenhaber``.  Infeasibility of the
+    stacked system is a sound obstruction certificate for the given
+    c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
+    re-checked by a second elimination with Markowitz pivoting.
 
     ``fixtures`` is a list of (PoissonStructure, [argument tuples]), each fed
     in full.  When None, the fixture-growth policy feeds so3, then sl2, then
@@ -352,7 +355,8 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     basis: list[GraphClass] = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
-    defect = mc_defect(series, k)
+    columns = [GraphSum.single(cls.rep) for cls in basis]
+    lower = [(series.order(a), series.order(k - a)) for a in range(1, k)]
     reducer = StreamingReducer()
     used: list[dict] = []
 
@@ -361,15 +365,15 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         if p.jacobi_verified != POISSON:
             raise DimensionError("evaluation fixtures must be verified Poisson "
                                  "structures (%s is %s)" % (p.label, p.jacobi_verified))
-        ops = [compile_sum(GraphSum.single(cls.rep), p) for cls in basis]
-        defect_op = compile_sum(defect, p)
         stall = 0
         count = 0
         for triple in triples:
             count += 1
-            row_polys = [_delta_value(op, triple) for op in ops]
-            f, g, h = triple
-            rhs_poly = -(defect_op.apply((f, g, h)))
+            row_polys = [oracle_delta(col, p, triple) for col in columns]
+            rhs_poly = Poly.zero(p.d)
+            for c_a, c_b in lower:
+                rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple)
+            rhs_poly = rhs_poly.scale(Fraction(-1, 2))
             exps = set()
             for poly in row_polys:
                 exps.update(poly.terms)

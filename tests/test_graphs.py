@@ -10,7 +10,7 @@ from oracles import brute_force_canonical, brute_force_has_wheel, brute_force_la
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (DirectedGraph, GraphSum, _canonical_raw, canonical_form,
                                encode_graph, enumerate_graphs, has_wheel, parse_graph,
-                               truncate_argument, truncate_bare, zero_classes)
+                               zero_classes)
 
 POISSON = "1 2 ; 3: 1 2"
 TRIDIFF = "4 3 ; 4: 1 5 / 5: 2 6 / 6: 5 3 / 7: 4 2"
@@ -263,37 +263,6 @@ def test_bivector_rigidity_combinatorics():
         single = set(enumerate_graphs(n, 2, "arg_indegree_exactly_one").classes)
         wheel_free = set(enumerate_graphs(n, 2, "wheel_free").classes)
         assert not (single & wheel_free)
-
-
-# -- truncation ---------------------------------------------------------------
-
-def test_truncate_poisson_graph():
-    bare = truncate_argument(parse_graph(POISSON), 1)
-    assert bare.vertices == (2, 3)
-    assert bare.edges == ((3, 2),)
-
-
-def test_truncate_k_n1_leaves_positive_outdegree():
-    for n in (2, 3):
-        for cls in enumerate_graphs(n, 1).classes:
-            bare = truncate_argument(cls.rep, 1)
-            internal = [v for v in bare.vertices if v > 1]
-            assert all(bare.outdegree(v) >= 1 for v in internal)
-            assert bare.has_cycle()
-
-
-def test_truncate_both_args_indegree_one():
-    for cls in enumerate_graphs(2, 2, "arg_indegree_exactly_one").classes:
-        bare = truncate_argument(cls.rep, 1)
-        bare = truncate_bare(bare, 2)
-        internal = [v for v in bare.vertices if v > 2]
-        assert all(bare.outdegree(v) >= 1 for v in internal)
-        assert bare.has_cycle()
-
-
-def test_truncate_bad_argument():
-    with pytest.raises(GraphError):
-        truncate_argument(parse_graph(POISSON), 3)
 
 
 # -- graph sums ---------------------------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from stargraphs.errors import GraphError
-from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
+from stargraphs.errors import BudgetExceededError, GraphError
+from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, GraphSum, enumerate_graphs, has_wheel,
+                              parse_graph)
 from stargraphs.homology import (LeibnizGenerator, expand_jacobiator_vertex,
                                  graft_terms, graph_compose, graph_delta,
                                  graph_gerstenhaber, leibniz_generators)
@@ -244,3 +245,6 @@ def test_wheel_free_expansion_filter():
 def test_generator_validation():
     with pytest.raises(GraphError):
         leibniz_generators(1, 3)
+    # a skeleton has n_total - 1 + m vertices, one more than the budget here
+    with pytest.raises(BudgetExceededError):
+        leibniz_generators(DEFAULT_VERTEX_BUDGET - 1, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta
-from stargraphs.operators import apply_graph, compile_sum, oracle_compose, oracle_delta
+from stargraphs.operators import (apply_graph, compile_sum, oracle_compose, oracle_delta,
+                                  oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries,
@@ -19,6 +21,7 @@ from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries,
                                verify_order)
 
 x = Poly.variable
+CUBIC = "jacobian:x1^3 + 2*x2^3 - x1^2*x3"
 
 
 # -- series basics -------------------------------------------------------------
@@ -80,6 +83,27 @@ def test_defect_missing_order():
     series = StarSeries({1: poisson_class_sum()})
     with pytest.raises(GraphError):
         mc_defect(series, 3)
+
+
+@pytest.mark.parametrize("spec", ["so3", CUBIC])
+def test_order4_defect_is_half_the_operator_level_brackets(spec):
+    # the evaluation route's right-hand side: the compiled graph-level defect
+    # and the literal brackets of the lower orders are the same polynomials
+    series, _ = solve_up_to(3)
+    p = preset_from_string(spec)
+    defect = mc_defect(series, 4)
+    values = []
+    for triple in (("x1^2", "x2", "x3"), ("x1*x2", "x3^2", "x1"),
+                   ("x2^2", "x1*x3", "x2*x3")):
+        args = tuple(parse_poly(f, 3) for f in triple)
+        brackets = Poly.zero(3)
+        for a in (1, 2, 3):
+            brackets = brackets + oracle_gerstenhaber(series.order(a),
+                                                      series.order(4 - a), p, args)
+        value = apply_graph(defect, p, args)
+        assert value == brackets.scale(Fraction(1, 2))
+        values.append(value)
+    assert any(not v.is_zero for v in values)
 
 
 # -- order-2 verification of the printed weights --------------------------------
@@ -322,6 +346,56 @@ def test_eval_obstruction_order4_golden_certificate():
                        "rank_coefficient": 21, "strategy": "markowitz"},
         "round_ranks": [21],
         "rows_collected": 21,
+        "unknowns": 90,
+    }
+
+
+def test_eval_obstruction_fixture_growth_golden_certificate():
+    # the growth policy (fixtures=None) at order 2: four unknowns, rank 3
+    # after every feed, stopped by three equal ranks in the second round
+    report = eval_obstruction(solve_up_to(1)[0], 2, fixtures=None, seed=7)
+    assert report.status == "inconclusive"
+    assert report.matrix_shape == (3, 4)
+    assert report.certificate == {
+        "fixtures": [
+            {"fixture": "so3", "triples_evaluated": 281},
+            {"fixture": "sl2", "triples_evaluated": 250},
+            {"fixture": "jacobian(-3*x1^3 + 2*x1*x2^2 - 3*x1*x2*x3 - 3*x2^2*x3)",
+             "triples_evaluated": 250},
+            {"fixture": "jacobian(x1*x2*x3)", "triples_evaluated": 250},
+            {"fixture": "so3", "triples_evaluated": 250},
+            {"fixture": "sl2", "triples_evaluated": 250}],
+        "kind": "evaluated_system_feasible",
+        "policy": "fixture_growth",
+        "rank_augmented": 3,
+        "rank_coefficient": 3,
+        "reverified": {"inconsistent": False, "rank_augmented": 3,
+                       "rank_coefficient": 3, "strategy": "markowitz"},
+        "round_ranks": [3, 3, 3, 3, 3, 3],
+        "rows_collected": 3,
+        "unknowns": 4,
+    }
+
+
+def test_eval_obstruction_order4_cubic_golden_certificate():
+    series, _ = solve_up_to(3, wheel_free=True)
+    p = preset_from_string(CUBIC)
+    triples = list(itertools.product(monomials_up_to_degree(3, 1), repeat=3))
+    assert len(triples) == 27
+    report = eval_obstruction(series, 4, fixtures=[(p, triples)])
+    assert report.status == "inconclusive"
+    assert report.matrix_shape == (6, 90)
+    assert report.certificate == {
+        "fixtures": [{"fixture": "jacobian(x1^3 - x1^2*x3 + 2*x2^3)",
+                      "triples_evaluated": 27}],
+        "kind": "evaluated_system_feasible",
+        "policy": "explicit",
+        "rank_augmented": 6,
+        "rank_coefficient": 6,
+        "reverified": {"inconsistent": False, "rank_augmented": 6,
+                       "rank_coefficient": 6, "strategy": "markowitz"},
+        "round_ranks": [6],
+        "rows_collected": 6,
         "unknowns": 90,
     }
 
