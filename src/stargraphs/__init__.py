@@ -15,8 +15,8 @@ from .graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
                      parse_graph, zero_classes)
 from .homology import (LeibnizGenerator, graft_terms, graph_compose, graph_delta,
                        graph_gerstenhaber, leibniz_generators)
-from .operators import (PolyDiffOperator, apply_graph, compile_graph, compile_sum,
-                        oracle_compose, oracle_delta, oracle_gerstenhaber)
+from .operators import (CoboundaryColumns, PolyDiffOperator, apply_graph, compile_graph,
+                        compile_sum, oracle_compose, oracle_delta, oracle_gerstenhaber)
 from .poisson import (NOT_POISSON, POISSON, UNCHECKED, PoissonStructure,
                       Polyvector, jacobiator, preset_from_string, preset_poisson,
                       schouten_bracket)

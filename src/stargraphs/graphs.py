@@ -406,7 +406,7 @@ class GraphSum:
     dropped.  Internal vertex counts may differ between terms.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity", "_terms", "_key")
 
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
@@ -437,6 +437,7 @@ class GraphSum:
                 acc.pop(rep, None)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphSum is immutable")
@@ -506,8 +507,11 @@ class GraphSum:
         return not self.__eq__(other)
 
     def cache_key(self):
-        return (self.arity,) + tuple((rep.key, self._terms[rep])
-                                     for rep in sorted(self._terms, key=lambda g: g.key))
+        """(arity, (encoding key, coefficient) sorted by key); built once."""
+        if self._key is None:
+            object.__setattr__(self, "_key", (self.arity,) + tuple(
+                (rep.key, self._terms[rep]) for rep in sorted(self._terms, key=lambda g: g.key)))
+        return self._key
 
     def __hash__(self):
         return hash(self.cache_key())

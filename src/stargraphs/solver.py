@@ -12,16 +12,19 @@ over (wheel-free) classes with 1..k internal vertices, Leibniz multipliers
 over generators of matching count.  A ``solved`` report re-verifies with an
 independent pivot order; a graph-level gap is only reported ``obstructed``
 when the evaluation route confirms it.  That route writes the order-k
-equation at operator level on concrete Poisson structures, with the literal
-Hochschild coboundary of each basis graph on the left and the literal
-brackets of the lower orders on the right (``operators.oracle_delta`` and
-``oracle_gerstenhaber``); it uses no graph-level delta, bracket or Leibniz
-span, so its infeasibility certificate holds without them, for the lower
-orders c_1..c_{k-1} that the series fixes.
+equation at operator level on concrete Poisson structures, with the
+Hochschild coboundaries of all basis graphs on the left, evaluated together
+per argument triple (``operators.CoboundaryColumns``, compiled once per
+fixture), and the brackets of the lower orders on the right
+(``operators.oracle_gerstenhaber``, each unordered pair once); it uses no
+graph-level delta, bracket or Leibniz span, so its infeasibility
+certificate holds without them, for the lower orders c_1..c_{k-1} that the
+series fixes.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +34,7 @@ from .graphs import GraphClass, GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
-from .operators import compile_sum, oracle_delta, oracle_gerstenhaber  # noqa: F401
+from .operators import CoboundaryColumns, compile_sum, oracle_gerstenhaber  # noqa: F401
 from .poisson import POISSON, PoissonStructure, preset_poisson
 from .poly import Poly, monomials_up_to_degree
 
@@ -129,9 +132,11 @@ class MCReport:
         }
 
 
-def _wheel_basis(n: int, wheel_free: bool) -> list:
-    which = "wheel_free" if wheel_free else "all"
-    return list(enumerate_graphs(n, 2, which).classes)
+@functools.lru_cache(maxsize=None)
+def _wheel_basis(n: int, wheel_free: bool) -> tuple:
+    """The arity-2 classes with n internal vertices, enumerated once per
+    (n, wheel_free)."""
+    return enumerate_graphs(n, 2, "wheel_free" if wheel_free else "all").classes
 
 
 def _assemble(columns: list, rhs: GraphSum | None = None):
@@ -338,8 +343,10 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         sum_j x_j delta(B_j)(f, g, h) = -(1/2) sum_{a+b=k} [c_a, c_b](f, g, h)
     over concrete Poisson structures, one row per monomial of the values,
     where B_j runs over the (wheel-free) basis classes with 1..k internal
-    vertices.  Both sides are evaluated at operator level by
-    ``oracle_delta`` and ``oracle_gerstenhaber``.  Infeasibility of the
+    vertices.  Both sides are evaluated at operator level: the rows of a
+    triple by one ``CoboundaryColumns`` pass over all basis columns, the
+    right-hand side by ``oracle_gerstenhaber`` once per pair a <= b (the
+    bracket of arity-2 cochains is symmetric).  Infeasibility of the
     stacked system is a sound obstruction certificate for the given
     c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
     re-checked by a second elimination with Markowitz pivoting.
@@ -356,7 +363,10 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
     columns = [GraphSum.single(cls.rep) for cls in basis]
-    lower = [(series.order(a), series.order(k - a)) for a in range(1, k)]
+    # [c_a, c_b] = [c_b, c_a] for arity-2 cochains: -(1/2) sum_{a+b=k} [c_a, c_b]
+    # takes each pair a < b once with weight -1 and a = b with weight -1/2
+    lower = [(series.order(a), series.order(k - a), Fraction(-1, 2 if 2 * a == k else 1))
+             for a in range(1, k // 2 + 1)]
     reducer = StreamingReducer()
     used: list[dict] = []
 
@@ -365,15 +375,15 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         if p.jacobi_verified != POISSON:
             raise DimensionError("evaluation fixtures must be verified Poisson "
                                  "structures (%s is %s)" % (p.label, p.jacobi_verified))
+        delta = CoboundaryColumns(columns, p)  # operators cached on p after the first feed
         stall = 0
         count = 0
         for triple in triples:
             count += 1
-            row_polys = [oracle_delta(col, p, triple) for col in columns]
+            row_polys = delta.values(triple)
             rhs_poly = Poly.zero(p.d)
-            for c_a, c_b in lower:
-                rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple)
-            rhs_poly = rhs_poly.scale(Fraction(-1, 2))
+            for c_a, c_b, weight in lower:
+                rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple).scale(weight)
             exps = set()
             for poly in row_polys:
                 exps.update(poly.terms)

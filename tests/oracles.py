@@ -8,7 +8,9 @@ check.
 import itertools
 from fractions import Fraction
 
-from stargraphs.operators import PolyDiffOperator
+from stargraphs.errors import DimensionError
+from stargraphs.graphs import DirectedGraph, GraphClass
+from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
 
@@ -164,6 +166,30 @@ def brute_force_apply(op, args):
             product = product * der
         if not dead:
             total = total + product
+    return total
+
+
+def brute_force_delta(s, p, args):
+    """Hochschild coboundary [m0, .] evaluated literally, one cochain and
+    one apply_graph call per argument tuple:
+
+    (delta C)(f_0..f_m) = C(f_0..f_{m-1}) f_m + (-1)^{m-1} f_0 C(f_1..f_m)
+                          - (-1)^{m-1} sum_j (-1)^j C(.., f_j f_{j+1}, ..).
+    """
+    arity = s.m if isinstance(s, DirectedGraph) else (
+        s.rep.m if isinstance(s, GraphClass) else s.arity)
+    if len(args) != arity + 1:
+        raise DimensionError("coboundary of arity-%d cochain needs %d arguments, got %d"
+                             % (arity, arity + 1, len(args)))
+    m = arity
+    sgn = 1 if (m - 1) % 2 == 0 else -1
+    total = apply_graph(s, p, args[:m]) * args[m]
+    total = total + (args[0] * apply_graph(s, p, args[1:])).scale(sgn)
+    for j in range(m):
+        merged = list(args[:j]) + [args[j] * args[j + 1]] + list(args[j + 2:])
+        inner = apply_graph(s, p, merged)
+        term_sign = -sgn if j % 2 == 0 else sgn
+        total = total + inner.scale(term_sign)
     return total
 
 

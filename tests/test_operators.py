@@ -1,14 +1,16 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_apply, brute_force_compile_graph, transcribed_tridiff
+from oracles import (brute_force_apply, brute_force_compile_graph, brute_force_delta,
+                     transcribed_tridiff)
 from stargraphs.errors import DimensionError
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
                                parse_graph, zero_classes)
-from stargraphs.operators import (apply_graph, compile_graph, compile_sum,
+from stargraphs.operators import (CoboundaryColumns, apply_graph, compile_graph, compile_sum,
                                   oracle_compose, oracle_delta, oracle_gerstenhaber)
 from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
@@ -114,6 +116,10 @@ def test_dimension_and_arity_guards():
         apply_graph(parse_graph(POISSON), p, (x(2, 1), x(2, 2)))
     with pytest.raises(DimensionError):
         oracle_delta(GraphSum.single(POISSON), p, (x(3, 1), x(3, 2)))
+    with pytest.raises(DimensionError):
+        oracle_delta(GraphSum.single(POISSON), p, (x(2, 1), x(2, 2), x(2, 1)))
+    with pytest.raises(DimensionError):
+        CoboundaryColumns([GraphSum.single(POISSON), GraphSum.single(TRIDIFF)], p)
 
 
 # -- compile_graph and apply against the brute-force oracles ------------------
@@ -198,6 +204,51 @@ def test_apply_with_vanishing_derivative():
 
 
 # -- oracle_delta -------------------------------------------------------------
+
+@functools.cache
+def order4_wheel_free_basis():
+    """The 90 wheel-free arity-2 classes with 1..4 internal vertices: the
+    unknowns of the order-4 evaluation route."""
+    return tuple(cls for n in (1, 2, 3, 4)
+                 for cls in enumerate_graphs(n, 2, "wheel_free").classes)
+
+
+def coboundary_triples(d):
+    """Three monomial triples, and two triples with a constant and a
+    multi-term rational argument (some derivative products vanish)."""
+    rng = random.Random(67)
+    monos = monomials_up_to_degree(d, 2)
+    rational = parse_poly("2/3*x1^2 - 1/5*x1*x%d + 7/2*x%d" % (d, d), d)
+    const = Poly.const(d, Fraction(-3, 4))
+    triples = [tuple(rng.choice(monos) for _ in range(3)) for _ in range(3)]
+    return triples + [(monos[0] * monos[-1], const, rational),
+                      (rational, monos[1], const)]
+
+
+@pytest.mark.parametrize("spec", ("so3", "sl2", "symplectic2",
+                                  "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
+def test_coboundary_columns_match_brute_force_delta(spec):
+    p = preset_from_string(spec)
+    basis = order4_wheel_free_basis()
+    assert len(basis) == 90
+    columns = [GraphSum.single(cls.rep) for cls in basis]
+    delta = CoboundaryColumns(columns, p)
+    nonzero = 0
+    for args in coboundary_triples(p.d):
+        values = delta.values(args)
+        assert len(values) == 90
+        for col, value in zip(columns, values):
+            assert value == brute_force_delta(col, p, args)
+            nonzero += not value.is_zero
+        # the one-column case is the same pass
+        assert oracle_delta(columns[-1], p, args) == values[-1]
+    assert nonzero
+    # apply, the one-tuple case, against the term-by-term oracle
+    for col in columns[::9]:
+        op = compile_sum(col, p)
+        for f, g, _h in coboundary_triples(p.d):
+            assert op.apply((f, g)) == brute_force_apply(op, (f, g))
+
 
 def test_delta_of_poisson_class_vanishes():
     rng = random.Random(3)

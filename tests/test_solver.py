@@ -9,6 +9,7 @@ import pytest
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta
+from stargraphs.linalg import StreamingReducer
 from stargraphs.operators import (apply_graph, compile_sum, oracle_compose, oracle_delta,
                                   oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
@@ -22,6 +23,11 @@ from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries,
 
 x = Poly.variable
 CUBIC = "jacobian:x1^3 + 2*x2^3 - x1^2*x3"
+SO3_TRIPLES = (
+    ("x1", "x2", "x3"), ("x1^2", "x2", "x3"), ("x1*x2", "x3^2", "x1"),
+    ("x2", "x1*x3", "x2^2"), ("x1^2", "x2^2", "x3^2"), ("x1*x2", "x2*x3", "x1*x3"),
+    ("x1^2*x2", "x3", "x2*x3"), ("x3^2", "x1^2*x3", "x1*x2^2"),
+    ("x1*x2*x3", "x1^2", "x2"))
 
 
 # -- series basics -------------------------------------------------------------
@@ -328,11 +334,7 @@ def test_monotonicity_of_growing_fixture_sets():
 
 def test_eval_obstruction_order4_golden_certificate():
     series, _ = solve_up_to(3, wheel_free=True)
-    triples = [tuple(parse_poly(f, 3) for f in triple) for triple in (
-        ("x1", "x2", "x3"), ("x1^2", "x2", "x3"), ("x1*x2", "x3^2", "x1"),
-        ("x2", "x1*x3", "x2^2"), ("x1^2", "x2^2", "x3^2"), ("x1*x2", "x2*x3", "x1*x3"),
-        ("x1^2*x2", "x3", "x2*x3"), ("x3^2", "x1^2*x3", "x1*x2^2"),
-        ("x1*x2*x3", "x1^2", "x2"))]
+    triples = [tuple(parse_poly(f, 3) for f in triple) for triple in SO3_TRIPLES]
     report = eval_obstruction(series, 4, fixtures=[(preset_poisson("so3"), triples)])
     assert report.status == "inconclusive"
     assert report.matrix_shape == (21, 90)
@@ -397,6 +399,33 @@ def test_eval_obstruction_order4_cubic_golden_certificate():
         "round_ranks": [6],
         "rows_collected": 6,
         "unknowns": 90,
+    }
+
+
+def test_eval_obstruction_rows_golden(monkeypatch):
+    # a sha256 over every (row, rhs) the order-4 evaluation route feeds to the
+    # reducer pins the evaluated system itself, not only its rank
+    fed: list[str] = []
+    add_row = StreamingReducer.add_row
+
+    def recording_add_row(self, row, rhs):
+        fed.append("%s | %s\n" % (" ".join("%d:%s" % item for item in sorted(row.items())),
+                                  rhs))
+        return add_row(self, row, rhs)
+
+    monkeypatch.setattr(StreamingReducer, "add_row", recording_add_row)
+    series, _ = solve_up_to(3, wheel_free=True)
+    so3_triples = [tuple(parse_poly(f, 3) for f in triple) for triple in SO3_TRIPLES]
+    cubic_triples = list(itertools.product(monomials_up_to_degree(3, 1), repeat=3))
+    hashes = {}
+    for name, p, triples in (("so3", preset_poisson("so3"), so3_triples),
+                             ("cubic", preset_from_string(CUBIC), cubic_triples)):
+        fed.clear()
+        eval_obstruction(series, 4, fixtures=[(p, triples)])
+        hashes[name] = hashlib.sha256("".join(fed).encode()).hexdigest()
+    assert hashes == {
+        "so3": "fb750198445b301e04ebdd2f17616df0896e0294bbac8529622ac1dbb5ecf0d2",
+        "cubic": "3c55c6375f64ad85c0269066ad6a5f147924385e511a1d90b6d783e40ad51fdd",
     }
 
 
