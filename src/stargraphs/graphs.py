@@ -12,7 +12,7 @@ vertices listed in increasing index order.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -151,9 +151,9 @@ def parse_graph(text: str) -> DirectedGraph:
 def _canonical_raw(n: int, m: int, pairs: Pairs):
     """Minimum of the orbit under internal relabeling x per-vertex L/R swap.
 
-    Returns (canonical pairs, sign) with sign in {-1, 0, +1}: the parity of
-    L/R swaps needed to reach the canonical labeling, or 0 when the orbit
-    reaches it with both parities (the class is the zero cochain).
+    Returns (canonical pairs, sign, |Aut|) with sign in {-1, 0, +1}: the
+    parity of L/R swaps needed to reach the canonical labeling, or 0 when
+    the orbit reaches it with both parities (the class is the zero cochain).
 
     The key is the tuple of sorted pairs in new-label order, so it is built
     one entry at a time.  A frontier holds the partial labelings (old
@@ -170,6 +170,11 @@ def _canonical_raw(n: int, m: int, pairs: Pairs):
     level.  The final frontier is exactly the set of those labelings, and
     their parities give the sign.  The work is proportional to the number
     of labelings that tie with the minimum along the way, not to n!.
+
+    Also returns the frontier's size, |Aut|: the number of internal
+    relabelings that fix the graph with its pairs unordered.  Each one,
+    with the L/R swaps it forces, is one element of the stabilizer of the
+    labeled graph, so the labeled orbit has 2^n n! / |Aut| members.
     """
     base = m + 1
     key = []
@@ -230,7 +235,7 @@ def _canonical_raw(n: int, m: int, pairs: Pairs):
         sign = 1
     else:
         sign = -1
-    return tuple(key), sign
+    return tuple(key), sign, len(frontier)
 
 
 _CANON_CACHE: dict = {}
@@ -250,7 +255,7 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     cached = _CANON_CACHE.get(g.key)
     if cached is not None:
         return cached
-    pairs, sign = _canonical_raw(g.n, g.m, g.out_edges)
+    pairs, sign, _ = _canonical_raw(g.n, g.m, g.out_edges)
     rep = g if pairs == g.out_edges else DirectedGraph(g.n, g.m, pairs)
     cls = GraphClass(rep, sign)
     if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
@@ -311,25 +316,6 @@ def has_wheel(g: DirectedGraph) -> bool:
 FILTERS = ("all", "wheel_free", "wheels_only", "arg_indegree_exactly_one")
 
 
-def _labeled_pairs(n: int, m: int) -> Iterator[Pairs]:
-    """All valid labeled graphs of K_{n,m} as raw out-edge tuples."""
-    total = n + m
-    options = []
-    for pos in range(n):
-        vid = m + 1 + pos
-        targets = [t for t in range(1, total + 1) if t != vid]
-        options.append(tuple((a, b) for a in targets for b in targets if a != b))
-    for combo in itertools.product(*options):
-        covered = 0
-        for left, right in combo:
-            if left <= m:
-                covered |= 1 << left
-            if right <= m:
-                covered |= 1 << right
-        if covered == ((1 << (m + 1)) - 2):
-            yield combo
-
-
 def _passes_filter(n: int, m: int, pairs: Pairs, which: str) -> bool:
     if which == "all":
         return True
@@ -348,6 +334,76 @@ def _passes_filter(n: int, m: int, pairs: Pairs, which: str) -> bool:
     raise ValueError("unknown filter %r (expected one of %s)" % (which, ", ".join(FILTERS)))
 
 
+def _restricted_growth(n: int, m: int) -> Iterator[Pairs]:
+    """Every K_{n,m} graph in restricted-growth form, in lexicographic order.
+
+    Entry e holds the targets of internal vertex e as a sorted pair L < R.
+    Vertex e counts as introduced at entry e; each internal target is an
+    introduced label or the next free one, and both targets may take the
+    next two.  Every orbit minimum of ``_canonical_raw`` has this shape,
+    because its unlabeled targets take the next free labels, so every class
+    has its representative among these graphs.  Graphs that leave an
+    argument without an incoming edge are not yielded.
+    """
+    base = m + 1
+    full = (1 << (m + 1)) - 2  # bits 1..m: every argument covered
+    entries: list = []
+
+    def extend(e, introduced, covered):
+        if e == n:
+            if covered == full:
+                yield tuple(entries)
+            return
+        if (full & ~covered).bit_count() > 2 * (n - e):
+            return  # the remaining entries cannot cover the open arguments
+        introduced = max(introduced, e + 1)
+        free = base + introduced
+        old = [*range(1, base), *(t for t in range(base, free) if t != base + e)]
+        for i, left in enumerate(old):
+            bit = 1 << left if left <= m else 0
+            for right in old[i + 1:]:
+                entries.append((left, right))
+                yield from extend(e + 1, introduced,
+                                  covered | bit | (1 << right if right <= m else 0))
+                entries.pop()
+            if introduced < n:
+                entries.append((left, free))
+                yield from extend(e + 1, introduced + 1, covered | bit)
+                entries.pop()
+        if introduced + 1 < n:
+            entries.append((free, free + 1))
+            yield from extend(e + 1, introduced + 2, covered)
+            entries.pop()
+
+    return extend(0, 0, 0)
+
+
+def _classes(n: int, m: int, filter: str) -> Iterator[tuple]:
+    """(canonical pairs, sign, labeled orbit size) of every class of K_{n,m}
+    passing the filter, once each, in lexicographic order of the pairs.
+
+    Orderly generation (Read 1978; McKay 1998): a restricted-growth
+    candidate is kept only when it is its own orbit minimum, and the
+    labeled graphs of its class are counted from |Aut| by the orbit-
+    stabilizer theorem instead of being listed.
+    """
+    group_order = 2 ** n * math.factorial(n)
+    for pairs in _restricted_growth(n, m):
+        if not _passes_filter(n, m, pairs, filter):
+            continue
+        best, sign, automorphisms = _canonical_raw(n, m, pairs)
+        if best == pairs:
+            yield pairs, sign, group_order // automorphisms
+
+
+def _check_size(n: int, m: int, vertex_budget: int):
+    if n < 1 or m < 1:
+        raise GraphError("need n >= 1 and m >= 1, got n=%d m=%d" % (n, m))
+    if n + m > vertex_budget:
+        raise BudgetExceededError("K_{%d,%d} exceeds the vertex budget n+m <= %d"
+                                  % (n, m, vertex_budget))
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     classes: tuple  # nonzero GraphClass entries, sorted by encoding
@@ -357,41 +413,26 @@ class EnumerationResult:
 def enumerate_graphs(n: int, m: int, filter: str = "all",
                      vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> EnumerationResult:
     """Complete duplicate-free list of nonzero canonical classes of K_{n,m}
-    passing the filter, plus the labeled-graph count before canonicalization."""
-    if n < 1 or m < 1:
-        raise GraphError("need n >= 1 and m >= 1, got n=%d m=%d" % (n, m))
-    if n + m > vertex_budget:
-        raise BudgetExceededError("K_{%d,%d} exceeds the vertex budget n+m <= %d"
-                                  % (n, m, vertex_budget))
+    passing the filter, plus the number of labeled graphs passing it (zero
+    classes included)."""
+    _check_size(n, m, vertex_budget)
     if filter not in FILTERS:
         raise ValueError("unknown filter %r (expected one of %s)" % (filter, ", ".join(FILTERS)))
     labeled = 0
-    reps: set[Pairs] = set()
-    for pairs in _labeled_pairs(n, m):
-        if not _passes_filter(n, m, pairs, filter):
-            continue
-        labeled += 1
-        best, sign = _canonical_raw(n, m, pairs)
-        if sign == 0:
-            continue
-        reps.add(best)
-    classes = tuple(GraphClass(DirectedGraph(n, m, pairs), 1)
-                    for pairs in sorted(reps))
-    return EnumerationResult(classes, labeled)
+    classes = []
+    for pairs, sign, orbit in _classes(n, m, filter):
+        labeled += orbit
+        if sign:
+            classes.append(GraphClass(DirectedGraph(n, m, pairs), 1))
+    return EnumerationResult(tuple(classes), labeled)
 
 
 def zero_classes(n: int, m: int,
                  vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> tuple:
     """Canonical representatives of the sign-0 (zero cochain) classes of K_{n,m}."""
-    if n + m > vertex_budget:
-        raise BudgetExceededError("K_{%d,%d} exceeds the vertex budget n+m <= %d"
-                                  % (n, m, vertex_budget))
-    reps: set[Pairs] = set()
-    for pairs in _labeled_pairs(n, m):
-        best, sign = _canonical_raw(n, m, pairs)
-        if sign == 0:
-            reps.add(best)
-    return tuple(DirectedGraph(n, m, pairs) for pairs in sorted(reps))
+    _check_size(n, m, vertex_budget)
+    return tuple(DirectedGraph(n, m, pairs)
+                 for pairs, sign, _ in _classes(n, m, "all") if not sign)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import itertools
 from fractions import Fraction
 
 from stargraphs.errors import DimensionError
-from stargraphs.graphs import DirectedGraph, GraphClass
+from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, _canonical_raw,
+                               _passes_filter)
 from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
@@ -77,6 +78,79 @@ def brute_force_canonical(n, m, pairs):
     else:
         sign = -1
     return best, sign
+
+
+def brute_force_automorphisms(n, m, pairs):
+    """Size of the stabilizer of the labeled graph in the group of the
+    n! * 2^n internal relabelings x per-vertex L/R swaps.  Every relabeling
+    is counted: for a fixed permutation the swaps act on separate entries,
+    so the swap vectors that fix the graph number the product, over the
+    entries, of the swaps (none or one) that fix that entry."""
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        moved = [None] * n
+        for pos in range(n):
+            left, right = pairs[pos]
+            if left > m:
+                left = m + 1 + perm[left - m - 1]
+            if right > m:
+                right = m + 1 + perm[right - m - 1]
+            moved[perm[pos]] = (left, right)
+        fixing = 1
+        for entry, target in zip(moved, pairs):
+            fixing *= (entry == target) + (entry[::-1] == target)
+        count += fixing
+    return count
+
+
+def scan_labeled_pairs(n: int, m: int):
+    """All valid labeled graphs of K_{n,m} as raw out-edge tuples."""
+    total = n + m
+    options = []
+    for pos in range(n):
+        vid = m + 1 + pos
+        targets = [t for t in range(1, total + 1) if t != vid]
+        options.append(tuple((a, b) for a in targets for b in targets if a != b))
+    for combo in itertools.product(*options):
+        covered = 0
+        for left, right in combo:
+            if left <= m:
+                covered |= 1 << left
+            if right <= m:
+                covered |= 1 << right
+        if covered == ((1 << (m + 1)) - 2):
+            yield combo
+
+
+def scan_enumerate_graphs(n, m, filter="all"):
+    """Enumeration by the product over every labeled out-edge tuple: each
+    graph passing the filter is counted and canonicalized, and the nonzero
+    orbit minima are collected.  It shares ``_canonical_raw`` and the
+    filter with the library, so it checks the generation and the counting,
+    not the canonical forms (``brute_force_canonical`` checks those)."""
+    labeled = 0
+    reps = set()
+    for pairs in scan_labeled_pairs(n, m):
+        if not _passes_filter(n, m, pairs, filter):
+            continue
+        labeled += 1
+        best, sign, _ = _canonical_raw(n, m, pairs)
+        if sign == 0:
+            continue
+        reps.add(best)
+    classes = tuple(GraphClass(DirectedGraph(n, m, pairs), 1)
+                    for pairs in sorted(reps))
+    return EnumerationResult(classes, labeled)
+
+
+def scan_zero_classes(n, m):
+    """Sign-0 orbit minima of K_{n,m} by the same product scan."""
+    reps = set()
+    for pairs in scan_labeled_pairs(n, m):
+        best, sign, _ = _canonical_raw(n, m, pairs)
+        if sign == 0:
+            reps.add(best)
+    return tuple(DirectedGraph(n, m, pairs) for pairs in sorted(reps))
 
 
 def brute_force_has_wheel(n, m, pairs):

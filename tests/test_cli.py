@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,19 @@ def test_enumerate_deterministic_bytes(tmp_path):
     main(["enumerate", "--n", "2", "--m", "2", "--output", str(out1)])
     main(["enumerate", "--n", "2", "--m", "2", "--output", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--n", "4", "--m", "2"],
+     "acb78f859fdd6ba28d3ea799cd333370b106168f6c64b1dcc733965f8773e8b8"),
+    (["--n", "3", "--m", "3", "--filter", "wheel_free"],
+     "d29edd6a5820d2153f25455b57ce6dc7d2abb6e740439cd18956f24729e3eab8"),
+], ids=["K42-all", "K33-wheel_free"])
+def test_enumerate_report_golden(tmp_path, args, digest):
+    # digests recorded from the product scan over all labeled tuples
+    out = tmp_path / "report.json"
+    assert main(["enumerate", *args, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_wheels_command(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_canonical, brute_force_has_wheel, brute_force_labeled_graphs
+from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
+                     brute_force_labeled_graphs, scan_enumerate_graphs, scan_zero_classes)
 from stargraphs.errors import BudgetExceededError, GraphError
-from stargraphs.graphs import (DirectedGraph, GraphSum, _canonical_raw, canonical_form,
+from stargraphs.graphs import (FILTERS, DirectedGraph, GraphSum, _canonical_raw, canonical_form,
                                encode_graph, enumerate_graphs, has_wheel, parse_graph,
                                zero_classes)
 
@@ -131,12 +133,18 @@ def test_sign_zero_census_k32():
     assert zeros[0].encode() == "3 2 ; 3: 1 2 / 4: 1 2 / 5: 3 4"
 
 
+def _assert_canonical_matches_brute_force(n, m, pairs):
+    key, sign, automorphisms = _canonical_raw(n, m, pairs)
+    assert (key, sign) == brute_force_canonical(n, m, pairs)
+    assert automorphisms == brute_force_automorphisms(n, m, pairs)
+
+
 def test_canonical_search_matches_scan_on_all_small_graphs():
     checked = 0
     for n in range(1, 5):
         for m in range(1, 6 - n):
             for pairs in brute_force_labeled_graphs(n, m):
-                assert _canonical_raw(n, m, pairs) == brute_force_canonical(n, m, pairs)
+                _assert_canonical_matches_brute_force(n, m, pairs)
                 checked += 1
     assert checked > 20_000
 
@@ -166,7 +174,7 @@ def _admissible_graphs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_admissible_graphs())
 def test_canonical_search_matches_scan_on_random_graphs(g):
-    assert _canonical_raw(g.n, g.m, g.out_edges) == brute_force_canonical(g.n, g.m, g.out_edges)
+    _assert_canonical_matches_brute_force(g.n, g.m, g.out_edges)
 
 
 @pytest.mark.parametrize("text, rep, sign", [
@@ -186,7 +194,7 @@ def test_canonical_form_explicit_cases(text, rep, sign):
     g = parse_graph(text)
     cls = canonical_form(g)
     assert (cls.rep.encode(), cls.sign) == (rep, sign)
-    assert _canonical_raw(g.n, g.m, g.out_edges) == brute_force_canonical(g.n, g.m, g.out_edges)
+    _assert_canonical_matches_brute_force(g.n, g.m, g.out_edges)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -233,10 +241,59 @@ def test_enumeration_sorted_and_duplicate_free():
 
 
 def test_budget_cap():
-    with pytest.raises(BudgetExceededError):
-        enumerate_graphs(5, 5)
-    with pytest.raises(BudgetExceededError):
-        enumerate_graphs(3, 2, vertex_budget=4)
+    for function in (enumerate_graphs, zero_classes):
+        with pytest.raises(BudgetExceededError):
+            function(5, 5)
+        with pytest.raises(BudgetExceededError):
+            function(3, 2, vertex_budget=4)
+
+
+@pytest.mark.parametrize("function", [enumerate_graphs, zero_classes])
+def test_size_guard_shared(function):
+    for n, m in ((0, 2), (1, 0), (-1, 2), (2, -3)):
+        with pytest.raises(GraphError, match="need n >= 1 and m >= 1"):
+            function(n, m)
+
+
+SMALL_SIZES = [(n, m) for n in range(1, 5) for m in range(1, 6 - n)]
+
+
+@pytest.mark.parametrize("n, m", SMALL_SIZES)
+def test_enumeration_matches_scan_small(n, m):
+    for which in FILTERS:
+        assert enumerate_graphs(n, m, which) == scan_enumerate_graphs(n, m, which), which
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (3, 3), (2, 4), (1, 5)])
+@pytest.mark.parametrize("which", ["all", "wheel_free"])
+def test_enumeration_matches_scan(n, m, which):
+    assert enumerate_graphs(n, m, which) == scan_enumerate_graphs(n, m, which)
+
+
+def _digest(graphs):
+    return hashlib.sha256("\n".join(g.encode() for g in graphs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(1, 7 - n)])
+def test_zero_classes_match_scan(n, m):
+    assert zero_classes(n, m) == scan_zero_classes(n, m)
+
+
+def test_zero_classes_k51():
+    # recorded from scan_zero_classes(5, 1), which scans 20^5 labeled tuples
+    # (about 45 s, too slow to repeat here)
+    zeros = zero_classes(5, 1)
+    assert len(zeros) == 75
+    assert _digest(zeros) == "533be9b226ac1b6cc0def5bea350769e39353a6989d35d4b2b6fb40929a7d55a"
+
+
+def test_reach_k52_wheel_free():
+    # recorded from the product scan over all 30^5 labeled tuples
+    result = enumerate_graphs(5, 2, "wheel_free")
+    assert len(result.classes) == 593
+    assert result.labeled_count == 2_093_472
+    assert _digest(cls.rep for cls in result.classes) == (
+        "c48323f6c951d6d95ece16bc72787d7de73e373ce6d0b1e4d9ba02d915070b62")
 
 
 def test_unknown_filter_rejected():
