@@ -17,9 +17,7 @@ from .homology import (LeibnizGenerator, graft_terms, graph_compose, graph_delta
                        graph_gerstenhaber, leibniz_generators)
 from .operators import (CoboundaryColumns, PolyDiffOperator, apply_graph, compile_graph,
                         compile_sum, oracle_compose, oracle_delta, oracle_gerstenhaber)
-from .poisson import (NOT_POISSON, POISSON, UNCHECKED, PoissonStructure,
-                      Polyvector, jacobiator, preset_from_string, preset_poisson,
-                      schouten_bracket)
+from .poisson import PoissonStructure, jacobiator, preset_from_string, preset_poisson
 from .poly import Poly, monomials_up_to_degree, parse_poly
 from .solver import (MCReport, StarSeries, antisymmetric_part, cocycle_kernel,
                      eval_obstruction, kontsevich_k2, mc_defect,

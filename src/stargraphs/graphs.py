@@ -2,7 +2,7 @@
 
 Vertex convention: argument vertices are 1..m, internal vertices are
 m+1..m+n.  Every internal vertex carries an ordered pair of outgoing edges
-(L, R); the L edge feeds the first index of the bivector sitting at that
+(L, R); the L edge feeds the first index of the Poisson tensor at that
 vertex, the R edge the second, so transposing (L, R) flips the sign of the
 associated operator.
 
@@ -593,7 +593,11 @@ class GraphSum:
                 coeff_text, _, enc = line.partition(" ")
                 enc = enc.strip()
             graph = parse_graph(enc)
-            items.append((graph, Fraction(coeff_text.strip())))
+            try:
+                coeff = Fraction(coeff_text.strip())
+            except ZeroDivisionError:
+                raise GraphError("zero denominator in coefficient %r" % coeff_text) from None
+            items.append((graph, coeff))
         if arity is None:
             if not items:
                 raise GraphError("cannot infer arity of an empty graph-sum file")

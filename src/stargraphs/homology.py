@@ -12,6 +12,7 @@ admissible graph family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,14 +195,19 @@ def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) ->
     return GraphSum(m, out)
 
 
-def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False) -> list:
-    """Complete list of Jacobi-ideal generators with ``n_total`` bivector
-    copies and arity ``m``, deduplicated by expansion direction.
+@functools.lru_cache(maxsize=None)
+def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False) -> tuple:
+    """Complete list of Jacobi-ideal generators with ``n_total`` copies of
+    the Poisson tensor and arity ``m``, deduplicated by expansion direction;
+    built once per argument tuple.
 
-    The special vertex's target triple is enumerated in increasing order only:
-    the three-term expansion is invariant under cyclic rotations of the triple
-    and flips sign under transpositions, so sorted triples cover every
-    generator up to sign.
+    Target triples of the special vertex and target pairs of the ordinary
+    vertices are enumerated in increasing order only: the three-term
+    expansion is invariant under cyclic rotations of the triple, and it
+    flips sign under a transposition of the triple or of a pair, so sorted
+    targets cover every generator up to sign.  A skeleton with a swapped
+    pair comes after its sorted twin in product order, so skipping it
+    changes neither the list nor its order.
     """
     if n_total < 2:
         raise GraphError("need n_total >= 2, got %d" % n_total)
@@ -219,7 +225,7 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
     for pos in range(n_ord):
         vid = m + 1 + pos
         targets = [t for t in all_ids if t != vid]
-        ordinary_options.append(tuple((a, b) for a in targets for b in targets if a != b))
+        ordinary_options.append(tuple(itertools.combinations(targets, 2)))
     for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
         for ordinary in itertools.product(*ordinary_options):
             covered = set(t for t in triple if t <= m)
@@ -243,4 +249,4 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
                 continue
             seen.add(key)
             generators.append(LeibnizGenerator(n_total, m, ordinary, triple, expansion))
-    return generators
+    return tuple(generators)

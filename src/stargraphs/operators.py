@@ -1,7 +1,7 @@
 """Translation of graphs into polydifferential operators and exact evaluation.
 
 A graph acts on m functions by summing over all assignments of a coordinate
-index to every edge: each internal vertex contributes its bivector entry
+index to every edge: each internal vertex contributes its Poisson-tensor entry
 differentiated along the incoming edge indices, each argument vertex its
 function differentiated likewise.  ``compile_graph`` produces the symbolic
 m-linear operator once so repeated evaluations stay cheap: it searches the

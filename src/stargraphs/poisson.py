@@ -1,147 +1,25 @@
-"""Poisson structures with polynomial coefficients, polyvector fields, the
-Jacobi-identity check, and the Schouten bracket in coordinates.
+"""Poisson structures with polynomial coefficients, the Jacobi-identity
+check, and the named presets.
 
-Conventions fixed by this module:
-
-* ``jacobiator(p)`` has components J^{ijk} = sum_l ( p^{il} d_l p^{jk}
-  + p^{jl} d_l p^{ki} + p^{kl} d_l p^{ij} ) on strictly increasing (i,j,k);
-* with the wedge conventions used by ``schouten_bracket``, bivectors satisfy
-  [p, p] = 2 * jacobiator(p) exactly, so p is Poisson iff [p, p] = 0.
+``jacobiator(p)`` has components J^{ijk} = sum_l ( p^{il} d_l p^{jk}
++ p^{jl} d_l p^{ki} + p^{kl} d_l p^{ij} ) on strictly increasing (i,j,k),
+which is {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}} for the bracket
+{f, g} = sum_{a,b} p^{ab} d_a f d_b g.  A ``PoissonStructure`` computes it
+once at construction: ``is_poisson`` is True iff every component vanishes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
-
 from .errors import DimensionError, PresetError
 from .poly import Poly, parse_poly
-
-UNCHECKED = "unchecked"
-POISSON = "poisson"
-NOT_POISSON = "not_poisson"
-
-
-def _sort_with_sign(indices: tuple):
-    """Sort an index tuple, returning (sorted tuple, permutation sign); sign 0
-    when an index repeats."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
-class Polyvector:
-    """Antisymmetric k-vector field with Poly components on strictly
-    increasing index tuples."""
-
-    __slots__ = ("d", "degree", "components")
-
-    def __init__(self, d: int, degree: int, components=None):
-        if degree < 0:
-            raise DimensionError("polyvector degree must be >= 0, got %d" % degree)
-        clean: dict[tuple, Poly] = {}
-        if components:
-            items = components.items() if hasattr(components, "items") else components
-            for idx, poly in items:
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise DimensionError("index tuple %r has wrong length for degree %d"
-                                         % (idx, degree))
-                if any(not 1 <= i <= d for i in idx):
-                    raise DimensionError("index out of range in %r for d=%d" % (idx, d))
-                if list(idx) != sorted(set(idx)):
-                    raise DimensionError("indices must be strictly increasing, got %r" % (idx,))
-                if poly.d != d:
-                    raise DimensionError("component dimension mismatch")
-                if not poly.is_zero:
-                    acc = clean.get(idx)
-                    clean[idx] = poly if acc is None else acc + poly
-                    if clean[idx].is_zero:
-                        del clean[idx]
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polyvector is immutable")
-
-    @classmethod
-    def from_unsorted(cls, d: int, degree: int, items: Iterable) -> "Polyvector":
-        """Build from (index tuple, Poly) pairs with arbitrary index order."""
-        acc: dict[tuple, Poly] = {}
-        for idx, poly in items:
-            key, sign = _sort_with_sign(tuple(idx))
-            if sign == 0 or poly.is_zero:
-                continue
-            signed = poly if sign == 1 else -poly
-            cur = acc.get(key)
-            acc[key] = signed if cur is None else cur + signed
-        return cls(d, degree, {k: v for k, v in acc.items() if not v.is_zero})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def component(self, idx: tuple) -> Poly:
-        key, sign = _sort_with_sign(tuple(idx))
-        if sign == 0:
-            return Poly.zero(self.d)
-        poly = self.components.get(key)
-        if poly is None:
-            return Poly.zero(self.d)
-        return poly if sign == 1 else -poly
-
-    def __add__(self, other: "Polyvector") -> "Polyvector":
-        if self.d != other.d or self.degree != other.degree:
-            raise DimensionError("polyvector mismatch in add")
-        items = list(self.components.items()) + list(other.components.items())
-        acc: dict[tuple, Poly] = {}
-        for idx, poly in items:
-            cur = acc.get(idx)
-            acc[idx] = poly if cur is None else cur + poly
-        return Polyvector(self.d, self.degree,
-                          {k: v for k, v in acc.items() if not v.is_zero})
-
-    def scale(self, c) -> "Polyvector":
-        return Polyvector(self.d, self.degree,
-                          {k: v.scale(c) for k, v in self.components.items()})
-
-    def __sub__(self, other: "Polyvector") -> "Polyvector":
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, Polyvector) and self.d == other.d
-                and self.degree == other.degree and self.components == other.components)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for idx in sorted(self.components):
-            basis = "^".join("e%d" % i for i in idx)
-            parts.append("(%s) %s" % (self.components[idx], basis))
-        return " + ".join(parts)
 
 
 class PoissonStructure:
     """Dimension d plus an antisymmetric matrix of Poly entries; only the
-    strictly upper triangle is stored."""
+    strictly upper triangle is stored.  ``is_poisson`` records whether the
+    Jacobi identity holds."""
 
-    __slots__ = ("d", "_upper", "jacobi_verified", "_pair_cache", "_deriv_cache",
+    __slots__ = ("d", "_upper", "is_poisson", "_pairs", "_deriv_cache",
                  "_op_cache", "label")
 
     def __init__(self, d: int, entries, label: str = ""):
@@ -161,19 +39,19 @@ class PoissonStructure:
                 raise DimensionError("duplicate matrix position (%d, %d)" % (i, j))
             if not signed.is_zero:
                 upper[key] = signed
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "jacobi_verified", UNCHECKED)
-        object.__setattr__(self, "_pair_cache", None)
-        object.__setattr__(self, "_deriv_cache", {})
-        object.__setattr__(self, "_op_cache", {})
-        object.__setattr__(self, "label", label or "poisson(d=%d)" % d)
+        set_field = object.__setattr__
+        set_field(self, "d", d)
+        set_field(self, "_upper", upper)
+        # all ordered index pairs (i, j) with a nonzero entry, both orientations
+        set_field(self, "_pairs",
+                  tuple(sorted(pair for (i, j) in upper for pair in ((i, j), (j, i)))))
+        set_field(self, "_deriv_cache", {})
+        set_field(self, "_op_cache", {})
+        set_field(self, "label", label or "poisson(d=%d)" % d)
+        set_field(self, "is_poisson", not jacobiator(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure fields are fixed at construction")
-
-    def _set(self, name, value):
-        object.__setattr__(self, name, value)
 
     def entry(self, i: int, j: int) -> Poly:
         if not (1 <= i <= self.d and 1 <= j <= self.d):
@@ -188,16 +66,8 @@ class PoissonStructure:
 
     def nonzero_ordered_pairs(self):
         """All ordered index pairs (i, j) with a nonzero entry, both
-        orientations, sorted; cached."""
-        cached = self._pair_cache
-        if cached is None:
-            pairs = []
-            for (i, j) in sorted(self._upper):
-                pairs.append((i, j))
-                pairs.append((j, i))
-            cached = tuple(sorted(pairs))
-            self._set("_pair_cache", cached)
-        return cached
+        orientations, sorted."""
+        return self._pairs
 
     def entry_derivative(self, i: int, j: int, alpha: tuple) -> Poly:
         """d^alpha p^{ij}, cached per (i, j, alpha)."""
@@ -208,22 +78,15 @@ class PoissonStructure:
             self._deriv_cache[key] = poly
         return poly
 
-    def bivector(self) -> Polyvector:
-        return Polyvector(self.d, 2, dict(self._upper))
-
-    def verify_jacobi(self) -> str:
-        """Compute the Jacobiator and set the tri-state flag."""
-        jacobiator(self)
-        return self.jacobi_verified
-
     def __repr__(self) -> str:
-        return "PoissonStructure(%s, %s)" % (self.label, self.jacobi_verified)
+        return "PoissonStructure(%s, %s)" % (
+            self.label, "poisson" if self.is_poisson else "not_poisson")
 
 
-def jacobiator(p: PoissonStructure) -> Polyvector:
-    """Degree-3 polyvector J with J^{ijk} = sum_l ( p^{il} d_l p^{jk}
-    + p^{jl} d_l p^{ki} + p^{kl} d_l p^{ij} ); zero iff p is Poisson.
-    Equals (1/2) [p, p] in this module's Schouten normalization."""
+def jacobiator(p: PoissonStructure) -> dict:
+    """The nonzero components {(i, j, k): J^{ijk}} on strictly increasing
+    triples, J^{ijk} = sum_l ( p^{il} d_l p^{jk} + p^{jl} d_l p^{ki}
+    + p^{kl} d_l p^{ij} ); empty iff p is Poisson."""
     d = p.d
     comps: dict[tuple, Poly] = {}
     for i in range(1, d + 1):
@@ -241,54 +104,7 @@ def jacobiator(p: PoissonStructure) -> Polyvector:
                         total = total + first * second
                 if not total.is_zero:
                     comps[(i, j, k)] = total
-    result = Polyvector(d, 3, comps)
-    p._set("jacobi_verified", POISSON if result.is_zero else NOT_POISSON)
-    return result
-
-
-def schouten_bracket(a: Polyvector, b: Polyvector) -> Polyvector:
-    """Schouten bracket of a j-vector and a k-vector (j, k >= 1, j + k <= 4),
-    computed from the decomposable-tensor formula with basis coordinate
-    fields; the result is a (j + k - 1)-vector."""
-    if a.d != b.d:
-        raise DimensionError("mixed dimensions %d and %d" % (a.d, b.d))
-    if a.degree < 1 or b.degree < 1 or a.degree + b.degree > 4:
-        raise DimensionError("unsupported degree combination (%d, %d)"
-                             % (a.degree, b.degree))
-    d = a.d
-    out_degree = a.degree + b.degree - 1
-    terms = []
-    for idx_a, fa in a.components.items():
-        for idx_b, fb in b.components.items():
-            # A-component = fa * e_{a0} ^ e_{a1} ^ ...; only brackets against
-            # the coefficient-carrying first factor survive.
-            a0, a_rest = idx_a[0], idx_a[1:]
-            b0, b_rest = idx_b[0], idx_b[1:]
-            # [fa e_{a0}, fb e_{b0}] = fa (d_{a0} fb) e_{b0} - fb (d_{b0} fa) e_{a0}
-            lead = fa * fb.derive(a0)
-            if not lead.is_zero:
-                terms.append(((b0,) + a_rest + b_rest, lead))
-            lead = fb * fa.derive(b0)
-            if not lead.is_zero:
-                terms.append(((a0,) + a_rest + b_rest, -lead))
-            # p = 0, q >= 1: [fa e_{a0}, e_{bq}] = -(d_{bq} fa) e_{a0};
-            # the displaced first factor of B contributes its coefficient fb.
-            for q, bq in enumerate(idx_b[1:], start=1):
-                lead = fa.derive(bq) * fb
-                if lead.is_zero:
-                    continue
-                sign = -1 if q % 2 else 1  # (-1)^{0+q} * (-1 from the bracket)
-                rest = (a0,) + a_rest + (b0,) + tuple(x for r, x in enumerate(idx_b[1:], start=1) if r != q)
-                terms.append((rest, lead.scale(-sign)))
-            # p >= 1, q = 0: [e_{ap}, fb e_{b0}] = (d_{ap} fb) e_{b0}
-            for pp, ap in enumerate(idx_a[1:], start=1):
-                lead = fb.derive(ap) * fa
-                if lead.is_zero:
-                    continue
-                sign = -1 if pp % 2 else 1  # (-1)^{p+0}
-                rest = (b0,) + (idx_a[0],) + tuple(x for r, x in enumerate(idx_a[1:], start=1) if r != pp) + b_rest
-                terms.append((rest, lead.scale(sign)))
-    return Polyvector.from_unsorted(d, out_degree, terms)
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +114,8 @@ PRESET_NAMES = ("symplectic2", "so3", "sl2", "jacobian", "free2")
 
 
 def preset_poisson(name: str, param: Poly | None = None) -> PoissonStructure:
-    """Construct a named Poisson structure; Jacobi is checked eagerly."""
+    """Construct a named Poisson structure; one that fails the Jacobi
+    identity is rejected."""
     x = Poly.variable
     if name == "symplectic2":
         p = PoissonStructure(2, {(1, 2): Poly.const(2, 1)}, label="symplectic2")
@@ -321,7 +138,7 @@ def preset_poisson(name: str, param: Poly | None = None) -> PoissonStructure:
     else:
         raise PresetError("unknown preset %r (expected one of %s)"
                           % (name, ", ".join(PRESET_NAMES)))
-    if p.verify_jacobi() != POISSON:
+    if not p.is_poisson:
         raise PresetError("preset %r failed the Jacobi check" % name)
     return p
 

@@ -267,7 +267,10 @@ def parse_poly(text: str, d: int) -> Poly:
             if not factor:
                 raise DimensionError("malformed polynomial term in %r" % text)
             if _RATIONAL_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise DimensionError("zero denominator in %r" % text) from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

@@ -6,20 +6,24 @@ modulo the Jacobi ideal (combinations that vanish on every Poisson
 structure), which at graph level is relaxed to the span of Leibniz-generator
 expansions.
 
-Scaling the bivector splits everything by the number of internal vertices, so
-the linear system decomposes into per-count blocks: unknowns for c_k range
-over (wheel-free) classes with 1..k internal vertices, Leibniz multipliers
-over generators of matching count.  A ``solved`` report re-verifies with an
-independent pivot order; a graph-level gap is only reported ``obstructed``
-when the evaluation route confirms it.  That route writes the order-k
-equation at operator level on concrete Poisson structures, with the
-Hochschild coboundaries of all basis graphs on the left, evaluated together
-per argument triple (``operators.CoboundaryColumns``, compiled once per
-fixture), and the brackets of the lower orders on the right
-(``operators.oracle_gerstenhaber``, each unordered pair once); it uses no
-graph-level delta, bracket or Leibniz span, so its infeasibility
-certificate holds without them, for the lower orders c_1..c_{k-1} that the
-series fixes.
+Scaling the Poisson tensor splits everything by the number of internal
+vertices, so the linear system decomposes into per-count blocks: unknowns
+for c_k range over (wheel-free) classes with 1..k internal vertices, Leibniz
+multipliers over generators of matching count.  A ``solved`` report is
+checked by substituting its witness, the particular solution of every
+block: the coefficients c_k and the Leibniz multipliers lambda_i must make
+delta(c_k) + defect + sum_i lambda_i L_i the zero GraphSum.
+
+A graph-level gap is only reported ``obstructed`` when the evaluation route
+confirms it.  That route writes the order-k equation at operator level on
+concrete Poisson structures (fixtures whose ``is_poisson`` is False are
+rejected), with the Hochschild coboundaries of all basis graphs on the
+left, evaluated together per argument triple
+(``operators.CoboundaryColumns``, compiled once per fixture), and the
+brackets of the lower orders on the right (``operators.oracle_gerstenhaber``,
+each unordered pair once); it uses no graph-level delta, bracket or Leibniz
+span, so its infeasibility certificate holds without them, for the lower
+orders c_1..c_{k-1} that the series fixes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
 from .operators import CoboundaryColumns, compile_sum, oracle_gerstenhaber  # noqa: F401
-from .poisson import POISSON, PoissonStructure, preset_poisson
+from .poisson import PoissonStructure, preset_poisson
 from .poly import Poly, monomials_up_to_degree
 
 DEFAULT_ORDER_CAP = 4
@@ -189,6 +193,17 @@ def _block_solution(block) -> GraphSum:
                        for col, value in particular.items() if col < len(basis)])
 
 
+def _block_leibniz_sum(block) -> GraphSum:
+    """sum_i lambda_i L_i over the Leibniz multipliers of the block's
+    particular solution."""
+    offset = len(block["basis"])
+    generators = block["generators"]
+    particular = block["particular"] or {}
+    return GraphSum(3, [(cls, coeff * value)
+                        for col, value in particular.items() if col >= offset
+                        for cls, coeff in generators[col - offset].expansion.terms()])
+
+
 def verify_order(series: StarSeries, k: int, strategy: str = "ordered") -> bool:
     """Independent re-check: delta(c_k) + defect lies in the Leibniz span,
     established by a fresh elimination with the given pivot strategy."""
@@ -255,14 +270,17 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
 
     if feasible:
         solution = GraphSum.zero(2)
+        residual = defect
         affine = 0
         for b in blocks:
             solution = solution + _block_solution(b)
+            residual = residual + _block_leibniz_sum(b)
             affine += projected_span(b["nullspace"], len(b["basis"])).rank
-        candidate = series.with_order(k, solution)
-        if not verify_order(candidate, k, strategy="ordered"):
-            raise AssertionError("solution failed the independent re-verification "
-                                 "pass at order %d" % k)
+        # the witness: the generator columns enter the system unnegated, so
+        # delta(c_k) + defect + sum_i lambda_i L_i must vanish as a GraphSum
+        if not (graph_delta(solution) + residual).is_zero:
+            raise AssertionError("solution failed the witness check at order %d: "
+                                 "delta(c_k) + defect + sum lambda_i L_i != 0" % k)
         return MCReport(order=k, status="solved", basis_size=basis_size,
                         matrix_shape=shape, affine_dim=affine,
                         solution=solution, blocks=block_summaries)
@@ -372,9 +390,9 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
 
     def feed(p: PoissonStructure, triples, exhaustive: bool) -> bool:
         """Returns True when an inconsistency was found."""
-        if p.jacobi_verified != POISSON:
-            raise DimensionError("evaluation fixtures must be verified Poisson "
-                                 "structures (%s is %s)" % (p.label, p.jacobi_verified))
+        if not p.is_poisson:
+            raise DimensionError("evaluation fixtures must be Poisson structures "
+                                 "(%s fails the Jacobi identity)" % p.label)
         delta = CoboundaryColumns(columns, p)  # operators cached on p after the first feed
         stall = 0
         count = 0

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from stargraphs.errors import DimensionError
 from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, _canonical_raw,
-                               _passes_filter)
+                               _passes_filter, has_wheel, parse_graph)
+from stargraphs.homology import LeibnizGenerator, expand_jacobiator_vertex
 from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
@@ -343,3 +344,59 @@ def dense_rank(rows, ncols):
                     mat[r][c] -= factor * mat[rank][c]
         rank += 1
     return rank
+
+
+def all_pairs_leibniz_generators(n_total, m, wheel_free_expansions=False):
+    """Jacobi-ideal generators with every ordinary vertex offered all ordered
+    target pairs (both orientations), deduplicated by expansion direction in
+    product order."""
+    n_ord = n_total - 2
+    special_id = m + n_ord + 1
+    all_ids = range(1, special_id + 1)
+    generators = []
+    seen = set()
+    ordinary_options = []
+    for pos in range(n_ord):
+        vid = m + 1 + pos
+        targets = [t for t in all_ids if t != vid]
+        ordinary_options.append(tuple((a, b) for a in targets for b in targets if a != b))
+    for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
+        for ordinary in itertools.product(*ordinary_options):
+            covered = set(t for t in triple if t <= m)
+            for left, right in ordinary:
+                if left <= m:
+                    covered.add(left)
+                if right <= m:
+                    covered.add(right)
+            if len(covered) != m:
+                continue
+            expansion = expand_jacobiator_vertex(m, ordinary, triple)
+            if expansion.is_zero:
+                continue
+            if wheel_free_expansions and any(
+                    has_wheel(cls.rep) for cls, _ in expansion.terms()):
+                continue
+            terms = expansion.terms()
+            lead = terms[0][1]
+            key = tuple((cls.rep.key, coeff / lead) for cls, coeff in terms)
+            if key in seen:
+                continue
+            seen.add(key)
+            generators.append(LeibnizGenerator(n_total, m, ordinary, triple, expansion))
+    return generators
+
+
+def operator_jacobiator(p):
+    """J^{ijk} = {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}} on
+    increasing triples, the bracket {f, g} being the Poisson graph applied
+    to (f, g); only the nonzero components are kept."""
+    graph = parse_graph("1 2 ; 3: 1 2")
+    x = lambda i: Poly.variable(p.d, i)
+    bracket = lambda f, g: apply_graph(graph, p, (f, g))
+    comps = {}
+    for i, j, k in itertools.combinations(range(1, p.d + 1), 3):
+        total = (bracket(x(i), bracket(x(j), x(k))) + bracket(x(j), bracket(x(k), x(i)))
+                 + bracket(x(k), bracket(x(i), x(j))))
+        if not total.is_zero:
+            comps[(i, j, k)] = total
+    return comps

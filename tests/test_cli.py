@@ -89,6 +89,14 @@ def test_leibniz_command(tmp_path):
     assert len(data["generators"][0]["expansion"]) == 3
 
 
+def test_leibniz_report_golden(tmp_path):
+    # digest recorded when every ordinary vertex was offered all ordered target pairs
+    out = tmp_path / "report.json"
+    assert main(["leibniz", "--n-total", "4", "--m", "3", "--output", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "b37ec3fc71571a96a84a4d6c30a31fe0c212c42af110a3737ae3d593fb7dbe94")
+
+
 def test_reduce_command(tmp_path):
     raw = tmp_path / "raw.sum"
     raw.write_text("1/2\t1 2 ; 3: 2 1\n1/2\t1 2 ; 3: 1 2\n")
@@ -129,3 +137,18 @@ def test_error_exit_code(tmp_path):
                  "--preset", "so3", "--args", "x1;x2",
                  "--output", str(tmp_path / "y.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command, sum_text, error_type", [
+    (["reduce"], "1/0\t1 2 ; 3: 1 2\n", "GraphError"),
+    (["eval", "--preset", "free2:1/0*x1", "--args", "x1; x2"], "1\t1 2 ; 3: 1 2\n",
+     "DimensionError"),
+], ids=["reduce-coefficient", "eval-preset"])
+def test_zero_denominator_is_a_json_error(tmp_path, capsys, command, sum_text, error_type):
+    sum_file = tmp_path / "in.sum"
+    sum_file.write_text(sum_text)
+    code = main(command + ["--input", str(sum_file), "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == error_type
+    assert "zero denominator" in error["message"]

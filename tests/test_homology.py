@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import all_pairs_leibniz_generators
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, GraphSum, enumerate_graphs, has_wheel,
                               parse_graph)
@@ -248,3 +249,15 @@ def test_generator_validation():
     # a skeleton has n_total - 1 + m vertices, one more than the budget here
     with pytest.raises(BudgetExceededError):
         leibniz_generators(DEFAULT_VERTEX_BUDGET - 1, 3)
+
+
+@pytest.mark.parametrize("wheel_free", [False, True], ids=["all", "wheel_free"])
+@pytest.mark.parametrize("n_total, m", [(2, 3), (3, 3), (4, 3), (3, 2), (4, 2),
+                                        (3, 4), (2, 1), (3, 1), (4, 1)])
+def test_sorted_pairs_give_the_all_pairs_generators(n_total, m, wheel_free):
+    expected = all_pairs_leibniz_generators(n_total, m, wheel_free)
+    assert list(leibniz_generators(n_total, m, wheel_free)) == expected
+
+
+def test_generators_are_built_once_per_argument():
+    assert leibniz_generators(3, 3) is leibniz_generators(3, 3)

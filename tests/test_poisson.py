@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import operator_jacobiator
 from stargraphs.errors import DimensionError, PresetError
-from stargraphs.poisson import (NOT_POISSON, POISSON, UNCHECKED, PoissonStructure,
-                                Polyvector, jacobiator, preset_from_string,
-                                preset_poisson, schouten_bracket)
+from stargraphs.poisson import (PoissonStructure, jacobiator, preset_from_string,
+                                preset_poisson)
 from stargraphs.poly import Poly, parse_poly
 
 x3 = lambda i: Poly.variable(3, i)
@@ -32,7 +33,7 @@ def test_antisymmetric_storage():
     assert p.entry(1, 2) == -x3(3)
     assert p.entry(2, 1) == x3(3)
     assert p.entry(1, 1).is_zero
-    assert p.jacobi_verified == UNCHECKED
+    assert p.is_poisson
 
 
 def test_duplicate_entry_rejected():
@@ -44,8 +45,8 @@ def test_duplicate_entry_rejected():
 
 def test_so3_jacobiator_vanishes():
     p = preset_poisson("so3")
-    assert jacobiator(p).is_zero
-    assert p.jacobi_verified == POISSON
+    assert jacobiator(p) == {}
+    assert p.is_poisson
 
 
 def test_jacobian_family_always_poisson():
@@ -59,74 +60,50 @@ def test_jacobian_family_always_poisson():
         if phi.is_zero:
             continue
         p = preset_poisson("jacobian", phi)
-        assert p.jacobi_verified == POISSON
+        assert p.is_poisson
 
 
 def test_nonzero_jacobiator():
     # p12 = x2, p23 = x1 fails the Jacobi identity: J^123 = -x1
     p = PoissonStructure(3, {(1, 2): x3(2), (2, 3): x3(1)})
-    J = jacobiator(p)
-    assert J.component((1, 2, 3)) == -x3(1)
-    assert p.jacobi_verified == NOT_POISSON
+    assert jacobiator(p) == {(1, 2, 3): -x3(1)}
+    assert not p.is_poisson
 
 
 def test_spec_fixture_is_actually_poisson():
     # direct expansion of J^123 for p12=x1, p13=0, p23=x1 gives zero; the
     # structure satisfies the Jacobi identity
     p = PoissonStructure(3, {(1, 2): x3(1), (2, 3): x3(1)})
-    assert jacobiator(p).is_zero
-    assert p.jacobi_verified == POISSON
+    assert jacobiator(p) == {}
+    assert p.is_poisson
 
 
-# -- Schouten bracket ---------------------------------------------------------
+# -- operator-level oracle ----------------------------------------------------
 
-def test_coordinate_fields_commute():
-    d1 = Polyvector(3, 1, {(1,): Poly.const(3, 1)})
-    d2 = Polyvector(3, 1, {(2,): Poly.const(3, 1)})
-    assert schouten_bracket(d1, d2).is_zero
-
-
-def test_lie_derivative_of_coordinate_field():
-    a = Polyvector(3, 1, {(1,): x3(1)})
-    b = Polyvector(3, 1, {(1,): Poly.const(3, 1)})
-    result = schouten_bracket(a, b)
-    assert result == Polyvector(3, 1, {(1,): Poly.const(3, -1)})
-
-
-def test_bracket_is_twice_jacobiator():
+def test_jacobiator_matches_operator_level_brackets():
     rng = random.Random(23)
-    presets = [preset_poisson("so3"), preset_poisson("sl2"),
-               preset_poisson("jacobian", Poly.monomial(3, (1, 1, 1)))]
+    presets = [preset_poisson("symplectic2"), preset_poisson("so3"), preset_poisson("sl2"),
+               preset_poisson("jacobian", Poly.monomial(3, (1, 1, 1))),
+               preset_poisson("free2", parse_poly("x1^2*x2", 2))]
     for p in presets:
-        assert schouten_bracket(p.bivector(), p.bivector()).is_zero
+        assert operator_jacobiator(p) == jacobiator(p) == {}
+    non_poisson = 0
     for _ in range(8):
         p = rand_bivector(rng)
-        lhs = schouten_bracket(p.bivector(), p.bivector())
-        assert lhs == jacobiator(p).scale(2)
-
-
-def test_vector_field_bracket_antisymmetry():
-    rng = random.Random(31)
-    for _ in range(6):
-        a = Polyvector(3, 1, {(rng.randint(1, 3),):
-                              Poly.monomial(3, (rng.randint(0, 1),) * 3,
-                                            rng.randint(1, 3))})
-        b = Polyvector(3, 1, {(rng.randint(1, 3),): x3(rng.randint(1, 3))})
-        assert schouten_bracket(a, b) == schouten_bracket(b, a).scale(-1)
-
-
-def test_unsupported_degrees_rejected():
-    tri = Polyvector(3, 3, {(1, 2, 3): Poly.const(3, 1)})
-    with pytest.raises(DimensionError):
-        schouten_bracket(tri, tri)
-    f = Polyvector(3, 0, {(): x3(1)})
-    with pytest.raises(DimensionError):
-        schouten_bracket(f, tri)
+        expected = operator_jacobiator(p)
+        assert jacobiator(p) == expected
+        assert p.is_poisson == (not expected)
+        non_poisson += not p.is_poisson
+    assert non_poisson > 4
+    p = rand_bivector(random.Random(41), d=4)
+    expected = operator_jacobiator(p)
+    assert sorted(expected) == list(itertools.combinations(range(1, 5), 3))
+    assert jacobiator(p) == expected
 
 
 def test_degree3_vanishes_in_d2():
     p = preset_poisson("free2", parse_poly("x1^3", 2))
-    assert jacobiator(p).is_zero
+    assert jacobiator(p) == {}
 
 
 # -- presets ------------------------------------------------------------------
@@ -134,7 +111,7 @@ def test_degree3_vanishes_in_d2():
 def test_symplectic2():
     p = preset_poisson("symplectic2")
     assert p.entry(1, 2) == Poly.const(2, 1)
-    assert p.jacobi_verified == POISSON
+    assert p.is_poisson
 
 
 def test_jacobian_sphere_components():
@@ -159,10 +136,3 @@ def test_preset_from_string():
     q = preset_from_string("free2:x1^3")
     assert q.entry(1, 2) == Poly.monomial(2, (3, 0))
     assert preset_from_string("so3").label == "so3"
-
-
-def test_polyvector_component_signs():
-    v = Polyvector.from_unsorted(3, 2, [((2, 1), x3(3))])
-    assert v.component((1, 2)) == -x3(3)
-    assert v.component((2, 1)) == x3(3)
-    assert v.component((1, 1)).is_zero

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stargraphs import solver
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta
@@ -152,6 +153,24 @@ def test_solve_orders_2_and_3():
     assert verify_order(series, 3)
     # the order-2 solution is wheel-free
     assert all(not has_wheel(cls.rep) for cls, _ in series.order(2).terms())
+
+
+def test_corrupted_leibniz_multiplier_fails_the_witness_check(monkeypatch):
+    series, _ = solve_up_to(1)
+
+    def corrupted(n, *args):
+        block = _solve_count_block(n, *args)
+        if block["generators"]:
+            particular = dict(block["particular"])
+            col = len(block["basis"])  # the first Leibniz multiplier
+            particular[col] = particular.get(col, 0) + 1
+            block["particular"] = particular
+        return block
+
+    assert solve_order(series, 2).status == "solved"
+    monkeypatch.setattr(solver, "_solve_count_block", corrupted)
+    with pytest.raises(AssertionError, match="witness check at order 2"):
+        solve_order(series, 2)
 
 
 def test_order2_solution_space_contains_poisson_line():
@@ -315,9 +334,16 @@ def test_eval_obstruction_rejects_unverified_fixture():
     from stargraphs.poisson import PoissonStructure
     series, _ = solve_up_to(1)
     bad = PoissonStructure(3, {(1, 2): x(3, 2), (2, 3): x(3, 1)})
-    bad.verify_jacobi()
     with pytest.raises(DimensionError):
         eval_obstruction(series, 2, [(bad, [(x(3, 1), x(3, 2), x(3, 3))])])
+
+
+def test_eval_obstruction_accepts_hand_built_poisson_structure():
+    from stargraphs.poisson import PoissonStructure
+    series, _ = solve_up_to(1)
+    so3 = PoissonStructure(3, {(1, 2): x(3, 3), (1, 3): -x(3, 2), (2, 3): x(3, 1)})
+    report = eval_obstruction(series, 2, [(so3, [(x(3, 1), x(3, 2), x(3, 3))])])
+    assert report.status == "inconclusive"
 
 
 def test_monotonicity_of_growing_fixture_sets():
