@@ -1,7 +1,9 @@
 """Command-line surface: file-in/file-out experiments with JSON reports.
 
 Every report embeds the tool version and the invoking configuration, contains
-no timestamps, and is byte-identical for identical configurations.  Exit
+no timestamps, and is byte-identical for identical configurations.  Input
+files enter the configuration by the sha256 of their bytes and output paths
+not at all, so a report does not depend on where its files live.  Exit
 codes: 0 success / verified, 1 error, 2 obstructed.  ``solve-mc`` exits 2
 only when an evaluated system is infeasible; an order whose graph-level
 blocks are infeasible but whose evaluated system stays feasible is reported
@@ -12,6 +14,7 @@ order-4 run.  ``verify-assoc`` exits 2 when a triple leaves a nonzero defect.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -30,12 +33,27 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_OBSTRUCTED = 2
 
+BUILTIN_SERIES = "kontsevich-k2"  # the --series value that names no file
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+
 
 def _report(args, payload: dict) -> dict:
-    # the output path is not part of the experiment: identical configurations
-    # must produce byte-identical reports wherever they are written
-    config = {key: value for key, value in sorted(vars(args).items())
-              if key not in ("func", "output") and value is not None}
+    # where files live is not part of the experiment: identical configurations
+    # must produce byte-identical reports wherever their inputs are read from
+    # and the report and sums are written to, so output paths are left out and
+    # input files are recorded by the sha256 of their bytes
+    config = {}
+    for key, value in sorted(vars(args).items()):
+        if key in ("func", "output", "output_sum") or value is None:
+            continue
+        if key in ("input", "left", "right") or (key == "series"
+                                                 and value != BUILTIN_SERIES):
+            value = _file_digest(value)
+        config[key] = value
     return {"tool": {"name": "stargraphs", "version": __version__},
             "config": config, **payload}
 
@@ -155,7 +173,7 @@ def cmd_solve_mc(args) -> int:
 
 
 def _load_series(spec: str) -> StarSeries:
-    if spec == "kontsevich-k2":
+    if spec == BUILTIN_SERIES:
         return kontsevich_k2()
     with open(spec) as handle:
         data = json.load(handle)

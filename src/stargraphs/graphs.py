@@ -26,6 +26,16 @@ Pairs = tuple  # tuple of n Pair entries
 DEFAULT_VERTEX_BUDGET = 9  # cap on n + m for enumeration
 
 
+def _reject_pair(vid: int, left: int, right: int, top: int):
+    """Raise the GraphError for an invalid (L, R) pair of internal vertex vid."""
+    for target in (left, right):
+        if not 1 <= target <= top:
+            raise GraphError("vertex %d: target %d out of range 1..%d" % (vid, target, top))
+        if target == vid:
+            raise GraphError("vertex %d: loop edge" % vid)
+    raise GraphError("vertex %d: repeated target %d (multiple edge)" % (vid, left))
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """A labeled admissible graph with n internal and m argument vertices."""
@@ -41,27 +51,20 @@ class DirectedGraph:
         if len(self.out_edges) != n:
             raise GraphError("expected %d internal vertex records, got %d"
                              % (n, len(self.out_edges)))
-        indegree = [0] * (m + 1)
-        for pos, (left, right) in enumerate(self.out_edges):
-            vid = m + 1 + pos
-            for target in (left, right):
-                if not 1 <= target <= m + n:
-                    raise GraphError("vertex %d: target %d out of range 1..%d"
-                                     % (vid, target, m + n))
-                if target == vid:
-                    raise GraphError("vertex %d: loop edge" % vid)
-                if target <= m:
-                    indegree[target] += 1
-            if left == right:
-                raise GraphError("vertex %d: repeated target %d (multiple edge)"
-                                 % (vid, left))
-        for arg in range(1, m + 1):
-            if indegree[arg] == 0:
-                raise GraphError("argument vertex %d has indegree 0" % arg)
-
-    @cached_property
-    def key(self):
-        return (self.n, self.m, self.out_edges)
+        top = m + n
+        covered = 0  # bit t set: argument t has an incoming edge
+        for vid, (left, right) in enumerate(self.out_edges, m + 1):
+            if not (0 < left <= top and 0 < right <= top and left != vid != right != left):
+                _reject_pair(vid, left, right, top)
+            if left <= m:
+                covered |= 1 << left
+            if right <= m:
+                covered |= 1 << right
+        if covered != (1 << (m + 1)) - 2:
+            arg = next(t for t in range(1, m + 1) if not covered >> t & 1)
+            raise GraphError("argument vertex %d has indegree 0" % arg)
+        # the encoding key, used for every cache lookup and sort
+        object.__setattr__(self, "key", (n, m, self.out_edges))
 
     @cached_property
     def in_edges(self) -> dict:
@@ -439,6 +442,63 @@ def zero_classes(n: int, m: int,
 # rational combinations of classes
 
 
+def _merge(acc: dict, items: Iterable) -> dict:
+    """Add (canonical representative, coefficient) items into ``acc`` in
+    place; a coefficient that cancels drops its representative."""
+    for rep, coeff in items:
+        value = acc.get(rep)
+        if value is None:
+            acc[rep] = coeff
+        else:
+            value += coeff
+            if value:
+                acc[rep] = value
+            else:
+                del acc[rep]
+    return acc
+
+
+def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
+    """(representative, signed nonzero Fraction) for each (graph-like,
+    coefficient) item, checked against the arity; sign-0 classes vanish."""
+    for item, coeff in terms:
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if not coeff:
+            continue
+        if isinstance(item, str):
+            item = parse_graph(item)
+        if isinstance(item, DirectedGraph):
+            cls = canonical_form(item)
+        elif isinstance(item, GraphClass):
+            cls = item
+        else:
+            raise TypeError("expected graph encoding, DirectedGraph or GraphClass")
+        if cls.rep.m != arity:
+            raise GraphError("term arity %d does not match sum arity %d"
+                             % (cls.rep.m, arity))
+        if cls.sign:
+            yield cls.rep, (coeff if cls.sign > 0 else -coeff)
+
+
+def add_labeled_graphs(acc: dict, graphs: Iterable, weight: Fraction) -> dict:
+    """Add ``weight`` times each labeled graph of ``graphs`` into ``acc``, a
+    dict from canonical representative to nonzero Fraction, and return it.
+
+    Each graph is canonicalized once and its sign added into an integer
+    count per representative; the weight is multiplied in once per class
+    whose count is nonzero.  Every producer of labeled graphs that share one
+    weight (grafting, slot splitting, Jacobiator expansion) goes through
+    here, so the graph-level algebra does no Fraction arithmetic per graph.
+    """
+    counts: dict = {}
+    for g in graphs:
+        cls = canonical_form(g)
+        if cls.sign:
+            counts[cls.rep] = counts.get(cls.rep, 0) + cls.sign
+    return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))
+
+
 class GraphSum:
     """Finite QQ-linear combination of canonical graph classes of one arity.
 
@@ -452,33 +512,19 @@ class GraphSum:
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
             raise GraphError("arity must be >= 1, got %d" % arity)
-        acc: dict[DirectedGraph, Fraction] = {}
-        for item, coeff in terms:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            if isinstance(item, str):
-                item = parse_graph(item)
-            if isinstance(item, DirectedGraph):
-                cls = canonical_form(item)
-            elif isinstance(item, GraphClass):
-                cls = item
-            else:
-                raise TypeError("expected graph encoding, DirectedGraph or GraphClass")
-            if cls.rep.m != arity:
-                raise GraphError("term arity %d does not match sum arity %d"
-                                 % (cls.rep.m, arity))
-            if cls.sign == 0:
-                continue
-            rep = cls.rep
-            value = acc.get(rep, Fraction(0)) + coeff * cls.sign
-            if value:
-                acc[rep] = value
-            else:
-                acc.pop(rep, None)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _merge({}, _canonical_terms(arity, terms)))
         object.__setattr__(self, "_key", None)
+
+    @classmethod
+    def _wrap(cls, arity: int, terms: dict) -> "GraphSum":
+        """The sum over ``terms``, a dict from canonical representative to
+        nonzero Fraction that the new sum owns; nothing is checked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "arity", arity)
+        object.__setattr__(s, "_terms", terms)
+        object.__setattr__(s, "_key", None)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphSum is immutable")
@@ -521,24 +567,32 @@ class GraphSum:
         return tuple(sorted({rep.n for rep in self._terms}))
 
     def restrict_count(self, n: int) -> "GraphSum":
-        return GraphSum(self.arity,
-                        [(rep, c) for rep, c in self._terms.items() if rep.n == n])
+        return GraphSum._wrap(self.arity,
+                              {rep: c for rep, c in self._terms.items() if rep.n == n})
 
     # -- algebra -----------------------------------------------------------
+    # the terms are canonical already, so sums and multiples merge the dicts
 
-    def __add__(self, other: "GraphSum") -> "GraphSum":
+    def _check_arity(self, other: "GraphSum"):
         if self.arity != other.arity:
             raise GraphError("cannot add sums of arity %d and %d"
                              % (self.arity, other.arity))
-        items = list(self._terms.items()) + list(other._terms.items())
-        return GraphSum(self.arity, items)
+
+    def __add__(self, other: "GraphSum") -> "GraphSum":
+        self._check_arity(other)
+        return GraphSum._wrap(self.arity, _merge(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "GraphSum") -> "GraphSum":
-        return self + other.scale(-1)
+        self._check_arity(other)
+        return GraphSum._wrap(self.arity, _merge(
+            dict(self._terms), ((rep, -c) for rep, c in other._terms.items())))
 
     def scale(self, c) -> "GraphSum":
-        c = Fraction(c)
-        return GraphSum(self.arity, [(rep, coeff * c) for rep, coeff in self._terms.items()])
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not c:
+            return GraphSum.zero(self.arity)
+        return GraphSum._wrap(self.arity, {rep: coeff * c for rep, coeff in self._terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, GraphSum) and self.arity == other.arity

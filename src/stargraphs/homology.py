@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GraphError
-from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, canonical_form,
+from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, add_labeled_graphs,
                      has_wheel)
 
 # ---------------------------------------------------------------------------
@@ -54,18 +54,18 @@ def graph_delta(s: GraphSum) -> GraphSum:
 
     For each argument slot t (1-based) the incoming edges are split over two
     adjacent argument vertices in all proper ways, with sign
-    (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.
+    (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.  The
+    splits of one (term, slot) share a weight, so they are counted per
+    class by ``add_labeled_graphs``.
     """
     m = s.arity
-    out = []
+    acc: dict = {}
     outer_sign = 1 if m % 2 == 0 else -1
     for cls, coeff in s.terms():
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
-            weight = coeff * term_sign
-            for split in _split_terms(cls.rep, slot):
-                out.append((split, weight))
-    return GraphSum(m + 1, out)
+            add_labeled_graphs(acc, _split_terms(cls.rep, slot), coeff * term_sign)
+    return GraphSum._wrap(m + 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -119,27 +119,37 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
         yield DirectedGraph(n, m, tuple((a, b) for a, b in pairs))
 
 
-def graph_compose(s1: GraphSum, s2: GraphSum) -> GraphSum:
-    """Insertion composition at graph level; arities (m1, m2) -> m1 + m2 - 1.
-    Slot t carries the sign (-1)^((t-1)(m2-1)) of the operator formula."""
+def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> dict:
+    """Add sign * (s1 o s2) into ``acc``: the grafts of one (term pair,
+    slot) share a weight and are counted per class by ``add_labeled_graphs``."""
     m1, m2 = s1.arity, s2.arity
-    out = []
     for cls1, c1 in s1.terms():
         for cls2, c2 in s2.terms():
-            base = c1 * c2
+            base = c1 * c2 * sign
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                for grafted in graft_terms(cls1.rep, slot, cls2.rep):
-                    out.append((grafted, weight))
-    return GraphSum(m1 + m2 - 1, out)
+                add_labeled_graphs(acc, graft_terms(cls1.rep, slot, cls2.rep), weight)
+    return acc
+
+
+def graph_compose(s1: GraphSum, s2: GraphSum) -> GraphSum:
+    """Insertion composition at graph level; arities (m1, m2) -> m1 + m2 - 1.
+    Slot t carries the sign (-1)^((t-1)(m2-1)) of the operator formula.
+    Each grafted graph is canonicalized once and counted by its sign per
+    class; coefficients are multiplied once per (term pair, slot, class)."""
+    return GraphSum._wrap(s1.arity + s2.arity - 1, _compose_into({}, s1, s2, 1))
 
 
 def graph_gerstenhaber(s1: GraphSum, s2: GraphSum) -> GraphSum:
-    """[s1, s2] = s1 o s2 - (-1)^{k1 k2} s2 o s1 with k_i = arity_i - 1."""
+    """[s1, s2] = s1 o s2 - (-1)^{k1 k2} s2 o s1 with k_i = arity_i - 1.
+
+    Both compositions are counted into one sum, as in ``graph_compose``.
+    For two arity-2 cochains k1 k2 = 1, so [s1, s2] = s1 o s2 + s2 o s1 =
+    [s2, s1]."""
     k1, k2 = s1.arity - 1, s2.arity - 1
-    left = graph_compose(s1, s2)
-    right = graph_compose(s2, s1)
-    return left - right if (k1 * k2) % 2 == 0 else left + right
+    acc = _compose_into({}, s1, s2, 1)
+    _compose_into(acc, s2, s1, 1 if (k1 * k2) % 2 else -1)
+    return GraphSum._wrap(k1 + k2 + 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +192,18 @@ def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) ->
     incoming = [(pos, side) for pos, pair in enumerate(ordinary_out)
                 for side in (0, 1) if pair[side] == special_id]
     e1, e2, e3 = special_out
-    out = []
-    for rot in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        head, mid, tail = rot
-        for mask in range(1 << len(incoming)):
-            pairs = [list(pair) for pair in ordinary_out]
-            for bit, (pos, side) in enumerate(incoming):
-                pairs[pos][side] = a_id if (mask >> bit) & 1 == 0 else b_id
-            pairs.append([head, b_id])   # outer factor p^{i l}: i -> head, l -> inner
-            pairs.append([mid, tail])    # inner factor p^{j k}
-            out.append((DirectedGraph(n, m, tuple((x, y) for x, y in pairs)), 1))
-    return GraphSum(m, out)
+
+    def expansion_graphs():
+        for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+            for mask in range(1 << len(incoming)):
+                pairs = [list(pair) for pair in ordinary_out]
+                for bit, (pos, side) in enumerate(incoming):
+                    pairs[pos][side] = a_id if (mask >> bit) & 1 == 0 else b_id
+                pairs.append([head, b_id])   # outer factor p^{i l}: i -> head, l -> inner
+                pairs.append([mid, tail])    # inner factor p^{j k}
+                yield DirectedGraph(n, m, tuple((x, y) for x, y in pairs))
+
+    return GraphSum._wrap(m, add_labeled_graphs({}, expansion_graphs(), Fraction(1)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ No modular arithmetic is used anywhere; all verdicts are unconditional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -82,15 +83,29 @@ class Echelon:
 
 def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             strategy: str = "markowitz", nonzero_budget: int | None = None) -> Echelon:
-    """Bring A (with optional b) to reduced row echelon form."""
+    """Bring A (with optional b) to reduced row echelon form.
+
+    ``nonzero_budget`` bounds the nonzeros of A held at any time: the input
+    is checked first, and the live count is updated after every row update,
+    so fill-in past the budget raises ``BudgetExceededError`` as soon as it
+    happens."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
     work = [dict(r) for r in rows]
-    if nonzero_budget is not None:
-        nnz = sum(len(r) for r in work)
-        if nnz > nonzero_budget:
-            raise BudgetExceededError("matrix has %d nonzeros, budget is %d"
-                                      % (nnz, nonzero_budget))
+    live = sum(len(r) for r in work)
+    budget = math.inf if nonzero_budget is None else nonzero_budget
+    if live > budget:
+        raise BudgetExceededError("matrix has %d nonzeros, budget is %d"
+                                  % (live, nonzero_budget))
+
+    def charge(idx, before):
+        """Account for the change in length of row idx (``before`` entries)."""
+        nonlocal live
+        live += len(work[idx]) - before
+        if live > budget:
+            raise BudgetExceededError("elimination fill-in reached %d nonzeros, "
+                                      "budget is %d" % (live, nonzero_budget))
+
     if rhs is None:
         b = [Fraction(0)] * len(work)
     else:
@@ -152,7 +167,9 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
         pivots.append((best_col, best_row))
         for idx in sorted(col_rows.get(best_col, ())):
             factor = work[idx][best_col]
+            before = len(work[idx])
             eliminate_indexed(idx, pivot_row, factor)
+            charge(idx, before)
             b[idx] -= factor * b[best_row]
             if not work[idx]:
                 if b[idx]:
@@ -175,7 +192,9 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             other_row = work[other_row_idx]
             factor = other_row.get(col)
             if factor:
+                before = len(other_row)
                 _eliminate_into(other_row, pivot_row, factor)
+                charge(other_row_idx, before)
                 b[other_row_idx] -= factor * b[row_idx]
     return Echelon(ncols=ncols,
                    pivot_cols=[col for col, _ in pivots],

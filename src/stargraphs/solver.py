@@ -103,12 +103,16 @@ def kontsevich_k2() -> StarSeries:
 
 
 def mc_defect(series: StarSeries, k: int) -> GraphSum:
-    """(1/2) sum_{a+b=k, a,b>=1} [c_a, c_b]; empty at k = 1."""
+    """(1/2) sum_{a+b=k, a,b>=1} [c_a, c_b]; empty at k = 1.
+
+    [c_a, c_b] = [c_b, c_a] for arity-2 cochains, so each unordered pair is
+    bracketed once: a < b with weight 1 and a = b with weight 1/2, as in
+    ``eval_obstruction``."""
     total = GraphSum.zero(3)
-    for a in range(1, k):
-        b = k - a
-        total = total + graph_gerstenhaber(series.order(a), series.order(b))
-    return total.scale(Fraction(1, 2))
+    for a in range(1, k // 2 + 1):
+        bracket = graph_gerstenhaber(series.order(a), series.order(k - a))
+        total = total + (bracket if 2 * a < k else bracket.scale(Fraction(1, 2)))
+    return total
 
 
 @dataclass

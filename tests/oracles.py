@@ -9,9 +9,10 @@ import itertools
 from fractions import Fraction
 
 from stargraphs.errors import DimensionError
-from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, _canonical_raw,
-                               _passes_filter, has_wheel, parse_graph)
-from stargraphs.homology import LeibnizGenerator, expand_jacobiator_vertex
+from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
+                               _canonical_raw, _passes_filter, has_wheel, parse_graph)
+from stargraphs.homology import (LeibnizGenerator, _split_terms, expand_jacobiator_vertex,
+                                 graft_terms)
 from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
@@ -400,3 +401,65 @@ def operator_jacobiator(p):
         if not total.is_zero:
             comps[(i, j, k)] = total
     return comps
+
+
+# -- graph-level algebra with one GraphSum term per labeled graph ---------------
+
+def labelled_graph_delta(s):
+    """Graph-level Hochschild differential with every split graph passed to
+    the GraphSum constructor as its own term, weighted (-1)^m (-1)^(t-1)."""
+    m = s.arity
+    out = []
+    outer_sign = 1 if m % 2 == 0 else -1
+    for cls, coeff in s.terms():
+        for slot in range(1, m + 1):
+            term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
+            weight = coeff * term_sign
+            for split in _split_terms(cls.rep, slot):
+                out.append((split, weight))
+    return GraphSum(m + 1, out)
+
+
+def labelled_graph_compose(s1, s2):
+    """Insertion composition with every grafted graph passed to the GraphSum
+    constructor as its own term, slot t weighted (-1)^((t-1)(m2-1))."""
+    m1, m2 = s1.arity, s2.arity
+    out = []
+    for cls1, c1 in s1.terms():
+        for cls2, c2 in s2.terms():
+            base = c1 * c2
+            for slot in range(1, m1 + 1):
+                weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
+                for grafted in graft_terms(cls1.rep, slot, cls2.rep):
+                    out.append((grafted, weight))
+    return GraphSum(m1 + m2 - 1, out)
+
+
+def labelled_graph_gerstenhaber(s1, s2):
+    """[s1, s2] = s1 o s2 - (-1)^{k1 k2} s2 o s1 from two labelled compositions."""
+    k1, k2 = s1.arity - 1, s2.arity - 1
+    left = labelled_graph_compose(s1, s2)
+    right = labelled_graph_compose(s2, s1)
+    return left - right if (k1 * k2) % 2 == 0 else left + right
+
+
+def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
+    """The three cyclic two-vertex Jacobiator terms with every redistribution
+    of the incoming edges passed to the GraphSum constructor with weight 1."""
+    n_ord = len(ordinary_out)
+    special_id = m + n_ord + 1
+    a_id, b_id = m + n_ord + 1, m + n_ord + 2
+    n = n_ord + 2
+    incoming = [(pos, side) for pos, pair in enumerate(ordinary_out)
+                for side in (0, 1) if pair[side] == special_id]
+    e1, e2, e3 = special_out
+    out = []
+    for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        for mask in range(1 << len(incoming)):
+            pairs = [list(pair) for pair in ordinary_out]
+            for bit, (pos, side) in enumerate(incoming):
+                pairs[pos][side] = a_id if (mask >> bit) & 1 == 0 else b_id
+            pairs.append([head, b_id])
+            pairs.append([mid, tail])
+            out.append((DirectedGraph(n, m, tuple((x, y) for x, y in pairs)), 1))
+    return GraphSum(m, out)

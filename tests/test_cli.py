@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -152,3 +153,59 @@ def test_zero_denominator_is_a_json_error(tmp_path, capsys, command, sum_text, e
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == error_type
     assert "zero denominator" in error["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "--input", "{sum}"],
+    ["delta", "--input", "{sum}", "--output-sum", "{dir}/delta.sum"],
+    ["compose", "--left", "{sum}", "--right", "{sum}"],
+    ["bracket", "--left", "{sum}", "--right", "{sum}", "--output-sum", "{dir}/br.sum"],
+    ["eval", "--input", "{sum}", "--preset", "so3", "--args", "x1; x2^2"],
+    ["wheels", "--input", "{sum}"],
+], ids=lambda command: command[0])
+def test_reports_do_not_depend_on_file_locations(tmp_path, command):
+    source = tmp_path / "source.sum"
+    source.write_text("1/2\t2 2 ; 3: 1 2 / 4: 1 2\n-1/3\t2 2 ; 3: 1 4 / 4: 3 2\n")
+    digest = "sha256:" + hashlib.sha256(source.read_bytes()).hexdigest()
+    reports = []
+    for name in ("first", "second"):
+        where = tmp_path / name / "nested"
+        where.mkdir(parents=True)
+        copy = where / "input.sum"
+        shutil.copy(source, copy)
+        args = [part.format(sum=copy, dir=where) for part in command]
+        out = where / "report.json"
+        assert main(args + ["--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    config = json.loads(reports[0])["config"]
+    assert "output_sum" not in config
+    for key in ("input", "left", "right"):
+        assert config.get(key, digest) == digest
+
+
+def test_verify_assoc_series_file_is_recorded_by_digest(tmp_path):
+    series = {"1": ["1\t1 2 ; 3: 1 2"]}
+    reports = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "series.json"
+        path.write_text(json.dumps(series))
+        code, data = run_cli(["verify-assoc", "--series", str(path), "--order", "1",
+                              "--preset", "so3", "--degree", "1"], tmp_path / name)
+        assert code == 0
+        reports.append(data)
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["series"].startswith("sha256:")
+
+
+def test_matrix_cap_bounds_fill_in(tmp_path, capsys):
+    # the largest block of solve_up_to(3) over all graphs has 151 nonzeros
+    # and reaches 152 during elimination
+    args = ["solve-mc", "--max-order", "3", "--no-wheel-free"]
+    code = main(args + ["--matrix-cap", "151", "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "fill-in" in error["message"]
+    assert main(args + ["--matrix-cap", "152", "--output", str(tmp_path / "s.json")]) == 0

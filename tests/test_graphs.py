@@ -51,6 +51,22 @@ def test_parse_rejects_uncovered_argument():
         parse_graph("2 2 ; 3: 1 4 / 4: 1 3")
 
 
+@pytest.mark.parametrize("n, m, pairs, message", [
+    (2, 1, ((0, 1), (1, 2)), "vertex 2: target 0 out of range 1..3"),
+    (2, 1, ((1, 4), (1, 2)), "vertex 2: target 4 out of range 1..3"),
+    (2, 1, ((2, 9), (1, 2)), "vertex 2: loop edge"),
+    (2, 1, ((1, 3), (9, 3)), "vertex 3: target 9 out of range 1..3"),
+    (2, 1, ((1, 3), (1, 3)), "vertex 3: loop edge"),
+    (2, 1, ((1, 3), (2, 2)), "vertex 3: repeated target 2 (multiple edge)"),
+    (2, 3, ((1, 5), (1, 3)), "argument vertex 2 has indegree 0"),
+], ids=["left-low", "left-high", "loop-before-range", "right-high", "right-loop",
+        "repeated", "first-uncovered-argument"])
+def test_directed_graph_reports_the_first_violation(n, m, pairs, message):
+    with pytest.raises(GraphError) as info:
+        DirectedGraph(n, m, pairs)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_argument_with_out_edges():
     with pytest.raises(GraphError, match="argument vertex"):
         parse_graph("1 2 ; 2: 1 3")

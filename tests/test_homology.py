@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import all_pairs_leibniz_generators
+from oracles import (all_pairs_leibniz_generators, labelled_expand_jacobiator_vertex,
+                     labelled_graph_compose, labelled_graph_delta, labelled_graph_gerstenhaber)
 from stargraphs.errors import BudgetExceededError, GraphError
-from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, GraphSum, enumerate_graphs, has_wheel,
-                              parse_graph)
+from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
+                              enumerate_graphs, has_wheel, parse_graph)
 from stargraphs.homology import (LeibnizGenerator, expand_jacobiator_vertex,
                                  graft_terms, graph_compose, graph_delta,
                                  graph_gerstenhaber, leibniz_generators)
@@ -161,6 +163,7 @@ def test_graded_jacobi_identity_at_operator_level():
                + graph_gerstenhaber(graph_gerstenhaber(c, a), b))
         args = rand_args(rng, 3, 4, max_degree=2)
         assert apply_graph(lhs, p, args).is_zero
+        assert lhs == GraphSum.zero(4)
 
 
 def test_delta_agrees_with_product_bracket_at_operator_level():
@@ -182,6 +185,108 @@ def test_delta_agrees_with_product_bracket_at_operator_level():
         bracket_value = m0_after_c - c_after_m0.scale((-1) ** (m - 1))
         assert bracket_value == oracle_delta(s, p, args)
         assert bracket_value == apply_graph(graph_delta(s), p, args)
+
+
+# -- counted graph-level algebra against one term per labelled graph ------------
+
+# classes of K_{n,m} by arity m, mixing internal counts (K_{1,3} is empty)
+COUNTED_POOLS = {m: [cls.rep for n in ns for cls in enumerate_graphs(n, m).classes]
+                 for m, ns in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3)))}
+# few distinct values, so that classes reached from different terms cancel
+CANCELLING = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+
+
+def relabelled(rng, g, swaps=True):
+    """An isomorphic labelled copy of g: internal vertices permuted and, when
+    ``swaps``, pairs swapped at random (which may flip its sign)."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    new_id = {g.m + 1 + old: g.m + 1 + new for new, old in enumerate(order)}
+    pairs = [None] * g.n
+    for old, (left, right) in enumerate(g.out_edges):
+        pair = (new_id.get(left, left), new_id.get(right, right))
+        pairs[order.index(old)] = pair[::-1] if swaps and rng.random() < 0.5 else pair
+    return DirectedGraph(g.n, g.m, tuple(pairs))
+
+
+def cancelling_sum(rng, arity, max_terms=3):
+    return GraphSum(arity, [(relabelled(rng, rng.choice(COUNTED_POOLS[arity])),
+                             rng.choice(CANCELLING))
+                            for _ in range(rng.randint(1, max_terms))])
+
+
+def test_counted_delta_matches_labelled_oracle():
+    rng = random.Random(37)
+    for arity in (1, 2, 3):
+        for _ in range(6):
+            s = cancelling_sum(rng, arity)
+            ds = graph_delta(s)
+            assert ds == labelled_graph_delta(s)
+            assert graph_delta(ds) == labelled_graph_delta(ds) == GraphSum.zero(arity + 2)
+
+
+def test_counted_compose_and_bracket_match_labelled_oracles():
+    rng = random.Random(41)
+    for m1, m2 in itertools.product((1, 2, 3), repeat=2):
+        for _ in range(3 if m1 + m2 < 6 else 1):
+            s1 = cancelling_sum(rng, m1)
+            s2 = cancelling_sum(rng, m2, max_terms=2 if m1 + m2 > 4 else 3)
+            assert graph_compose(s1, s2) == labelled_graph_compose(s1, s2)
+            assert graph_gerstenhaber(s1, s2) == labelled_graph_gerstenhaber(s1, s2)
+    for arity in (1, 3):
+        # k = arity - 1 is even, so [s, s] = s o s - s o s cancels completely
+        s = cancelling_sum(rng, arity, max_terms=2)
+        assert graph_gerstenhaber(s, s) == labelled_graph_gerstenhaber(s, s)
+        assert graph_gerstenhaber(s, s) == GraphSum.zero(2 * arity - 1)
+
+
+@pytest.mark.parametrize("n_total, m", [(2, 3), (3, 3), (3, 2), (4, 2), (4, 1)])
+def test_counted_jacobiator_expansion_matches_labelled_oracle(n_total, m):
+    # every skeleton that covers the arguments, both orientations of every
+    # ordinary pair; with two ordinary vertices some expansions vanish
+    n_ord = n_total - 2
+    special_id = m + n_ord + 1
+    ids = range(1, special_id + 1)
+    options = [[(a, b) for a in ids for b in ids if a != b and m + 1 + pos not in (a, b)]
+               for pos in range(n_ord)]
+    checked = vanishing = 0
+    for triple in itertools.combinations(range(1, special_id), 3):
+        for ordinary in itertools.product(*options):
+            covered = {t for t in triple if t <= m}
+            covered.update(t for pair in ordinary for t in pair if t <= m)
+            if len(covered) != m:
+                continue
+            expansion = expand_jacobiator_vertex(m, ordinary, triple)
+            assert expansion == labelled_expand_jacobiator_vertex(m, ordinary, triple)
+            checked += 1
+            vanishing += expansion.is_zero
+    assert checked
+    assert bool(vanishing) == (n_total == 4)
+
+
+def test_merged_sums_equal_constructed_sums():
+    rng = random.Random(43)
+    for arity in (1, 2, 3):
+        for _ in range(5):
+            a, b, c = (cancelling_sum(rng, arity) for _ in range(3))
+            weight = rng.choice(CANCELLING) * 3
+            merged = a + b.scale(weight) - c
+            built = GraphSum(arity, [(relabelled(rng, cls.rep, swaps=False), coeff * w)
+                                     for s, w in ((a, 1), (b, weight), (c, -1))
+                                     for cls, coeff in s.terms()])
+            assert merged == built
+            assert merged.cache_key() == built.cache_key()
+            assert hash(merged) == hash(built)
+            assert merged.to_lines() == built.to_lines()
+            for n in merged.internal_counts():
+                part = merged.restrict_count(n)
+                assert part.cache_key() == GraphSum(arity, [
+                    (cls, coeff) for cls, coeff in built.terms() if cls.rep.n == n]).cache_key()
+            assert (a + a.scale(-1)).is_zero
+            assert a - a == GraphSum.zero(arity)
+            assert a.scale(0) == GraphSum.zero(arity)
+            assert a.scale(0).cache_key() == (arity,)
+            assert a + GraphSum.zero(arity) == a
 
 
 # -- Leibniz generators ----------------------------------------------------------

@@ -127,3 +127,19 @@ def test_nonzero_budget():
     rows = [{0: F(1), 1: F(1)}, {1: F(1)}]
     with pytest.raises(BudgetExceededError):
         echelon(rows, None, 2, nonzero_budget=2)
+
+
+def test_nonzero_budget_bounds_fill_in():
+    # an arrow matrix: eliminating column 0 with the ordered strategy turns
+    # each two-entry row into a three-entry one, so 10 nonzeros grow to 13
+    rows = [{0: F(1), 1: F(1), 2: F(1), 3: F(1)},
+            {0: F(1), 1: F(2)}, {0: F(1), 2: F(2)}, {0: F(1), 3: F(2)}]
+    assert sum(len(r) for r in rows) == 10
+    with pytest.raises(BudgetExceededError, match="fill-in reached 11 nonzeros"):
+        echelon(rows, None, 4, "ordered", nonzero_budget=10)
+    with pytest.raises(BudgetExceededError, match="fill-in"):
+        echelon(rows, None, 4, "ordered", nonzero_budget=12)
+    within = echelon(rows, None, 4, "ordered", nonzero_budget=13)
+    unbounded = echelon(rows, None, 4, "ordered")
+    assert (within.pivot_cols, within.rows) == (unbounded.pivot_cols, unbounded.rows)
+    assert within.rank == 4

@@ -9,7 +9,7 @@ import pytest
 from stargraphs import solver
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
-from stargraphs.homology import graph_delta
+from stargraphs.homology import graph_delta, graph_gerstenhaber
 from stargraphs.linalg import StreamingReducer
 from stargraphs.operators import (apply_graph, compile_sum, oracle_compose, oracle_delta,
                                   oracle_gerstenhaber)
@@ -90,6 +90,22 @@ def test_defect_missing_order():
     series = StarSeries({1: poisson_class_sum()})
     with pytest.raises(GraphError):
         mc_defect(series, 3)
+
+
+@pytest.mark.parametrize("series", ["wheel_free", "all", "kontsevich_k2"])
+def test_defect_is_half_the_ordered_bracket_sum(series):
+    # mc_defect brackets each unordered pair once; the definition sums the
+    # brackets of all ordered pairs a + b = k
+    if series == "kontsevich_k2":
+        series, orders = kontsevich_k2(), (2, 3)
+    else:
+        series, orders = solve_up_to(3, wheel_free=series == "wheel_free")[0], (2, 3, 4)
+    for k in orders:
+        total = GraphSum.zero(3)
+        for a in range(1, k):
+            total = total + graph_gerstenhaber(series.order(a), series.order(k - a))
+        assert mc_defect(series, k) == total.scale(Fraction(1, 2))
+        assert not total.is_zero
 
 
 @pytest.mark.parametrize("spec", ["so3", CUBIC])
