@@ -458,12 +458,21 @@ def _merge(acc: dict, items: Iterable) -> dict:
     return acc
 
 
+def _fraction(c) -> Fraction:
+    """c as a Fraction; a float is rejected, since its binary value is
+    rarely the rational that was meant."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, float):
+        raise TypeError("inexact coefficient %r: use int or Fraction" % (c,))
+    return Fraction(c)
+
+
 def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
     """(representative, signed nonzero Fraction) for each (graph-like,
     coefficient) item, checked against the arity; sign-0 classes vanish."""
     for item, coeff in terms:
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
+        coeff = _fraction(coeff)
         if not coeff:
             continue
         if isinstance(item, str):
@@ -504,7 +513,8 @@ class GraphSum:
 
     Terms are stored against canonical representatives; the sign produced by
     canonicalization is absorbed into the coefficient, and zero classes are
-    dropped.  Internal vertex counts may differ between terms.
+    dropped.  Internal vertex counts may differ between terms.  Coefficients
+    are Fractions; a float coefficient raises ``TypeError``.
     """
 
     __slots__ = ("arity", "_terms", "_key")
@@ -588,8 +598,7 @@ class GraphSum:
             dict(self._terms), ((rep, -c) for rep, c in other._terms.items())))
 
     def scale(self, c) -> "GraphSum":
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = _fraction(c)
         if not c:
             return GraphSum.zero(self.arity)
         return GraphSum._wrap(self.arity, {rep: coeff * c for rep, coeff in self._terms.items()})

@@ -1,8 +1,10 @@
 """Exact sparse Gaussian elimination over the rationals.
 
-Rows are dicts mapping column index -> nonzero Fraction.  Two deterministic
-pivot strategies are provided so that every certificate can be re-verified
-with an independent elimination order:
+Rows are dicts mapping column index -> nonzero exact rational, ``int`` or
+``Fraction``.  Pivot rows are normalised by ``Fraction`` division, so rows of
+``int`` never turn into floats.  Two deterministic pivot strategies are
+provided so that every certificate can be re-verified with an independent
+elimination order:
 
 * ``markowitz``: pick the pivot minimizing (row_nnz - 1) * (col_nnz - 1),
   ties broken by (column, row);
@@ -159,6 +161,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
         pivot_row = work[best_row]
         pivot_val = pivot_row[best_col]
         if pivot_val != 1:
+            pivot_val = Fraction(pivot_val)  # int / int would give a float
             for col in pivot_row:
                 pivot_row[col] /= pivot_val
             b[best_row] /= pivot_val
@@ -241,6 +244,7 @@ class StreamingReducer:
             if pivot is None:
                 value = work[col]
                 if value != 1:
+                    value = Fraction(value)  # int / int would give a float
                     work = {c: v / value for c, v in work.items()}
                     rhs /= value
                 self.pivots[col] = (work, rhs)

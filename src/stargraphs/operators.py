@@ -7,7 +7,10 @@ function differentiated likewise.  ``compile_graph`` produces the symbolic
 m-linear operator once so repeated evaluations stay cheap: it searches the
 index pairs depth first, vertex by vertex, multiplies each vertex factor into
 the shared prefix coefficient once and cuts a subtree at its first zero
-factor.  ``compile_sum`` accumulates into one exponent dict.
+factor.  ``compile_sum`` accumulates into one exponent dict.  ``Poly`` keeps
+integral coefficients as ``int``, and ``compile_sum`` applies an integral
+``GraphSum`` coefficient as an ``int``, so integral cochains on an integral
+fixture evaluate on integral arguments without any ``Fraction`` arithmetic.
 
 Evaluation is one pass, ``_accumulate``, over operator terms indexed as
 key -> [(column, coefficient)] and grouped by the derivative order of each
@@ -32,7 +35,6 @@ values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
@@ -223,6 +225,8 @@ def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
         if gop is None:
             gop = compile_graph(cls.rep, p)
             cache[cls.rep.key] = gop
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # integral operators stay in int arithmetic
         for op_key, poly in gop.terms.items():
             _add_terms(acc.setdefault(op_key, {}), poly.terms, coeff)
     total = PolyDiffOperator(p.d, s.arity,
@@ -300,7 +304,7 @@ class CoboundaryColumns:
         tuples = [(args[:m], args[m].terms), (args[1:], args[0].scale(sgn).terms)]
         for j in range(m):
             merged = args[:j] + (args[j] * args[j + 1],) + args[j + 2:]
-            tuples.append((merged, {(0,) * d: Fraction(-sgn if j % 2 == 0 else sgn)}))
+            tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
         return [_wrap(d, terms) for terms in _accumulate(self.groups, self.width, tuples)]
 
 

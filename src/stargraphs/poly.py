@@ -1,8 +1,11 @@
 """Exact multivariate polynomials over the rationals.
 
 A polynomial in d variables is a sparse map from exponent vectors (length-d
-tuples of nonnegative ints) to nonzero Fractions.  All arithmetic is exact;
-there is no floating point anywhere in this package.
+tuples of nonnegative ints) to nonzero exact rationals: ``int`` when integral,
+else ``Fraction``; no floats (a ``float`` coefficient raises ``TypeError``).
+Sums, products and derivatives of ``int`` coefficients stay ``int``, so
+integer polynomials never pay for ``Fraction`` arithmetic.  All arithmetic is
+exact; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -18,26 +21,37 @@ from .errors import DimensionError
 Exponents = tuple  # length-d tuple of nonnegative ints
 
 
+def _rational(c):
+    """c as an exact rational: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError("inexact coefficient %r: use int or Fraction" % (c,))
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _term_sort_key(exps: Exponents):
     # graded order, highest degree first, then x1-major
     return (-sum(exps), tuple(-e for e in exps))
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients: ``int``
+    when integral, else ``Fraction``; no floats."""
 
     __slots__ = ("d", "terms")
 
-    def __init__(self, d: int, terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, d: int, terms: Mapping[Exponents, int | Fraction] | None = None):
         if d < 1:
             raise DimensionError("polynomial needs at least one variable, got d=%d" % d)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != d or any(e < 0 for e in exps):
                     raise DimensionError("bad exponent vector %r for d=%d" % (exps, d))
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff:
                     acc = clean.get(exps)
                     if acc is None:
@@ -62,7 +76,7 @@ class Poly:
 
     @classmethod
     def const(cls, d: int, c) -> "Poly":
-        return cls(d, {(0,) * d: Fraction(c)})
+        return cls(d, {(0,) * d: c})
 
     @classmethod
     def variable(cls, d: int, index: int) -> "Poly":
@@ -71,11 +85,11 @@ class Poly:
             raise DimensionError("variable index %d out of range 1..%d" % (index, d))
         exps = [0] * d
         exps[index - 1] = 1
-        return cls(d, {tuple(exps): Fraction(1)})
+        return cls(d, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], coeff=1) -> "Poly":
-        return cls(d, {tuple(exps): Fraction(coeff)})
+        return cls(d, {tuple(exps): coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -89,8 +103,8 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Iterable[int]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
@@ -118,13 +132,13 @@ class Poly:
         return self + (-other)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _rational(c)
         if not c:
             return Poly.zero(self.d)
         return _wrap(self.d, {e: k * c for e, k in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
         return _wrap(self.d, _mul_terms(self.terms, other.terms, {}))

@@ -29,6 +29,7 @@ orders c_1..c_{k-1} that the series fixes.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,6 +357,24 @@ def triples_by_total_degree(d: int, cap: int, prev_cap: int = 0):
                             yield (f, g, h)
 
 
+def _bracket_pairs(series: StarSeries, k: int) -> list:
+    """-(1/2) sum_{a+b=k} [c_a, c_b] as sum weight * [D_a c_a, D_b c_b]:
+    one (D_a c_a, D_b c_b, weight) per pair a <= b, D_a the LCM of the
+    denominators of the coefficients of c_a (so D_a c_a is integral) and
+    weight -1/(2^[a=b] D_a D_b), since [c_a, c_b] = [c_b, c_a] for arity-2
+    cochains."""
+    integral = {}
+    for a in range(1, k):
+        c_a = series.order(a)
+        denom = math.lcm(*(coeff.denominator for _, coeff in c_a.terms()))
+        integral[a] = (c_a.scale(denom), denom)
+    pairs = []
+    for a in range(1, k // 2 + 1):
+        (c_a, d_a), (c_b, d_b) = integral[a], integral[k - a]
+        pairs.append((c_a, c_b, Fraction(-1, (2 if 2 * a == k else 1) * d_a * d_b)))
+    return pairs
+
+
 STALL_WINDOW = 250  # consecutive rank-neutral triples before a feed is cut short
 
 
@@ -368,8 +387,12 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     vertices.  Both sides are evaluated at operator level: the rows of a
     triple by one ``CoboundaryColumns`` pass over all basis columns, the
     right-hand side by ``oracle_gerstenhaber`` once per pair a <= b (the
-    bracket of arity-2 cochains is symmetric).  Infeasibility of the
-    stacked system is a sound obstruction certificate for the given
+    bracket of arity-2 cochains is symmetric), on the integral sums
+    D_a c_a with one weight -1/(2^[a=b] D_a D_b) per pair
+    (``_bracket_pairs``).  So the fixtures, the arguments and every
+    compiled operator keep ``int`` coefficients, and Fractions enter only
+    through these weights and in the reducer's elimination.  Infeasibility
+    of the stacked system is a sound obstruction certificate for the given
     c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
     re-checked by a second elimination with Markowitz pivoting.
 
@@ -385,10 +408,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
     columns = [GraphSum.single(cls.rep) for cls in basis]
-    # [c_a, c_b] = [c_b, c_a] for arity-2 cochains: -(1/2) sum_{a+b=k} [c_a, c_b]
-    # takes each pair a < b once with weight -1 and a = b with weight -1/2
-    lower = [(series.order(a), series.order(k - a), Fraction(-1, 2 if 2 * a == k else 1))
-             for a in range(1, k // 2 + 1)]
+    lower = _bracket_pairs(series, k)
     reducer = StreamingReducer()
     used: list[dict] = []
 
@@ -417,7 +437,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
                     c = poly.terms.get(e)
                     if c:
                         row[col] = c
-                outcome = reducer.add_row(row, rhs_poly.terms.get(e, Fraction(0)))
+                outcome = reducer.add_row(row, rhs_poly.terms.get(e, 0))
                 if outcome == "inconsistent":
                     used.append({"fixture": p.label, "triples_evaluated": count,
                                  "args": [str(x) for x in triple]})

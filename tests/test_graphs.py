@@ -384,3 +384,14 @@ def test_permute_args():
     swapped = s.permute_args((2, 1))
     assert swapped.coefficient_of(parse_graph("2 2 ; 3: 2 4 / 4: 2 1")) == 1
     assert swapped.permute_args((2, 1)) == s
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GraphSum(2, [(POISSON, 0.1)]),
+    lambda: GraphSum(2, [(POISSON, 1), ("2 2 ; 3: 1 2 / 4: 1 2", 2.0)]),
+    lambda: GraphSum.single(POISSON, 0.5),
+    lambda: GraphSum.single(POISSON).scale(0.5),
+], ids=["init", "integral-float", "single", "scale"])
+def test_graph_sum_rejects_float_coefficients(make):
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        make()

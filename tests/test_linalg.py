@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dense_rank
 from stargraphs.errors import BudgetExceededError
-from stargraphs.linalg import StreamingReducer, echelon, projected_span
+from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
 
 
 def F(n, d=1):
@@ -143,3 +143,72 @@ def test_nonzero_budget_bounds_fill_in():
     unbounded = echelon(rows, None, 4, "ordered")
     assert (within.pivot_cols, within.rows) == (unbounded.pivot_cols, unbounded.rows)
     assert within.rank == 4
+
+
+# -- rows of int ---------------------------------------------------------------
+# The evaluation route feeds rows of int; pivots other than 1 must be divided
+# out as Fractions (int / int is a float).
+
+INT_SYSTEMS = (
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}, {1: 7, 2: 3}], [1, 2, 3]),  # full rank
+    ([{0: 2, 1: 3}, {0: 4, 1: 6}, {2: -5}], [1, 2, 4]),  # rank 2, consistent
+    ([{0: 2, 1: 3}, {0: 4, 1: 6}, {1: 3, 2: 6}], [1, 3, 2]),  # inconsistent
+)
+
+
+def random_int_systems():
+    rng = random.Random(77)
+    for _ in range(12):
+        nrows, ncols = rng.randint(2, 7), rng.randint(2, 6)
+        rows = [{c: v for c in range(ncols) if (v := rng.choice((-3, -2, 0, 0, 2, 5)))}
+                for _ in range(nrows)]
+        yield [r for r in rows if r], [rng.randint(-3, 3) for r in rows if r]
+
+
+def as_fractions(rows, rhs):
+    return [{c: F(v) for c, v in r.items()} for r in rows], [F(v) for v in rhs]
+
+
+def assert_exact(values):
+    values = list(values)
+    assert values and all(type(v) in (int, Fraction) for v in values)
+
+
+def echelon_values(ech):
+    return ([v for row in ech.rows for v in row.values()] + list(ech.rhs)
+            + [v for vec in ech.nullspace() for v in vec.values()])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_echelon_on_int_rows_is_exact(strategy):
+    for rows, rhs in list(INT_SYSTEMS) + list(random_int_systems()):
+        frac_rows, frac_rhs = as_fractions(rows, rhs)
+        ncols = 1 + max(c for r in rows for c in r)
+        for b, frac_b in ((rhs, frac_rhs), (None, None)):
+            ints = echelon([dict(r) for r in rows], b, ncols, strategy)
+            fracs = echelon(frac_rows, frac_b, ncols, strategy)
+            assert ints == fracs  # pivots, RREF rows, rhs and verdict
+            assert_exact(echelon_values(ints))
+    first = echelon([dict(r) for r in INT_SYSTEMS[0][0]], INT_SYSTEMS[0][1], 3, strategy)
+    assert first.particular_solution() == {0: F(1, 2), 2: F(1)}
+
+
+def test_streaming_reducer_on_int_rows_is_exact():
+    for rows, rhs in list(INT_SYSTEMS) + list(random_int_systems()):
+        ints, fracs = StreamingReducer(), StreamingReducer()
+        frac_rows, frac_rhs = as_fractions(rows, rhs)
+        assert ([ints.add_row(r, b) for r, b in zip(rows, rhs)]
+                == [fracs.add_row(r, b) for r, b in zip(frac_rows, frac_rhs)])
+        assert ints.pivots == fracs.pivots
+        assert (ints.raw_rows, ints.raw_rhs) == (fracs.raw_rows, fracs.raw_rhs)
+        assert_exact(v for row, b in ints.pivots.values() for v in (*row.values(), b))
+        assert_exact(v for row in ints.raw_rows for v in row.values())
+        assert_exact(ints.raw_rhs)
+        for strategy in STRATEGIES:
+            assert ints.reverify(strategy) == fracs.reverify(strategy)
+    verdicts = []
+    for rows, rhs in INT_SYSTEMS:
+        red = StreamingReducer()
+        verdicts.append([red.add_row(r, b) for r, b in zip(rows, rhs)])
+    assert verdicts == [["pivot"] * 3, ["pivot", "redundant", "pivot"],
+                        ["pivot", "inconsistent", "pivot"]]

@@ -250,6 +250,25 @@ def test_coboundary_columns_match_brute_force_delta(spec):
             assert op.apply((f, g)) == brute_force_apply(op, (f, g))
 
 
+@pytest.mark.parametrize("spec", ("so3", "sl2", "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
+def test_integer_fixtures_compile_to_int_coefficients(spec):
+    # integral fixtures and arguments keep the evaluation route in int
+    # arithmetic up to the reducer
+    p = preset_from_string(spec)
+    basis = order4_wheel_free_basis()
+    nonzero = 0
+    for cls in basis:
+        op = compile_graph(cls.rep, p)
+        nonzero += not op.is_zero
+        for poly in op.terms.values():
+            assert all(type(c) is int for c in poly.terms.values())
+    assert nonzero
+    delta = CoboundaryColumns([GraphSum.single(cls.rep) for cls in basis], p)
+    for args in coboundary_triples(p.d)[:3]:
+        for value in delta.values(args):
+            assert all(type(c) is int for c in value.terms.values())
+
+
 def test_delta_of_poisson_class_vanishes():
     rng = random.Random(3)
     s = GraphSum.single(POISSON)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stargraphs.errors import DimensionError
-from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
+from stargraphs.poly import Poly, _wrap, monomials_up_to_degree, parse_poly
 
 
 def rand_poly(rng, d, max_degree=3, n_terms=4):
@@ -155,3 +155,47 @@ def test_derive_multi_closed_form_matches_iterated_derive(case):
         assert result == p
     if sum(alpha) > p.degree():
         assert result.is_zero
+
+
+# -- int when integral, never float ---------------------------------------------
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def test_integral_coefficients_stay_int():
+    p = Poly(3, {(1, 0, 0): Fraction(4, 2), (0, 1, 1): -3, (2, 0, 0): Fraction(1, 2)})
+    assert p.terms == {(1, 0, 0): 2, (0, 1, 1): -3, (2, 0, 0): Fraction(1, 2)}
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    f = Poly(3, {(1, 0, 0): Fraction(4, 2), (0, 1, 1): -3}) + Poly.const(3, Fraction(5))
+    g = Poly.variable(3, 2) * Poly.monomial(3, (1, 2, 0), Fraction(-6, 2)) - f
+    assert coefficient_types(f) == coefficient_types(g) == {int}
+    for value in (f + g, f * g, g.derive(2), (f * g).derive_multi((1, 2, 0)),
+                  g.scale(Fraction(6, 3)), g * Fraction(-4, 2), -g):
+        assert not value.is_zero and coefficient_types(value) == {int}
+    assert coefficient_types(g.scale(Fraction(1, 3))) == {Fraction}
+
+
+def test_int_and_fraction_coefficients_compare_and_print_alike():
+    ints = parse_poly("2*x1^2*x3 - x2 + 7", 3)
+    assert coefficient_types(ints) == {int}
+    fracs = _wrap(3, {e: Fraction(c) for e, c in ints.terms.items()})
+    assert coefficient_types(fracs) == {Fraction}
+    assert ints == fracs and fracs == ints
+    assert str(ints) == str(fracs) == "2*x1^2*x3 - x2 + 7"
+    assert ints * fracs == fracs * fracs
+    assert ints.coefficient((0, 0, 0)) == 7 and ints.coefficient((1, 1, 1)) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly(3, {(1, 0, 0): 0.1}),
+    lambda: Poly(3, {(1, 0, 0): 1, (0, 1, 0): 2.0}),
+    lambda: Poly.const(3, 0.5),
+    lambda: Poly.monomial(3, (1, 0, 0), 3.0),
+    lambda: Poly.variable(3, 1).scale(0.25),
+    lambda: Poly.variable(3, 1) * 0.5,
+    lambda: 2.0 * Poly.variable(3, 1),
+], ids=["init", "integral-float", "const", "monomial", "scale", "mul", "rmul"])
+def test_float_coefficients_are_rejected(make):
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        make()

@@ -15,7 +15,7 @@ from stargraphs.operators import (apply_graph, compile_sum, oracle_compose, orac
                                   oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
-from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries,
+from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries, _bracket_pairs,
                                _solve_count_block, antisymmetric_part,
                                cocycle_kernel, eval_obstruction, kontsevich_k2,
                                mc_defect, poisson_class_sum, reparametrize,
@@ -469,6 +469,38 @@ def test_eval_obstruction_rows_golden(monkeypatch):
         "so3": "fb750198445b301e04ebdd2f17616df0896e0294bbac8529622ac1dbb5ecf0d2",
         "cubic": "3c55c6375f64ad85c0269066ad6a5f147924385e511a1d90b6d783e40ad51fdd",
     }
+
+
+@pytest.mark.parametrize("fixture", ("so3", "cubic"))
+def test_scaled_right_hand_side_matches_unscaled_brackets(fixture):
+    # the evaluation route brackets the integral sums D_a c_a in int
+    # arithmetic and applies -1/(2^[a=b] D_a D_b) once per pair: that must
+    # be -(1/2) of the ordered bracket sum of the series itself
+    series, _ = solve_up_to(3, wheel_free=True)
+    if fixture == "so3":
+        p = preset_poisson("so3")
+        triples = [tuple(parse_poly(f, 3) for f in triple) for triple in SO3_TRIPLES]
+    else:
+        p = preset_from_string(CUBIC)
+        triples = list(itertools.product(monomials_up_to_degree(3, 1), repeat=3))
+    pairs = _bracket_pairs(series, 4)
+    # D_1 = 1 and D_2 = D_3 = 6: weights -1/(1*6) for (1, 3), -1/(2*6*6) for (2, 2)
+    assert [weight for *_, weight in pairs] == [Fraction(-1, 6), Fraction(-1, 72)]
+    for c_a, c_b, _weight in pairs:
+        assert all(coeff.denominator == 1 for s in (c_a, c_b) for _, coeff in s.terms())
+    nonzero = 0
+    for triple in triples:
+        scaled = Poly.zero(3)
+        for c_a, c_b, weight in pairs:
+            bracket = oracle_gerstenhaber(c_a, c_b, p, triple)
+            assert all(type(c) is int for c in bracket.terms.values())
+            scaled = scaled + bracket.scale(weight)
+        plain = Poly.zero(3)
+        for a in range(1, 4):
+            plain = plain + oracle_gerstenhaber(series.order(a), series.order(4 - a), p, triple)
+        assert scaled == plain.scale(Fraction(-1, 2))
+        nonzero += not scaled.is_zero
+    assert nonzero
 
 
 def test_triples_by_total_degree_order():
