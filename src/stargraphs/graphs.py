@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, GraphError
@@ -40,6 +39,10 @@ def _reject_pair(vid: int, left: int, right: int, top: int):
 class DirectedGraph:
     """A labeled admissible graph with n internal and m argument vertices."""
 
+    # slots: many graphs are alive at once, and each instance dict would
+    # cost more than the fields it holds
+    __slots__ = ("n", "m", "out_edges", "key", "_hash", "_in_edges")
+
     n: int
     m: int
     out_edges: Pairs
@@ -63,17 +66,31 @@ class DirectedGraph:
         if covered != (1 << (m + 1)) - 2:
             arg = next(t for t in range(1, m + 1) if not covered >> t & 1)
             raise GraphError("argument vertex %d has indegree 0" % arg)
-        # the encoding key, used for every cache lookup and sort
-        object.__setattr__(self, "key", (n, m, self.out_edges))
+        # the encoding key, used for every cache lookup and sort, and its
+        # hash, which equals the dataclass hash of (n, m, out_edges)
+        key = (n, m, self.out_edges)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_in_edges", None)
 
-    @cached_property
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as frozen slots cannot be set
+        return DirectedGraph, (self.n, self.m, self.out_edges)
+
+    @property
     def in_edges(self) -> dict:
-        """Map vertex id -> tuple of (source position, side) with side 0=L, 1=R."""
-        acc: dict[int, list] = {}
-        for pos, (left, right) in enumerate(self.out_edges):
-            acc.setdefault(left, []).append((pos, 0))
-            acc.setdefault(right, []).append((pos, 1))
-        return {v: tuple(lst) for v, lst in acc.items()}
+        """Map vertex id -> tuple of (source position, side) with side 0=L, 1=R;
+        built on first use."""
+        if self._in_edges is None:
+            acc: dict[int, list] = {}
+            for pos, (left, right) in enumerate(self.out_edges):
+                acc.setdefault(left, []).append((pos, 0))
+                acc.setdefault(right, []).append((pos, 1))
+            object.__setattr__(self, "_in_edges", {v: tuple(lst) for v, lst in acc.items()})
+        return self._in_edges
 
     def encode(self) -> str:
         return encode_graph(self)

@@ -1,10 +1,12 @@
 """Exact sparse Gaussian elimination over the rationals.
 
 Rows are dicts mapping column index -> nonzero exact rational, ``int`` or
-``Fraction``.  Pivot rows are normalised by ``Fraction`` division, so rows of
-``int`` never turn into floats.  Two deterministic pivot strategies are
-provided so that every certificate can be re-verified with an independent
-elimination order:
+``Fraction``.  ``echelon`` normalises pivot rows by ``Fraction`` division, so
+rows of ``int`` never turn into floats.  ``StreamingReducer`` is
+fraction-free (Bareiss-style cross-multiplication on rows scaled to
+integers); its verdicts are re-checked by ``echelon``.  Two deterministic
+pivot strategies are provided so that every certificate can be re-verified
+with an independent elimination order:
 
 * ``markowitz``: pick the pivot minimizing (row_nnz - 1) * (col_nnz - 1),
   ties broken by (column, row);
@@ -217,8 +219,11 @@ class StreamingReducer:
     """Incremental feasibility tracker for A x = b fed row by row.
 
     Pivot selection is leading-column (the ``ordered`` strategy); adding a row
-    returns "pivot", "redundant" or "inconsistent".  Raw rows are kept so a
-    verdict can be re-verified later with an independent strategy.
+    returns "pivot", "redundant" or "inconsistent".  Elimination is in
+    integers: ``pivots`` maps col -> (``int`` row with a positive entry at
+    col, ``int`` rhs), divided by the gcd of all its entries.  Raw rows are
+    kept so a verdict can be re-verified later with an independent
+    ``Fraction`` elimination (``reverify``).
     """
 
     def __init__(self):
@@ -235,26 +240,46 @@ class StreamingReducer:
         """Reduce one constraint; raw copies are kept only for rows that
         become pivots or witness an inconsistency (redundant rows are linear
         combinations of the kept ones, so the kept subsystem has the same
-        rank and feasibility verdict)."""
-        rhs = raw_rhs = Fraction(rhs)
-        work = dict(row)
+        rank and feasibility verdict).
+
+        Fraction-free: the row and its rhs are scaled by their common
+        denominator, each elimination step cross-multiplies
+        (pivot[col] * work - work[col] * pivot) and divides out the gcd of
+        the row and rhs, and a new pivot row is stored primitive with a
+        positive leading entry.  Every row is a nonzero multiple of the one
+        that ``Fraction`` elimination would hold, so the outcomes are the
+        same."""
+        raw_rhs = Fraction(rhs)
+        scale = math.lcm(raw_rhs.denominator, *(v.denominator for v in row.values()))
+        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        rhs = raw_rhs.numerator * (scale // raw_rhs.denominator)
         while work:
             col = min(work)
             pivot = self.pivots.get(col)
             if pivot is None:
-                value = work[col]
-                if value != 1:
-                    value = Fraction(value)  # int / int would give a float
-                    work = {c: v / value for c, v in work.items()}
-                    rhs /= value
+                g = math.gcd(rhs, *work.values())
+                if work[col] < 0:
+                    g = -g
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                    rhs //= g
                 self.pivots[col] = (work, rhs)
                 self.raw_rows.append(dict(row))
                 self.raw_rhs.append(raw_rhs)
                 return "pivot"
             pivot_row, pivot_rhs = pivot
-            factor = work[col]
+            lead, factor = pivot_row[col], work[col]
+            g = math.gcd(lead, factor)
+            lead, factor = lead // g, factor // g
+            if lead != 1:
+                work = {c: lead * v for c, v in work.items()}
+                rhs *= lead
             _eliminate_into(work, pivot_row, factor)
             rhs -= factor * pivot_rhs
+            g = math.gcd(rhs, *work.values())
+            if g > 1:
+                work = {c: v // g for c, v in work.items()}
+                rhs //= g
         if rhs:
             self.inconsistent = True
             self.raw_rows.append(dict(row))

@@ -7,10 +7,13 @@ function differentiated likewise.  ``compile_graph`` produces the symbolic
 m-linear operator once so repeated evaluations stay cheap: it searches the
 index pairs depth first, vertex by vertex, multiplies each vertex factor into
 the shared prefix coefficient once and cuts a subtree at its first zero
-factor.  ``compile_sum`` accumulates into one exponent dict.  ``Poly`` keeps
-integral coefficients as ``int``, and ``compile_sum`` applies an integral
-``GraphSum`` coefficient as an ``int``, so integral cochains on an integral
-fixture evaluate on integral arguments without any ``Fraction`` arithmetic.
+factor; a graph with a vertex of more incoming edges than any entry has
+degree is zero without a search.  Compiled graphs are cached on the Poisson
+structure under their key.  ``compile_sum`` accumulates into one exponent
+dict.  ``Poly`` keeps integral coefficients as ``int``, and an integral
+``GraphSum`` coefficient is applied as an ``int``, so integral cochains on
+an integral fixture evaluate on integral arguments without any ``Fraction``
+arithmetic.
 
 Evaluation is one pass, ``_accumulate``, over operator terms indexed as
 key -> [(column, coefficient)] and grouped by the derivative order of each
@@ -21,6 +24,10 @@ exceed the argument degrees are skipped.  ``PolyDiffOperator.apply`` is the
 one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
 case: the Hochschild coboundaries of many cochains on one argument tuple,
 whose m + 2 inner argument tuples enter each key as one signed combination.
+Every key of a graph's operator has the slot orders (indeg(1), ..,
+indeg(m)), so ``CoboundaryColumns`` groups its graphs by in-degree before
+compiling and compiles a group only once some argument tuple's degrees
+admit it.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
@@ -72,7 +79,7 @@ class PolyDiffOperator:
         ``_accumulate``."""
         _check_args(self.d, self.arity, args)
         if self._groups is None:
-            object.__setattr__(self, "_groups", _group_terms([self]))
+            object.__setattr__(self, "_groups", _group_terms(self))
         return _wrap(self.d, _accumulate(self._groups, 1, [(args, None)])[0])
 
 
@@ -84,17 +91,12 @@ def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
             raise DimensionError("argument dimension %d does not match d=%d" % (f.d, d))
 
 
-def _group_terms(ops: Sequence[PolyDiffOperator]) -> list:
-    """The terms of the operators ops[0], ops[1], .. (the columns), indexed
-    once as key -> [(column, coefficient terms)] and grouped by the
-    derivative order of each slot: [(slot orders, [(key, entries)])]."""
-    index: dict[tuple, list] = {}
-    for col, op in enumerate(ops):
-        for key, poly in op.terms.items():
-            index.setdefault(key, []).append((col, poly.terms))
+def _group_terms(op: PolyDiffOperator) -> list:
+    """The terms of one operator (column 0) grouped by the derivative order
+    of each slot: [(slot orders, [(key, [(0, coefficient terms)])])]."""
     groups: dict[tuple, list] = {}
-    for key, entries in index.items():
-        groups.setdefault(tuple(map(sum, key)), []).append((key, entries))
+    for key, poly in op.terms.items():
+        groups.setdefault(tuple(map(sum, key)), []).append((key, [(0, poly.terms)]))
     return list(groups.items())
 
 
@@ -123,6 +125,12 @@ def _slot_products(args: Sequence[Poly], derivatives: dict):
     return product
 
 
+def _fits(orders: tuple, degrees: list) -> bool:
+    """Whether some argument tuple, given by the degrees of its arguments,
+    has each slot's degree at least that slot's derivative order."""
+    return any(all(map(int.__le__, orders, degs)) for degs in degrees)
+
+
 def _accumulate(groups: list, width: int, tuples: list) -> list:
     """The one evaluation pass of grouped terms (``_group_terms``) on a
     linear combination of argument tuples.  ``tuples`` holds (argument
@@ -146,7 +154,7 @@ def _accumulate(groups: list, width: int, tuples: list) -> list:
             return acc
     totals: list[dict] = [{} for _ in range(width)]
     for orders, items in groups:
-        if not any(all(map(int.__le__, orders, degs)) for degs in degrees):
+        if not _fits(orders, degrees):
             continue
         for key, entries in items:
             value = value_of(key)
@@ -166,17 +174,19 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     vertex's factor is multiplied into the prefix coefficient as soon as the
     vertex and all its edge sources are assigned, and a zero factor cuts the
     whole subtree.  A vertex with k incoming edges only takes the pairs
-    whose entry has degree >= k."""
+    whose entry has degree >= k; when no pair is left for some vertex, the
+    operator is zero and no search is made."""
     d, n, m = p.d, g.n, g.m
     pairs = p.nonzero_ordered_pairs()
-    if not pairs:
-        return PolyDiffOperator(d, m, {})
     in_edges = g.in_edges
     arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
     vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
     degree = {(i, j): p.entry(i, j).degree() for i, j in pairs}
     choices = [[pair for pair in pairs if degree[pair] >= len(sources)]
                for sources in vertex_sources]
+    if not all(choices):
+        # a vertex with more incoming edges than any entry has degree
+        return PolyDiffOperator(d, m, {})
     # ready[t]: the vertices whose factor is fixed once positions t..n-1
     # are assigned
     ready: list[list[int]] = [[] for _ in range(n)]
@@ -212,6 +222,23 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
 
 
+def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
+    """``compile_graph(g, p)``, cached on the Poisson structure under
+    ``g.key``."""
+    op = p._op_cache.get(g.key)
+    if op is None:
+        op = p._op_cache[g.key] = compile_graph(g, p)
+    return op
+
+
+def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
+    """acc[key] += coeff * (operator of g)[key] for every (g, coeff) in
+    terms, in place."""
+    for g, coeff in terms:
+        for key, poly in _compiled(g, p).terms.items():
+            _add_terms(acc.setdefault(key, {}), poly.terms, coeff)
+
+
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of a whole graph sum; cached on the Poisson structure."""
     cache = p._op_cache
@@ -220,15 +247,7 @@ def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     if op is not None:
         return op
     acc: dict[tuple, dict] = {}
-    for cls, coeff in s.terms():
-        gop = cache.get(cls.rep.key)
-        if gop is None:
-            gop = compile_graph(cls.rep, p)
-            cache[cls.rep.key] = gop
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # integral operators stay in int arithmetic
-        for op_key, poly in gop.terms.items():
-            _add_terms(acc.setdefault(op_key, {}), poly.terms, coeff)
+    _add_graph_terms(acc, _graph_terms(s), p)
     total = PolyDiffOperator(p.d, s.arity,
                              {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
     cache[key] = total
@@ -245,11 +264,24 @@ def _arity(s) -> int:
     raise TypeError("expected GraphSum, GraphClass or DirectedGraph")
 
 
+def _graph_terms(s) -> list:
+    """(graph, coefficient) terms of a GraphSum, a GraphClass (its
+    representative as a one-term sum) or a labeled graph (itself, not
+    canonicalized).  Integral coefficients are given as ``int``, so
+    integral operators stay in ``int`` arithmetic."""
+    if isinstance(s, DirectedGraph):
+        return [(s, 1)]
+    if isinstance(s, GraphClass):
+        s = GraphSum.single(s.rep)
+    return [(cls.rep, coeff.numerator if coeff.denominator == 1 else coeff)
+            for cls, coeff in s.terms()]
+
+
 def _operator_of(s, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of a GraphSum, a GraphClass or a labeled graph (the latter
     compiled as labeled, without canonicalization)."""
     if isinstance(s, DirectedGraph):
-        return compile_graph(s, p)
+        return _compiled(s, p)
     return compile_sum(GraphSum.single(s.rep) if isinstance(s, GraphClass) else s, p)
 
 
@@ -275,26 +307,50 @@ class CoboundaryColumns:
     (delta C)(f_0..f_m) = C(f_0..f_{m-1}) f_m + (-1)^{m-1} f_0 C(f_1..f_m)
                           - (-1)^{m-1} sum_j (-1)^j C(.., f_j f_{j+1}, ..).
 
-    The cochains are compiled and their terms grouped once
-    (``_group_terms``).  ``values`` forms each f_j f_{j+1} once and makes
-    one ``_accumulate`` pass over the m + 2 argument tuples, each with its
-    outer factor and sign, for all the columns at once."""
+    Graphs are compiled on demand.  A graph puts derivatives of order
+    indeg(t) on argument slot t, whatever indices its edges take, so every
+    key of its operator has the slot orders (indeg(1), .., indeg(m)), known
+    before compiling.  The columns' (graph, coefficient) terms are grouped
+    by these orders, and ``values`` compiles a group the first time its
+    argument degrees admit it; a graph that no argument tuple can feed is
+    never compiled.  Compiled graphs are cached on the Poisson structure.
+    ``values`` forms each f_j f_{j+1} once and makes one ``_accumulate``
+    pass over the m + 2 argument tuples, each with its outer factor and
+    sign, for all the columns at once."""
 
-    __slots__ = ("d", "arity", "width", "groups")
+    __slots__ = ("p", "arity", "width", "pending", "groups")
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
         arities = {_arity(s) for s in sums}
         if len(arities) != 1:
             raise DimensionError("coboundary columns need one common arity, got %s"
                                  % sorted(arities))
-        self.d = p.d
-        self.arity = arities.pop()
+        self.p = p
+        self.arity = m = arities.pop()
         self.width = len(sums)
-        self.groups = _group_terms([_operator_of(s, p) for s in sums])
+        # slot orders -> {column: [(graph, coefficient)]}, not yet compiled
+        self.pending: dict[tuple, dict] = {}
+        for col, s in enumerate(sums):
+            for g, coeff in _graph_terms(s):
+                orders = tuple(len(g.in_edges.get(t, ())) for t in range(1, m + 1))
+                self.pending.setdefault(orders, {}).setdefault(col, []).append((g, coeff))
+        self.groups: list = []  # [(slot orders, [(key, [(column, terms)])])]
+
+    def _compile(self, orders: tuple) -> None:
+        """Compile one pending group: its key -> [(column, coefficient
+        terms)] index joins ``groups``."""
+        index: dict[tuple, list] = {}
+        for col, terms in self.pending.pop(orders).items():
+            acc: dict[tuple, dict] = {}
+            _add_graph_terms(acc, terms, self.p)
+            for key, coeffs in acc.items():
+                if coeffs:
+                    index.setdefault(key, []).append((col, coeffs))
+        self.groups.append((orders, list(index.items())))
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
-        d, m = self.d, self.arity
+        d, m = self.p.d, self.arity
         if len(args) != m + 1:
             raise DimensionError("coboundary of arity-%d cochain needs %d arguments, got %d"
                                  % (m, m + 1, len(args)))
@@ -305,6 +361,9 @@ class CoboundaryColumns:
         for j in range(m):
             merged = args[:j] + (args[j] * args[j + 1],) + args[j + 2:]
             tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
+        degrees = [[f.degree() for f in inner] for inner, _ in tuples]
+        for orders in [o for o in self.pending if _fits(o, degrees)]:
+            self._compile(orders)
         return [_wrap(d, terms) for terms in _accumulate(self.groups, self.width, tuples)]
 
 

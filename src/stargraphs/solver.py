@@ -19,7 +19,8 @@ confirms it.  That route writes the order-k equation at operator level on
 concrete Poisson structures (fixtures whose ``is_poisson`` is False are
 rejected), with the Hochschild coboundaries of all basis graphs on the
 left, evaluated together per argument triple
-(``operators.CoboundaryColumns``, compiled once per fixture), and the
+(``operators.CoboundaryColumns``, each graph compiled once per fixture
+when a triple first reaches it), and the
 brackets of the lower orders on the right (``operators.oracle_gerstenhaber``,
 each unordered pair once); it uses no graph-level delta, bracket or Leibniz
 span, so its infeasibility certificate holds without them, for the lower
@@ -391,7 +392,9 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     D_a c_a with one weight -1/(2^[a=b] D_a D_b) per pair
     (``_bracket_pairs``).  So the fixtures, the arguments and every
     compiled operator keep ``int`` coefficients, and Fractions enter only
-    through these weights and in the reducer's elimination.  Infeasibility
+    through these weights; the reducer scales each row by its common
+    denominator and eliminates in integers.  A basis graph is compiled only
+    once some triple's argument degrees can feed it.  Infeasibility
     of the stacked system is a sound obstruction certificate for the given
     c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
     re-checked by a second elimination with Markowitz pivoting.

@@ -13,6 +13,7 @@ from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, Gra
                                _canonical_raw, _passes_filter, has_wheel, parse_graph)
 from stargraphs.homology import (LeibnizGenerator, _split_terms, expand_jacobiator_vertex,
                                  graft_terms)
+from stargraphs.linalg import StreamingReducer
 from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
@@ -345,6 +346,41 @@ def dense_rank(rows, ncols):
                     mat[r][c] -= factor * mat[rank][c]
         rank += 1
     return rank
+
+
+class FractionStreamingReducer(StreamingReducer):
+    """``StreamingReducer`` with ``Fraction`` elimination: each pivot row is
+    divided by its leading entry, and each new row has the pivot rows
+    subtracted with Fraction factors.  Raw rows, rank and ``reverify`` are
+    inherited."""
+
+    def add_row(self, row, rhs):
+        rhs = raw_rhs = Fraction(rhs)
+        work = {c: Fraction(v) for c, v in row.items()}
+        while work:
+            col = min(work)
+            pivot = self.pivots.get(col)
+            if pivot is None:
+                lead = work[col]
+                self.pivots[col] = ({c: v / lead for c, v in work.items()}, rhs / lead)
+                self.raw_rows.append(dict(row))
+                self.raw_rhs.append(raw_rhs)
+                return "pivot"
+            pivot_row, pivot_rhs = pivot
+            factor = work[col]
+            for c, v in pivot_row.items():
+                value = work.get(c, 0) - factor * v
+                if value:
+                    work[c] = value
+                else:
+                    work.pop(c, None)
+            rhs -= factor * pivot_rhs
+        if rhs:
+            self.inconsistent = True
+            self.raw_rows.append(dict(row))
+            self.raw_rhs.append(raw_rhs)
+            return "inconsistent"
+        return "redundant"
 
 
 def all_pairs_leibniz_generators(n_total, m, wheel_free_expansions=False):

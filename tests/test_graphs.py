@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,21 @@ TRIDIFF = "4 3 ; 4: 1 5 / 5: 2 6 / 6: 5 3 / 7: 4 2"
 C1 = "3 2 ; 3: 1 2 / 4: 3 5 / 5: 3 2"   # universal without wheels
 C2 = "3 2 ; 3: 1 4 / 4: 5 2 / 5: 3 2"   # universal with wheels
 K2_WHEEL = "2 2 ; 3: 1 4 / 4: 3 2"      # two-cycle graph of the order-2 expansion
+
+
+# -- identity ----------------------------------------------------------------
+
+def test_directed_graph_hash_and_equality_follow_the_encoding():
+    g = parse_graph(TRIDIFF)
+    same = DirectedGraph(g.n, g.m, tuple(g.out_edges))
+    other = parse_graph("4 3 ; 4: 1 5 / 5: 2 6 / 6: 5 3 / 7: 2 4")
+    assert same is not g and same == g and hash(same) == hash(g)
+    # the dataclass hash of (n, m, out_edges), so set orders do not change
+    assert hash(g) == hash((g.n, g.m, g.out_edges)) == hash(g.key)
+    assert other != g and g != g.key
+    assert {g: 1, other: 2}[same] == 1 and len({g, same, other}) == 2
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and twin.in_edges == g.in_edges
 
 
 # -- parsing -----------------------------------------------------------------

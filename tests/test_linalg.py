@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rank
+from oracles import FractionStreamingReducer, dense_rank
 from stargraphs.errors import BudgetExceededError
 from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
 
@@ -212,3 +213,61 @@ def test_streaming_reducer_on_int_rows_is_exact():
         verdicts.append([red.add_row(r, b) for r, b in zip(rows, rhs)])
     assert verdicts == [["pivot"] * 3, ["pivot", "redundant", "pivot"],
                         ["pivot", "inconsistent", "pivot"]]
+
+
+# -- fraction-free streaming ---------------------------------------------------
+
+def random_mixed_system(rng):
+    """Rows and right-hand sides of int and Fraction values, some of them
+    above 2^64, with dependent rows whose rhs is either the same combination
+    (redundant) or off by one (inconsistent)."""
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice((-3, -1, 1, 2, 6))
+        if kind == 1:
+            return F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 12))
+        if kind == 2:
+            return rng.choice((-1, 1)) * rng.randint(10 ** 20, 10 ** 30)
+        return F(rng.randint(10 ** 18, 10 ** 24), rng.randint(2, 10 ** 12))
+
+    ncols = rng.randint(2, 8)
+    rows, rhs = [], []
+    for _ in range(rng.randint(3, 14)):
+        if len(rows) >= 2 and rng.random() < 0.4:
+            (r1, b1), (r2, b2) = rng.sample(list(zip(rows, rhs)), 2)
+            s1, s2 = value(), value()
+            row = {c: s1 * r1.get(c, 0) + s2 * r2.get(c, 0) for c in set(r1) | set(r2)}
+            b = s1 * b1 + s2 * b2 + (rng.random() < 0.3)
+        else:
+            row = {c: value() for c in range(ncols) if rng.random() < 0.6}
+            b = rng.choice((0, value()))
+        rows.append({c: v for c, v in row.items() if v})
+        rhs.append(b)
+    return rows, rhs
+
+
+def test_streaming_reducer_matches_fraction_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(60):
+        rows, rhs = random_mixed_system(rng)
+        red, oracle = StreamingReducer(), FractionStreamingReducer()
+        outcomes = [red.add_row(r, b) for r, b in zip(rows, rhs)]
+        assert outcomes == [oracle.add_row(r, b) for r, b in zip(rows, rhs)]
+        seen.update(outcomes)
+        assert (red.rank, red.inconsistent) == (oracle.rank, oracle.inconsistent)
+        assert (red.raw_rows, red.raw_rhs) == (oracle.raw_rows, oracle.raw_rhs)
+        assert all(type(b) is Fraction for b in red.raw_rhs)
+        for strategy in STRATEGIES:
+            assert red.reverify(strategy) == oracle.reverify(strategy)
+        # each pivot row is a primitive int multiple of the oracle's
+        assert red.pivots.keys() == oracle.pivots.keys()
+        for col, (row, b) in red.pivots.items():
+            values = [*row.values(), b]
+            assert all(type(v) is int for v in values)
+            assert row[col] > 0 and math.gcd(*values) == 1
+            lead = row[col]
+            assert ({c: F(v, lead) for c, v in row.items()}, F(b, lead)) == oracle.pivots[col]
+    assert seen == {"pivot", "redundant", "inconsistent"}

@@ -8,6 +8,7 @@ import pytest
 from oracles import (brute_force_apply, brute_force_compile_graph, brute_force_delta,
                      transcribed_tridiff)
 from stargraphs.errors import DimensionError
+from stargraphs import operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
                                parse_graph, zero_classes)
 from stargraphs.operators import (CoboundaryColumns, apply_graph, compile_graph, compile_sum,
@@ -267,6 +268,128 @@ def test_integer_fixtures_compile_to_int_coefficients(spec):
     for args in coboundary_triples(p.d)[:3]:
         for value in delta.values(args):
             assert all(type(c) is int for c in value.terms.values())
+
+
+def test_vertex_without_admissible_pair_compiles_to_zero_without_search(monkeypatch):
+    # so3 has linear entries, so a vertex with two incoming edges takes no
+    # pair at all: the operator is zero before any entry derivative is taken
+    p = so3()
+    calls = []
+    entry_derivative = PoissonStructure.entry_derivative
+
+    def counting(self, i, j, alpha):
+        calls.append(alpha)
+        return entry_derivative(self, i, j, alpha)
+
+    monkeypatch.setattr(PoissonStructure, "entry_derivative", counting)
+    dead = 0
+    for cls in order4_wheel_free_basis():
+        g = cls.rep
+        internal_in = [sum(v in pair for pair in g.out_edges)
+                       for v in range(g.m + 1, g.m + g.n + 1)]
+        del calls[:]
+        op = compile_graph(g, p)
+        if max(internal_in) >= 2:
+            dead += 1
+            assert op.is_zero and not calls
+            assert brute_force_compile_graph(g, p).is_zero
+    assert dead == 59
+
+
+# -- compile on demand ---------------------------------------------------------
+
+CUBIC = "jacobian:x1^3 + 2*x2^3 - x1^2*x3"
+
+
+def in_degrees(g):
+    """How many edges end on each argument vertex, counted from the pairs."""
+    return tuple(sum(t in pair for pair in g.out_edges) for t in range(1, g.m + 1))
+
+
+def degree_one_triples(d):
+    return list(itertools.product([x(d, i) for i in range(1, d + 1)], repeat=3))
+
+
+def admitted(g, patterns):
+    """Whether some inner argument tuple, given by its argument degrees, has
+    each degree at least the in-degree of its slot."""
+    return any(all(k <= deg for k, deg in zip(in_degrees(g), degs)) for degs in patterns)
+
+
+@pytest.fixture
+def compiled_keys(monkeypatch):
+    """compiled_keys(p): the keys of the graphs ``compile_graph`` was called
+    on for the Poisson structure p, in call order."""
+    calls = []
+    compile_graph_ = operators.compile_graph
+
+    def counting(g, p):
+        calls.append((p, g.key))
+        return compile_graph_(g, p)
+
+    monkeypatch.setattr(operators, "compile_graph", counting)
+    return lambda p: [key for q, key in calls if q is p]
+
+
+def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys):
+    # on degree-1 triples the inner tuples have argument degrees (1, 1),
+    # (2, 1) and (1, 2), so only graphs whose argument in-degrees fit under
+    # one of them can contribute
+    p = preset_from_string(CUBIC)
+    basis = order4_wheel_free_basis()
+    columns = [GraphSum.single(cls.rep) for cls in basis]
+    delta = CoboundaryColumns(columns, p)
+    triples = degree_one_triples(3)
+    assert len(triples) == 27
+    values = [delta.values(args) for args in triples]
+    fits = {cls.rep.key for cls in basis if admitted(cls.rep, [(1, 1), (2, 1), (1, 2)])}
+    assert len(fits) == 11
+    assert sorted(compiled_keys(p)) == sorted(fits)  # each compiled once
+    reference = preset_from_string(CUBIC)  # a separate cache for the oracle
+    for args, row in zip(triples[::5], values[::5]):
+        assert row == [brute_force_delta(col, reference, args) for col in columns]
+    # a tuple of argument degrees (2, 3, 2) forces more groups: the inner
+    # tuples have degrees (2, 3), (3, 2), (5, 2) and (2, 5)
+    args = (x(3, 1) * x(3, 1), x(3, 2) * x(3, 3) * x(3, 3), x(3, 1) * x(3, 3))
+    row = delta.values(args)
+    assert row == [brute_force_delta(col, reference, args) for col in columns]
+    assert any(not value.is_zero for value in row)
+    forced = {cls.rep.key for cls in basis
+              if admitted(cls.rep, [(2, 3), (3, 2), (5, 2), (2, 5)])}
+    assert len(fits | forced) < len(basis)  # the (3, 3) graphs and up still wait
+    assert sorted(compiled_keys(p)) == sorted(fits | forced)
+    # lower-degree tuples compile nothing more, and the values still agree
+    for args in triples[:3]:
+        assert delta.values(args) == [brute_force_delta(col, reference, args)
+                                      for col in columns]
+    assert sorted(compiled_keys(p)) == sorted(fits | forced)
+
+
+def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_keys):
+    p = preset_from_string(CUBIC)
+    by_degrees = {}
+    for cls in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    a, b, c = by_degrees[(1, 1)][0], by_degrees[(2, 1)][0], by_degrees[(2, 2)][0]
+    labeled = flip_first_pair(by_degrees[(1, 2)][0])  # not canonical
+    columns = [GraphSum(2, [(a, Fraction(2, 3)), (b, -5), (c, Fraction(1, 7))]),
+               GraphSum(2, [(b, 3), (c, Fraction(-4, 9))]),
+               labeled,
+               GraphSum(2, [(c, 1)])]
+    delta = CoboundaryColumns(columns, p)
+    reference = preset_from_string(CUBIC)
+    low = (x(3, 2), x(3, 1), x(3, 3))
+    assert delta.values(low) == [brute_force_delta(col, reference, low) for col in columns]
+    # the (2, 2) graph c is not compiled until a tuple can feed it
+    assert sorted(compiled_keys(p)) == sorted([a.key, b.key, labeled.key])
+    high = (x(3, 1) * x(3, 3), x(3, 2) * x(3, 2), x(3, 3))
+    row = delta.values(high)
+    assert row == [brute_force_delta(col, reference, high) for col in columns]
+    assert not row[1].is_zero
+    assert sorted(compiled_keys(p)) == sorted([a.key, b.key, labeled.key, c.key])
+    # a labeled graph is compiled as labeled: flipping a pair flips the sign
+    rep_value = CoboundaryColumns([by_degrees[(1, 2)][0]], p).values(low)[0]
+    assert delta.values(low)[2] == -rep_value
 
 
 def test_delta_of_poisson_class_vanishes():
