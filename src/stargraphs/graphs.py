@@ -258,8 +258,38 @@ def _canonical_raw(n: int, m: int, pairs: Pairs):
     return tuple(key), sign, len(frontier)
 
 
-_CANON_CACHE: dict = {}
+_CANON_CACHE: dict = {}  # labeled key (n, m, pairs) -> GraphClass
+_REPS: dict = {}  # canonical key -> the one DirectedGraph of that class
+_CLASSES: dict = {}  # (canonical key, sign) -> the one GraphClass
 _CANON_CACHE_LIMIT = 120_000
+
+
+def _lookup(key: tuple, graph: DirectedGraph | None = None) -> GraphClass:
+    """Class of the labeled graph whose encoding key is ``key``, memoised.
+
+    A miss interns one representative ``DirectedGraph`` per class (``graph``
+    itself when it is given and canonical) and one ``GraphClass`` per
+    (class, sign), so every labeled graph of a class maps to the same
+    objects.  The three tables are cleared together at the limit."""
+    cls = _CANON_CACHE.get(key)
+    if cls is not None:
+        return cls
+    if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
+        _CANON_CACHE.clear()
+        _REPS.clear()
+        _CLASSES.clear()
+    n, m, pairs = key
+    best, sign, _ = _canonical_raw(n, m, pairs)
+    rep_key = (n, m, best)
+    cls = _CLASSES.get((rep_key, sign))
+    if cls is None:
+        rep = _REPS.get(rep_key)
+        if rep is None:
+            rep = graph if graph is not None and best == pairs else DirectedGraph(n, m, best)
+            _REPS[rep_key] = rep
+        cls = _CLASSES[rep_key, sign] = GraphClass(rep, sign)
+    _CANON_CACHE[key] = cls
+    return cls
 
 
 def canonical_form(g: DirectedGraph) -> GraphClass:
@@ -268,20 +298,12 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     The representative is the lexicographically least tuple of sorted
     (L, R) pairs over all internal relabelings, found by the pruned
     level-wise search in ``_canonical_raw``; it depends only on the orbit,
-    so isomorphic graphs get the same representative.  The sign is +1 or -1
-    by the parity of L/R swaps that reach it, and 0 when both parities do.
-    Results are memoised per labeled graph.
+    so isomorphic graphs get the same representative, the same object
+    while the cache holds it.  The sign is +1 or -1 by the parity of L/R
+    swaps that reach it, and 0 when both parities do.  Results are memoised
+    per labeled graph.
     """
-    cached = _CANON_CACHE.get(g.key)
-    if cached is not None:
-        return cached
-    pairs, sign, _ = _canonical_raw(g.n, g.m, g.out_edges)
-    rep = g if pairs == g.out_edges else DirectedGraph(g.n, g.m, pairs)
-    cls = GraphClass(rep, sign)
-    if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
-        _CANON_CACHE.clear()
-    _CANON_CACHE[g.key] = cls
-    return cls
+    return _lookup(g.key, g)
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +529,25 @@ def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
             yield cls.rep, (coeff if cls.sign > 0 else -coeff)
 
 
-def add_labeled_graphs(acc: dict, graphs: Iterable, weight: Fraction) -> dict:
-    """Add ``weight`` times each labeled graph of ``graphs`` into ``acc``, a
+def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: Fraction) -> dict:
+    """Add ``weight`` times each labeled graph of K_{n,m} into ``acc``, a
     dict from canonical representative to nonzero Fraction, and return it.
 
-    Each graph is canonicalized once and its sign added into an integer
-    count per representative; the weight is multiplied in once per class
-    whose count is nonzero.  Every producer of labeled graphs that share one
-    weight (grafting, slot splitting, Jacobiator expansion) goes through
-    here, so the graph-level algebra does no Fraction arithmetic per graph.
+    ``pairs`` yields the out-edge tuples of the graphs, which the producers
+    (grafting, slot splitting, Jacobiator expansion) build admissible, so no
+    ``DirectedGraph`` is made for them.  Each is looked up once and its sign
+    added into an integer count per representative; the weight is
+    multiplied in once per class whose count is nonzero, so the graph-level
+    algebra does no Fraction arithmetic per graph.
     """
     counts: dict = {}
-    for g in graphs:
-        cls = canonical_form(g)
+    cache = _CANON_CACHE
+    for out_edges in pairs:
+        key = (n, m, out_edges)
+        cls = cache.get(key) or _lookup(key)
         if cls.sign:
-            counts[cls.rep] = counts.get(cls.rep, 0) + cls.sign
+            rep = cls.rep
+            counts[rep] = counts.get(rep, 0) + cls.sign
     return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))
 
 

@@ -27,26 +27,20 @@ from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, add_labeled
 
 def _split_terms(g: DirectedGraph, slot: int):
     """All proper splits of the incoming edges of argument ``slot`` over two
-    adjacent argument vertices; yields DirectedGraph instances."""
-    n, m = g.n, g.m
+    adjacent argument vertices; yields out-edge pair tuples of K_{n,m+1}."""
     incoming = g.in_edges.get(slot, ())
     k = len(incoming)
     if k < 2:
         return
-    base_pairs = []
-    for left, right in g.out_edges:
-        remapped = []
-        for target in (left, right):
-            if target <= m:
-                remapped.append(target if target < slot else (target + 1 if target > slot else None))
-            else:
-                remapped.append(target + 1)
-        base_pairs.append(remapped)
+    # targets past the slot move up by one; the slot's own edges are set below
+    base = [(left + (left >= slot), right + (right >= slot)) for left, right in g.out_edges]
     for mask in range(1, (1 << k) - 1):
-        pairs = [list(pair) for pair in base_pairs]
+        pairs = base.copy()
         for bit, (src, side) in enumerate(incoming):
-            pairs[src][side] = slot if (mask >> bit) & 1 else slot + 1
-        yield DirectedGraph(n, m + 1, tuple((a, b) for a, b in pairs))
+            target = slot if (mask >> bit) & 1 else slot + 1
+            left, right = pairs[src]
+            pairs[src] = (target, right) if side == 0 else (left, target)
+        yield tuple(pairs)
 
 
 def graph_delta(s: GraphSum) -> GraphSum:
@@ -64,7 +58,8 @@ def graph_delta(s: GraphSum) -> GraphSum:
     for cls, coeff in s.terms():
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
-            add_labeled_graphs(acc, _split_terms(cls.rep, slot), coeff * term_sign)
+            add_labeled_graphs(acc, cls.rep.n, m + 1, _split_terms(cls.rep, slot),
+                               coeff * term_sign)
     return GraphSum._wrap(m + 1, acc)
 
 
@@ -76,22 +71,19 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
     """Insert ``g2`` into argument ``slot`` of ``g1``: the grafted graph keeps
     both edge sets, and every edge of g1 that pointed at the slot is re-aimed
     to each vertex of the grafted copy in all combinations (Leibniz rule).
-    Yields DirectedGraph instances of arity m1 + m2 - 1."""
+    Yields out-edge pair tuples of K_{n1+n2, m1+m2-1}."""
     n1, m1 = g1.n, g1.m
-    n2, m2 = g2.n, g2.m
+    m2 = g2.m
     if not 1 <= slot <= m1:
         raise GraphError("slot %d out of range 1..%d" % (slot, m1))
     m = m1 + m2 - 1
-    n = n1 + n2
 
     def map_g1(target):
-        if target <= m1:
-            if target < slot:
-                return target
-            if target > slot:
-                return target + m2 - 1
-            return None  # re-aimed below
-        return m + 1 + (target - m1 - 1)
+        if target < slot:
+            return target
+        if target > m1:
+            return m + 1 + (target - m1 - 1)
+        return target + m2 - 1  # the slot itself is re-aimed below
 
     def map_g2(target):
         if target <= m2:
@@ -99,24 +91,22 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
         return m + 1 + n1 + (target - m2 - 1)
 
     template = []
-    aimed_positions = []  # (vertex position in combined list, side)
+    aimed = []  # (vertex position in combined list, side) of edges into the slot
     for pos, (left, right) in enumerate(g1.out_edges):
-        new_left, new_right = map_g1(left), map_g1(right)
-        if new_left is None:
-            aimed_positions.append((pos, 0))
-        if new_right is None:
-            aimed_positions.append((pos, 1))
-        template.append([new_left, new_right])
-    for left, right in g2.out_edges:
-        template.append([map_g2(left), map_g2(right)])
+        if left == slot:
+            aimed.append((pos, 0))
+        elif right == slot:
+            aimed.append((pos, 1))
+        template.append((map_g1(left), map_g1(right)))
+    template.extend((map_g2(left), map_g2(right)) for left, right in g2.out_edges)
 
-    graft_targets = tuple(range(slot, slot + m2)) + tuple(
-        m + 1 + n1 + j for j in range(n2))
-    for choice in itertools.product(graft_targets, repeat=len(aimed_positions)):
-        pairs = [list(pair) for pair in template]
-        for (pos, side), target in zip(aimed_positions, choice):
-            pairs[pos][side] = target
-        yield DirectedGraph(n, m, tuple((a, b) for a, b in pairs))
+    graft_targets = tuple(range(slot, slot + m2)) + tuple(range(m + 1 + n1, m + 1 + n1 + g2.n))
+    for choice in itertools.product(graft_targets, repeat=len(aimed)):
+        pairs = template.copy()
+        for (pos, side), target in zip(aimed, choice):
+            left, right = pairs[pos]
+            pairs[pos] = (target, right) if side == 0 else (left, target)
+        yield tuple(pairs)
 
 
 def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> dict:
@@ -126,9 +116,11 @@ def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> dict:
     for cls1, c1 in s1.terms():
         for cls2, c2 in s2.terms():
             base = c1 * c2 * sign
+            n = cls1.rep.n + cls2.rep.n
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                add_labeled_graphs(acc, graft_terms(cls1.rep, slot, cls2.rep), weight)
+                add_labeled_graphs(acc, n, m1 + m2 - 1, graft_terms(cls1.rep, slot, cls2.rep),
+                                   weight)
     return acc
 
 
@@ -181,29 +173,37 @@ class LeibnizGenerator:
                                " / ".join(filter(None, [body, special])))
 
 
+def _jacobiator_terms(m: int, ordinary_out: tuple, special_out: tuple):
+    """The three cyclic two-vertex terms of the Jacobiator in place of the
+    outdegree-3 vertex, with the incoming edges redistributed over the two
+    new vertices in all ways; yields out-edge pair tuples of
+    K_{n_ord+2, m}."""
+    n_ord = len(ordinary_out)
+    special_id = m + n_ord + 1
+    a_id, b_id = m + n_ord + 1, m + n_ord + 2
+    incoming = [(pos, side) for pos, pair in enumerate(ordinary_out)
+                for side in (0, 1) if pair[side] == special_id]
+    base = [(left, right) for left, right in ordinary_out]
+    e1, e2, e3 = special_out
+    for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        # outer factor p^{i l}: i -> head, l -> inner; inner factor p^{j k}
+        tail_pairs = ((head, b_id), (mid, tail))
+        for mask in range(1 << len(incoming)):
+            pairs = base.copy()
+            for bit, (pos, side) in enumerate(incoming):
+                target = a_id if (mask >> bit) & 1 == 0 else b_id
+                left, right = pairs[pos]
+                pairs[pos] = (target, right) if side == 0 else (left, target)
+            yield tuple(pairs) + tail_pairs
+
+
 def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) -> GraphSum:
     """Replace the outdegree-3 vertex by the three cyclic two-vertex terms of
     the Jacobiator, redistributing the incoming edges over the two new
     vertices in all ways."""
-    n_ord = len(ordinary_out)
-    special_id = m + n_ord + 1
-    a_id, b_id = m + n_ord + 1, m + n_ord + 2
-    n = n_ord + 2
-    incoming = [(pos, side) for pos, pair in enumerate(ordinary_out)
-                for side in (0, 1) if pair[side] == special_id]
-    e1, e2, e3 = special_out
-
-    def expansion_graphs():
-        for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-            for mask in range(1 << len(incoming)):
-                pairs = [list(pair) for pair in ordinary_out]
-                for bit, (pos, side) in enumerate(incoming):
-                    pairs[pos][side] = a_id if (mask >> bit) & 1 == 0 else b_id
-                pairs.append([head, b_id])   # outer factor p^{i l}: i -> head, l -> inner
-                pairs.append([mid, tail])    # inner factor p^{j k}
-                yield DirectedGraph(n, m, tuple((x, y) for x, y in pairs))
-
-    return GraphSum._wrap(m, add_labeled_graphs({}, expansion_graphs(), Fraction(1)))
+    n = len(ordinary_out) + 2
+    return GraphSum._wrap(m, add_labeled_graphs(
+        {}, n, m, _jacobiator_terms(m, ordinary_out, special_out), Fraction(1)))
 
 
 @functools.lru_cache(maxsize=None)

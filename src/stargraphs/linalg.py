@@ -1,15 +1,18 @@
 """Exact sparse Gaussian elimination over the rationals.
 
 Rows are dicts mapping column index -> nonzero exact rational, ``int`` or
-``Fraction``.  ``echelon`` normalises pivot rows by ``Fraction`` division, so
-rows of ``int`` never turn into floats.  ``StreamingReducer`` is
-fraction-free (Bareiss-style cross-multiplication on rows scaled to
-integers); its verdicts are re-checked by ``echelon``.  Two deterministic
-pivot strategies are provided so that every certificate can be re-verified
-with an independent elimination order:
+``Fraction``.  ``echelon`` holds every integral value as an ``int``: a
+pivot of 1 or -1 leaves its row integral, and any other pivot divides its
+row by ``Fraction`` with integral quotients stored as ``int``, so rows of
+``int`` never turn into floats.  ``StreamingReducer`` is fraction-free
+(Bareiss-style cross-multiplication on rows scaled to integers); its
+verdicts are re-checked by ``echelon``.  Two deterministic pivot
+strategies are provided so that every certificate can be re-verified with
+an independent elimination order:
 
-* ``markowitz``: pick the pivot minimizing (row_nnz - 1) * (col_nnz - 1),
-  ties broken by (column, row);
+* ``markowitz``: the sparsest live column, ties broken by the lower column,
+  then the sparsest row holding it, ties broken by the lower row; columns
+  come from a heap of (holder count, column);
 * ``ordered``: leftmost unpivoted column, lowest surviving row.
 
 No modular arithmetic is used anywhere; all verdicts are unconditional.
@@ -17,6 +20,7 @@ No modular arithmetic is used anywhere; all verdicts are unconditional.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +33,8 @@ Row = dict
 STRATEGIES = ("markowitz", "ordered")
 
 
-def _eliminate_into(target: Row, pivot_row: Row, factor: Fraction):
-    """target -= factor * pivot_row, in place."""
+def _eliminate_into(target: Row, pivot_row: Row, factor: int):
+    """target -= factor * pivot_row, in place, on rows of ``int``."""
     for col, value in pivot_row.items():
         cur = target.get(col)
         if cur is None:
@@ -41,6 +45,16 @@ def _eliminate_into(target: Row, pivot_row: Row, factor: Fraction):
                 target[col] = cur
             else:
                 del target[col]
+
+
+def _exact(value):
+    """``value`` as an exact rational, an ``int`` when it is integral."""
+    if type(value) is not int:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
 
 
 @dataclass
@@ -72,30 +86,27 @@ class Echelon:
         """Basis of the homogeneous nullspace, one sparse vector per free
         column, deterministic order."""
         pivot_set = set(self.pivot_cols)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = {free: Fraction(1)}
-            for row_idx, col in enumerate(self.pivot_cols):
-                coeff = self.rows[row_idx].get(free)
-                if coeff:
+        basis = {free: {free: 1} for free in range(self.ncols) if free not in pivot_set}
+        for col, row in zip(self.pivot_cols, self.rows):
+            for free, coeff in row.items():
+                vec = basis.get(free)
+                if vec is not None:
                     vec[col] = -coeff
-            basis.append(vec)
-        return basis
+        return list(basis.values())
 
 
 def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             strategy: str = "markowitz", nonzero_budget: int | None = None) -> Echelon:
     """Bring A (with optional b) to reduced row echelon form.
 
-    ``nonzero_budget`` bounds the nonzeros of A held at any time: the input
-    is checked first, and the live count is updated after every row update,
-    so fill-in past the budget raises ``BudgetExceededError`` as soon as it
-    happens."""
+    Values are kept exact, integral ones as ``int`` (see the module
+    docstring).  ``nonzero_budget`` bounds the nonzeros of A held at any
+    time: the input is checked first, and the live count is updated after
+    every row update, so fill-in past the budget raises
+    ``BudgetExceededError`` as soon as it happens."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    work = [dict(r) for r in rows]
+    work = [{col: _exact(value) for col, value in r.items()} for r in rows]
     live = sum(len(r) for r in work)
     budget = math.inf if nonzero_budget is None else nonzero_budget
     if live > budget:
@@ -111,9 +122,9 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
                                       "budget is %d" % (live, nonzero_budget))
 
     if rhs is None:
-        b = [Fraction(0)] * len(work)
+        b = [0] * len(work)
     else:
-        b = [Fraction(v) for v in rhs]
+        b = [_exact(v) for v in rhs]
         if len(b) != len(work):
             raise ValueError("rhs length %d does not match %d rows" % (len(b), len(work)))
     active = set(range(len(work)))
@@ -122,6 +133,12 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     for idx in active:
         for col in work[idx]:
             col_rows.setdefault(col, set()).add(idx)
+    # markowitz: (holder count, column) with lazy deletion; an entry is live
+    # while its count is the column's holder count, and the columns whose
+    # count changed during a pivot step are pushed again before the next one
+    heap = [(len(holders), col) for col, holders in col_rows.items()]
+    heapq.heapify(heap)
+    touched = set()
     pivots = []  # (col, row)
     inconsistent = False
 
@@ -130,6 +147,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             holders = col_rows.get(col)
             if holders is not None:
                 holders.discard(idx)
+                touched.add(col)
                 if not holders:
                     del col_rows[col]
 
@@ -138,18 +156,22 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
         for col, value in pivot_row.items():
             cur = target.get(col)
             if cur is None:
-                target[col] = -factor * value
+                cur = -factor * value
                 col_rows.setdefault(col, set()).add(idx)
+                touched.add(col)
             else:
                 cur -= factor * value
-                if cur:
-                    target[col] = cur
-                else:
+                if not cur:
                     del target[col]
                     holders = col_rows[col]
                     holders.discard(idx)
+                    touched.add(col)
                     if not holders:
                         del col_rows[col]
+                    continue
+            if type(cur) is not int and cur.denominator == 1:
+                cur = cur.numerator
+            target[col] = cur
 
     while col_rows:
         if strategy == "ordered":
@@ -157,16 +179,29 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             best_row = min(col_rows[best_col])
         else:
             # Markowitz-style: sparsest column first, then sparsest row in it
-            best_col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-            best_row = min(col_rows[best_col],
-                           key=lambda idx: (len(work[idx]), idx))
+            for col in touched:
+                holders = col_rows.get(col)
+                if holders:
+                    heapq.heappush(heap, (len(holders), col))
+            while True:
+                count, best_col = heap[0]
+                holders = col_rows.get(best_col)
+                if holders is not None and len(holders) == count:
+                    break
+                heapq.heappop(heap)
+            best_row = min(holders, key=lambda idx: (len(work[idx]), idx))
+        touched.clear()
         pivot_row = work[best_row]
         pivot_val = pivot_row[best_col]
-        if pivot_val != 1:
+        if pivot_val == -1:
+            for col, value in pivot_row.items():
+                pivot_row[col] = -value
+            b[best_row] = -b[best_row]
+        elif pivot_val != 1:
             pivot_val = Fraction(pivot_val)  # int / int would give a float
-            for col in pivot_row:
-                pivot_row[col] /= pivot_val
-            b[best_row] /= pivot_val
+            for col, value in pivot_row.items():
+                pivot_row[col] = _exact(value / pivot_val)
+            b[best_row] = _exact(b[best_row] / pivot_val)
         detach(best_row)
         active.discard(best_row)
         pivots.append((best_col, best_row))
@@ -175,7 +210,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             before = len(work[idx])
             eliminate_indexed(idx, pivot_row, factor)
             charge(idx, before)
-            b[idx] -= factor * b[best_row]
+            b[idx] = _exact(b[idx] - factor * b[best_row])
             if not work[idx]:
                 if b[idx]:
                     inconsistent = True
@@ -185,22 +220,24 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             inconsistent = True
 
     # back-substitute to full RREF: sweep pivot columns in descending order,
-    # clearing each from every other pivot row (selection order under the
-    # markowitz strategy is not monotone in the column index)
+    # clearing each from every other pivot row in ascending pivot-column
+    # order (selection order under the markowitz strategy is not monotone
+    # in the column index); col_rows now indexes the pivot rows
     pivots.sort()
-    for k in range(len(pivots) - 1, -1, -1):
-        col, row_idx = pivots[k]
+    position = {row_idx: k for k, (_, row_idx) in enumerate(pivots)}
+    for _, row_idx in pivots:
+        for col in work[row_idx]:
+            col_rows.setdefault(col, set()).add(row_idx)
+    for col, row_idx in reversed(pivots):
         pivot_row = work[row_idx]
-        for other_col, other_row_idx in pivots:
-            if other_col == col:
+        for idx in sorted(col_rows[col], key=position.__getitem__):
+            if idx == row_idx:
                 continue
-            other_row = work[other_row_idx]
-            factor = other_row.get(col)
-            if factor:
-                before = len(other_row)
-                _eliminate_into(other_row, pivot_row, factor)
-                charge(other_row_idx, before)
-                b[other_row_idx] -= factor * b[row_idx]
+            factor = work[idx][col]
+            before = len(work[idx])
+            eliminate_indexed(idx, pivot_row, factor)
+            charge(idx, before)
+            b[idx] = _exact(b[idx] - factor * b[row_idx])
     return Echelon(ncols=ncols,
                    pivot_cols=[col for col, _ in pivots],
                    rows=[work[row_idx] for _, row_idx in pivots],
@@ -289,12 +326,13 @@ class StreamingReducer:
 
     def reverify(self, strategy: str = "markowitz") -> dict:
         """Recompute rank and feasibility of the collected raw system with an
-        independent elimination; returns the rank data."""
-        ech_aug = echelon([dict(r) for r in self.raw_rows], self.raw_rhs, 0, strategy)
-        ech_coeff = echelon([dict(r) for r in self.raw_rows], None, 0, strategy)
+        independent elimination; returns the rank data.  One elimination of
+        the augmented system gives both ranks: the pivot choice never reads
+        the right-hand side, so its pivots are those of A alone."""
+        ech = echelon(self.raw_rows, self.raw_rhs, 0, strategy)
         return {
             "strategy": strategy,
-            "rank_coefficient": ech_coeff.rank,
-            "rank_augmented": ech_aug.rank + (1 if ech_aug.inconsistent else 0),
-            "inconsistent": ech_aug.inconsistent,
+            "rank_coefficient": ech.rank,
+            "rank_augmented": ech.rank + (1 if ech.inconsistent else 0),
+            "inconsistent": ech.inconsistent,
         }

@@ -6,14 +6,16 @@ check.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterable
 
-from stargraphs.errors import DimensionError
+from stargraphs.errors import BudgetExceededError, DimensionError
 from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
                                _canonical_raw, _passes_filter, has_wheel, parse_graph)
-from stargraphs.homology import (LeibnizGenerator, _split_terms, expand_jacobiator_vertex,
-                                 graft_terms)
-from stargraphs.linalg import StreamingReducer
+from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
+                                 expand_jacobiator_vertex, graft_terms)
+from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
 from stargraphs.operators import PolyDiffOperator, apply_graph
 from stargraphs.poly import Poly
 
@@ -348,6 +350,144 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def fraction_echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
+            strategy: str = "markowitz", nonzero_budget: int | None = None) -> Echelon:
+    """Bring A (with optional b) to reduced row echelon form, dividing every
+    pivot row other than 1 by ``Fraction(pivot)`` and picking each Markowitz
+    column by a scan over all live columns.
+
+    ``nonzero_budget`` bounds the nonzeros of A held at any time: the input
+    is checked first, and the live count is updated after every row update,
+    so fill-in past the budget raises ``BudgetExceededError`` as soon as it
+    happens."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
+    work = [dict(r) for r in rows]
+    live = sum(len(r) for r in work)
+    budget = math.inf if nonzero_budget is None else nonzero_budget
+    if live > budget:
+        raise BudgetExceededError("matrix has %d nonzeros, budget is %d"
+                                  % (live, nonzero_budget))
+
+    def charge(idx, before):
+        """Account for the change in length of row idx (``before`` entries)."""
+        nonlocal live
+        live += len(work[idx]) - before
+        if live > budget:
+            raise BudgetExceededError("elimination fill-in reached %d nonzeros, "
+                                      "budget is %d" % (live, nonzero_budget))
+
+    if rhs is None:
+        b = [Fraction(0)] * len(work)
+    else:
+        b = [Fraction(v) for v in rhs]
+        if len(b) != len(work):
+            raise ValueError("rhs length %d does not match %d rows" % (len(b), len(work)))
+    active = set(range(len(work)))
+    # column -> set of active rows holding it, maintained incrementally
+    col_rows: dict[int, set] = {}
+    for idx in active:
+        for col in work[idx]:
+            col_rows.setdefault(col, set()).add(idx)
+    pivots = []  # (col, row)
+    inconsistent = False
+
+    def detach(idx):
+        for col in work[idx]:
+            holders = col_rows.get(col)
+            if holders is not None:
+                holders.discard(idx)
+                if not holders:
+                    del col_rows[col]
+
+    def eliminate_indexed(idx, pivot_row, factor):
+        target = work[idx]
+        for col, value in pivot_row.items():
+            cur = target.get(col)
+            if cur is None:
+                target[col] = -factor * value
+                col_rows.setdefault(col, set()).add(idx)
+            else:
+                cur -= factor * value
+                if cur:
+                    target[col] = cur
+                else:
+                    del target[col]
+                    holders = col_rows[col]
+                    holders.discard(idx)
+                    if not holders:
+                        del col_rows[col]
+
+    while col_rows:
+        if strategy == "ordered":
+            best_col = min(col_rows)
+            best_row = min(col_rows[best_col])
+        else:
+            # Markowitz-style: sparsest column first, then sparsest row in it
+            best_col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
+            best_row = min(col_rows[best_col],
+                           key=lambda idx: (len(work[idx]), idx))
+        pivot_row = work[best_row]
+        pivot_val = pivot_row[best_col]
+        if pivot_val != 1:
+            pivot_val = Fraction(pivot_val)  # int / int would give a float
+            for col in pivot_row:
+                pivot_row[col] /= pivot_val
+            b[best_row] /= pivot_val
+        detach(best_row)
+        active.discard(best_row)
+        pivots.append((best_col, best_row))
+        for idx in sorted(col_rows.get(best_col, ())):
+            factor = work[idx][best_col]
+            before = len(work[idx])
+            eliminate_indexed(idx, pivot_row, factor)
+            charge(idx, before)
+            b[idx] -= factor * b[best_row]
+            if not work[idx]:
+                if b[idx]:
+                    inconsistent = True
+                active.discard(idx)
+    for idx in active:
+        if b[idx]:
+            inconsistent = True
+
+    # back-substitute to full RREF: sweep pivot columns in descending order,
+    # clearing each from every other pivot row (selection order under the
+    # markowitz strategy is not monotone in the column index)
+    pivots.sort()
+    for k in range(len(pivots) - 1, -1, -1):
+        col, row_idx = pivots[k]
+        pivot_row = work[row_idx]
+        for other_col, other_row_idx in pivots:
+            if other_col == col:
+                continue
+            other_row = work[other_row_idx]
+            factor = other_row.get(col)
+            if factor:
+                before = len(other_row)
+                _eliminate_into(other_row, pivot_row, factor)
+                charge(other_row_idx, before)
+                b[other_row_idx] -= factor * b[row_idx]
+    return Echelon(ncols=ncols,
+                   pivot_cols=[col for col, _ in pivots],
+                   rows=[work[row_idx] for _, row_idx in pivots],
+                   rhs=[b[row_idx] for _, row_idx in pivots],
+                   inconsistent=inconsistent)
+
+
+def two_elimination_reverify(reducer, strategy="markowitz"):
+    """``StreamingReducer.reverify`` by two ``fraction_echelon`` calls: the
+    augmented system for feasibility, A alone for the coefficient rank."""
+    ech_aug = fraction_echelon([dict(r) for r in reducer.raw_rows], reducer.raw_rhs, 0, strategy)
+    ech_coeff = fraction_echelon([dict(r) for r in reducer.raw_rows], None, 0, strategy)
+    return {
+        "strategy": strategy,
+        "rank_coefficient": ech_coeff.rank,
+        "rank_augmented": ech_aug.rank + (1 if ech_aug.inconsistent else 0),
+        "inconsistent": ech_aug.inconsistent,
+    }
+
+
 class FractionStreamingReducer(StreamingReducer):
     """``StreamingReducer`` with ``Fraction`` elimination: each pivot row is
     divided by its leading entry, and each new row has the pivot rows
@@ -441,6 +581,25 @@ def operator_jacobiator(p):
 
 # -- graph-level algebra with one GraphSum term per labeled graph ---------------
 
+def checked_graphs(n, m, pairs):
+    """A ``DirectedGraph`` for every out-edge tuple a producer yields; the
+    constructor checks that each one is admissible."""
+    return [DirectedGraph(n, m, out_edges) for out_edges in pairs]
+
+
+def split_graphs(g, slot):
+    return checked_graphs(g.n, g.m + 1, _split_terms(g, slot))
+
+
+def grafted_graphs(g1, slot, g2):
+    return checked_graphs(g1.n + g2.n, g1.m + g2.m - 1, graft_terms(g1, slot, g2))
+
+
+def jacobiator_graphs(m, ordinary_out, special_out):
+    return checked_graphs(len(ordinary_out) + 2, m,
+                          _jacobiator_terms(m, ordinary_out, special_out))
+
+
 def labelled_graph_delta(s):
     """Graph-level Hochschild differential with every split graph passed to
     the GraphSum constructor as its own term, weighted (-1)^m (-1)^(t-1)."""
@@ -451,7 +610,7 @@ def labelled_graph_delta(s):
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
             weight = coeff * term_sign
-            for split in _split_terms(cls.rep, slot):
+            for split in split_graphs(cls.rep, slot):
                 out.append((split, weight))
     return GraphSum(m + 1, out)
 
@@ -466,7 +625,7 @@ def labelled_graph_compose(s1, s2):
             base = c1 * c2
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                for grafted in graft_terms(cls1.rep, slot, cls2.rep):
+                for grafted in grafted_graphs(cls1.rep, slot, cls2.rep):
                     out.append((grafted, weight))
     return GraphSum(m1 + m2 - 1, out)
 
@@ -479,9 +638,9 @@ def labelled_graph_gerstenhaber(s1, s2):
     return left - right if (k1 * k2) % 2 == 0 else left + right
 
 
-def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
+def transcribed_jacobiator_graphs(m, ordinary_out, special_out):
     """The three cyclic two-vertex Jacobiator terms with every redistribution
-    of the incoming edges passed to the GraphSum constructor with weight 1."""
+    of the incoming edges, as a list of DirectedGraphs in production order."""
     n_ord = len(ordinary_out)
     special_id = m + n_ord + 1
     a_id, b_id = m + n_ord + 1, m + n_ord + 2
@@ -497,5 +656,12 @@ def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
                 pairs[pos][side] = a_id if (mask >> bit) & 1 == 0 else b_id
             pairs.append([head, b_id])
             pairs.append([mid, tail])
-            out.append((DirectedGraph(n, m, tuple((x, y) for x, y in pairs)), 1))
-    return GraphSum(m, out)
+            out.append(DirectedGraph(n, m, tuple((x, y) for x, y in pairs)))
+    return out
+
+
+def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
+    """The Jacobiator expansion with every transcribed graph passed to the
+    GraphSum constructor with weight 1."""
+    return GraphSum(m, [(g, 1) for g in transcribed_jacobiator_graphs(m, ordinary_out,
+                                                                      special_out)])

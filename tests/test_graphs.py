@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
                      brute_force_labeled_graphs, scan_enumerate_graphs, scan_zero_classes)
+from stargraphs import graphs
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (FILTERS, DirectedGraph, GraphSum, _canonical_raw, canonical_form,
                                encode_graph, enumerate_graphs, has_wheel, parse_graph,
@@ -115,6 +116,40 @@ def test_swap_changes_sign():
     c2 = canonical_form(parse_graph("1 2 ; 3: 2 1"))
     assert c1.rep == c2.rep
     assert (c1.sign, c2.sign) == (1, -1)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty canonical-form cache and interning tables for one test."""
+    for name in ("_CANON_CACHE", "_REPS", "_CLASSES"):
+        monkeypatch.setattr(graphs, name, {})
+
+
+def test_isomorphic_graphs_share_one_representative(fresh_tables):
+    # three labelings of the class of "2 2 ; 3: 1 2 / 4: 1 3", none canonical
+    first = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
+    twin = canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2"))
+    flipped = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 1 2"))
+    assert first.rep is twin.rep is flipped.rep
+    assert str(first.rep) == "2 2 ; 3: 1 2 / 4: 1 3"
+    assert first is twin and (first.sign, flipped.sign) == (-1, 1)
+    # producers' pair tuples reach the same objects without a DirectedGraph
+    acc = graphs.add_labeled_graphs({}, 2, 2, [((1, 2), (1, 3)), ((1, 4), (1, 2)),
+                                               ((1, 4), (2, 1))], Fraction(3))
+    assert [(rep is first.rep, coeff) for rep, coeff in acc.items()] == [(True, 3)]
+
+
+def test_cache_limit_clears_the_interned_representatives(fresh_tables, monkeypatch):
+    monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", 2)
+    first = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
+    assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")).rep is first.rep
+    assert len(graphs._CANON_CACHE) == 2
+    other = canonical_form(parse_graph("1 2 ; 3: 2 1"))  # a miss at the limit
+    assert (graphs._CANON_CACHE, graphs._REPS) == (
+        {(1, 2, ((2, 1),)): other}, {other.rep.key: other.rep})
+    assert list(graphs._CLASSES.values()) == [other]
+    again = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
+    assert again == first and again.rep is not first.rep
 
 
 def test_antisymmetrized_pair_cancels():

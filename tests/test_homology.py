@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (all_pairs_leibniz_generators, labelled_expand_jacobiator_vertex,
-                     labelled_graph_compose, labelled_graph_delta, labelled_graph_gerstenhaber)
+from oracles import (all_pairs_leibniz_generators, grafted_graphs, jacobiator_graphs,
+                     labelled_expand_jacobiator_vertex, labelled_graph_compose,
+                     labelled_graph_delta, labelled_graph_gerstenhaber,
+                     transcribed_jacobiator_graphs)
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
                               enumerate_graphs, has_wheel, parse_graph)
-from stargraphs.homology import (LeibnizGenerator, expand_jacobiator_vertex,
-                                 graft_terms, graph_compose, graph_delta,
-                                 graph_gerstenhaber, leibniz_generators)
+from stargraphs.homology import (LeibnizGenerator, expand_jacobiator_vertex, graph_compose,
+                                 graph_delta, graph_gerstenhaber, leibniz_generators)
 from stargraphs.operators import (apply_graph, compile_sum, oracle_compose,
                                   oracle_delta, oracle_gerstenhaber)
 from stargraphs.poisson import PoissonStructure, preset_poisson
@@ -111,8 +112,8 @@ def test_compose_matches_oracle_on_random_sums():
 def test_graft_slot_transposition_symmetry():
     g1 = parse_graph(POISSON)
     g2 = parse_graph(POISSON)
-    into1 = GraphSum(3, [(g, 1) for g in graft_terms(g1, 1, g2)])
-    into2 = GraphSum(3, [(g, 1) for g in graft_terms(g1, 2, g2)])
+    into1 = GraphSum(3, [(g, 1) for g in grafted_graphs(g1, 1, g2)])
+    into2 = GraphSum(3, [(g, 1) for g in grafted_graphs(g1, 2, g2)])
     # slot-1 graft arguments are (inner1, inner2, outer2), slot-2 graft
     # arguments are (outer1, inner1, inner2): the cyclic slot relabeling
     # 1 -> 2, 2 -> 3, 3 -> 1 carries one onto the other, up to the sign of
@@ -258,6 +259,8 @@ def test_counted_jacobiator_expansion_matches_labelled_oracle(n_total, m):
                 continue
             expansion = expand_jacobiator_vertex(m, ordinary, triple)
             assert expansion == labelled_expand_jacobiator_vertex(m, ordinary, triple)
+            assert (jacobiator_graphs(m, ordinary, triple)
+                    == transcribed_jacobiator_graphs(m, ordinary, triple))
             checked += 1
             vanishing += expansion.is_zero
     assert checked

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import FractionStreamingReducer, dense_rank
+from oracles import (FractionStreamingReducer, dense_rank, fraction_echelon,
+                     two_elimination_reverify)
+from stargraphs import linalg, solver
 from stargraphs.errors import BudgetExceededError
 from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
 
@@ -271,3 +273,126 @@ def test_streaming_reducer_matches_fraction_oracle():
             lead = row[col]
             assert ({c: F(v, lead) for c, v in row.items()}, F(b, lead)) == oracle.pivots[col]
     assert seen == {"pivot", "redundant", "inconsistent"}
+
+
+# -- integral echelon against the Fraction oracle ------------------------------
+
+ARROW = ([{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 2}, {0: 1, 2: 2}, {0: 1, 3: 2}], None)
+NEGATIVE_PIVOTS = ([{0: -1, 1: 2}, {1: -1, 2: F(1, 2)}, {0: 3, 2: -1}, {2: -1, 3: 4}],
+                   [1, F(-1, 2), 0, 7])
+
+
+def oracle_systems():
+    """Seeded systems of int and Fraction entries: full rank, rank-deficient
+    and inconsistent ones, fill-in, pivots of -1, and values above 2^64."""
+    systems = [(rows, None) for rows in (r for r, _ in INT_SYSTEMS)]
+    systems += list(INT_SYSTEMS) + list(random_int_systems()) + [ARROW, NEGATIVE_PIVOTS]
+    rng = random.Random(2026)
+    for _ in range(25):
+        rows, rhs = random_mixed_system(rng)
+        systems.append((rows, rhs))
+        systems.append((rows, None))
+    rng = random.Random(5)
+    for _ in range(10):
+        systems.append((rand_sparse_rows(rng, rng.randint(1, 8), rng.randint(1, 6)), None))
+    return [(rows, rhs) for rows, rhs in systems if rows]
+
+
+def smallest_budget(rows, rhs, strategy, eliminate):
+    """The least ``nonzero_budget`` under which the elimination succeeds."""
+
+    def passes(budget):
+        try:
+            eliminate([dict(r) for r in rows], rhs, 0, strategy, nonzero_budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    lo, hi = -1, 1  # lo fails, hi is searched for
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+def assert_same_echelon(rows, rhs, strategy):
+    new = echelon([dict(r) for r in rows], rhs, 0, strategy)
+    old = fraction_echelon([dict(r) for r in rows], rhs, 0, strategy)
+    assert (new.pivot_cols, new.rows, new.rhs, new.inconsistent) == (
+        old.pivot_cols, old.rows, old.rhs, old.inconsistent)
+    for value in [v for row in new.rows for v in row.values()] + list(new.rhs):
+        assert type(value) in (int, Fraction)
+        assert type(value) is int or value.denominator != 1
+    return new
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_echelon_matches_the_fraction_oracle(strategy):
+    kinds = set()
+    for rows, rhs in oracle_systems():
+        ech = assert_same_echelon(rows, rhs, strategy)
+        kinds.add("inconsistent" if ech.inconsistent else
+                  "deficient" if ech.rank < len(rows) else "full")
+        assert (smallest_budget(rows, rhs, strategy, echelon)
+                == smallest_budget(rows, rhs, strategy, fraction_echelon))
+    assert kinds == {"inconsistent", "deficient", "full"}
+    arrow = ARROW[0]
+    assert smallest_budget(arrow, None, "ordered", echelon) > sum(len(r) for r in arrow)
+
+
+@pytest.mark.parametrize("wheel_free", [True, False], ids=["wheel_free", "all"])
+def test_echelon_matches_the_fraction_oracle_on_cocycle_kernel_rows(wheel_free, monkeypatch):
+    systems = []
+
+    def recording(rows, rhs, ncols, strategy, nonzero_budget=None):
+        systems.append([dict(r) for r in rows])
+        return echelon(rows, rhs, ncols, strategy, nonzero_budget)
+
+    monkeypatch.setattr(solver, "echelon", recording)
+    solver.cocycle_kernel(4, wheel_free, modulo_leibniz=True)
+    (rows,) = systems
+    for strategy in STRATEGIES:
+        assert_same_echelon(rows, None, strategy)
+    budget = smallest_budget(rows, None, "markowitz", echelon)
+    fraction_echelon([dict(r) for r in rows], None, 0, "markowitz", nonzero_budget=budget)
+    with pytest.raises(BudgetExceededError):
+        fraction_echelon([dict(r) for r in rows], None, 0, "markowitz",
+                         nonzero_budget=budget - 1)
+
+
+def seeded_reducers():
+    rng = random.Random(2024)
+    for _ in range(30):
+        rows, rhs = random_mixed_system(rng)
+        red = StreamingReducer()
+        for r, b in zip(rows, rhs):
+            red.add_row(r, b)
+        yield red
+    rng = random.Random(33)
+    for _ in range(10):
+        nrows, ncols = rng.randint(2, 9), rng.randint(2, 6)
+        red = StreamingReducer()
+        for row in rand_sparse_rows(rng, nrows, ncols):
+            red.add_row(row, F(rng.randint(-2, 2)))
+        yield red
+
+
+def test_reverify_eliminates_once_with_the_two_elimination_result(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    verdicts = set()
+    for red in seeded_reducers():
+        for strategy in STRATEGIES:
+            del calls[:]
+            result = red.reverify(strategy)
+            assert len(calls) == 1
+            assert result == two_elimination_reverify(red, strategy)
+            verdicts.add(result["inconsistent"])
+    assert verdicts == {True, False}
