@@ -560,7 +560,7 @@ class GraphSum:
     are Fractions; a float coefficient raises ``TypeError``.
     """
 
-    __slots__ = ("arity", "_terms", "_key")
+    __slots__ = ("arity", "_terms", "_key", "_hash")
 
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
@@ -568,6 +568,7 @@ class GraphSum:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", _merge({}, _canonical_terms(arity, terms)))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _wrap(cls, arity: int, terms: dict) -> "GraphSum":
@@ -577,6 +578,7 @@ class GraphSum:
         object.__setattr__(s, "arity", arity)
         object.__setattr__(s, "_terms", terms)
         object.__setattr__(s, "_key", None)
+        object.__setattr__(s, "_hash", None)
         return s
 
     def __setattr__(self, name, value):
@@ -661,7 +663,11 @@ class GraphSum:
         return self._key
 
     def __hash__(self):
-        return hash(self.cache_key())
+        """Hash of ``cache_key()``, computed once: the key holds Fractions,
+        whose hashes are costly."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.cache_key()))
+        return self._hash
 
     def permute_args(self, perm: tuple) -> "GraphSum":
         """Relabel argument slots: old slot i becomes perm[i-1] (1-based values)."""

@@ -113,8 +113,9 @@ def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> dict:
     """Add sign * (s1 o s2) into ``acc``: the grafts of one (term pair,
     slot) share a weight and are counted per class by ``add_labeled_graphs``."""
     m1, m2 = s1.arity, s2.arity
+    terms2 = s2.terms()
     for cls1, c1 in s1.terms():
-        for cls2, c2 in s2.terms():
+        for cls2, c2 in terms2:
             base = c1 * c2 * sign
             n = cls1.rep.n + cls2.rep.n
             for slot in range(1, m1 + 1):

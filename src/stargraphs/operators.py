@@ -9,25 +9,29 @@ index pairs depth first, vertex by vertex, multiplies each vertex factor into
 the shared prefix coefficient once and cuts a subtree at its first zero
 factor; a graph with a vertex of more incoming edges than any entry has
 degree is zero without a search.  Compiled graphs are cached on the Poisson
-structure under their key.  ``compile_sum`` accumulates into one exponent
-dict.  ``Poly`` keeps integral coefficients as ``int``, and an integral
-``GraphSum`` coefficient is applied as an ``int``, so integral cochains on
-an integral fixture evaluate on integral arguments without any ``Fraction``
-arithmetic.
+structure under their key, and ``compile_sum`` operators under the sum.
+``compile_sum`` accumulates into one exponent dict.  ``Poly`` keeps
+integral coefficients as ``int``, and an integral ``GraphSum`` coefficient
+is applied as an ``int``, so integral cochains on an integral fixture
+evaluate on integral arguments without any ``Fraction`` arithmetic.
 
-Evaluation is one pass, ``_accumulate``, over operator terms indexed as
-key -> [(column, coefficient)] and grouped by the derivative order of each
-slot.  For each key it forms the product of the argument derivatives once
-(closed-form ``Poly.derive_multi``, each derivative taken once per argument)
-and multiplies it into every column that has the key; groups whose orders
-exceed the argument degrees are skipped.  ``PolyDiffOperator.apply`` is the
-one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
+Evaluation is one pass, ``_accumulate``, over operator terms stored in a
+per-slot trie: slot-1 derivative multi-index -> slot-2 multi-index -> .. ->
+[(column, coefficient)] in column order.  A derivative of an argument is
+nonzero exactly when its multi-index lies in the argument's downset (below
+some exponent of it), so each argument tuple walks the trie along its
+arguments' downsets and reaches only the keys whose product of derivatives
+is nonzero; a subtree is cut at its first vanishing slot.  Each argument's
+downset membership and derivatives (closed-form ``Poly.derive_multi``) are
+settled once per pass, and a reached key's value is formed once and
+multiplied into every column of its leaf.  ``PolyDiffOperator.apply`` is
+the one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
 case: the Hochschild coboundaries of many cochains on one argument tuple,
 whose m + 2 inner argument tuples enter each key as one signed combination.
 Every key of a graph's operator has the slot orders (indeg(1), ..,
 indeg(m)), so ``CoboundaryColumns`` groups its graphs by in-degree before
-compiling and compiles a group only once some argument tuple's degrees
-admit it.
+compiling and compiles a group into its trie only once some argument
+tuple's degrees admit it.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
@@ -42,6 +46,7 @@ values.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .errors import DimensionError
@@ -54,7 +59,7 @@ class PolyDiffOperator:
     """m-linear differential operator: map from m-tuples of derivative
     multi-indices to Poly coefficients."""
 
-    __slots__ = ("d", "arity", "terms", "_groups")
+    __slots__ = ("d", "arity", "terms", "_trie")
 
     def __init__(self, d: int, arity: int, terms=None):
         clean: dict[tuple, Poly] = {}
@@ -65,7 +70,7 @@ class PolyDiffOperator:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_groups", None)
+        object.__setattr__(self, "_trie", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffOperator is immutable")
@@ -78,9 +83,9 @@ class PolyDiffOperator:
         """The operator's value: the one-column, one-tuple case of
         ``_accumulate``."""
         _check_args(self.d, self.arity, args)
-        if self._groups is None:
-            object.__setattr__(self, "_groups", _group_terms(self))
-        return _wrap(self.d, _accumulate(self._groups, 1, [(args, None)])[0])
+        if self._trie is None:
+            object.__setattr__(self, "_trie", _group_terms(self))
+        return _wrap(self.d, _accumulate(self._trie, 1, [(args, None)])[0])
 
 
 def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
@@ -91,38 +96,63 @@ def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
             raise DimensionError("argument dimension %d does not match d=%d" % (f.d, d))
 
 
-def _group_terms(op: PolyDiffOperator) -> list:
-    """The terms of one operator (column 0) grouped by the derivative order
-    of each slot: [(slot orders, [(key, [(0, coefficient terms)])])]."""
-    groups: dict[tuple, list] = {}
+def _insert(trie: dict, key: tuple, col: int, coeffs: dict) -> None:
+    """Add (column, coefficient terms) to the leaf of ``key`` in a per-slot
+    trie: slot-1 multi-index -> slot-2 multi-index -> .. -> [(column,
+    terms)]."""
+    node = trie
+    for alpha in key[:-1]:
+        node = node.setdefault(alpha, {})
+    node.setdefault(key[-1], []).append((col, coeffs))
+
+
+def _group_terms(op: PolyDiffOperator) -> dict:
+    """The terms of one operator (column 0) in a per-slot trie."""
+    trie: dict = {}
     for key, poly in op.terms.items():
-        groups.setdefault(tuple(map(sum, key)), []).append((key, [(0, poly.terms)]))
-    return list(groups.items())
+        _insert(trie, key, 0, poly.terms)
+    return trie
 
 
-def _slot_products(args: Sequence[Poly], derivatives: dict):
-    """key -> product of the argument derivatives the key names, as a term
-    dict (empty when it vanishes).  ``derivatives`` maps id(argument) ->
-    {alpha: terms}, so each derivative of an argument is taken once however
-    many tuples and slots it fills."""
-    caches = [derivatives.setdefault(id(f), {}) for f in args]
-    degrees = [f.degree() for f in args]
+def _downset(f: Poly) -> set:
+    """The multi-indices alpha <= some exponent of f: those whose derivative
+    of f is nonzero (distinct exponents stay distinct under d^alpha)."""
+    down: set = set()
+    for e in f.terms:
+        down.update(product(*[range(k + 1) for k in e]))
+    return down
 
-    def product(key):
-        out = None
-        for slot, alpha in enumerate(key):
-            der = caches[slot].get(alpha)
-            if der is None:
-                # a derivative of order above the degree vanishes
-                der = caches[slot][alpha] = (
-                    {} if sum(alpha) > degrees[slot]
-                    else args[slot].derive_multi(alpha).terms)
-            if not der:
-                return der
-            out = der if out is None else _mul_terms(out, der, {})
-        return out
 
-    return product
+def _reach(trie: dict, args: Sequence[Poly], derivatives: dict) -> list:
+    """[(leaf, product of the argument derivatives its key names)] for the
+    leaves whose key has each slot's multi-index in the downset of that
+    slot's argument, which are exactly the keys whose product is nonzero.
+    The trie is walked slot by slot along the downsets, each node through
+    the smaller of its children and the downset.  ``derivatives`` maps
+    id(argument) -> (downset, {alpha: derivative terms}), so each
+    argument's downset and derivatives are formed once however many tuples
+    and slots it fills."""
+    frontier = [(trie, None)]
+    for f in args:
+        if not frontier:
+            break
+        entry = derivatives.get(id(f))
+        if entry is None:
+            entry = derivatives[id(f)] = (_downset(f), {})
+        down, table = entry
+        reached = []
+        for node, prefix in frontier:
+            if len(down) < len(node):
+                hits = [(alpha, node[alpha]) for alpha in down if alpha in node]
+            else:
+                hits = [(alpha, child) for alpha, child in node.items() if alpha in down]
+            for alpha, child in hits:
+                der = table.get(alpha)
+                if der is None:
+                    der = table[alpha] = f.derive_multi(alpha).terms
+                reached.append((child, der if prefix is None else _mul_terms(prefix, der, {})))
+        frontier = reached
+    return frontier
 
 
 def _fits(orders: tuple, degrees: list) -> bool:
@@ -131,36 +161,32 @@ def _fits(orders: tuple, degrees: list) -> bool:
     return any(all(map(int.__le__, orders, degs)) for degs in degrees)
 
 
-def _accumulate(groups: list, width: int, tuples: list) -> list:
-    """The one evaluation pass of grouped terms (``_group_terms``) on a
-    linear combination of argument tuples.  ``tuples`` holds (argument
-    tuple, factor terms); a key's argument value is the sum over the tuples
-    of the product of their derivatives times the factor (None: one tuple,
-    factor 1).  The value is formed once per key and multiplied into every
-    column that has the key; a group whose slot orders exceed the argument
-    degrees in every tuple is skipped.  Returns one term dict per column."""
-    degrees = [[f.degree() for f in args] for args, _ in tuples]
+def _accumulate(trie: dict, width: int, tuples: list) -> list:
+    """The one evaluation pass of a per-slot trie of operator terms
+    (``_insert``) on a linear combination of argument tuples.  ``tuples``
+    holds (argument tuple, factor terms); a key's argument value is the sum
+    over the tuples of the product of their derivatives times the factor
+    (None: one tuple, factor 1).  Each tuple reaches only the keys that its
+    arguments' downsets admit (``_reach``); the value of a reached key is
+    formed once and multiplied into every column of its leaf.  Returns one
+    term dict per column."""
     derivatives: dict = {}
-    products = [(_slot_products(args, derivatives), factor) for args, factor in tuples]
-    if tuples[0][1] is None:
-        value_of = products[0][0]
-    else:
-        def value_of(key):
-            acc: dict = {}
-            for product, factor in products:
-                value = product(key)
-                if value:
-                    _mul_terms(value, factor, acc)
-            return acc
     totals: list[dict] = [{} for _ in range(width)]
-    for orders, items in groups:
-        if not _fits(orders, degrees):
-            continue
-        for key, entries in items:
-            value = value_of(key)
-            if value:
-                for col, coeff in entries:
-                    _mul_terms(value, coeff, totals[col])
+    if tuples[0][1] is None:
+        reached = _reach(trie, tuples[0][0], derivatives)
+    else:
+        values: dict = {}  # id(leaf) -> (leaf, value terms)
+        for args, factor in tuples:
+            for leaf, value in _reach(trie, args, derivatives):
+                entry = values.get(id(leaf))
+                if entry is None:
+                    entry = values[id(leaf)] = (leaf, {})
+                _mul_terms(value, factor, entry[1])
+        reached = values.values()
+    for leaf, value in reached:
+        if value:
+            for col, coeff in leaf:
+                _mul_terms(value, coeff, totals[col])
     return totals
 
 
@@ -240,17 +266,17 @@ def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
 
 
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
-    """Operator of a whole graph sum; cached on the Poisson structure."""
+    """Operator of a whole graph sum; cached on the Poisson structure under
+    the sum itself, which hashes once."""
     cache = p._op_cache
-    key = s.cache_key()
-    op = cache.get(key)
+    op = cache.get(s)
     if op is not None:
         return op
     acc: dict[tuple, dict] = {}
     _add_graph_terms(acc, _graph_terms(s), p)
     total = PolyDiffOperator(p.d, s.arity,
                              {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
-    cache[key] = total
+    cache[s] = total
     return total
 
 
@@ -312,13 +338,14 @@ class CoboundaryColumns:
     key of its operator has the slot orders (indeg(1), .., indeg(m)), known
     before compiling.  The columns' (graph, coefficient) terms are grouped
     by these orders, and ``values`` compiles a group the first time its
-    argument degrees admit it; a graph that no argument tuple can feed is
-    never compiled.  Compiled graphs are cached on the Poisson structure.
-    ``values`` forms each f_j f_{j+1} once and makes one ``_accumulate``
-    pass over the m + 2 argument tuples, each with its outer factor and
-    sign, for all the columns at once."""
+    argument degrees admit it, into the one per-slot trie of all compiled
+    terms; a graph that no argument tuple can feed is never compiled.
+    Compiled graphs are cached on the Poisson structure.  ``values`` forms
+    each f_j f_{j+1} once and makes one ``_accumulate`` pass over the m + 2
+    argument tuples, each with its outer factor and sign, for all the
+    columns at once."""
 
-    __slots__ = ("p", "arity", "width", "pending", "groups")
+    __slots__ = ("p", "arity", "width", "pending", "trie")
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
         arities = {_arity(s) for s in sums}
@@ -334,19 +361,18 @@ class CoboundaryColumns:
             for g, coeff in _graph_terms(s):
                 orders = tuple(len(g.in_edges.get(t, ())) for t in range(1, m + 1))
                 self.pending.setdefault(orders, {}).setdefault(col, []).append((g, coeff))
-        self.groups: list = []  # [(slot orders, [(key, [(column, terms)])])]
+        self.trie: dict = {}  # compiled terms, see ``_insert``
 
     def _compile(self, orders: tuple) -> None:
-        """Compile one pending group: its key -> [(column, coefficient
-        terms)] index joins ``groups``."""
-        index: dict[tuple, list] = {}
+        """Compile one pending group into the trie.  Its keys have the slot
+        orders ``orders`` and no other group's keys do, so each leaf is
+        filled by one call, column by column in ascending order."""
         for col, terms in self.pending.pop(orders).items():
             acc: dict[tuple, dict] = {}
             _add_graph_terms(acc, terms, self.p)
             for key, coeffs in acc.items():
                 if coeffs:
-                    index.setdefault(key, []).append((col, coeffs))
-        self.groups.append((orders, list(index.items())))
+                    _insert(self.trie, key, col, coeffs)
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
@@ -364,7 +390,7 @@ class CoboundaryColumns:
         degrees = [[f.degree() for f in inner] for inner, _ in tuples]
         for orders in [o for o in self.pending if _fits(o, degrees)]:
             self._compile(orders)
-        return [_wrap(d, terms) for terms in _accumulate(self.groups, self.width, tuples)]
+        return [_wrap(d, terms) for terms in _accumulate(self.trie, self.width, tuples)]
 
 
 # ---------------------------------------------------------------------------

@@ -429,18 +429,14 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
             rhs_poly = Poly.zero(p.d)
             for c_a, c_b, weight in lower:
                 rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple).scale(weight)
-            exps = set()
-            for poly in row_polys:
-                exps.update(poly.terms)
-            exps.update(rhs_poly.terms)
+            # one row per monomial, columns inserted in ascending order
+            rows: dict = {e: {} for e in rhs_poly.terms}
+            for col, poly in enumerate(row_polys):
+                for e, c in poly.terms.items():
+                    rows.setdefault(e, {})[col] = c
             progressed = False
-            for e in sorted(exps):
-                row = {}
-                for col, poly in enumerate(row_polys):
-                    c = poly.terms.get(e)
-                    if c:
-                        row[col] = c
-                outcome = reducer.add_row(row, rhs_poly.terms.get(e, 0))
+            for e in sorted(rows):
+                outcome = reducer.add_row(rows[e], rhs_poly.terms.get(e, 0))
                 if outcome == "inconsistent":
                     used.append({"fixture": p.label, "triples_evaluated": count,
                                  "args": [str(x) for x in triple]})

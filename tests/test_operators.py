@@ -11,8 +11,9 @@ from stargraphs.errors import DimensionError
 from stargraphs import operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
                                parse_graph, zero_classes)
-from stargraphs.operators import (CoboundaryColumns, apply_graph, compile_graph, compile_sum,
-                                  oracle_compose, oracle_delta, oracle_gerstenhaber)
+from stargraphs.operators import (CoboundaryColumns, PolyDiffOperator, apply_graph,
+                                  compile_graph, compile_sum, oracle_compose, oracle_delta,
+                                  oracle_gerstenhaber)
 from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 
@@ -204,6 +205,65 @@ def test_apply_with_vanishing_derivative():
     assert not value.is_zero
 
 
+def test_downset_walk_misses_keys_outside_a_union_of_boxes(monkeypatch):
+    # the downset of x1^2 + x2^2 is the union of two boxes; the mixed key
+    # (1, 1, 0) lies in their hull but not in the union, so it is never
+    # reached and its derivative is never taken
+    square_sum = x(3, 1) * x(3, 1) + x(3, 2) * x(3, 2)
+    assert operators._downset(square_sum) == {
+        (0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0)}
+    op = PolyDiffOperator(3, 2, {
+        ((1, 1, 0), (0, 0, 0)): Poly.const(3, 5),
+        ((2, 0, 0), (0, 0, 1)): x(3, 2),
+        ((0, 2, 0), (0, 0, 0)): Poly.const(3, Fraction(-1, 3)),
+        ((0, 1, 0), (1, 0, 0)): x(3, 3)})
+    derived = []
+    derive_multi = Poly.derive_multi
+
+    def counting(self, alpha):
+        derived.append(tuple(alpha))
+        return derive_multi(self, alpha)
+
+    monkeypatch.setattr(Poly, "derive_multi", counting)
+    args = (square_sum, x(3, 1) + x(3, 3) * x(3, 3))
+    value = op.apply(args)
+    assert (1, 1, 0) not in derived
+    monkeypatch.setattr(Poly, "derive_multi", derive_multi)
+    assert value == brute_force_apply(op, args)
+    # x2 * 2 * 2 x3  -  1/3 * 2 * (x1 + x3^2)  +  x3 * 2 x2 * 1
+    assert value == 6 * x(3, 2) * x(3, 3) - Fraction(2, 3) * args[1]
+    # a compiled graph and a coboundary on the same kind of argument
+    p = so3()
+    sym = compile_graph(parse_graph(SYMMETRIC), p)
+    assert any((1, 1, 0) in key for key in sym.terms)
+    for pair in ((square_sum, x(3, 1) * x(3, 1) + x(3, 2) * x(3, 3)),
+                 (x(3, 2) * x(3, 2) - x(3, 3), square_sum)):
+        assert sym.apply(pair) == brute_force_apply(sym, pair)
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    args = (square_sum, x(3, 1) * x(3, 3), x(3, 2) * x(3, 2) + x(3, 3))
+    assert CoboundaryColumns(columns, p).values(args) == [
+        brute_force_delta(col, preset_poisson("so3"), args) for col in columns]
+
+
+def test_zero_argument_reaches_no_key():
+    p = so3()
+    zero = Poly.zero(3)
+    for spec in (POISSON, SYMMETRIC, TRIDIFF):
+        op = compile_graph(parse_graph(spec), p)
+        others = [x(3, 1) * x(3, 2), x(3, 3) + Poly.const(3, 2), x(3, 2)]
+        for slot in range(op.arity):
+            args = tuple(others[:slot]) + (zero,) + tuple(others[slot + 1:op.arity])
+            assert op.apply(args).is_zero
+            assert brute_force_apply(op, args).is_zero
+    # each inner tuple of the coboundary has a zero argument
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    delta = CoboundaryColumns(columns, p)
+    for args in ((zero, x(3, 1), x(3, 2) * x(3, 3)), (x(3, 1) * x(3, 1), zero, x(3, 3))):
+        values = delta.values(args)
+        assert all(value.is_zero for value in values)
+        assert values == [brute_force_delta(col, p, args) for col in columns]
+
+
 # -- oracle_delta -------------------------------------------------------------
 
 @functools.cache
@@ -392,6 +452,36 @@ def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_ke
     assert delta.values(low)[2] == -rep_value
 
 
+def trie_leaves(node):
+    """The leaves of a per-slot trie, each a [(column, terms)] list."""
+    if isinstance(node, list):
+        return [node]
+    return [leaf for child in node.values() for leaf in trie_leaves(child)]
+
+
+def test_coboundary_columns_trie_grows_between_calls(compiled_keys):
+    # a degree-1 triple compiles the low groups, a degree-2 triple adds keys
+    # to the same trie, and the first triple then reads the grown trie
+    p = so3()
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    delta = CoboundaryColumns(columns, p)
+    reference = so3()
+    low = (x(3, 1), x(3, 3), x(3, 2))
+    high = (x(3, 1) * x(3, 2), x(3, 3) * x(3, 3), x(3, 2) * x(3, 1))
+    first = delta.values(low)
+    assert first == [brute_force_delta(col, reference, low) for col in columns]
+    keys, compiled = len(trie_leaves(delta.trie)), len(compiled_keys(p))
+    second = delta.values(high)
+    assert second == [brute_force_delta(col, reference, high) for col in columns]
+    assert any(not value.is_zero for value in second)
+    assert len(trie_leaves(delta.trie)) > keys and len(compiled_keys(p)) > compiled
+    assert delta.values(low) == first
+    # every leaf lists its columns once, in ascending order
+    for leaf in trie_leaves(delta.trie):
+        cols = [col for col, _ in leaf]
+        assert cols == sorted(set(cols))
+
+
 def test_delta_of_poisson_class_vanishes():
     rng = random.Random(3)
     s = GraphSum.single(POISSON)
@@ -483,3 +573,6 @@ def test_compiled_operator_cache():
     op1 = compile_sum(s, p)
     op2 = compile_sum(s, p)
     assert op1 is op2
+    # an equal sum built separately is served from the same entry
+    assert compile_sum(GraphSum.single(POISSON), p) is op1
+    assert compile_sum(s.scale(2), p) is not op1
