@@ -168,7 +168,7 @@ def parse_graph(text: str) -> DirectedGraph:
 # canonical forms
 
 
-def _canonical_raw(n: int, m: int, pairs: Pairs):
+def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     """Minimum of the orbit under internal relabeling x per-vertex L/R swap.
 
     Returns (canonical pairs, sign, |Aut|) with sign in {-1, 0, +1}: the
@@ -195,17 +195,27 @@ def _canonical_raw(n: int, m: int, pairs: Pairs):
     relabelings that fix the graph with its pairs unordered.  Each one,
     with the L/R swaps it forces, is one element of the stabilizer of the
     labeled graph, so the labeled orbit has 2^n n! / |Aut| members.
+
+    With ``known`` = k <= n only the prefix pairs[:k] is read: a free level
+    tries vertices < k only, a labeling whose forced vertex is >= k is
+    dropped, and the search stops at the first level below the prefix.
+    Each kept labeling gives the same entries in every completion, so a
+    key unequal to the prefix beats them all.  With k = n a key equal to
+    ``pairs`` comes from the full search, with its sign and |Aut|.
     """
     base = m + 1
     key = []
     frontier = [((), 0)]
-    everyone = range(n)
-    for e in range(n):
+    bound = n if known is None else known
+    everyone = range(bound)
+    for e in range(bound):
         lo = hi = None  # least pair for entry e over the whole frontier
         survivors = []
         for order, parity in frontier:
             if e < len(order):
                 candidates = (order[e],)
+                if order[e] >= bound:
+                    continue
                 grow = False
             else:
                 candidates = [u for u in everyone if u not in order]
@@ -247,6 +257,8 @@ def _canonical_raw(n: int, m: int, pairs: Pairs):
                     labeled += (open_right,)
                 survivors.append((labeled, parity ^ flip))
         key.append((lo, hi))
+        if known is not None and key[e] < pairs[e]:
+            break
         frontier = survivors
     parities = {parity for _, parity in frontier}
     if len(parities) == 2:
@@ -376,48 +388,59 @@ def _passes_filter(n: int, m: int, pairs: Pairs, which: str) -> bool:
     raise ValueError("unknown filter %r (expected one of %s)" % (which, ", ".join(FILTERS)))
 
 
-def _restricted_growth(n: int, m: int) -> Iterator[Pairs]:
-    """Every K_{n,m} graph in restricted-growth form, in lexicographic order.
+def _restricted_growth(n: int, m: int, acyclic: bool = False) -> Iterator[Pairs]:
+    """K_{n,m} graphs in restricted-growth form with no beaten prefix, in
+    lexicographic order.
 
     Entry e holds the targets of internal vertex e as a sorted pair L < R.
     Vertex e counts as introduced at entry e; each internal target is an
     introduced label or the next free one, and both targets may take the
     next two.  Every orbit minimum of ``_canonical_raw`` has this shape,
-    because its unlabeled targets take the next free labels, so every class
-    has its representative among these graphs.  Graphs that leave an
-    argument without an incoming edge are not yielded.
+    because its unlabeled targets take the next free labels, and none of
+    its prefixes is beaten, so cutting the subtree of a prefix that
+    ``_canonical_raw`` beats (``known`` = e) keeps every class.  With
+    ``acyclic`` a target that reaches vertex e is refused; ``reach`` holds
+    per label the bitmask of internal vertices it reaches.  Graphs that
+    leave an argument without an incoming edge are not yielded.
     """
     base = m + 1
     full = (1 << (m + 1)) - 2  # bits 1..m: every argument covered
     entries: list = []
 
-    def extend(e, introduced, covered):
+    def extend(e, introduced, covered, reach):
         if e == n:
             if covered == full:
                 yield tuple(entries)
             return
         if (full & ~covered).bit_count() > 2 * (n - e):
             return  # the remaining entries cannot cover the open arguments
+        if e > 1 and _canonical_raw(n, m, prefix := tuple(entries), e)[0] != prefix:
+            return
+        if acyclic and e:
+            down = reach[entries[-1][0]] | reach[entries[-1][1]]
+            reach = tuple(r | down if r >> e - 1 & 1 else r for r in reach)
         introduced = max(introduced, e + 1)
         free = base + introduced
-        old = [*range(1, base), *(t for t in range(base, free) if t != base + e)]
+        old = [*range(1, base), *(t for t in range(base, free)
+                                  if t != base + e and not reach[t] >> e & 1)]
         for i, left in enumerate(old):
             bit = 1 << left if left <= m else 0
             for right in old[i + 1:]:
                 entries.append((left, right))
                 yield from extend(e + 1, introduced,
-                                  covered | bit | (1 << right if right <= m else 0))
+                                  covered | bit | (1 << right if right <= m else 0), reach)
                 entries.pop()
             if introduced < n:
                 entries.append((left, free))
-                yield from extend(e + 1, introduced + 1, covered | bit)
+                yield from extend(e + 1, introduced + 1, covered | bit, reach)
                 entries.pop()
         if introduced + 1 < n:
             entries.append((free, free + 1))
-            yield from extend(e + 1, introduced + 2, covered)
+            yield from extend(e + 1, introduced + 2, covered, reach)
             entries.pop()
 
-    return extend(0, 0, 0)
+    # without ``acyclic`` every mask is 0, so no target is refused
+    return extend(0, 0, 0, (0,) * base + tuple((1 << v) * acyclic for v in range(n)))
 
 
 def _classes(n: int, m: int, filter: str) -> Iterator[tuple]:
@@ -425,15 +448,19 @@ def _classes(n: int, m: int, filter: str) -> Iterator[tuple]:
     passing the filter, once each, in lexicographic order of the pairs.
 
     Orderly generation (Read 1978; McKay 1998): a restricted-growth
-    candidate is kept only when it is its own orbit minimum, and the
-    labeled graphs of its class are counted from |Aut| by the orbit-
-    stabilizer theorem instead of being listed.
+    candidate, grown without beaten (and for ``wheel_free`` cyclic)
+    prefixes, is kept when it passes the filter and is its own orbit
+    minimum, which one ``_canonical_raw`` call with ``known`` = n decides,
+    stopping early on a beaten graph; the labeled graphs of its class are
+    counted from |Aut| by the orbit-stabilizer theorem instead of being
+    listed.
     """
     group_order = 2 ** n * math.factorial(n)
-    for pairs in _restricted_growth(n, m):
-        if not _passes_filter(n, m, pairs, filter):
+    acyclic = filter == "wheel_free"
+    for pairs in _restricted_growth(n, m, acyclic):
+        if not acyclic and not _passes_filter(n, m, pairs, filter):
             continue
-        best, sign, automorphisms = _canonical_raw(n, m, pairs)
+        best, sign, automorphisms = _canonical_raw(n, m, pairs, n)
         if best == pairs:
             yield pairs, sign, group_order // automorphisms
 

@@ -207,6 +207,16 @@ def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) ->
         {}, n, m, _jacobiator_terms(m, ordinary_out, special_out), Fraction(1)))
 
 
+def _relabeled(m: int, triple: tuple, ordinary: tuple, perm: tuple) -> tuple:
+    """(triple, ordinary) of the skeleton with every id t renamed perm[t],
+    its pairs and triple sorted again."""
+    moved = [()] * len(ordinary)
+    for pos, (left, right) in enumerate(ordinary):
+        left, right = perm[left], perm[right]
+        moved[perm[m + 1 + pos] - m - 1] = (left, right) if left < right else (right, left)
+    return tuple(sorted(perm[t] for t in triple)), tuple(moved)
+
+
 @functools.lru_cache(maxsize=None)
 def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False) -> tuple:
     """Complete list of Jacobi-ideal generators with ``n_total`` copies of
@@ -219,7 +229,10 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
     flips sign under a transposition of the triple or of a pair, so sorted
     targets cover every generator up to sign.  A skeleton with a swapped
     pair comes after its sorted twin in product order, so skipping it
-    changes neither the list nor its order.
+    changes neither the list nor its order.  Likewise a skeleton that a
+    permutation of the ordinary vertices maps to an earlier one in product
+    order is skipped: its expansion is, up to sign, the earlier one's
+    relabeled, so it is already in ``seen``, or was zero or had a wheel.
     """
     if n_total < 2:
         raise GraphError("need n_total >= 2, got %d" % n_total)
@@ -238,6 +251,9 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
         vid = m + 1 + pos
         targets = [t for t in all_ids if t != vid]
         ordinary_options.append(tuple(itertools.combinations(targets, 2)))
+    # each non-identity permutation of the ordinary ids, as a map on all ids
+    relabelings = [tuple(range(m + 1)) + perm + (special_id,)
+                   for perm in itertools.permutations(range(m + 1, special_id))][1:]
     for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
         for ordinary in itertools.product(*ordinary_options):
             covered = set(t for t in triple if t <= m)
@@ -247,6 +263,9 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
                 if right <= m:
                     covered.add(right)
             if len(covered) != m:
+                continue
+            if any(_relabeled(m, triple, ordinary, perm) < (triple, ordinary)
+                   for perm in relabelings):
                 continue
             expansion = expand_jacobiator_vertex(m, ordinary, triple)
             if expansion.is_zero:

@@ -376,6 +376,10 @@ class CoboundaryColumns:
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
+        return [_wrap(self.p.d, terms) for terms in self.terms(args)]
+
+    def terms(self, args: Sequence[Poly]) -> list:
+        """The term dicts of ``values(args)``, not wrapped in Polys."""
         d, m = self.p.d, self.arity
         if len(args) != m + 1:
             raise DimensionError("coboundary of arity-%d cochain needs %d arguments, got %d"
@@ -390,7 +394,7 @@ class CoboundaryColumns:
         degrees = [[f.degree() for f in inner] for inner, _ in tuples]
         for orders in [o for o in self.pending if _fits(o, degrees)]:
             self._compile(orders)
-        return [_wrap(d, terms) for terms in _accumulate(self.trie, self.width, tuples)]
+        return _accumulate(self.trie, self.width, tuples)
 
 
 # ---------------------------------------------------------------------------

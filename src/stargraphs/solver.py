@@ -425,14 +425,14 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         count = 0
         for triple in triples:
             count += 1
-            row_polys = delta.values(triple)
+            row_terms = delta.terms(triple)
             rhs_poly = Poly.zero(p.d)
             for c_a, c_b, weight in lower:
                 rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple).scale(weight)
             # one row per monomial, columns inserted in ascending order
             rows: dict = {e: {} for e in rhs_poly.terms}
-            for col, poly in enumerate(row_polys):
-                for e, c in poly.terms.items():
+            for col, terms in enumerate(row_terms):
+                for e, c in terms.items():
                     rows.setdefault(e, {})[col] = c
             progressed = False
             for e in sorted(rows):

@@ -148,6 +148,55 @@ def scan_enumerate_graphs(n, m, filter="all"):
     return EnumerationResult(classes, labeled)
 
 
+def unpruned_restricted_growth(n: int, m: int):
+    """The restricted-growth generator before prefixes were cut: every
+    candidate whose internal targets are introduced labels or the next free
+    ones, built in full, with no minimality or cycle test on the way.  The
+    library keeps only the orbit minima of these that pass the filter.
+
+    Every K_{n,m} graph in restricted-growth form, in lexicographic order.
+
+    Entry e holds the targets of internal vertex e as a sorted pair L < R.
+    Vertex e counts as introduced at entry e; each internal target is an
+    introduced label or the next free one, and both targets may take the
+    next two.  Every orbit minimum of ``_canonical_raw`` has this shape,
+    because its unlabeled targets take the next free labels, so every class
+    has its representative among these graphs.  Graphs that leave an
+    argument without an incoming edge are not yielded.
+    """
+    base = m + 1
+    full = (1 << (m + 1)) - 2  # bits 1..m: every argument covered
+    entries: list = []
+
+    def extend(e, introduced, covered):
+        if e == n:
+            if covered == full:
+                yield tuple(entries)
+            return
+        if (full & ~covered).bit_count() > 2 * (n - e):
+            return  # the remaining entries cannot cover the open arguments
+        introduced = max(introduced, e + 1)
+        free = base + introduced
+        old = [*range(1, base), *(t for t in range(base, free) if t != base + e)]
+        for i, left in enumerate(old):
+            bit = 1 << left if left <= m else 0
+            for right in old[i + 1:]:
+                entries.append((left, right))
+                yield from extend(e + 1, introduced,
+                                  covered | bit | (1 << right if right <= m else 0))
+                entries.pop()
+            if introduced < n:
+                entries.append((left, free))
+                yield from extend(e + 1, introduced + 1, covered | bit)
+                entries.pop()
+        if introduced + 1 < n:
+            entries.append((free, free + 1))
+            yield from extend(e + 1, introduced + 2, covered)
+            entries.pop()
+
+    return extend(0, 0, 0)
+
+
 def scan_zero_classes(n, m):
     """Sign-0 orbit minima of K_{n,m} by the same product scan."""
     reps = set()
@@ -521,6 +570,46 @@ class FractionStreamingReducer(StreamingReducer):
             self.raw_rhs.append(raw_rhs)
             return "inconsistent"
         return "redundant"
+
+
+def sorted_skeleton_leibniz_generators(n_total, m, wheel_free_expansions=False):
+    """The Leibniz generator loop before relabeled twin skeletons were
+    skipped: every skeleton with sorted pairs and a sorted triple is
+    expanded and deduplicated by expansion direction in product order."""
+    n_ord = n_total - 2
+    special_id = m + n_ord + 1
+    all_ids = range(1, special_id + 1)
+    generators = []
+    seen = set()
+    ordinary_options = []
+    for pos in range(n_ord):
+        vid = m + 1 + pos
+        targets = [t for t in all_ids if t != vid]
+        ordinary_options.append(tuple(itertools.combinations(targets, 2)))
+    for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
+        for ordinary in itertools.product(*ordinary_options):
+            covered = set(t for t in triple if t <= m)
+            for left, right in ordinary:
+                if left <= m:
+                    covered.add(left)
+                if right <= m:
+                    covered.add(right)
+            if len(covered) != m:
+                continue
+            expansion = expand_jacobiator_vertex(m, ordinary, triple)
+            if expansion.is_zero:
+                continue
+            if wheel_free_expansions and any(
+                    has_wheel(cls.rep) for cls, _ in expansion.terms()):
+                continue
+            terms = expansion.terms()
+            lead = terms[0][1]
+            key = tuple((cls.rep.key, coeff / lead) for cls, coeff in terms)
+            if key in seen:
+                continue
+            seen.add(key)
+            generators.append(LeibnizGenerator(n_total, m, ordinary, triple, expansion))
+    return tuple(generators)
 
 
 def all_pairs_leibniz_generators(n_total, m, wheel_free_expansions=False):

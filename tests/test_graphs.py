@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
-                     brute_force_labeled_graphs, scan_enumerate_graphs, scan_zero_classes)
+                     brute_force_labeled_graphs, scan_enumerate_graphs, scan_zero_classes,
+                     unpruned_restricted_growth)
 from stargraphs import graphs
 from stargraphs.errors import BudgetExceededError, GraphError
-from stargraphs.graphs import (FILTERS, DirectedGraph, GraphSum, _canonical_raw, canonical_form,
-                               encode_graph, enumerate_graphs, has_wheel, parse_graph,
-                               zero_classes)
+from stargraphs.graphs import (FILTERS, DirectedGraph, EnumerationResult, GraphClass, GraphSum,
+                               _canonical_raw, _classes, _passes_filter, _restricted_growth,
+                               canonical_form, encode_graph, enumerate_graphs, has_wheel,
+                               parse_graph, zero_classes)
 
 POISSON = "1 2 ; 3: 1 2"
 TRIDIFF = "4 3 ; 4: 1 5 / 5: 2 6 / 6: 5 3 / 7: 4 2"
@@ -336,6 +339,64 @@ def test_enumeration_matches_scan_small(n, m):
 @pytest.mark.parametrize("which", ["all", "wheel_free"])
 def test_enumeration_matches_scan(n, m, which):
     assert enumerate_graphs(n, m, which) == scan_enumerate_graphs(n, m, which)
+
+
+def _oracle_minima(n, m, which):
+    """(pairs, sign, labeled orbit size) of every unpruned candidate that
+    passes the filter and is its own orbit minimum, in generation order."""
+    group_order = 2 ** n * math.factorial(n)
+    minima = []
+    for pairs in unpruned_restricted_growth(n, m):
+        if _passes_filter(n, m, pairs, which):
+            best, sign, automorphisms = _canonical_raw(n, m, pairs)
+            if best == pairs:
+                minima.append((pairs, sign, group_order // automorphisms))
+    return minima
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6) for m in range(1, 7 - n)])
+@pytest.mark.parametrize("which", FILTERS)
+def test_pruned_generation_keeps_exactly_the_filtered_orbit_minima(n, m, which):
+    assert list(_classes(n, m, which)) == _oracle_minima(n, m, which)
+
+
+def _prefix_cut(n, m, pairs, e):
+    prefix = pairs[:e]
+    return _canonical_raw(n, m, prefix, e)[0] != prefix
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (3, 3), (4, 3)])
+def test_prefix_cut_is_sound_and_the_generator_cuts_nothing_else(n, m):
+    survivors, acyclic_survivors = [], []
+    for pairs in unpruned_restricted_growth(n, m):
+        cut = any(_prefix_cut(n, m, pairs, e) for e in range(2, n))
+        full, bounded = _canonical_raw(n, m, pairs), _canonical_raw(n, m, pairs, n)
+        if full[0] == pairs:
+            assert not cut, pairs  # a canonical graph's prefixes are never beaten
+            assert bounded == full
+        else:
+            assert bounded[0] != pairs
+        if not cut:
+            survivors.append(pairs)
+            if not has_wheel(DirectedGraph(n, m, pairs)):
+                acyclic_survivors.append(pairs)
+    assert list(_restricted_growth(n, m)) == survivors
+    assert list(_restricted_growth(n, m, acyclic=True)) == acyclic_survivors
+
+
+def test_prefix_cut_explicit_cases():
+    # vertex 1 targets both arguments, so it beats vertex 0 at the first level
+    assert _canonical_raw(3, 2, ((1, 4), (1, 2)), 2)[0] == ((1, 2),)
+    assert _prefix_cut(3, 2, ((1, 4), (1, 2), (1, 2)), 2)
+    assert not _prefix_cut(3, 2, ((1, 2), (1, 4), (1, 2)), 2)
+
+
+def test_enumeration_k52_all_matches_generate_then_filter():
+    minima = _oracle_minima(5, 2, "all")
+    expected = EnumerationResult(
+        tuple(GraphClass(DirectedGraph(5, 2, pairs), 1) for pairs, sign, _ in minima if sign),
+        sum(orbit for _, _, orbit in minima))
+    assert enumerate_graphs(5, 2, "all") == expected
 
 
 def _digest(graphs):

@@ -7,7 +7,7 @@ import pytest
 from oracles import (all_pairs_leibniz_generators, grafted_graphs, jacobiator_graphs,
                      labelled_expand_jacobiator_vertex, labelled_graph_compose,
                      labelled_graph_delta, labelled_graph_gerstenhaber,
-                     transcribed_jacobiator_graphs)
+                     sorted_skeleton_leibniz_generators, transcribed_jacobiator_graphs)
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
                               enumerate_graphs, has_wheel, parse_graph)
@@ -365,6 +365,13 @@ def test_generator_validation():
 def test_sorted_pairs_give_the_all_pairs_generators(n_total, m, wheel_free):
     expected = all_pairs_leibniz_generators(n_total, m, wheel_free)
     assert list(leibniz_generators(n_total, m, wheel_free)) == expected
+
+
+@pytest.mark.parametrize("n_total, m, wheel_free", [(3, 3, False), (4, 2, False), (4, 3, False),
+                                                    (4, 3, True), (5, 2, False), (3, 4, False)])
+def test_skipping_relabeled_skeletons_keeps_the_generators(n_total, m, wheel_free):
+    expected = sorted_skeleton_leibniz_generators(n_total, m, wheel_free)
+    assert leibniz_generators(n_total, m, wheel_free) == expected
 
 
 def test_generators_are_built_once_per_argument():
