@@ -5,14 +5,20 @@ index to every edge: each internal vertex contributes its Poisson-tensor entry
 differentiated along the incoming edge indices, each argument vertex its
 function differentiated likewise.  ``compile_graph`` produces the symbolic
 m-linear operator once so repeated evaluations stay cheap: it searches the
-index pairs depth first, vertex by vertex, multiplies each vertex factor into
-the shared prefix coefficient once and cuts a subtree at its first zero
-factor; a graph with a vertex of more incoming edges than any entry has
-degree is zero without a search.  Compiled graphs are cached on the Poisson
-structure under their key, and ``compile_sum`` operators under the sum.
-``compile_sum`` accumulates into one exponent dict.  ``Poly`` keeps
-integral coefficients as ``int``, and an integral ``GraphSum`` coefficient
-is applied as an ``int``, so integral cochains on an integral fixture
+index pairs depth first, vertex by vertex, keeps per vertex a count of the
+indices on its incoming edges, multiplies each vertex factor into the
+shared prefix coefficient once and cuts a subtree at its first zero factor;
+a graph with a vertex of more incoming edges than any entry has degree is
+zero without a search.  Relabeling the arguments of a graph only permutes
+the slots of its operator, so a graph is compiled once per orbit of
+argument relabelings (``_compiled``): the orbit's least class
+representative is compiled, and each graph of the orbit takes that
+operator with its slots permuted and the class sign applied.  Compiled
+graphs are cached on the Poisson structure under their key, and
+``compile_sum`` operators under the sum.  ``compile_sum`` scales its terms
+by their common denominator, accumulates into one exponent dict in ``int``
+arithmetic and divides once at the end.  ``Poly`` keeps integral
+coefficients as ``int``, so integral cochains on an integral fixture
 evaluate on integral arguments without any ``Fraction`` arithmetic.
 
 Evaluation is one pass, ``_accumulate``, over operator terms stored in a
@@ -46,13 +52,15 @@ values.
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from fractions import Fraction
+from itertools import permutations, product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import DirectedGraph, GraphClass, GraphSum
+from .graphs import DirectedGraph, GraphClass, GraphSum, _lookup
 from .poisson import PoissonStructure
-from .poly import Poly, _add_terms, _mul_terms, _wrap
+from .poly import Poly, _add_terms, _mul_terms, _rational, _wrap
 
 
 class PolyDiffOperator:
@@ -201,11 +209,13 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     vertex and all its edge sources are assigned, and a zero factor cuts the
     whole subtree.  A vertex with k incoming edges only takes the pairs
     whose entry has degree >= k; when no pair is left for some vertex, the
-    operator is zero and no search is made."""
+    operator is zero and no search is made.  Every vertex keeps a count of
+    the indices its incoming edges carry, raised when a position is
+    assigned and lowered on backtrack, so a factor's derivative multi-index
+    and a leaf's key are read off these counts."""
     d, n, m = p.d, g.n, g.m
     pairs = p.nonzero_ordered_pairs()
     in_edges = g.in_edges
-    arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
     vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
     degree = {(i, j): p.entry(i, j).degree() for i, j in pairs}
     choices = [[pair for pair in pairs if degree[pair] >= len(sources)]
@@ -218,43 +228,107 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     ready: list[list[int]] = [[] for _ in range(n)]
     for pos, sources in enumerate(vertex_sources):
         ready[min([pos] + [src for src, _side in sources])].append(pos)
+    # counts[v - 1][i - 1]: edges into vertex v that carry index i, over the
+    # assigned positions
+    counts = [[0] * d for _ in range(m + n)]
+    targets = [(counts[left - 1], counts[right - 1]) for left, right in g.out_edges]
+    arg_counts, vertex_counts = counts[:m], counts[m:]
     assign: list = [None] * n
+    derivatives = p._deriv_cache
     acc: dict[tuple, dict] = {}
-
-    def alpha_of(sources):
-        alpha = [0] * d
-        for src, side in sources:
-            alpha[assign[src][side] - 1] += 1
-        return tuple(alpha)
 
     def visit(pos: int, prefix):
         if pos < 0:
-            key = tuple(alpha_of(sources) for sources in arg_sources)
+            key = tuple([tuple(c) for c in arg_counts])
             _add_terms(acc.setdefault(key, {}), prefix)
             return
+        left, right = targets[pos]
         for pair in choices[pos]:
+            i, j = pair
+            left[i - 1] += 1
+            right[j - 1] += 1
             assign[pos] = pair
             coeff = prefix
             for v in ready[pos]:
-                i, j = assign[v]
-                factor = p.entry_derivative(i, j, alpha_of(vertex_sources[v])).terms
-                if not factor:
+                # (i, j, alpha): the key of ``entry_derivative``'s cache
+                key = (*assign[v], tuple(vertex_counts[v]))
+                factor = derivatives.get(key)
+                if factor is None:
+                    factor = p.entry_derivative(*key)
+                if not factor.terms:
                     break
-                coeff = factor if coeff is None else _mul_terms(coeff, factor, {})
+                coeff = factor.terms if coeff is None else _mul_terms(coeff, factor.terms, {})
             else:
                 visit(pos - 1, coeff)
+            left[i - 1] -= 1
+            right[j - 1] -= 1
 
     visit(n - 1, None)
     return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
 
 
 def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
-    """``compile_graph(g, p)``, cached on the Poisson structure under
-    ``g.key``."""
-    op = p._op_cache.get(g.key)
-    if op is None:
-        op = p._op_cache[g.key] = compile_graph(g, p)
+    """Operator of the labeled graph ``g``, cached on the Poisson structure
+    under ``g.key``; equal to ``compile_graph(g, p)``.
+
+    Relabeling the arguments of a graph by a permutation s moves the
+    derivatives of slot t to slot s(t) and changes nothing else, and a
+    relabeled graph stays admissible.  So on a miss every argument
+    relabeling of ``g`` is looked up by key (``graphs._lookup``), the least
+    class representative among them is the anchor of ``g``'s orbit, and
+    only the anchor is compiled, once per orbit; ``g``'s operator is the
+    anchor's with the slots of every key permuted back, times the sign of
+    the class.  A sign-0 class (its relabelings are sign 0 too) is the zero
+    operator."""
+    cache = p._op_cache
+    op = cache.get(g.key)
+    if op is not None:
+        return op
+    n, m, pairs = g.key
+    best = None
+    for perm in permutations(range(1, m + 1)):
+        cls = _lookup((n, m, tuple((perm[left - 1] if left <= m else left,
+                                    perm[right - 1] if right <= m else right)
+                                   for left, right in pairs)))
+        if not cls.sign:
+            op = cache[g.key] = PolyDiffOperator(p.d, m, {})
+            return op
+        if best is None or cls.rep.key < best[0].rep.key:
+            best = cls, perm
+    cls, perm = best
+    anchor = cls.rep
+    base = cache.get(anchor.key)
+    if base is None:
+        # through the module global, so that a wrapper sees every compile
+        base = cache[anchor.key] = compile_graph(anchor, p)
+    if cls.sign == 1 and perm == tuple(range(1, m + 1)):
+        op = base
+    else:
+        # slot t of g's key is slot perm[t] of the anchor's key
+        slots = [s - 1 for s in perm]
+        op = PolyDiffOperator(p.d, m, {tuple([key[s] for s in slots]):
+                                       (poly if cls.sign == 1 else -poly)
+                                       for key, poly in base.terms.items()})
+    cache[g.key] = op
     return op
+
+
+def _integral_terms(terms: list) -> tuple:
+    """(D, [(graph, D * coefficient)]) for (graph, coefficient) terms, D the
+    least common multiple of the coefficients' denominators, so every
+    scaled coefficient is an ``int``."""
+    denom = math.lcm(*(coeff.denominator for _, coeff in terms))
+    if denom == 1:
+        return 1, terms
+    return denom, [(g, coeff.numerator * (denom // coeff.denominator)) for g, coeff in terms]
+
+
+def _divided(terms: dict, denom: int) -> dict:
+    """The term dict ``terms`` divided by ``denom``, each coefficient an
+    ``int`` when the quotient is integral."""
+    if denom == 1:
+        return terms
+    return {e: _rational(Fraction(c, denom)) for e, c in terms.items()}
 
 
 def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
@@ -267,15 +341,19 @@ def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
 
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of a whole graph sum; cached on the Poisson structure under
-    the sum itself, which hashes once."""
+    the sum itself, which hashes once.  The terms are scaled by the common
+    denominator D of their coefficients and accumulated in ``int``
+    arithmetic (on an integral structure), and each coefficient of the
+    result is divided by D once, so it is an ``int`` when integral."""
     cache = p._op_cache
     op = cache.get(s)
     if op is not None:
         return op
+    denom, graph_terms = _integral_terms(_graph_terms(s))
     acc: dict[tuple, dict] = {}
-    _add_graph_terms(acc, _graph_terms(s), p)
-    total = PolyDiffOperator(p.d, s.arity,
-                             {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
+    _add_graph_terms(acc, graph_terms, p)
+    total = PolyDiffOperator(p.d, s.arity, {op_key: _wrap(p.d, _divided(terms, denom))
+                                            for op_key, terms in acc.items()})
     cache[s] = total
     return total
 
@@ -340,12 +418,14 @@ class CoboundaryColumns:
     by these orders, and ``values`` compiles a group the first time its
     argument degrees admit it, into the one per-slot trie of all compiled
     terms; a graph that no argument tuple can feed is never compiled.
-    Compiled graphs are cached on the Poisson structure.  ``values`` forms
-    each f_j f_{j+1} once and makes one ``_accumulate`` pass over the m + 2
-    argument tuples, each with its outer factor and sign, for all the
-    columns at once."""
+    Compiled graphs are cached on the Poisson structure.  A column's
+    coefficients are scaled by their common denominator, so the trie holds
+    ``int`` multiples of the column's terms and each value is divided by it
+    once.  ``values`` forms each f_j f_{j+1} once and makes one
+    ``_accumulate`` pass over the m + 2 argument tuples, each with its
+    outer factor and sign, for all the columns at once."""
 
-    __slots__ = ("p", "arity", "width", "pending", "trie")
+    __slots__ = ("p", "arity", "width", "denoms", "pending", "trie")
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
         arities = {_arity(s) for s in sums}
@@ -357,8 +437,13 @@ class CoboundaryColumns:
         self.width = len(sums)
         # slot orders -> {column: [(graph, coefficient)]}, not yet compiled
         self.pending: dict[tuple, dict] = {}
+        # column -> the denominator its trie terms are scaled by, when not 1
+        self.denoms: dict[int, int] = {}
         for col, s in enumerate(sums):
-            for g, coeff in _graph_terms(s):
+            denom, terms = _integral_terms(_graph_terms(s))
+            if denom != 1:
+                self.denoms[col] = denom
+            for g, coeff in terms:
                 orders = tuple(len(g.in_edges.get(t, ())) for t in range(1, m + 1))
                 self.pending.setdefault(orders, {}).setdefault(col, []).append((g, coeff))
         self.trie: dict = {}  # compiled terms, see ``_insert``
@@ -394,7 +479,10 @@ class CoboundaryColumns:
         degrees = [[f.degree() for f in inner] for inner, _ in tuples]
         for orders in [o for o in self.pending if _fits(o, degrees)]:
             self._compile(orders)
-        return _accumulate(self.trie, self.width, tuples)
+        totals = _accumulate(self.trie, self.width, tuples)
+        for col, denom in self.denoms.items():
+            totals[col] = _divided(totals[col], denom)
+        return totals
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, Gra
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
 from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
-from stargraphs.operators import PolyDiffOperator, apply_graph
-from stargraphs.poly import Poly
+from stargraphs.operators import PolyDiffOperator, _graph_terms, apply_graph
+from stargraphs.poly import Poly, _add_terms, _mul_terms, _wrap
 
 
 def brute_force_labeled_graphs(n, m):
@@ -273,6 +273,70 @@ def brute_force_compile_graph(g, p):
         cur = terms.get(key)
         terms[key] = coeff if cur is None else cur + coeff
     return PolyDiffOperator(d, m, terms)
+
+
+def rescan_compile_graph(g, p):
+    """``compile_graph`` as it was before the per-vertex index counts: the
+    same depth-first search, each derivative multi-index rescanned from
+    the assigned pairs by ``alpha_of``.  Kept verbatim as the reference for
+    the compiled operators."""
+    d, n, m = p.d, g.n, g.m
+    pairs = p.nonzero_ordered_pairs()
+    in_edges = g.in_edges
+    arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
+    vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
+    degree = {(i, j): p.entry(i, j).degree() for i, j in pairs}
+    choices = [[pair for pair in pairs if degree[pair] >= len(sources)]
+               for sources in vertex_sources]
+    if not all(choices):
+        # a vertex with more incoming edges than any entry has degree
+        return PolyDiffOperator(d, m, {})
+    # ready[t]: the vertices whose factor is fixed once positions t..n-1
+    # are assigned
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for pos, sources in enumerate(vertex_sources):
+        ready[min([pos] + [src for src, _side in sources])].append(pos)
+    assign: list = [None] * n
+    acc: dict[tuple, dict] = {}
+
+    def alpha_of(sources):
+        alpha = [0] * d
+        for src, side in sources:
+            alpha[assign[src][side] - 1] += 1
+        return tuple(alpha)
+
+    def visit(pos: int, prefix):
+        if pos < 0:
+            key = tuple(alpha_of(sources) for sources in arg_sources)
+            _add_terms(acc.setdefault(key, {}), prefix)
+            return
+        for pair in choices[pos]:
+            assign[pos] = pair
+            coeff = prefix
+            for v in ready[pos]:
+                i, j = assign[v]
+                factor = p.entry_derivative(i, j, alpha_of(vertex_sources[v])).terms
+                if not factor:
+                    break
+                coeff = factor if coeff is None else _mul_terms(coeff, factor, {})
+            else:
+                visit(pos - 1, coeff)
+
+    visit(n - 1, None)
+    return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
+
+
+def fraction_compile_sum(s, p):
+    """``compile_sum`` as it was before orbit reuse and integer sums: every
+    term's graph compiled by ``rescan_compile_graph`` and added with its
+    coefficient as given (integral sums can hold ``Fraction(k, 1)``), with
+    no cache."""
+    acc: dict[tuple, dict] = {}
+    for g, coeff in _graph_terms(s):
+        for key, poly in rescan_compile_graph(g, p).terms.items():
+            _add_terms(acc.setdefault(key, {}), poly.terms, coeff)
+    return PolyDiffOperator(p.d, s.arity,
+                            {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
 
 
 def brute_force_apply(op, args):

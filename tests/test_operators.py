@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_force_apply, brute_force_compile_graph, brute_force_delta,
-                     transcribed_tridiff)
+                     fraction_compile_sum, rescan_compile_graph, transcribed_tridiff)
 from stargraphs.errors import DimensionError
 from stargraphs import operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
@@ -14,8 +14,10 @@ from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerat
 from stargraphs.operators import (CoboundaryColumns, PolyDiffOperator, apply_graph,
                                   compile_graph, compile_sum, oracle_compose, oracle_delta,
                                   oracle_gerstenhaber)
+from stargraphs.homology import graph_delta
 from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
+from stargraphs.solver import mc_defect, solve_up_to
 
 x = Poly.variable
 POISSON = "1 2 ; 3: 1 2"
@@ -376,6 +378,19 @@ def admitted(g, patterns):
     return any(all(k <= deg for k, deg in zip(in_degrees(g), degs)) for degs in patterns)
 
 
+def relabel_args(g, perm):
+    """g with argument t renamed perm[t - 1]."""
+    return DirectedGraph(g.n, g.m, tuple(tuple(perm[t - 1] if t <= g.m else t for t in pair)
+                                         for pair in g.out_edges))
+
+
+def orbit_anchor(g):
+    """The least class representative key over the argument relabelings of
+    g: the one graph of its orbit that gets compiled."""
+    return min(canonical_form(relabel_args(g, perm)).rep.key
+               for perm in itertools.permutations(range(1, g.m + 1)))
+
+
 @pytest.fixture
 def compiled_keys(monkeypatch):
     """compiled_keys(p): the keys of the graphs ``compile_graph`` was called
@@ -402,9 +417,12 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     triples = degree_one_triples(3)
     assert len(triples) == 27
     values = [delta.values(args) for args in triples]
-    fits = {cls.rep.key for cls in basis if admitted(cls.rep, [(1, 1), (2, 1), (1, 2)])}
+    fits = {cls.rep for cls in basis if admitted(cls.rep, [(1, 1), (2, 1), (1, 2)])}
     assert len(fits) == 11
-    assert sorted(compiled_keys(p)) == sorted(fits)  # each compiled once
+    # one compile per argument-relabeling orbit of a graph that can be fed
+    anchors = {orbit_anchor(g) for g in fits}
+    assert len(anchors) == 6
+    assert sorted(compiled_keys(p)) == sorted(anchors)
     reference = preset_from_string(CUBIC)  # a separate cache for the oracle
     for args, row in zip(triples[::5], values[::5]):
         assert row == [brute_force_delta(col, reference, args) for col in columns]
@@ -414,15 +432,18 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     row = delta.values(args)
     assert row == [brute_force_delta(col, reference, args) for col in columns]
     assert any(not value.is_zero for value in row)
-    forced = {cls.rep.key for cls in basis
+    forced = {cls.rep for cls in basis
               if admitted(cls.rep, [(2, 3), (3, 2), (5, 2), (2, 5)])}
-    assert len(fits | forced) < len(basis)  # the (3, 3) graphs and up still wait
-    assert sorted(compiled_keys(p)) == sorted(fits | forced)
+    waiting = set(cls.rep for cls in basis) - fits - forced
+    assert waiting  # the (3, 3) graphs and up still wait
+    anchors = {orbit_anchor(g) for g in fits | forced}
+    assert not anchors & {orbit_anchor(g) for g in waiting}
+    assert sorted(compiled_keys(p)) == sorted(anchors)
     # lower-degree tuples compile nothing more, and the values still agree
     for args in triples[:3]:
         assert delta.values(args) == [brute_force_delta(col, reference, args)
                                       for col in columns]
-    assert sorted(compiled_keys(p)) == sorted(fits | forced)
+    assert sorted(compiled_keys(p)) == sorted(anchors)
 
 
 def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_keys):
@@ -440,13 +461,16 @@ def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_ke
     reference = preset_from_string(CUBIC)
     low = (x(3, 2), x(3, 1), x(3, 3))
     assert delta.values(low) == [brute_force_delta(col, reference, low) for col in columns]
-    # the (2, 2) graph c is not compiled until a tuple can feed it
-    assert sorted(compiled_keys(p)) == sorted([a.key, b.key, labeled.key])
+    # the (2, 2) graph c is not compiled until a tuple can feed it, and an
+    # orbit is compiled once
+    fed = {orbit_anchor(g) for g in (a, b, labeled)}
+    assert orbit_anchor(c) not in fed
+    assert sorted(compiled_keys(p)) == sorted(fed)
     high = (x(3, 1) * x(3, 3), x(3, 2) * x(3, 2), x(3, 3))
     row = delta.values(high)
     assert row == [brute_force_delta(col, reference, high) for col in columns]
     assert not row[1].is_zero
-    assert sorted(compiled_keys(p)) == sorted([a.key, b.key, labeled.key, c.key])
+    assert sorted(compiled_keys(p)) == sorted(fed | {orbit_anchor(c)})
     # a labeled graph is compiled as labeled: flipping a pair flips the sign
     rep_value = CoboundaryColumns([by_degrees[(1, 2)][0]], p).values(low)[0]
     assert delta.values(low)[2] == -rep_value
@@ -533,6 +557,129 @@ def test_delta_squared_is_zero():
             merged = list(args[:j]) + [args[j] * args[j + 1]] + list(args[j + 2:])
             total = total + delta1(tuple(merged)).scale(-sgn if j % 2 == 0 else sgn)
         assert total.is_zero
+
+
+# -- orbit reuse and integer sums against the pre-orbit compile path -----------
+
+ORBIT_FIXTURES = ("so3", "sl2", CUBIC)
+
+
+def small_sizes():
+    """(n, m) for every K_{n,m} with n <= 4 and n + m <= 6 that has graphs
+    (each argument needs an incoming edge, so m <= 2n)."""
+    return [(n, m) for n in range(1, 5) for m in range(1, min(2 * n, 6 - n) + 1)]
+
+
+def labeled_variants(g):
+    """g, g with its first L/R pair flipped, and g under every argument
+    relabeling but the identity: labeled graphs that are mostly not
+    canonical."""
+    yield g
+    yield flip_first_pair(g)
+    for perm in itertools.permutations(range(1, g.m + 1)):
+        if perm != tuple(range(1, g.m + 1)):
+            yield relabel_args(g, perm)
+
+
+def assert_same_operator(op, reference):
+    assert set(op.terms) == set(reference.terms)
+    assert op.terms == reference.terms
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_series():
+    return solve_up_to(3)[0]
+
+
+@pytest.mark.parametrize("spec", ORBIT_FIXTURES)
+def test_compiled_matches_rescan_oracle_on_small_classes(spec, compiled_keys):
+    # a fresh structure per spec, so that anchors and the graphs built from
+    # them by slot permutation both occur; the oracle compiles every graph
+    # itself on a structure of its own
+    p, reference = preset_from_string(spec), preset_from_string(spec)
+    reps = [cls.rep for n, m in small_sizes() for cls in enumerate_graphs(n, m).classes]
+    count = 0
+    for rep in reps:
+        for g in labeled_variants(rep):
+            assert_same_operator(operators._compiled(g, p), rescan_compile_graph(g, reference))
+            count += 1
+    assert count > 1000
+    # exactly one compile per argument-relabeling orbit
+    assert sorted(compiled_keys(p)) == sorted({orbit_anchor(rep) for rep in reps})
+    # compile_graph itself, on labeled graphs and on representatives
+    for rep in reps:
+        for g in (rep, flip_first_pair(rep)):
+            assert_same_operator(compile_graph(g, p), rescan_compile_graph(g, reference))
+
+
+@pytest.mark.parametrize("spec", ORBIT_FIXTURES)
+def test_sign_zero_classes_compile_to_zero_without_a_search(spec, compiled_keys):
+    p, reference = preset_from_string(spec), preset_from_string(spec)
+    graphs = [g for n, m in small_sizes() for rep in zero_classes(n, m)
+              for g in labeled_variants(rep)]
+    assert len(graphs) > 50
+    for g in graphs:
+        assert operators._compiled(g, p).is_zero
+        assert rescan_compile_graph(g, reference).is_zero
+    assert compiled_keys(p) == []
+
+
+def orbit_sums():
+    """Sums of arities 2 and 3 with Fraction coefficients: the orders of
+    the wheel-free series, their graph coboundaries and the defects."""
+    series = orbit_series()
+    return ([series.order(k) for k in (1, 2, 3)]
+            + [graph_delta(series.order(k)) for k in (1, 2, 3)]
+            + [mc_defect(series, k) for k in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("spec", ORBIT_FIXTURES)
+def test_compile_sum_matches_fraction_oracle(spec):
+    p, reference = preset_from_string(spec), preset_from_string(spec)
+    sums = orbit_sums()
+    assert {s.arity for s in sums} == {2, 3}
+    nonzero = 0
+    for s in sums:
+        op = compile_sum(s, p)
+        assert_same_operator(op, fraction_compile_sum(s, reference))
+        nonzero += not op.is_zero
+    assert nonzero >= 4
+
+
+def is_normal(c):
+    """An exact coefficient in its normal form: ``int``, or a ``Fraction``
+    that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_compile_sum_and_columns_keep_integral_coefficients_int():
+    p = so3()
+    s = orbit_series().order(3)
+    assert any(coeff.denominator != 1 for _, coeff in s.terms())
+    op = compile_sum(s, p)
+    coeffs = [c for poly in op.terms.values() for c in poly.terms.values()]
+    assert len(coeffs) == 180
+    assert all(map(is_normal, coeffs))
+    # the oracle sums Fractions as given, so some integral values are Fraction(k, 1)
+    reference = fraction_compile_sum(s, so3())
+    assert any(type(c) is Fraction and c.denominator == 1
+               for poly in reference.terms.values() for c in poly.terms.values())
+    by_degrees = {}
+    for cls in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    a, b, c = by_degrees[(1, 1)][0], by_degrees[(2, 1)][0], by_degrees[(2, 2)][0]
+    series = orbit_series()
+    columns = [GraphSum(2, [(a, Fraction(2, 3)), (b, -5), (c, Fraction(1, 7))]),
+               GraphSum(2, [(b, Fraction(3, 2)), (c, Fraction(-4, 9))]),
+               series.order(2), series.order(3), GraphSum.single(a)]
+    for spec in ORBIT_FIXTURES:
+        p, reference = preset_from_string(spec), preset_from_string(spec)
+        delta = CoboundaryColumns(columns, p)
+        monos = monomials_up_to_degree(3, 2)
+        for args in itertools.islice(itertools.product(monos, repeat=3), 0, None, 97):
+            values = delta.values(args)
+            assert values == [brute_force_delta(col, reference, args) for col in columns]
+            assert all(is_normal(c) for value in values for c in value.terms.values())
 
 
 # -- oracle_compose -----------------------------------------------------------

@@ -374,6 +374,32 @@ def test_monotonicity_of_growing_fixture_sets():
         assert small.status == "inconclusive"
 
 
+# sha256 of the (row, rhs) pairs that the order-4 evaluation route feeds the
+# reducer on the jacobian cubic with all 27 degree-1 triples, recorded before
+# orbit reuse and integer sums entered the operator layer
+CUBIC_ROWS_DIGEST = "13f15637521a3cd3bff8ac8b588ebdc7b5d5e06881b8c3713e6fba61a05af405"
+
+
+def test_eval_obstruction_feeds_the_pinned_rows(monkeypatch):
+    # the rows, their column order and their value types (int or Fraction)
+    # are pinned, so a change to the operator layer must feed the same rows
+    fed = []
+    add_row = StreamingReducer.add_row
+
+    def recording(self, row, rhs):
+        fed.append(repr((list(row.items()), rhs)))
+        return add_row(self, row, rhs)
+
+    monkeypatch.setattr(StreamingReducer, "add_row", recording)
+    series, _ = solve_up_to(3, wheel_free=True)
+    p = preset_from_string(CUBIC)
+    triples = list(itertools.product([x(3, i) for i in (1, 2, 3)], repeat=3))
+    assert len(triples) == 27
+    eval_obstruction(series, 4, fixtures=[(p, triples)])
+    assert fed
+    assert hashlib.sha256("\n".join(fed).encode()).hexdigest() == CUBIC_ROWS_DIGEST
+
+
 def test_eval_obstruction_order4_golden_certificate():
     series, _ = solve_up_to(3, wheel_free=True)
     triples = [tuple(parse_poly(f, 3) for f in triple) for triple in SO3_TRIPLES]
