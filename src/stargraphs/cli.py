@@ -21,13 +21,13 @@ import sys
 from . import __version__
 from .errors import BudgetExceededError, DimensionError, GraphError, PresetError
 from .graphs import (DEFAULT_VERTEX_BUDGET, FILTERS, GraphSum, canonical_form,
-                     enumerate_graphs, has_wheel, parse_graph)
+                     enumerate_graphs, has_wheel, parse_graph, parse_terms)
 from .homology import graph_compose, graph_delta, graph_gerstenhaber, leibniz_generators
 from .operators import apply_graph, compile_sum
 from .poisson import preset_from_string
 from .poly import monomials_up_to_degree, parse_poly
-from .solver import (StarSeries, cocycle_kernel, kontsevich_k2, mc_defect,
-                     solve_up_to)
+from .solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries, cocycle_kernel,
+                     kontsevich_k2, mc_defect, solve_up_to)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,10 +72,14 @@ def _read_sum(path: str) -> GraphSum:
         return GraphSum.from_lines(handle)
 
 
-def _write_sum(path: str, s: GraphSum):
-    with open(path, "w") as handle:
-        for line in s.to_lines():
-            handle.write(line + "\n")
+def _emit_sum(args, s: GraphSum) -> int:
+    """Write ``s`` to ``--output-sum`` when given, and report its terms."""
+    lines = s.to_lines()
+    if args.output_sum:
+        with open(args.output_sum, "w") as handle:
+            handle.writelines(line + "\n" for line in lines)
+    _emit(args, _report(args, {"arity": s.arity, "terms": lines}))
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
@@ -90,24 +94,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    s = _read_sum(args.input)
-    if args.output_sum:
-        _write_sum(args.output_sum, s)
-    _emit(args, _report(args, {"arity": s.arity, "terms": s.to_lines()}))
-    return EXIT_OK
+    return _emit_sum(args, _read_sum(args.input))
 
 
 def cmd_wheels(args) -> int:
-    encodings = list(args.graph or [])
+    graphs = [parse_graph(enc) for enc in args.graph or []]
     if args.input:
         with open(args.input) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    encodings.append(line.partition("\t")[2] or line)
+            graphs.extend(g for g, _ in parse_terms(handle))
     results = []
-    for enc in encodings:
-        g = parse_graph(enc)
+    for g in graphs:
         cls = canonical_form(g)
         results.append({"graph": g.encode(), "has_wheel": has_wheel(g),
                         "canonical": cls.rep.encode(), "sign": cls.sign})
@@ -125,30 +121,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    s = _read_sum(args.input)
-    out = graph_delta(s)
-    if args.output_sum:
-        _write_sum(args.output_sum, out)
-    _emit(args, _report(args, {"arity": out.arity, "terms": out.to_lines()}))
-    return EXIT_OK
-
-
-def _binary(args, op) -> int:
-    left = _read_sum(args.left)
-    right = _read_sum(args.right)
-    out = op(left, right)
-    if args.output_sum:
-        _write_sum(args.output_sum, out)
-    _emit(args, _report(args, {"arity": out.arity, "terms": out.to_lines()}))
-    return EXIT_OK
+    return _emit_sum(args, graph_delta(_read_sum(args.input)))
 
 
 def cmd_compose(args) -> int:
-    return _binary(args, graph_compose)
+    return _emit_sum(args, graph_compose(_read_sum(args.left), _read_sum(args.right)))
 
 
 def cmd_bracket(args) -> int:
-    return _binary(args, graph_gerstenhaber)
+    return _emit_sum(args, graph_gerstenhaber(_read_sum(args.left), _read_sum(args.right)))
 
 
 def cmd_leibniz(args) -> int:
@@ -165,8 +146,7 @@ def cmd_leibniz(args) -> int:
 
 def cmd_solve_mc(args) -> int:
     series, reports = solve_up_to(args.max_order, wheel_free=args.wheel_free,
-                                  seed=args.seed, nonzero_cap=args.matrix_cap,
-                                  order_cap=args.max_order)
+                                  seed=args.seed, nonzero_cap=args.matrix_cap)
     payload = {"orders": [r.to_json_dict() for r in reports]}
     _emit(args, _report(args, payload))
     return EXIT_OBSTRUCTED if any(r.status == "obstructed" for r in reports) else EXIT_OK
@@ -279,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--wheel-free", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--matrix-cap", type=int, default=200_000)
+    p.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_NONZERO_CAP)
     common(p)
     p.set_defaults(func=cmd_solve_mc)
 

@@ -164,6 +164,26 @@ def parse_graph(text: str) -> DirectedGraph:
     return DirectedGraph(n, m, tuple(pairs))
 
 
+def parse_terms(lines: Iterable) -> Iterator[tuple]:
+    """(DirectedGraph, Fraction) for each term line of a graph-sum text: a
+    coefficient, then a tab or a space, then a graph encoding.  Blank lines
+    and lines starting with ``#`` are skipped."""
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        coeff_text, sep, enc = line.partition("\t")
+        if not sep:
+            coeff_text, _, enc = line.partition(" ")
+            enc = enc.strip()
+        graph = parse_graph(enc)
+        try:
+            coeff = Fraction(coeff_text.strip())
+        except ZeroDivisionError:
+            raise GraphError("zero denominator in coefficient %r" % coeff_text) from None
+        yield graph, coeff
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -322,41 +342,26 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
 # wheels
 
 
-def _has_cycle(succ: list) -> bool:
-    """Iterative three-colour DFS over a successor list on vertices 0..len-1."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(succ)
-    for root in range(len(succ)):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GREY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GREY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GREY
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return False
+def _joined(reach: tuple, e: int, left: int, right: int) -> tuple:
+    """``reach`` after internal vertex e gains its edges to ``left`` and
+    ``right``.  ``reach`` holds per label the bitmask of internal vertices
+    it reaches (bit v: vertex v, label m+1+v), arguments 0; every label that
+    reaches e now also reaches what ``left`` and ``right`` reach.  This is
+    the transitive closure as long as neither target already reaches e,
+    which is the condition for the new edges to close no cycle."""
+    down = reach[left] | reach[right]
+    return tuple([r | down if r >> e & 1 else r for r in reach])
 
 
 def _has_wheel_pairs(n: int, m: int, pairs: Pairs) -> bool:
-    # cycles can only run through internal vertices
-    succ = [[] for _ in range(n)]
-    for pos, (left, right) in enumerate(pairs):
-        if left > m:
-            succ[pos].append(left - m - 1)
-        if right > m:
-            succ[pos].append(right - m - 1)
-    return _has_cycle(succ)
+    # cycles can only run through internal vertices; entry e closes one
+    # exactly when a target already reaches e
+    reach = (0,) * (m + 1) + tuple(1 << v for v in range(n))
+    for e, (left, right) in enumerate(pairs):
+        if (reach[left] | reach[right]) >> e & 1:
+            return True
+        reach = _joined(reach, e, left, right)
+    return False
 
 
 def has_wheel(g: DirectedGraph) -> bool:
@@ -399,9 +404,9 @@ def _restricted_growth(n: int, m: int, acyclic: bool = False) -> Iterator[Pairs]
     because its unlabeled targets take the next free labels, and none of
     its prefixes is beaten, so cutting the subtree of a prefix that
     ``_canonical_raw`` beats (``known`` = e) keeps every class.  With
-    ``acyclic`` a target that reaches vertex e is refused; ``reach`` holds
-    per label the bitmask of internal vertices it reaches.  Graphs that
-    leave an argument without an incoming edge are not yielded.
+    ``acyclic`` a target that reaches vertex e is refused (the cycle rule
+    of ``_has_wheel_pairs``, ``reach`` folded by ``_joined``).  Graphs
+    that leave an argument without an incoming edge are not yielded.
     """
     base = m + 1
     full = (1 << (m + 1)) - 2  # bits 1..m: every argument covered
@@ -417,8 +422,7 @@ def _restricted_growth(n: int, m: int, acyclic: bool = False) -> Iterator[Pairs]
         if e > 1 and _canonical_raw(n, m, prefix := tuple(entries), e)[0] != prefix:
             return
         if acyclic and e:
-            down = reach[entries[-1][0]] | reach[entries[-1][1]]
-            reach = tuple(r | down if r >> e - 1 & 1 else r for r in reach)
+            reach = _joined(reach, e - 1, *entries[-1])
         introduced = max(introduced, e + 1)
         free = base + introduced
         old = [*range(1, base), *(t for t in range(base, free)
@@ -722,21 +726,7 @@ class GraphSum:
 
     @classmethod
     def from_lines(cls, lines: Iterable, arity: int | None = None) -> "GraphSum":
-        items = []
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            coeff_text, sep, enc = line.partition("\t")
-            if not sep:
-                coeff_text, _, enc = line.partition(" ")
-                enc = enc.strip()
-            graph = parse_graph(enc)
-            try:
-                coeff = Fraction(coeff_text.strip())
-            except ZeroDivisionError:
-                raise GraphError("zero denominator in coefficient %r" % coeff_text) from None
-            items.append((graph, coeff))
+        items = list(parse_terms(lines))
         if arity is None:
             if not items:
                 raise GraphError("cannot infer arity of an empty graph-sum file")

@@ -1,10 +1,12 @@
 """Exact sparse Gaussian elimination over the rationals.
 
 Rows are dicts mapping column index -> nonzero exact rational, ``int`` or
-``Fraction``.  ``echelon`` holds every integral value as an ``int``: a
-pivot of 1 or -1 leaves its row integral, and any other pivot divides its
-row by ``Fraction`` with integral quotients stored as ``int``, so rows of
-``int`` never turn into floats.  ``StreamingReducer`` is fraction-free
+``Fraction``; ``echelon`` rejects a ``float`` with ``TypeError`` by the
+rule of ``poly._rational``, as ``Poly`` and ``GraphSum`` do.  It holds
+every integral value as an ``int``: a pivot of 1 or -1 leaves its row
+integral, and any other pivot divides its row by ``Fraction`` with
+integral quotients stored as ``int``, so rows of ``int`` never turn into
+floats.  ``StreamingReducer`` is fraction-free
 (Bareiss-style cross-multiplication on rows scaled to integers); its
 verdicts are re-checked by ``echelon``.  Two deterministic pivot
 strategies are provided so that every certificate can be re-verified with
@@ -27,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BudgetExceededError
+from .poly import _rational
 
 Row = dict
 
@@ -45,16 +48,6 @@ def _eliminate_into(target: Row, pivot_row: Row, factor: int):
                 target[col] = cur
             else:
                 del target[col]
-
-
-def _exact(value):
-    """``value`` as an exact rational, an ``int`` when it is integral."""
-    if type(value) is not int:
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        if value.denominator == 1:
-            return value.numerator
-    return value
 
 
 @dataclass
@@ -106,7 +99,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     ``BudgetExceededError`` as soon as it happens."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    work = [{col: _exact(value) for col, value in r.items()} for r in rows]
+    work = [{col: _rational(value) for col, value in r.items()} for r in rows]
     live = sum(len(r) for r in work)
     budget = math.inf if nonzero_budget is None else nonzero_budget
     if live > budget:
@@ -124,7 +117,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     if rhs is None:
         b = [0] * len(work)
     else:
-        b = [_exact(v) for v in rhs]
+        b = [_rational(v) for v in rhs]
         if len(b) != len(work):
             raise ValueError("rhs length %d does not match %d rows" % (len(b), len(work)))
     active = set(range(len(work)))
@@ -200,8 +193,8 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
         elif pivot_val != 1:
             pivot_val = Fraction(pivot_val)  # int / int would give a float
             for col, value in pivot_row.items():
-                pivot_row[col] = _exact(value / pivot_val)
-            b[best_row] = _exact(b[best_row] / pivot_val)
+                pivot_row[col] = _rational(value / pivot_val)
+            b[best_row] = _rational(b[best_row] / pivot_val)
         detach(best_row)
         active.discard(best_row)
         pivots.append((best_col, best_row))
@@ -210,7 +203,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             before = len(work[idx])
             eliminate_indexed(idx, pivot_row, factor)
             charge(idx, before)
-            b[idx] = _exact(b[idx] - factor * b[best_row])
+            b[idx] = _rational(b[idx] - factor * b[best_row])
             if not work[idx]:
                 if b[idx]:
                     inconsistent = True
@@ -237,7 +230,7 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             before = len(work[idx])
             eliminate_indexed(idx, pivot_row, factor)
             charge(idx, before)
-            b[idx] = _exact(b[idx] - factor * b[row_idx])
+            b[idx] = _rational(b[idx] - factor * b[row_idx])
     return Echelon(ncols=ncols,
                    pivot_cols=[col for col, _ in pivots],
                    rows=[work[row_idx] for _, row_idx in pivots],

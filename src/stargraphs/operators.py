@@ -58,7 +58,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import DirectedGraph, GraphClass, GraphSum, _lookup
+from .graphs import DirectedGraph, GraphSum, _lookup
 from .poisson import PoissonStructure
 from .poly import Poly, _add_terms, _mul_terms, _rational, _wrap
 
@@ -361,47 +361,28 @@ def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
 def _arity(s) -> int:
     if isinstance(s, DirectedGraph):
         return s.m
-    if isinstance(s, GraphClass):
-        return s.rep.m
     if isinstance(s, GraphSum):
         return s.arity
-    raise TypeError("expected GraphSum, GraphClass or DirectedGraph")
+    raise TypeError("expected GraphSum or DirectedGraph")
 
 
 def _graph_terms(s) -> list:
-    """(graph, coefficient) terms of a GraphSum, a GraphClass (its
-    representative as a one-term sum) or a labeled graph (itself, not
-    canonicalized).  Integral coefficients are given as ``int``, so
+    """(graph, coefficient) terms of a GraphSum or a labeled graph (itself,
+    not canonicalized).  Integral coefficients are given as ``int``, so
     integral operators stay in ``int`` arithmetic."""
     if isinstance(s, DirectedGraph):
         return [(s, 1)]
-    if isinstance(s, GraphClass):
-        s = GraphSum.single(s.rep)
-    return [(cls.rep, coeff.numerator if coeff.denominator == 1 else coeff)
-            for cls, coeff in s.terms()]
-
-
-def _operator_of(s, p: PoissonStructure) -> PolyDiffOperator:
-    """Operator of a GraphSum, a GraphClass or a labeled graph (the latter
-    compiled as labeled, without canonicalization)."""
-    if isinstance(s, DirectedGraph):
-        return _compiled(s, p)
-    return compile_sum(GraphSum.single(s.rep) if isinstance(s, GraphClass) else s, p)
+    return [(cls.rep, _rational(coeff)) for cls, coeff in s.terms()]
 
 
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
-    """Evaluate a GraphSum (or a single labeled graph / class) on concrete
-    polynomial arguments."""
-    for f in args:
-        if f.d != p.d:
-            raise DimensionError("argument dimension %d does not match d=%d"
-                                 % (f.d, p.d))
-    arity = _arity(s)
-    if len(args) != arity:
-        raise DimensionError("%s arity %d, got %d arguments"
-                             % ("graph" if isinstance(s, DirectedGraph) else "sum",
-                                arity, len(args)))
-    return _operator_of(s, p).apply(args)
+    """Evaluate a GraphSum, or a single labeled graph (compiled as labeled,
+    without canonicalization), on concrete polynomial arguments."""
+    if isinstance(s, DirectedGraph):
+        return _compiled(s, p).apply(args)
+    if isinstance(s, GraphSum):
+        return compile_sum(s, p).apply(args)
+    raise TypeError("expected GraphSum or DirectedGraph")
 
 
 class CoboundaryColumns:
@@ -466,9 +447,6 @@ class CoboundaryColumns:
     def terms(self, args: Sequence[Poly]) -> list:
         """The term dicts of ``values(args)``, not wrapped in Polys."""
         d, m = self.p.d, self.arity
-        if len(args) != m + 1:
-            raise DimensionError("coboundary of arity-%d cochain needs %d arguments, got %d"
-                                 % (m, m + 1, len(args)))
         args = tuple(args)
         _check_args(d, m + 1, args)
         sgn = 1 if (m - 1) % 2 == 0 else -1

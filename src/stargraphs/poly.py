@@ -22,12 +22,15 @@ Exponents = tuple  # length-d tuple of nonnegative ints
 
 
 def _rational(c):
-    """c as an exact rational: ``int`` when integral, else ``Fraction``."""
+    """c as an exact rational: ``int`` when integral, else ``Fraction``; a
+    ``float`` raises ``TypeError``.  The one exact-value rule of the
+    package."""
     if type(c) is int:
         return c
-    if isinstance(c, float):
-        raise TypeError("inexact coefficient %r: use int or Fraction" % (c,))
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError("inexact coefficient %r: use int or Fraction" % (c,))
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -35,16 +35,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceededError, DimensionError, GraphError
+from .errors import DimensionError, GraphError
 from .graphs import GraphClass, GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
 from .operators import CoboundaryColumns, compile_sum, oracle_gerstenhaber  # noqa: F401
 from .poisson import PoissonStructure, preset_poisson
-from .poly import Poly, monomials_up_to_degree
+from .poly import Poly, _compositions, monomials_up_to_degree
 
-DEFAULT_ORDER_CAP = 4
 DEFAULT_MATRIX_NONZERO_CAP = 200_000
 
 POISSON_GRAPH = "1 2 ; 3: 1 2"
@@ -229,15 +228,12 @@ def verify_order(series: StarSeries, k: int, strategy: str = "ordered") -> bool:
 
 def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
                 nonzero_cap: int = DEFAULT_MATRIX_NONZERO_CAP,
-                order_cap: int = DEFAULT_ORDER_CAP,
                 seed: int = 0) -> MCReport:
     """Solve the order-k equation over (wheel-free) classes with up to k
     internal vertices plus Leibniz multipliers.  A graph-level obstruction is
     grounded by the evaluation route before being reported."""
     if k < 1:
         raise GraphError("order must be >= 1, got %d" % k)
-    if k > order_cap:
-        raise BudgetExceededError("order %d exceeds the order cap %d" % (k, order_cap))
     for a in range(1, k):
         series.order(a)  # raises on missing orders
     if k == 1:
@@ -312,21 +308,13 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
 
 def _random_cubic(seed: int) -> Poly:
     rng = random.Random(seed)
-    monos = [e for e in _cubic_exponents()]
+    monos = list(_compositions(3, 3))
     total = Poly.zero(3)
     picks = rng.sample(range(len(monos)), 4)
     for i in picks:
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         total = total + Poly.monomial(3, monos[i], coeff)
     return total
-
-
-def _cubic_exponents():
-    out = []
-    for a in range(4):
-        for b in range(4 - a):
-            out.append((a, b, 3 - a - b))
-    return out
 
 
 def policy_fixtures(seed: int):
@@ -561,8 +549,7 @@ def reparametrize(series: StarSeries, alphas: dict) -> StarSeries:
 
 
 def solve_up_to(max_order: int, wheel_free: bool = True, seed: int = 0,
-                nonzero_cap: int = DEFAULT_MATRIX_NONZERO_CAP,
-                order_cap: int = DEFAULT_ORDER_CAP):
+                nonzero_cap: int = DEFAULT_MATRIX_NONZERO_CAP):
     """Build a series order by order; returns (series, [MCReport]).  Solving
     stops after the first order whose status is not ``solved`` (obstructed
     or inconclusive); that order's report is the last one."""
@@ -570,8 +557,7 @@ def solve_up_to(max_order: int, wheel_free: bool = True, seed: int = 0,
     reports = []
     for k in range(1, max_order + 1):
         report = solve_order(series, k, wheel_free=wheel_free,
-                             nonzero_cap=nonzero_cap, order_cap=order_cap,
-                             seed=seed)
+                             nonzero_cap=nonzero_cap, seed=seed)
         reports.append(report)
         if report.status != "solved":
             break

@@ -54,6 +54,17 @@ def test_wheels_command(tmp_path):
     assert data["graphs"][1]["sign"] == -1
 
 
+def test_wheels_input_reads_graph_sum_lines(tmp_path):
+    # a comment, a tab-separated and a space-separated term, as every --input
+    sum_file = tmp_path / "w.sum"
+    sum_file.write_text("# two terms\n1/2\t2 2 ; 3: 1 4 / 4: 3 2\n\n-1 1 2 ; 3: 2 1\n")
+    _, from_file = run_cli(["wheels", "--input", str(sum_file)], tmp_path, "file.json")
+    _, from_flags = run_cli(["wheels", "--graph", "2 2 ; 3: 1 4 / 4: 3 2",
+                             "--graph", "1 2 ; 3: 2 1"], tmp_path, "flags.json")
+    assert from_file["graphs"] == from_flags["graphs"]
+    assert len(from_file["graphs"]) == 2
+
+
 def test_eval_command(tmp_path):
     sum_file = tmp_path / "p.sum"
     sum_file.write_text("1\t1 2 ; 3: 1 2\n")

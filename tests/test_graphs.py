@@ -378,7 +378,7 @@ def test_prefix_cut_is_sound_and_the_generator_cuts_nothing_else(n, m):
             assert bounded[0] != pairs
         if not cut:
             survivors.append(pairs)
-            if not has_wheel(DirectedGraph(n, m, pairs)):
+            if not brute_force_has_wheel(n, m, pairs):
                 acyclic_survivors.append(pairs)
     assert list(_restricted_growth(n, m)) == survivors
     assert list(_restricted_growth(n, m, acyclic=True)) == acyclic_survivors
@@ -436,6 +436,15 @@ def test_wheel_examples():
     assert not has_wheel(parse_graph(C1))
     assert has_wheel(parse_graph(C2))
     assert has_wheel(parse_graph(K2_WHEEL))
+
+
+def test_has_wheel_matches_brute_force_on_every_labeled_graph():
+    checked = 0
+    for n, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
+        for pairs in brute_force_labeled_graphs(n, m):
+            assert has_wheel(DirectedGraph(n, m, pairs)) == brute_force_has_wheel(n, m, pairs), pairs
+            checked += 1
+    assert checked == 21_034
 
 
 def test_wheel_lemma_k_n1():

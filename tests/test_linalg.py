@@ -196,6 +196,15 @@ def test_echelon_on_int_rows_is_exact(strategy):
     assert first.particular_solution() == {0: F(1, 2), 2: F(1)}
 
 
+@pytest.mark.parametrize("rows, rhs", [
+    ([{0: 0.1}], [F(3, 10)]),
+    ([{0: 1}], [0.3]),
+], ids=["entry", "rhs"])
+def test_echelon_rejects_float_values(rows, rhs):
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        echelon(rows, rhs, 1)
+
+
 def test_streaming_reducer_on_int_rows_is_exact():
     for rows, rhs in list(INT_SYSTEMS) + list(random_int_systems()):
         ints, fracs = StreamingReducer(), StreamingReducer()

@@ -124,6 +124,8 @@ def test_dimension_and_arity_guards():
         oracle_delta(GraphSum.single(POISSON), p, (x(2, 1), x(2, 2), x(2, 1)))
     with pytest.raises(DimensionError):
         CoboundaryColumns([GraphSum.single(POISSON), GraphSum.single(TRIDIFF)], p)
+    with pytest.raises(TypeError):
+        apply_graph(canonical_form(parse_graph(POISSON)), p, (x(3, 1), x(3, 2)))
 
 
 # -- compile_graph and apply against the brute-force oracles ------------------
