@@ -278,8 +278,13 @@ class StreamingReducer:
         the row and rhs, and a new pivot row is stored primitive with a
         positive leading entry.  Every row is a nonzero multiple of the one
         that ``Fraction`` elimination would hold, so the outcomes are the
-        same."""
-        raw_rhs = Fraction(rhs)
+        same.  Entries and rhs pass the exact-value rule of
+        ``poly._rational``: a ``float`` raises ``TypeError``."""
+        raw_rhs = Fraction(_rational(rhs))
+        for v in row.values():
+            if type(v) is not int and type(v) is not Fraction:
+                row = {c: _rational(v) for c, v in row.items()}
+                break
         scale = math.lcm(raw_rhs.denominator, *(v.denominator for v in row.values()))
         work = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
         rhs = raw_rhs.numerator * (scale // raw_rhs.denominator)

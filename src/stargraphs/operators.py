@@ -28,26 +28,30 @@ nonzero exactly when its multi-index lies in the argument's downset (below
 some exponent of it), so each argument tuple walks the trie along its
 arguments' downsets and reaches only the keys whose product of derivatives
 is nonzero; a subtree is cut at its first vanishing slot.  Each argument's
-downset membership and derivatives (closed-form ``Poly.derive_multi``) are
-settled once per pass, and a reached key's value is formed once and
-multiplied into every column of its leaf.  ``PolyDiffOperator.apply`` is
-the one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
-case: the Hochschild coboundaries of many cochains on one argument tuple,
-whose m + 2 inner argument tuples enter each key as one signed combination.
-Every key of a graph's operator has the slot orders (indeg(1), ..,
-indeg(m)), so ``CoboundaryColumns`` groups its graphs by in-degree before
-compiling and compiles a group into its trie only once some argument
-tuple's degrees admit it.
+downset and derivatives (closed-form ``Poly.derive_multi``) are settled once
+per argument object: a ``Poly`` is immutable, so they are kept on it as its
+jet (``_jet``) and serve every later pass, tuple and slot it fills.  A
+reached key's value is formed once and multiplied into every column of its
+leaf.  ``PolyDiffOperator.apply`` is the one-operator, one-tuple case.
+``CoboundaryColumns`` is the many-column case: the Hochschild coboundaries
+of many cochains on one argument tuple, whose m + 2 inner argument tuples
+enter each key as one signed combination; it forms each argument product
+f_j f_{j+1} once per argument pair.  Every key of a graph's operator has
+the slot orders (indeg(1), .., indeg(m)), so ``CoboundaryColumns`` groups
+its graphs by in-degree before compiling and compiles a group into its trie
+only once some argument tuple's degrees admit it.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
 at operator level (no graph rewriting): ``oracle_delta`` is the one-column
-case of ``CoboundaryColumns``, the other two substitute slot values.  They
-are the reference implementations that the graph-level constructions in
-``homology`` are tested against, and they also state the equations of the
-solver's evaluation route: its unknown columns are ``CoboundaryColumns`` of
-the basis graphs and its right-hand side is made of ``oracle_gerstenhaber``
-values.
+case of ``CoboundaryColumns``, the other two substitute slot values by one
+composition formula (``_compose``) that takes the inner values from
+``apply_graph``.  They are the reference implementations that the
+graph-level constructions in ``homology`` are tested against, and they also
+state the equations of the solver's evaluation route: its unknown columns
+are ``CoboundaryColumns`` of the basis graphs and its right-hand side is
+the same bracket formula (``_bracket``) with the inner values taken from a
+memo (``InnerValues``), so each is formed once per argument pair.
 """
 
 from __future__ import annotations
@@ -131,23 +135,31 @@ def _downset(f: Poly) -> set:
     return down
 
 
-def _reach(trie: dict, args: Sequence[Poly], derivatives: dict) -> list:
+def _jet(f: Poly) -> tuple:
+    """f's jet: (downset, {alpha: derivative terms}).  A Poly is immutable,
+    so the jet is formed on f's first use as an argument and kept on f
+    (``Poly._jet``); the table is filled as keys reach it, and no reader
+    mutates a derivative dict."""
+    jet = f._jet
+    if jet is None:
+        jet = (_downset(f), {})
+        object.__setattr__(f, "_jet", jet)
+    return jet
+
+
+def _reach(trie: dict, args: Sequence[Poly]) -> list:
     """[(leaf, product of the argument derivatives its key names)] for the
     leaves whose key has each slot's multi-index in the downset of that
     slot's argument, which are exactly the keys whose product is nonzero.
     The trie is walked slot by slot along the downsets, each node through
-    the smaller of its children and the downset.  ``derivatives`` maps
-    id(argument) -> (downset, {alpha: derivative terms}), so each
-    argument's downset and derivatives are formed once however many tuples
-    and slots it fills."""
+    the smaller of its children and the downset.  Downsets and derivatives
+    are read from each argument's jet (``_jet``), so each is formed once
+    per argument object however many tuples, slots and passes it fills."""
     frontier = [(trie, None)]
     for f in args:
         if not frontier:
             break
-        entry = derivatives.get(id(f))
-        if entry is None:
-            entry = derivatives[id(f)] = (_downset(f), {})
-        down, table = entry
+        down, table = _jet(f)
         reached = []
         for node, prefix in frontier:
             if len(down) < len(node):
@@ -178,14 +190,13 @@ def _accumulate(trie: dict, width: int, tuples: list) -> list:
     arguments' downsets admit (``_reach``); the value of a reached key is
     formed once and multiplied into every column of its leaf.  Returns one
     term dict per column."""
-    derivatives: dict = {}
     totals: list[dict] = [{} for _ in range(width)]
     if tuples[0][1] is None:
-        reached = _reach(trie, tuples[0][0], derivatives)
+        reached = _reach(trie, tuples[0][0])
     else:
         values: dict = {}  # id(leaf) -> (leaf, value terms)
         for args, factor in tuples:
-            for leaf, value in _reach(trie, args, derivatives):
+            for leaf, value in _reach(trie, args):
                 entry = values.get(id(leaf))
                 if entry is None:
                     entry = values[id(leaf)] = (leaf, {})
@@ -402,11 +413,13 @@ class CoboundaryColumns:
     Compiled graphs are cached on the Poisson structure.  A column's
     coefficients are scaled by their common denominator, so the trie holds
     ``int`` multiples of the column's terms and each value is divided by it
-    once.  ``values`` forms each f_j f_{j+1} once and makes one
-    ``_accumulate`` pass over the m + 2 argument tuples, each with its
-    outer factor and sign, for all the columns at once."""
+    once.  ``values`` makes one ``_accumulate`` pass over the m + 2 argument
+    tuples, each with its outer factor and sign, for all the columns at
+    once.  Each product f_j f_{j+1} is formed once per argument pair for the
+    lifetime of the columns (``products``), so the product object keeps its
+    jet from one argument tuple to the next."""
 
-    __slots__ = ("p", "arity", "width", "denoms", "pending", "trie")
+    __slots__ = ("p", "arity", "width", "denoms", "pending", "trie", "products")
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
         arities = {_arity(s) for s in sums}
@@ -428,6 +441,9 @@ class CoboundaryColumns:
                 orders = tuple(len(g.in_edges.get(t, ())) for t in range(1, m + 1))
                 self.pending.setdefault(orders, {}).setdefault(col, []).append((g, coeff))
         self.trie: dict = {}  # compiled terms, see ``_insert``
+        # (id(f), id(g)) -> (f, g, f * g): the entry holds f and g, so no id
+        # is reused while it lives
+        self.products: dict[tuple, tuple] = {}
 
     def _compile(self, orders: tuple) -> None:
         """Compile one pending group into the trie.  Its keys have the slot
@@ -452,7 +468,11 @@ class CoboundaryColumns:
         sgn = 1 if (m - 1) % 2 == 0 else -1
         tuples = [(args[:m], args[m].terms), (args[1:], args[0].scale(sgn).terms)]
         for j in range(m):
-            merged = args[:j] + (args[j] * args[j + 1],) + args[j + 2:]
+            f, g = args[j], args[j + 1]
+            entry = self.products.get((id(f), id(g)))
+            if entry is None:
+                entry = self.products[id(f), id(g)] = (f, g, f * g)
+            merged = args[:j] + (entry[2],) + args[j + 2:]
             tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
         degrees = [[f.degree() for f in inner] for inner, _ in tuples]
         for orders in [o for o in self.pending if _fits(o, degrees)]:
@@ -473,12 +493,15 @@ def oracle_delta(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     return CoboundaryColumns([s], p).values(args)[0]
 
 
-def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
+def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     """Insertion composition evaluated by slot substitution:
 
     (D1 o D2)(f_0..f_{k1+k2}) =
-        sum_{0<=j<=k1} (-1)^{j k2} D1(f_0.., D2(f_j..f_{j+k2}), ..f_{k1+k2}).
-    """
+        sum_{0<=j<=k1} (-1)^{j k2} D1(f_0.., D2(f_j..f_{j+k2}), ..f_{k1+k2}),
+
+    with each inner value D2(f_j..f_{j+k2}) taken from
+    ``inner(s2, p, args)``: ``apply_graph`` itself, or a memo of its
+    values (``InnerValues``)."""
     m1, m2 = _arity(s1), _arity(s2)
     k1, k2 = m1 - 1, m2 - 1
     if len(args) != m1 + m2 - 1:
@@ -486,8 +509,7 @@ def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
                              % (m1, m2, m1 + m2 - 1, len(args)))
     total = Poly.zero(p.d)
     for j in range(k1 + 1):
-        inner = apply_graph(s2, p, args[j:j + m2])
-        outer_args = list(args[:j]) + [inner] + list(args[j + m2:])
+        outer_args = list(args[:j]) + [inner(s2, p, args[j:j + m2])] + list(args[j + m2:])
         value = apply_graph(s1, p, outer_args)
         if (j * k2) % 2:
             value = -value
@@ -495,11 +517,43 @@ def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     return total
 
 
+def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
+    """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1 by ``_compose`` with the
+    inner-value step ``inner`` (D o D once when D1 == D2)."""
+    k1, k2 = _arity(s1) - 1, _arity(s2) - 1
+    left = _compose(s1, s2, p, args, inner)
+    right = left if s1 == s2 else _compose(s2, s1, p, args, inner)
+    return left - right if (k1 * k2) % 2 == 0 else left + right
+
+
+class InnerValues:
+    """``apply_graph`` with a memo: each value D(f_0..f_{m-1}) is formed once
+    per (cochain, Poisson structure, argument objects).  Entries are keyed
+    by identity and hold the objects of their key, so no id is reused while
+    an entry lives; the memo lives as long as its owner keeps it (the
+    evaluation route keeps one per fixture feed).  A returned value is the
+    same object on every hit, so its jet stays warm."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        self.values: dict[tuple, tuple] = {}
+
+    def __call__(self, s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
+        key = (id(s), id(p), *map(id, args))
+        entry = self.values.get(key)
+        if entry is None:
+            entry = self.values[key] = (s, p, tuple(args), apply_graph(s, p, args))
+        return entry[3]
+
+
+def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
+    """Insertion composition evaluated by slot substitution (``_compose``),
+    each inner value by ``apply_graph``."""
+    return _compose(s1, s2, p, args, apply_graph)
+
+
 def oracle_gerstenhaber(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1, evaluated (D o D once when
-    D1 == D2)."""
-    m1, m2 = _arity(s1), _arity(s2)
-    k1, k2 = m1 - 1, m2 - 1
-    left = oracle_compose(s1, s2, p, args)
-    right = left if s1 == s2 else oracle_compose(s2, s1, p, args)
-    return left - right if (k1 * k2) % 2 == 0 else left + right
+    D1 == D2), each inner value by ``apply_graph``."""
+    return _bracket(s1, s2, p, args, apply_graph)

@@ -41,9 +41,15 @@ def _term_sort_key(exps: Exponents):
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients: ``int``
-    when integral, else ``Fraction``; no floats."""
+    when integral, else ``Fraction``; no floats.
 
-    __slots__ = ("d", "terms")
+    Being immutable, a Poly can carry its own derivative jet: ``_jet`` is
+    None until the polynomial first enters an operator evaluation as an
+    argument (``operators._jet``), and then holds its downset and a table
+    alpha -> derivative terms that is only ever extended, as keys reach it;
+    no reader mutates a derivative dict in it."""
+
+    __slots__ = ("d", "terms", "_jet")
 
     def __init__(self, d: int, terms: Mapping[Exponents, int | Fraction] | None = None):
         if d < 1:
@@ -67,6 +73,7 @@ class Poly:
                             del clean[exps]
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_jet", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -219,6 +226,7 @@ def _wrap(d: int, terms: dict) -> Poly:
     out = Poly.__new__(Poly)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "_jet", None)
     return out
 
 

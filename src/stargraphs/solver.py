@@ -21,10 +21,13 @@ rejected), with the Hochschild coboundaries of all basis graphs on the
 left, evaluated together per argument triple
 (``operators.CoboundaryColumns``, each graph compiled once per fixture
 when a triple first reaches it), and the
-brackets of the lower orders on the right (``operators.oracle_gerstenhaber``,
-each unordered pair once); it uses no graph-level delta, bracket or Leibniz
-span, so its infeasibility certificate holds without them, for the lower
-orders c_1..c_{k-1} that the series fixes.
+brackets of the lower orders on the right, still evaluated at operator
+level by slot substitution (the formula of
+``operators.oracle_gerstenhaber``, each unordered pair once), with the
+lower orders' inner values on argument pairs memoized per fixture feed
+(``operators.InnerValues``); it uses no graph-level delta, bracket or
+Leibniz span, so its infeasibility certificate holds without them, for the
+lower orders c_1..c_{k-1} that the series fixes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .graphs import GraphClass, GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
-from .operators import CoboundaryColumns, compile_sum, oracle_gerstenhaber  # noqa: F401
+from .operators import CoboundaryColumns, InnerValues, _bracket, compile_sum  # noqa: F401
 from .poisson import PoissonStructure, preset_poisson
 from .poly import Poly, _compositions, monomials_up_to_degree
 
@@ -364,6 +367,16 @@ def _bracket_pairs(series: StarSeries, k: int) -> list:
     return pairs
 
 
+def _bracket_rhs(lower: list, p: PoissonStructure, args, inner) -> Poly:
+    """sum weight * [D_a c_a, D_b c_b](args) over the pairs of
+    ``_bracket_pairs``, in their order, each bracket by
+    ``operators._bracket`` with the inner-value step ``inner``."""
+    total = Poly.zero(p.d)
+    for c_a, c_b, weight in lower:
+        total = total + _bracket(c_a, c_b, p, args, inner).scale(weight)
+    return total
+
+
 STALL_WINDOW = 250  # consecutive rank-neutral triples before a feed is cut short
 
 
@@ -375,10 +388,16 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     where B_j runs over the (wheel-free) basis classes with 1..k internal
     vertices.  Both sides are evaluated at operator level: the rows of a
     triple by one ``CoboundaryColumns`` pass over all basis columns, the
-    right-hand side by ``oracle_gerstenhaber`` once per pair a <= b (the
-    bracket of arity-2 cochains is symmetric), on the integral sums
-    D_a c_a with one weight -1/(2^[a=b] D_a D_b) per pair
-    (``_bracket_pairs``).  So the fixtures, the arguments and every
+    right-hand side by the operator-level bracket formula of
+    ``oracle_gerstenhaber`` once per pair a <= b (the bracket of arity-2
+    cochains is symmetric; no graph-level bracket is formed), on the
+    integral sums D_a c_a with one weight -1/(2^[a=b] D_a D_b) per pair
+    (``_bracket_pairs``).  Each argument's work is done once: its
+    derivatives are kept on it (``Poly`` jets), and within one fixture's
+    feed each product f_j f_{j+1} and each inner value D_a c_a(f_j, f_{j+1})
+    is formed once per argument pair (``CoboundaryColumns`` and an
+    ``InnerValues`` memo), which changes no value, value type or order of
+    accumulation.  So the fixtures, the arguments and every
     compiled operator keep ``int`` coefficients, and Fractions enter only
     through these weights; the reducer scales each row by its common
     denominator and eliminates in integers.  A basis graph is compiled only
@@ -409,14 +428,13 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
             raise DimensionError("evaluation fixtures must be Poisson structures "
                                  "(%s fails the Jacobi identity)" % p.label)
         delta = CoboundaryColumns(columns, p)  # operators cached on p after the first feed
+        inner = InnerValues()  # the lower orders' values on argument pairs, for this feed
         stall = 0
         count = 0
         for triple in triples:
             count += 1
             row_terms = delta.terms(triple)
-            rhs_poly = Poly.zero(p.d)
-            for c_a, c_b, weight in lower:
-                rhs_poly = rhs_poly + oracle_gerstenhaber(c_a, c_b, p, triple).scale(weight)
+            rhs_poly = _bracket_rhs(lower, p, triple, inner)
             # one row per monomial, columns inserted in ascending order
             rows: dict = {e: {} for e in rhs_poly.terms}
             for col, terms in enumerate(row_terms):

@@ -16,7 +16,8 @@ from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, Gra
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
 from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
-from stargraphs.operators import PolyDiffOperator, _graph_terms, apply_graph
+from stargraphs.operators import (PolyDiffOperator, _divided, _downset, _fits, _graph_terms,
+                                  _group_terms, apply_graph)
 from stargraphs.poly import Poly, _add_terms, _mul_terms, _wrap
 
 
@@ -818,3 +819,79 @@ def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
     GraphSum constructor with weight 1."""
     return GraphSum(m, [(g, 1) for g in transcribed_jacobiator_graphs(m, ordinary_out,
                                                                       special_out)])
+
+
+def per_pass_reach(trie, args, derivatives):
+    """``operators._reach`` as it was before derivative jets: ``derivatives``
+    maps id(argument) -> (downset, {alpha: derivative terms}) for one pass
+    only, so every pass differentiates its arguments anew."""
+    frontier = [(trie, None)]
+    for f in args:
+        if not frontier:
+            break
+        entry = derivatives.get(id(f))
+        if entry is None:
+            entry = derivatives[id(f)] = (_downset(f), {})
+        down, table = entry
+        reached = []
+        for node, prefix in frontier:
+            if len(down) < len(node):
+                hits = [(alpha, node[alpha]) for alpha in down if alpha in node]
+            else:
+                hits = [(alpha, child) for alpha, child in node.items() if alpha in down]
+            for alpha, child in hits:
+                der = table.get(alpha)
+                if der is None:
+                    der = table[alpha] = f.derive_multi(alpha).terms
+                reached.append((child, der if prefix is None else _mul_terms(prefix, der, {})))
+        frontier = reached
+    return frontier
+
+
+def per_pass_accumulate(trie, width, tuples):
+    """``operators._accumulate`` as it was before derivative jets, with one
+    fresh ``derivatives`` table per pass (``per_pass_reach``)."""
+    derivatives = {}
+    totals = [{} for _ in range(width)]
+    if tuples[0][1] is None:
+        reached = per_pass_reach(trie, tuples[0][0], derivatives)
+    else:
+        values = {}  # id(leaf) -> (leaf, value terms)
+        for args, factor in tuples:
+            for leaf, value in per_pass_reach(trie, args, derivatives):
+                entry = values.get(id(leaf))
+                if entry is None:
+                    entry = values[id(leaf)] = (leaf, {})
+                _mul_terms(value, factor, entry[1])
+        reached = values.values()
+    for leaf, value in reached:
+        if value:
+            for col, coeff in leaf:
+                _mul_terms(value, coeff, totals[col])
+    return totals
+
+
+def per_pass_apply(op, args):
+    """``PolyDiffOperator.apply`` by one ``per_pass_accumulate`` pass."""
+    return _wrap(op.d, per_pass_accumulate(_group_terms(op), 1, [(args, None)])[0])
+
+
+def per_pass_coboundary_terms(columns, args):
+    """``CoboundaryColumns.terms`` as it was before derivative jets and the
+    product memo: every f_j f_{j+1} formed anew and one
+    ``per_pass_accumulate`` pass over the trie of ``columns``, whose pending
+    groups it compiles as ``terms`` does."""
+    d, m = columns.p.d, columns.arity
+    args = tuple(args)
+    sgn = 1 if (m - 1) % 2 == 0 else -1
+    tuples = [(args[:m], args[m].terms), (args[1:], args[0].scale(sgn).terms)]
+    for j in range(m):
+        merged = args[:j] + (args[j] * args[j + 1],) + args[j + 2:]
+        tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
+    degrees = [[f.degree() for f in inner] for inner, _ in tuples]
+    for orders in [o for o in columns.pending if _fits(o, degrees)]:
+        columns._compile(orders)
+    totals = per_pass_accumulate(columns.trie, columns.width, tuples)
+    for col, denom in columns.denoms.items():
+        totals[col] = _divided(totals[col], denom)
+    return totals

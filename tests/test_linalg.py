@@ -205,6 +205,17 @@ def test_echelon_rejects_float_values(rows, rhs):
         echelon(rows, rhs, 1)
 
 
+@pytest.mark.parametrize("row, rhs", [
+    ({0: 0.5}, 1),
+    ({0: 1}, 0.3),
+], ids=["entry", "rhs"])
+def test_streaming_reducer_rejects_float_values(row, rhs):
+    red = StreamingReducer()
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        red.add_row(row, rhs)
+    assert red.pivots == {} and red.raw_rows == [] and red.raw_rhs == []
+
+
 def test_streaming_reducer_on_int_rows_is_exact():
     for rows, rhs in list(INT_SYSTEMS) + list(random_int_systems()):
         ints, fracs = StreamingReducer(), StreamingReducer()

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_force_apply, brute_force_compile_graph, brute_force_delta,
-                     fraction_compile_sum, rescan_compile_graph, transcribed_tridiff)
+                     fraction_compile_sum, per_pass_apply, per_pass_coboundary_terms,
+                     rescan_compile_graph, transcribed_tridiff)
 from stargraphs.errors import DimensionError
 from stargraphs import operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
@@ -332,6 +333,52 @@ def test_integer_fixtures_compile_to_int_coefficients(spec):
     for args in coboundary_triples(p.d)[:3]:
         for value in delta.values(args):
             assert all(type(c) is int for c in value.terms.values())
+
+
+def typed_terms(terms):
+    """A term dict with the type of each coefficient, so that an ``int`` and
+    an equal ``Fraction`` tell apart."""
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+def fresh_copies(args):
+    """New Poly objects equal to ``args``, without derivative jets."""
+    return tuple(Poly(f.d, f.terms) for f in args)
+
+
+@pytest.mark.parametrize("spec", ("so3", "sl2", "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
+def test_jets_match_the_per_pass_evaluation(spec):
+    # derivatives kept on the argument objects give the values, and the
+    # value types, of the per-pass tables they replace: on first use, on a
+    # second use with the jets warm, and on fresh copies without jets
+    p = preset_from_string(spec)
+    rng = random.Random(73)
+    pool = [cls.rep for cls in small_classes()]
+    for _ in range(8):
+        arity = rng.choice((2, 3))
+        reps = [g for g in pool if g.m == arity]
+        s = GraphSum(arity, [(g, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+                             for g in rng.sample(reps, 3)])
+        op = compile_sum(s, p)
+        args = tuple(rational_args(rng, p.d, arity) + list(mono_args(rng, p.d, arity, 2)))
+        for first in range(0, 2 * arity, arity):
+            use = args[first:first + arity]
+            assert all(f._jet is None for f in use)
+            for same in (use, use, fresh_copies(use)):
+                assert (typed_terms(op.apply(same).terms)
+                        == typed_terms(per_pass_apply(op, same).terms))
+            assert use[0]._jet is not None
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+    nonzero = 0
+    for args in coboundary_triples(p.d):
+        for same in (args, args, fresh_copies(args)):
+            values = delta.terms(same)
+            assert ([typed_terms(t) for t in values]
+                    == [typed_terms(t) for t in per_pass_coboundary_terms(reference, same)])
+            nonzero += any(values)
+        assert args[0]._jet is not None
+    assert nonzero
 
 
 def test_vertex_without_admissible_pair_compiles_to_zero_without_search(monkeypatch):

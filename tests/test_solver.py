@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -11,11 +12,13 @@ from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta, graph_gerstenhaber
 from stargraphs.linalg import StreamingReducer
-from stargraphs.operators import (apply_graph, compile_sum, oracle_compose, oracle_delta,
-                                  oracle_gerstenhaber)
+from oracles import per_pass_coboundary_terms
+from stargraphs.operators import (CoboundaryColumns, InnerValues, apply_graph, compile_sum,
+                                  oracle_compose, oracle_delta, oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries, _bracket_pairs,
+                               _bracket_rhs,
                                _solve_count_block, antisymmetric_part,
                                cocycle_kernel, eval_obstruction, kontsevich_k2,
                                mc_defect, poisson_class_sum, reparametrize,
@@ -527,6 +530,92 @@ def test_scaled_right_hand_side_matches_unscaled_brackets(fixture):
         assert scaled == plain.scale(Fraction(-1, 2))
         nonzero += not scaled.is_zero
     assert nonzero
+
+
+def typed_terms(poly):
+    """The terms of a Poly with the type of each coefficient."""
+    return {e: (type(c), c) for e, c in poly.terms.items()}
+
+
+def oracle_rhs(lower, p, triple):
+    """sum weight * oracle_gerstenhaber over the bracket pairs, in order."""
+    total = Poly.zero(p.d)
+    for c_a, c_b, weight in lower:
+        total = total + oracle_gerstenhaber(c_a, c_b, p, triple).scale(weight)
+    return total
+
+
+@pytest.mark.parametrize("spec", ("so3", "sl2", CUBIC))
+def test_memoized_right_hand_side_matches_the_oracle_brackets(spec):
+    # one memo of inner values over every triple of degree <= 2 arguments,
+    # as in one feed: equal values and value types to the memo-free oracle
+    series, _ = solve_up_to(3, wheel_free=True)
+    lower = _bracket_pairs(series, 4)
+    p = preset_from_string(spec)
+    inner = InnerValues()
+    nonzero = 0
+    for triple in itertools.product(monomials_up_to_degree(3, 2), repeat=3):
+        value = _bracket_rhs(lower, p, triple, inner)
+        assert typed_terms(value) == typed_terms(oracle_rhs(lower, p, triple))
+        nonzero += not value.is_zero
+    assert nonzero
+    # 9 * 9 argument pairs, each with the inner values of c_1, c_2 and c_3
+    assert len(inner.values) == 3 * 81
+
+
+@pytest.mark.parametrize("memo", ("products", "inner_values"))
+def test_memos_hold_their_arguments_against_id_reuse(memo):
+    # fresh Polys are made and dropped in a loop; a memo keyed by id that
+    # did not hold its arguments would serve a new Poly that took a dropped
+    # one's id the stale product or inner value.  One memo per run: either
+    # memo holds the triples, so it would hide the other's reuse
+    p = preset_poisson("so3")
+    if memo == "products":
+        columns = [GraphSum.single(cls.rep) for n in (1, 2)
+                   for cls in enumerate_graphs(n, 2, "wheel_free").classes]
+        delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+
+        def check(triple):
+            assert delta.terms(triple) == per_pass_coboundary_terms(reference, triple)
+    else:
+        series, _ = solve_up_to(3, wheel_free=True)
+        lower = _bracket_pairs(series, 4)
+        inner = InnerValues()
+
+        def check(triple):
+            assert _bracket_rhs(lower, p, triple, inner) == oracle_rhs(lower, p, triple)
+    rng = random.Random(83)
+    exponents = [next(iter(f.terms)) for f in monomials_up_to_degree(3, 2)]
+    for _ in range(60):
+        triple = tuple(Poly.monomial(3, rng.choice(exponents), rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for _ in range(3))
+        check(triple)
+        # dropped before the next Polys are made, so they may take its ids
+        del triple
+
+
+def test_eval_obstruction_differentiates_each_argument_once_per_multi_index(monkeypatch):
+    # triples over a pool of shared monomials on two fixtures: every
+    # argument object (products and inner bracket values included) is
+    # differentiated at most once per multi-index during the feed
+    series, _ = solve_up_to(3, wheel_free=True)
+    pool = monomials_up_to_degree(3, 2)
+    rng = random.Random(89)
+    triples = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(40)]
+    calls = collections.Counter()
+    held = []  # every differentiated object stays alive, so no id is reused
+    derive_multi = Poly.derive_multi
+
+    def counting(self, alpha):
+        held.append(self)
+        calls[id(self), tuple(alpha)] += 1
+        return derive_multi(self, alpha)
+
+    monkeypatch.setattr(Poly, "derive_multi", counting)
+    eval_obstruction(series, 4, fixtures=[(preset_poisson("so3"), triples),
+                                          (preset_poisson("sl2"), triples)])
+    assert calls and max(calls.values()) == 1
+    assert any(id(f) == key for f in pool for key, _alpha in calls)
 
 
 def test_triples_by_total_degree_order():
