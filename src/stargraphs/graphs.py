@@ -66,12 +66,28 @@ class DirectedGraph:
         if covered != (1 << (m + 1)) - 2:
             arg = next(t for t in range(1, m + 1) if not covered >> t & 1)
             raise GraphError("argument vertex %d has indegree 0" % arg)
+        self._set_key()
+
+    def _set_key(self):
         # the encoding key, used for every cache lookup and sort, and its
         # hash, which equals the dataclass hash of (n, m, out_edges)
-        key = (n, m, self.out_edges)
+        key = (self.n, self.m, self.out_edges)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_in_edges", None)
+
+    @classmethod
+    def _trusted(cls, n: int, m: int, out_edges: Pairs) -> "DirectedGraph":
+        """The graph on ``out_edges``, built without the admissibility
+        checks of ``__post_init__``: only for pairs that are admissible by
+        construction, such as the canonical relabeling of an admissible
+        graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "out_edges", out_edges)
+        g._set_key()
+        return g
 
     def __hash__(self):
         return self._hash
@@ -202,7 +218,10 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     tries every unlabeled old vertex there; the still unlabeled internal
     targets of that vertex then take the next free labels, in both orders
     when there are two.  Only extensions whose sorted pair equals the least
-    pair over the whole frontier survive.
+    pair over the whole frontier survive.  The targets are split into old
+    vertex indices once per call, a candidate's pair is read off the
+    labeling it would extend, and only the candidates that tie with the
+    least pair are extended into new labelings.
 
     This is exact: giving an unlabeled target any label other than the next
     free one makes entry e strictly larger while leaving the earlier entries
@@ -224,41 +243,53 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     ``pairs`` comes from the full search, with its sign and |Aut|.
     """
     base = m + 1
+    bound = n if known is None else known
+    # the targets, split once: an internal target as its old vertex index
+    # (>= 0), an argument t as t - base (< 0)
+    ends = [(left - base, right - base) for left, right in pairs[:bound]]
+    everyone = range(bound)
     key = []
     frontier = [((), 0)]
-    bound = n if known is None else known
-    everyone = range(bound)
     for e in range(bound):
         lo = hi = None  # least pair for entry e over the whole frontier
         survivors = []
         for order, parity in frontier:
-            if e < len(order):
-                candidates = (order[e],)
-                if order[e] >= bound:
+            size = len(order)
+            if e < size:
+                u = order[e]
+                if u >= bound:
                     continue
+                candidates = (u,)
                 grow = False
+                free = base + size
             else:
-                candidates = [u for u in everyone if u not in order]
+                candidates = everyone
                 grow = True
+                free = base + size + 1  # the candidate itself takes base + size
             for u in candidates:
-                labeled = order + (u,) if grow else order
-                left, right = pairs[u]
-                free = base + len(labeled)
-                open_left = open_right = -1  # old index of an unlabeled target
-                if left > m:
-                    open_left = left - base
-                    if open_left in labeled:
-                        left = base + labeled.index(open_left)
-                        open_left = -1
-                    else:
-                        left = free
-                if right > m:
-                    open_right = right - base
-                    if open_right in labeled:
-                        right = base + labeled.index(open_right)
-                        open_right = -1
-                    else:
-                        right = free + 1 if open_left >= 0 else free
+                if grow and u in order:
+                    continue
+                a, b = ends[u]  # after the lookups: an unlabeled target, or -1
+                if a < 0:
+                    left = a + base
+                elif a in order:
+                    left = base + order.index(a)
+                    a = -1
+                elif a == u:  # a loop, read as in ``labeled`` below
+                    left = free - 1
+                    a = -1
+                else:
+                    left = free
+                if b < 0:
+                    right = b + base
+                elif b in order:
+                    right = base + order.index(b)
+                    b = -1
+                elif b == u:
+                    right = free - 1
+                    b = -1
+                else:
+                    right = free + 1 if a >= 0 else free
                 flip = left > right
                 if flip:
                     left, right = right, left
@@ -267,14 +298,16 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
                     survivors = []
                 elif left != lo or right != hi:
                     continue
-                if open_left >= 0:
-                    if open_right >= 0:
-                        survivors.append((labeled + (open_left, open_right), parity))
-                        survivors.append((labeled + (open_right, open_left), parity ^ 1))
+                # only a candidate that ties is extended to a labeling
+                labeled = order + (u,) if grow else order
+                if a >= 0:
+                    if b >= 0:
+                        survivors.append((labeled + (a, b), parity))
+                        survivors.append((labeled + (b, a), parity ^ 1))
                         continue
-                    labeled += (open_left,)
-                elif open_right >= 0:
-                    labeled += (open_right,)
+                    labeled += (a,)
+                elif b >= 0:
+                    labeled += (b,)
                 survivors.append((labeled, parity ^ flip))
         key.append((lo, hi))
         if known is not None and key[e] < pairs[e]:
@@ -296,32 +329,44 @@ _CLASSES: dict = {}  # (canonical key, sign) -> the one GraphClass
 _CANON_CACHE_LIMIT = 120_000
 
 
-def _lookup(key: tuple, graph: DirectedGraph | None = None) -> GraphClass:
-    """Class of the labeled graph whose encoding key is ``key``, memoised.
+def _register(key: tuple, best: Pairs, sign: int) -> GraphClass:
+    """Record that the labeled graph with encoding key ``key`` has the
+    canonical pairs ``best`` and the sign ``sign``, and return its class.
 
-    A miss interns one representative ``DirectedGraph`` per class (``graph``
-    itself when it is given and canonical) and one ``GraphClass`` per
-    (class, sign), so every labeled graph of a class maps to the same
-    objects.  The three tables are cleared together at the limit."""
-    cls = _CANON_CACHE.get(key)
-    if cls is not None:
-        return cls
+    One representative ``DirectedGraph`` is interned per class and one
+    ``GraphClass`` per (class, sign), so every labeled graph of a class maps
+    to the same objects.  The representative is built without re-checking
+    admissibility (``DirectedGraph._trusted``): ``best`` is a relabeling of
+    an admissible graph.  The three tables are cleared together at the
+    limit."""
     if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
         _CANON_CACHE.clear()
         _REPS.clear()
         _CLASSES.clear()
+    n, m, _ = key
+    rep = _REPS.get((n, m, best))
+    if rep is None:
+        rep = DirectedGraph._trusted(n, m, best)
+        _REPS[rep.key] = rep
+    cls = _CLASSES.get((rep.key, sign))
+    if cls is None:
+        cls = _CLASSES[rep.key, sign] = GraphClass(rep, sign)
+    # a representative's own key is stored as the interned tuple
+    _CANON_CACHE[rep.key if key == rep.key else key] = cls
+    return cls
+
+
+def _lookup(key: tuple) -> GraphClass:
+    """Class of the labeled graph whose encoding key is ``key``, memoised;
+    a miss runs one ``_canonical_raw`` search and interns its result
+    through ``_register``.  ``key`` must be the key of an admissible
+    graph."""
+    cls = _CANON_CACHE.get(key)
+    if cls is not None:
+        return cls
     n, m, pairs = key
     best, sign, _ = _canonical_raw(n, m, pairs)
-    rep_key = (n, m, best)
-    cls = _CLASSES.get((rep_key, sign))
-    if cls is None:
-        rep = _REPS.get(rep_key)
-        if rep is None:
-            rep = graph if graph is not None and best == pairs else DirectedGraph(n, m, best)
-            _REPS[rep_key] = rep
-        cls = _CLASSES[rep_key, sign] = GraphClass(rep, sign)
-    _CANON_CACHE[key] = cls
-    return cls
+    return _register(key, best, sign)
 
 
 def canonical_form(g: DirectedGraph) -> GraphClass:
@@ -330,12 +375,14 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     The representative is the lexicographically least tuple of sorted
     (L, R) pairs over all internal relabelings, found by the pruned
     level-wise search in ``_canonical_raw``; it depends only on the orbit,
-    so isomorphic graphs get the same representative, the same object
-    while the cache holds it.  The sign is +1 or -1 by the parity of L/R
-    swaps that reach it, and 0 when both parities do.  Results are memoised
-    per labeled graph.
+    so isomorphic graphs get the same representative, the same interned
+    object while the cache holds it.  The sign is +1 or -1 by the parity of
+    L/R swaps that reach it, and 0 when both parities do.  Results are
+    memoised per labeled graph (``_lookup``), and ``enumerate_graphs``
+    records every class it yields, so a representative it returned is
+    found without a search.
     """
-    return _lookup(g.key, g)
+    return _lookup(g.key)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +534,12 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
                      vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> EnumerationResult:
     """Complete duplicate-free list of nonzero canonical classes of K_{n,m}
     passing the filter, plus the number of labeled graphs passing it (zero
-    classes included)."""
+    classes included).
+
+    Every class found, zero classes included, is registered with the
+    canonical-form tables (``_register``), and the nonzero ones are
+    returned as the interned ``GraphClass`` objects, so ``canonical_form``
+    on a returned representative makes no search."""
     _check_size(n, m, vertex_budget)
     if filter not in FILTERS:
         raise ValueError("unknown filter %r (expected one of %s)" % (filter, ", ".join(FILTERS)))
@@ -495,8 +547,9 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     classes = []
     for pairs, sign, orbit in _classes(n, m, filter):
         labeled += orbit
+        cls = _register((n, m, pairs), pairs, sign)
         if sign:
-            classes.append(GraphClass(DirectedGraph(n, m, pairs), 1))
+            classes.append(cls)
     return EnumerationResult(tuple(classes), labeled)
 
 
@@ -560,26 +613,28 @@ def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
             yield cls.rep, (coeff if cls.sign > 0 else -coeff)
 
 
-def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: Fraction) -> dict:
+def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) -> dict:
     """Add ``weight`` times each labeled graph of K_{n,m} into ``acc``, a
-    dict from canonical representative to nonzero Fraction, and return it.
+    dict from canonical representative to ``int`` numerator, and return it.
 
     ``pairs`` yields the out-edge tuples of the graphs, which the producers
     (grafting, slot splitting, Jacobiator expansion) build admissible, so no
-    ``DirectedGraph`` is made for them.  Each is looked up once and its sign
-    added into an integer count per representative; the weight is
-    multiplied in once per class whose count is nonzero, so the graph-level
-    algebra does no Fraction arithmetic per graph.
+    ``DirectedGraph`` is made for them.  Each is looked up once and its
+    signed weight added into the numerator of its class.  Callers scale
+    their coefficients to ``int`` numerators over one common denominator
+    and pass the accumulator of a whole operation to
+    ``GraphSum._from_numerators``, so the graph-level algebra does no
+    Fraction arithmetic per graph or per call.  Numerators that cancel
+    stay in ``acc`` as 0.
     """
-    counts: dict = {}
     cache = _CANON_CACHE
     for out_edges in pairs:
         key = (n, m, out_edges)
         cls = cache.get(key) or _lookup(key)
         if cls.sign:
             rep = cls.rep
-            counts[rep] = counts.get(rep, 0) + cls.sign
-    return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))
+            acc[rep] = acc.get(rep, 0) + (weight if cls.sign > 0 else -weight)
+    return acc
 
 
 class GraphSum:
@@ -611,6 +666,22 @@ class GraphSum:
         object.__setattr__(s, "_key", None)
         object.__setattr__(s, "_hash", None)
         return s
+
+    @classmethod
+    def _from_numerators(cls, arity: int, numerators: dict, denom: int) -> "GraphSum":
+        """The sum over ``numerators``, a dict from canonical representative
+        to ``int`` numerator over the common denominator ``denom``: each
+        nonzero numerator gets one Fraction, and zeros are dropped."""
+        return cls._wrap(arity, {rep: Fraction(num, denom)
+                                 for rep, num in numerators.items() if num})
+
+    def _numerators(self) -> tuple:
+        """(D, [(representative, numerator)]): the coefficients as ``int``
+        numerators over their common denominator D, the least common
+        multiple of their denominators."""
+        denom = math.lcm(*(c.denominator for c in self._terms.values()))
+        return denom, [(rep, c.numerator * (denom // c.denominator))
+                       for rep, c in self._terms.items()]
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphSum is immutable")

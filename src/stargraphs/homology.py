@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceededError, GraphError
 from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, add_labeled_graphs,
@@ -49,18 +48,20 @@ def graph_delta(s: GraphSum) -> GraphSum:
     For each argument slot t (1-based) the incoming edges are split over two
     adjacent argument vertices in all proper ways, with sign
     (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.  The
-    splits of one (term, slot) share a weight, so they are counted per
-    class by ``add_labeled_graphs``.
+    coefficients of ``s`` are scaled to ``int`` numerators over their common
+    denominator, every split adds its signed numerator into one accumulator
+    (``add_labeled_graphs``), and each class of the result is divided by the
+    denominator once.
     """
     m = s.arity
+    denom, terms = s._numerators()
     acc: dict = {}
     outer_sign = 1 if m % 2 == 0 else -1
-    for cls, coeff in s.terms():
+    for rep, num in terms:
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
-            add_labeled_graphs(acc, cls.rep.n, m + 1, _split_terms(cls.rep, slot),
-                               coeff * term_sign)
-    return GraphSum._wrap(m + 1, acc)
+            add_labeled_graphs(acc, rep.n, m + 1, _split_terms(rep, slot), num * term_sign)
+    return GraphSum._from_numerators(m + 1, acc, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -109,40 +110,46 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
         yield tuple(pairs)
 
 
-def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> dict:
-    """Add sign * (s1 o s2) into ``acc``: the grafts of one (term pair,
-    slot) share a weight and are counted per class by ``add_labeled_graphs``."""
+def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> int:
+    """Add sign * (s1 o s2) into ``acc`` as ``int`` numerators over
+    D = D1 D2, the product of the common denominators of s1 and s2, and
+    return D.  Each term pair's numerators are multiplied once, and every
+    graft adds the signed product into ``acc`` (``add_labeled_graphs``)."""
     m1, m2 = s1.arity, s2.arity
-    terms2 = s2.terms()
-    for cls1, c1 in s1.terms():
-        for cls2, c2 in terms2:
-            base = c1 * c2 * sign
-            n = cls1.rep.n + cls2.rep.n
+    denom1, terms1 = s1._numerators()
+    denom2, terms2 = s2._numerators()
+    for rep1, num1 in terms1:
+        for rep2, num2 in terms2:
+            base = num1 * num2 * sign
+            n = rep1.n + rep2.n
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                add_labeled_graphs(acc, n, m1 + m2 - 1, graft_terms(cls1.rep, slot, cls2.rep),
-                                   weight)
-    return acc
+                add_labeled_graphs(acc, n, m1 + m2 - 1, graft_terms(rep1, slot, rep2), weight)
+    return denom1 * denom2
 
 
 def graph_compose(s1: GraphSum, s2: GraphSum) -> GraphSum:
     """Insertion composition at graph level; arities (m1, m2) -> m1 + m2 - 1.
     Slot t carries the sign (-1)^((t-1)(m2-1)) of the operator formula.
-    Each grafted graph is canonicalized once and counted by its sign per
-    class; coefficients are multiplied once per (term pair, slot, class)."""
-    return GraphSum._wrap(s1.arity + s2.arity - 1, _compose_into({}, s1, s2, 1))
+    Each grafted graph is canonicalized once and its signed numerator
+    added per class (``_compose_into``); each class of the result gets one
+    Fraction."""
+    acc: dict = {}
+    denom = _compose_into(acc, s1, s2, 1)
+    return GraphSum._from_numerators(s1.arity + s2.arity - 1, acc, denom)
 
 
 def graph_gerstenhaber(s1: GraphSum, s2: GraphSum) -> GraphSum:
     """[s1, s2] = s1 o s2 - (-1)^{k1 k2} s2 o s1 with k_i = arity_i - 1.
 
-    Both compositions are counted into one sum, as in ``graph_compose``.
-    For two arity-2 cochains k1 k2 = 1, so [s1, s2] = s1 o s2 + s2 o s1 =
-    [s2, s1]."""
+    Both compositions are counted into one accumulator over the same
+    denominator D1 D2, as in ``graph_compose``.  For two arity-2 cochains
+    k1 k2 = 1, so [s1, s2] = s1 o s2 + s2 o s1 = [s2, s1]."""
     k1, k2 = s1.arity - 1, s2.arity - 1
-    acc = _compose_into({}, s1, s2, 1)
+    acc: dict = {}
+    denom = _compose_into(acc, s1, s2, 1)
     _compose_into(acc, s2, s1, 1 if (k1 * k2) % 2 else -1)
-    return GraphSum._wrap(k1 + k2 + 1, acc)
+    return GraphSum._from_numerators(k1 + k2 + 1, acc, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +208,11 @@ def _jacobiator_terms(m: int, ordinary_out: tuple, special_out: tuple):
 def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) -> GraphSum:
     """Replace the outdegree-3 vertex by the three cyclic two-vertex terms of
     the Jacobiator, redistributing the incoming edges over the two new
-    vertices in all ways."""
+    vertices in all ways.  Every term has weight 1, so the signs are summed
+    as ``int`` per class and each class gets one Fraction."""
     n = len(ordinary_out) + 2
-    return GraphSum._wrap(m, add_labeled_graphs(
-        {}, n, m, _jacobiator_terms(m, ordinary_out, special_out), Fraction(1)))
+    return GraphSum._from_numerators(m, add_labeled_graphs(
+        {}, n, m, _jacobiator_terms(m, ordinary_out, special_out), 1), 1)
 
 
 def _relabeled(m: int, triple: tuple, ordinary: tuple, perm: tuple) -> tuple:

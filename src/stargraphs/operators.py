@@ -13,7 +13,9 @@ zero without a search.  Relabeling the arguments of a graph only permutes
 the slots of its operator, so a graph is compiled once per orbit of
 argument relabelings (``_compiled``): the orbit's least class
 representative is compiled, and each graph of the orbit takes that
-operator with its slots permuted and the class sign applied.  Compiled
+operator with its slots permuted and the class sign applied.  The orbit
+of a class is looked up once (``_orbit``) and recorded for every class in
+it, so a graph of a known orbit costs one class lookup.  Compiled
 graphs are cached on the Poisson structure under their key, and
 ``compile_sum`` operators under the sum.  ``compile_sum`` scales its terms
 by their common denominator, accumulates into one exponent dict in ``int``
@@ -62,7 +64,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import DirectedGraph, GraphSum, _lookup
+from .graphs import _CANON_CACHE_LIMIT, DirectedGraph, GraphSum, _lookup
 from .poisson import PoissonStructure
 from .poly import Poly, _add_terms, _mul_terms, _rational, _wrap
 
@@ -278,48 +280,86 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
 
 
+_ORBITS: dict = {}  # class representative key -> (anchor, perm, sign), see ``_orbit``
+
+
+def _relabeled_key(key: tuple, perm: tuple) -> tuple:
+    """Encoding key of the graph with key ``key`` and argument t renamed
+    perm[t - 1]."""
+    n, m, pairs = key
+    return n, m, tuple((perm[left - 1] if left <= m else left,
+                        perm[right - 1] if right <= m else right) for left, right in pairs)
+
+
+def _orbit(rep: DirectedGraph) -> tuple:
+    """(anchor, perm, sign) for the representative ``rep`` of a nonzero
+    class: ``anchor`` is the least class representative over the argument
+    relabelings of ``rep``, and ``perm`` the first relabeling in
+    ``permutations`` order whose class is the anchor's, with sign ``sign``.
+
+    Recorded once per orbit, for every class in it.  On a miss every
+    relabeling rep o s is looked up once (``graphs._lookup``).  A class c
+    found at s with sign e is e (rep o s) up to internal relabeling, and an
+    argument relabeling commutes with an internal one, so c o t is
+    e (rep o (t s)): c's record is read off the same lookups.  The table is
+    cleared at ``graphs._CANON_CACHE_LIMIT``."""
+    record = _ORBITS.get(rep.key)
+    if record is not None:
+        return record
+    if len(_ORBITS) >= _CANON_CACHE_LIMIT:
+        _ORBITS.clear()
+    perms = list(permutations(range(1, rep.m + 1)))
+    found = {s: _lookup(_relabeled_key(rep.key, s)) for s in perms}
+    anchor = min((cls.rep for cls in found.values()), key=lambda g: g.key)
+    for s, cls in found.items():
+        if cls.rep.key in _ORBITS:
+            continue
+        for t in perms:
+            target = found[tuple([t[i - 1] for i in s])]
+            if target.rep.key == anchor.key:
+                _ORBITS[cls.rep.key] = anchor, t, cls.sign * target.sign
+                break
+    return _ORBITS[rep.key]
+
+
 def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of the labeled graph ``g``, cached on the Poisson structure
     under ``g.key``; equal to ``compile_graph(g, p)``.
 
     Relabeling the arguments of a graph by a permutation s moves the
     derivatives of slot t to slot s(t) and changes nothing else, and a
-    relabeled graph stays admissible.  So on a miss every argument
-    relabeling of ``g`` is looked up by key (``graphs._lookup``), the least
-    class representative among them is the anchor of ``g``'s orbit, and
-    only the anchor is compiled, once per orbit; ``g``'s operator is the
-    anchor's with the slots of every key permuted back, times the sign of
-    the class.  A sign-0 class (its relabelings are sign 0 too) is the zero
-    operator."""
+    relabeled graph stays admissible.  So only the anchor of ``g``'s orbit
+    of argument relabelings, the least class representative in it, is
+    compiled, once per orbit and structure.  A miss costs one lookup of
+    ``g``'s class (``graphs._lookup``); its representative's record
+    (``_orbit``) gives the relabeling ``perm`` that takes it to the anchor's
+    class, with its sign, and relabeling commutes with the internal
+    relabeling that relates ``g`` to its representative, so ``g``'s
+    operator is the anchor's with the slots of every key permuted back,
+    times both signs.  A sign-0 class (its relabelings are sign 0 too) is
+    the zero operator."""
     cache = p._op_cache
     op = cache.get(g.key)
     if op is not None:
         return op
-    n, m, pairs = g.key
-    best = None
-    for perm in permutations(range(1, m + 1)):
-        cls = _lookup((n, m, tuple((perm[left - 1] if left <= m else left,
-                                    perm[right - 1] if right <= m else right)
-                                   for left, right in pairs)))
-        if not cls.sign:
-            op = cache[g.key] = PolyDiffOperator(p.d, m, {})
-            return op
-        if best is None or cls.rep.key < best[0].rep.key:
-            best = cls, perm
-    cls, perm = best
-    anchor = cls.rep
+    cls = _lookup(g.key)
+    if not cls.sign:
+        op = cache[g.key] = PolyDiffOperator(p.d, g.m, {})
+        return op
+    anchor, perm, sign = _orbit(cls.rep)
+    sign *= cls.sign
     base = cache.get(anchor.key)
     if base is None:
         # through the module global, so that a wrapper sees every compile
         base = cache[anchor.key] = compile_graph(anchor, p)
-    if cls.sign == 1 and perm == tuple(range(1, m + 1)):
+    if sign == 1 and perm == tuple(range(1, g.m + 1)):
         op = base
     else:
         # slot t of g's key is slot perm[t] of the anchor's key
         slots = [s - 1 for s in perm]
-        op = PolyDiffOperator(p.d, m, {tuple([key[s] for s in slots]):
-                                       (poly if cls.sign == 1 else -poly)
-                                       for key, poly in base.terms.items()})
+        op = PolyDiffOperator(p.d, g.m, {tuple([key[s] for s in slots]):
+                                         (poly if sign == 1 else -poly)
+                                         for key, poly in base.terms.items()})
     cache[g.key] = op
     return op
 

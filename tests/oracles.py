@@ -12,7 +12,8 @@ from typing import Iterable
 
 from stargraphs.errors import BudgetExceededError, DimensionError
 from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
-                               _canonical_raw, _passes_filter, has_wheel, parse_graph)
+                               _canonical_raw, _lookup, _merge, _passes_filter, has_wheel,
+                               parse_graph)
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
 from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
@@ -895,3 +896,131 @@ def per_pass_coboundary_terms(columns, args):
     for col, denom in columns.denoms.items():
         totals[col] = _divided(totals[col], denom)
     return totals
+
+
+# -- the level-wise canonical search with a candidate list per labeling ---------
+
+def candidate_list_canonical_raw(n, m, pairs, known=None):
+    """``graphs._canonical_raw`` as it was before its loop was tightened:
+    every frontier labeling builds a list of its candidates, every candidate
+    is extended to a labeling before its pair is compared, and targets are
+    located in that labeling."""
+    base = m + 1
+    key = []
+    frontier = [((), 0)]
+    bound = n if known is None else known
+    everyone = range(bound)
+    for e in range(bound):
+        lo = hi = None
+        survivors = []
+        for order, parity in frontier:
+            if e < len(order):
+                candidates = (order[e],)
+                if order[e] >= bound:
+                    continue
+                grow = False
+            else:
+                candidates = [u for u in everyone if u not in order]
+                grow = True
+            for u in candidates:
+                labeled = order + (u,) if grow else order
+                left, right = pairs[u]
+                free = base + len(labeled)
+                open_left = open_right = -1
+                if left > m:
+                    open_left = left - base
+                    if open_left in labeled:
+                        left = base + labeled.index(open_left)
+                        open_left = -1
+                    else:
+                        left = free
+                if right > m:
+                    open_right = right - base
+                    if open_right in labeled:
+                        right = base + labeled.index(open_right)
+                        open_right = -1
+                    else:
+                        right = free + 1 if open_left >= 0 else free
+                flip = left > right
+                if flip:
+                    left, right = right, left
+                if lo is None or left < lo or (left == lo and right < hi):
+                    lo, hi = left, right
+                    survivors = []
+                elif left != lo or right != hi:
+                    continue
+                if open_left >= 0:
+                    if open_right >= 0:
+                        survivors.append((labeled + (open_left, open_right), parity))
+                        survivors.append((labeled + (open_right, open_left), parity ^ 1))
+                        continue
+                    labeled += (open_left,)
+                elif open_right >= 0:
+                    labeled += (open_right,)
+                survivors.append((labeled, parity ^ flip))
+        key.append((lo, hi))
+        if known is not None and key[e] < pairs[e]:
+            break
+        frontier = survivors
+    parities = {parity for _, parity in frontier}
+    if len(parities) == 2:
+        sign = 0
+    elif 0 in parities:
+        sign = 1
+    else:
+        sign = -1
+    return tuple(key), sign, len(frontier)
+
+
+# -- graph-level algebra with a Fraction weight per producer call ---------------
+
+def fraction_add_labeled_graphs(acc, n, m, pairs, weight):
+    """Signs counted per class for one producer call, then the Fraction
+    ``weight`` multiplied into each nonzero count and merged into ``acc``."""
+    counts = {}
+    for out_edges in pairs:
+        cls = _lookup((n, m, out_edges))
+        if cls.sign:
+            counts[cls.rep] = counts.get(cls.rep, 0) + cls.sign
+    return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))
+
+
+def fraction_graph_delta(s):
+    m = s.arity
+    acc = {}
+    outer_sign = 1 if m % 2 == 0 else -1
+    for cls, coeff in s.terms():
+        for slot in range(1, m + 1):
+            term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
+            fraction_add_labeled_graphs(acc, cls.rep.n, m + 1, _split_terms(cls.rep, slot),
+                                        coeff * term_sign)
+    return GraphSum._wrap(m + 1, acc)
+
+
+def _fraction_compose_into(acc, s1, s2, sign):
+    m1, m2 = s1.arity, s2.arity
+    for cls1, c1 in s1.terms():
+        for cls2, c2 in s2.terms():
+            base = c1 * c2 * sign
+            for slot in range(1, m1 + 1):
+                weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
+                fraction_add_labeled_graphs(acc, cls1.rep.n + cls2.rep.n, m1 + m2 - 1,
+                                            graft_terms(cls1.rep, slot, cls2.rep), weight)
+    return acc
+
+
+def fraction_graph_compose(s1, s2):
+    return GraphSum._wrap(s1.arity + s2.arity - 1, _fraction_compose_into({}, s1, s2, 1))
+
+
+def fraction_graph_gerstenhaber(s1, s2):
+    k1, k2 = s1.arity - 1, s2.arity - 1
+    acc = _fraction_compose_into({}, s1, s2, 1)
+    _fraction_compose_into(acc, s2, s1, 1 if (k1 * k2) % 2 else -1)
+    return GraphSum._wrap(k1 + k2 + 1, acc)
+
+
+def fraction_expand_jacobiator_vertex(m, ordinary_out, special_out):
+    return GraphSum._wrap(m, fraction_add_labeled_graphs(
+        {}, len(ordinary_out) + 2, m, _jacobiator_terms(m, ordinary_out, special_out),
+        Fraction(1)))

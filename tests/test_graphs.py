@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
-                     brute_force_labeled_graphs, scan_enumerate_graphs, scan_zero_classes,
-                     unpruned_restricted_growth)
+                     brute_force_labeled_graphs, candidate_list_canonical_raw,
+                     scan_enumerate_graphs, scan_zero_classes, unpruned_restricted_growth)
 from stargraphs import graphs
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (FILTERS, DirectedGraph, EnumerationResult, GraphClass, GraphSum,
@@ -153,6 +153,50 @@ def test_cache_limit_clears_the_interned_representatives(fresh_tables, monkeypat
     assert list(graphs._CLASSES.values()) == [other]
     again = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
     assert again == first and again.rep is not first.rep
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The argument tuples of every ``_canonical_raw`` call, in call order."""
+    calls = []
+    search = graphs._canonical_raw
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(graphs, "_canonical_raw", counting)
+    return calls
+
+
+def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
+    zeros = zero_classes(4, 2)
+    assert zeros
+    result = enumerate_graphs(4, 2)
+    searches.clear()
+    for cls in result.classes:
+        assert canonical_form(cls.rep) is cls and cls.sign == 1
+        assert GraphSum.single(cls.rep).terms() == [(cls, 1)]
+    for rep in zeros:
+        assert canonical_form(rep).sign == 0
+        assert GraphSum.single(rep).is_zero
+    assert searches == []
+    # the tables hold exactly the enumerated classes, zero classes included
+    assert len(graphs._CANON_CACHE) == len(graphs._REPS) == len(result.classes) + len(zeros)
+    assert enumerate_graphs(4, 2) == scan_enumerate_graphs(4, 2)
+
+
+def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
+    monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", 5)
+    result = enumerate_graphs(3, 2)
+    assert len(result.classes) > 10
+    assert result == scan_enumerate_graphs(3, 2)
+    # cleared together: the tables hold the same last few classes
+    interned = set(graphs._CANON_CACHE.values())
+    assert 1 <= len(interned) <= 5
+    assert set(graphs._CLASSES.values()) == interned
+    assert set(graphs._REPS.values()) == {cls.rep for cls in interned}
+    assert set(result.classes[-len(interned):]) >= {c for c in interned if c.sign}
 
 
 def test_antisymmetrized_pair_cancels():
@@ -389,6 +433,27 @@ def test_prefix_cut_explicit_cases():
     assert _canonical_raw(3, 2, ((1, 4), (1, 2)), 2)[0] == ((1, 2),)
     assert _prefix_cut(3, 2, ((1, 4), (1, 2), (1, 2)), 2)
     assert not _prefix_cut(3, 2, ((1, 2), (1, 4), (1, 2)), 2)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                  (4, 1)])
+def test_canonical_search_matches_candidate_list_oracle_for_every_prefix(n, m):
+    for pairs in brute_force_labeled_graphs(n, m):
+        for known in (None, *range(1, n + 1)):
+            assert (_canonical_raw(n, m, pairs, known)
+                    == candidate_list_canonical_raw(n, m, pairs, known)), (pairs, known)
+
+
+def test_canonical_search_matches_candidate_list_oracle_on_generation_prefixes():
+    # the prefix tests of generation, and the deliberately inadmissible
+    # inputs of the explicit cases (a short prefix, a loop at vertex 4)
+    cases = [(3, 2, ((1, 4), (1, 2)), 2), (3, 2, ((1, 4), (1, 2), (1, 2)), 2),
+             (3, 2, ((1, 2), (1, 4), (1, 2)), 2), (3, 2, ((1, 2), (4, 1), (1, 2)), 2)]
+    for n, m in [(4, 2), (3, 3)]:
+        for pairs in unpruned_restricted_growth(n, m):
+            cases += [(n, m, pairs[:e], e) for e in range(2, n + 1)]
+    for case in cases:
+        assert _canonical_raw(*case) == candidate_list_canonical_raw(*case), case
 
 
 def test_enumeration_k52_all_matches_generate_then_filter():

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (all_pairs_leibniz_generators, grafted_graphs, jacobiator_graphs,
+from oracles import (all_pairs_leibniz_generators, fraction_expand_jacobiator_vertex,
+                     fraction_graph_compose, fraction_graph_delta, fraction_graph_gerstenhaber,
+                     grafted_graphs, jacobiator_graphs,
                      labelled_expand_jacobiator_vertex, labelled_graph_compose,
                      labelled_graph_delta, labelled_graph_gerstenhaber,
                      sorted_skeleton_leibniz_generators, transcribed_jacobiator_graphs)
@@ -265,6 +269,45 @@ def test_counted_jacobiator_expansion_matches_labelled_oracle(n_total, m):
             vanishing += expansion.is_zero
     assert checked
     assert bool(vanishing) == (n_total == 4)
+
+
+@st.composite
+def fractional_sums(draw, arity, max_terms=3):
+    """Sums of relabelled pool graphs with non-integral coefficients."""
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=12)
+                           .filter(lambda c: c.denominator > 1), min_size=1, max_size=max_terms))
+    return GraphSum(arity, [(relabelled(rng, rng.choice(COUNTED_POOLS[arity])), c)
+                            for c in coeffs])
+
+
+def assert_same_fraction_sum(result, reference):
+    assert result == reference
+    assert all(type(coeff) is Fraction for _, coeff in result.terms())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 3).flatmap(fractional_sums))
+def test_integer_delta_matches_fraction_weight_oracle(s):
+    assert_same_fraction_sum(graph_delta(s), fraction_graph_delta(s))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)])
+       .flatmap(lambda arities: st.tuples(fractional_sums(arities[0]),
+                                          fractional_sums(arities[1], max_terms=2))))
+def test_integer_compose_and_bracket_match_fraction_weight_oracles(sums):
+    s1, s2 = sums
+    assert_same_fraction_sum(graph_compose(s1, s2), fraction_graph_compose(s1, s2))
+    assert_same_fraction_sum(graph_gerstenhaber(s1, s2), fraction_graph_gerstenhaber(s1, s2))
+
+
+@pytest.mark.parametrize("n_total, m", [(2, 3), (3, 2), (4, 2)])
+def test_integer_jacobiator_expansion_matches_fraction_weight_oracle(n_total, m):
+    for gen in leibniz_generators(n_total, m):
+        args = (m, gen.ordinary_out, gen.special_out)
+        assert_same_fraction_sum(expand_jacobiator_vertex(*args),
+                                 fraction_expand_jacobiator_vertex(*args))
 
 
 def test_merged_sums_equal_constructed_sums():

@@ -673,6 +673,46 @@ def test_sign_zero_classes_compile_to_zero_without_a_search(spec, compiled_keys)
     assert compiled_keys(p) == []
 
 
+def residual_graphs():
+    """Representatives of the arity-3 sums delta(c_k) and defect_k, k = 2, 3,
+    of the wheel-free series, whose residuals the evaluation route checks."""
+    series = orbit_series()
+    sums = [graph_delta(series.order(k)) for k in (2, 3)] + [mc_defect(series, k) for k in (2, 3)]
+    return sorted({cls.rep for s in sums for cls, _ in s.terms()}, key=lambda g: g.key)
+
+
+@pytest.mark.parametrize("spec", ["so3", CUBIC])
+def test_compiled_records_each_orbit_once(spec, monkeypatch):
+    # a fresh orbit table and a count of the class lookups ``_compiled`` makes
+    monkeypatch.setattr(operators, "_ORBITS", {})
+    lookups = []
+    lookup = operators._lookup
+
+    def counting(key):
+        lookups.append(key)
+        return lookup(key)
+
+    monkeypatch.setattr(operators, "_lookup", counting)
+    p, reference = preset_from_string(spec), preset_from_string(spec)
+    reps = residual_graphs()
+    assert len(reps) > 20 and {g.m for g in reps} == {3}
+    graphs = {relabel_args(g, perm).key: relabel_args(g, perm)
+              for g in reps for perm in itertools.permutations((1, 2, 3))}
+    orbits = {orbit_anchor(g) for g in reps}
+    lookups.clear()
+    nonzero = 0
+    for g in graphs.values():
+        before = len(lookups)
+        known = canonical_form(g).rep.key in operators._ORBITS
+        op = operators._compiled(g, p)
+        # a graph of a known orbit costs one lookup, a new orbit 1 + 3! more
+        assert len(lookups) - before == (1 if known else 7)
+        assert_same_operator(op, compile_graph(g, reference))
+        nonzero += not op.is_zero
+    assert nonzero > 20
+    assert len(lookups) == len(graphs) + 6 * len(orbits)
+
+
 def orbit_sums():
     """Sums of arities 2 and 3 with Fraction coefficients: the orders of
     the wheel-free series, their graph coboundaries and the defects."""
