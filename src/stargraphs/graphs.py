@@ -13,16 +13,29 @@ vertices listed in increasing index order.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, GraphError
 
-Pair = tuple  # (L, R) targets of one internal vertex
-Pairs = tuple  # tuple of n Pair entries
+Pairs = tuple  # n (L, R) pairs: the targets of each internal vertex
 
 DEFAULT_VERTEX_BUDGET = 9  # cap on n + m for enumeration
+
+
+class _Interned(dict):
+    """(L, R) -> the one shared tuple (L, R), added on first use.  Parsed
+    graphs, producers and canonical keys build their out-edge tuples from
+    these, so a stored labeled graph is one tuple of shared pointers."""
+
+    def __missing__(self, pair):
+        self[pair] = pair
+        return pair
+
+
+_PAIRS = _Interned()
 
 
 def _reject_pair(vid: int, left: int, right: int, top: int):
@@ -123,10 +136,6 @@ class GraphClass:
     rep: DirectedGraph
     sign: int
 
-    @property
-    def key(self):
-        return self.rep.key
-
 
 # ---------------------------------------------------------------------------
 # parsing and encoding
@@ -151,7 +160,7 @@ def parse_graph(text: str) -> DirectedGraph:
         raise GraphError("non-integer header in %r" % text) from None
     if n < 1 or m < 1:
         raise GraphError("need n >= 1 and m >= 1, got n=%d m=%d" % (n, m))
-    records = [r for r in (chunk.strip() for chunk in body.split("/"))]
+    records = [chunk.strip() for chunk in body.split("/")]
     if len(records) != n:
         raise GraphError("expected %d vertex records, got %d" % (n, len(records)))
     pairs = []
@@ -176,7 +185,7 @@ def parse_graph(text: str) -> DirectedGraph:
             left, right = int(target_tokens[0]), int(target_tokens[1])
         except ValueError:
             raise GraphError("vertex %d: non-integer target in %r" % (vid, targets)) from None
-        pairs.append((left, right))
+        pairs.append(_PAIRS[left, right])
     return DirectedGraph(n, m, tuple(pairs))
 
 
@@ -212,12 +221,12 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     the orbit reaches it with both parities (the class is the zero cochain).
 
     The key is the tuple of sorted pairs in new-label order, so it is built
-    one entry at a time.  A frontier holds the partial labelings (old
-    vertices in new-label order, swap parity so far) that give the minimal
-    prefix.  For entry e, a labeling whose new vertex e is not yet fixed
-    tries every unlabeled old vertex there; the still unlabeled internal
-    targets of that vertex then take the next free labels, in both orders
-    when there are two.  Only extensions whose sorted pair equals the least
+    one entry at a time, from the shared ``_PAIRS``.  A frontier holds the
+    partial labelings (old vertices in new-label order, swap parity so far)
+    that give the minimal prefix.  For entry e, a labeling whose new vertex
+    e is not yet fixed tries every unlabeled old vertex there; the still
+    unlabeled internal targets of that vertex then take the next free
+    labels, in both orders when there are two.  Only extensions whose sorted pair equals the least
     pair over the whole frontier survive.  The targets are split into old
     vertex indices once per call, a candidate's pair is read off the
     labeling it would extend, and only the candidates that tie with the
@@ -309,7 +318,7 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
                 elif b >= 0:
                     labeled += (b,)
                 survivors.append((labeled, parity ^ flip))
-        key.append((lo, hi))
+        key.append(_PAIRS[lo, hi])
         if known is not None and key[e] < pairs[e]:
             break
         frontier = survivors
@@ -323,50 +332,47 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     return tuple(key), sign, len(frontier)
 
 
-_CANON_CACHE: dict = {}  # labeled key (n, m, pairs) -> GraphClass
-_REPS: dict = {}  # canonical key -> the one DirectedGraph of that class
-_CLASSES: dict = {}  # (canonical key, sign) -> the one GraphClass
+# (n, m) -> (labeled, plus, minus) of K_{n,m}: out-edge tuple -> GraphClass,
+# and canonical pairs -> the GraphClass of sign +1 (or 0) and of sign -1, so
+# tables[s] holds sign s.  Cleared in place, never replaced, so a caller may
+# hold them across a ``_register``.
+_TABLES = defaultdict(lambda: ({}, {}, {}))
+_TABLE_ENTRIES = 0  # labeled entries over all sizes
 _CANON_CACHE_LIMIT = 120_000
 
 
-def _register(key: tuple, best: Pairs, sign: int) -> GraphClass:
-    """Record that the labeled graph with encoding key ``key`` has the
-    canonical pairs ``best`` and the sign ``sign``, and return its class.
+def _register(n: int, m: int, pairs: Pairs, best: Pairs = None, sign: int = 0) -> GraphClass:
+    """Record the class of the labeled graph of K_{n,m} on ``pairs`` and
+    return it: its canonical pairs ``best`` and sign ``sign``, from one
+    ``_canonical_raw`` search unless given.
 
-    One representative ``DirectedGraph`` is interned per class and one
-    ``GraphClass`` per (class, sign), so every labeled graph of a class maps
-    to the same objects.  The representative is built without re-checking
-    admissibility (``DirectedGraph._trusted``): ``best`` is a relabeling of
-    an admissible graph.  The three tables are cleared together at the
-    limit."""
-    if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
-        _CANON_CACHE.clear()
-        _REPS.clear()
-        _CLASSES.clear()
-    n, m, _ = key
-    rep = _REPS.get((n, m, best))
-    if rep is None:
-        rep = DirectedGraph._trusted(n, m, best)
-        _REPS[rep.key] = rep
-    cls = _CLASSES.get((rep.key, sign))
+    One ``GraphClass`` is interned per (class, sign), both sharing one
+    representative, built without re-checking admissibility
+    (``DirectedGraph._trusted``) as ``best`` relabels an admissible graph.
+    At ``_CANON_CACHE_LIMIT`` labeled entries every table is cleared."""
+    global _TABLE_ENTRIES
+    if best is None:
+        best, sign, _ = _canonical_raw(n, m, pairs)
+    if _TABLE_ENTRIES >= _CANON_CACHE_LIMIT:
+        for tables in _TABLES.values():
+            for table in tables:
+                table.clear()
+        _TABLE_ENTRIES = 0
+    tables = _TABLES[n, m]
+    side = sign or 1
+    cls = tables[side].get(best)
     if cls is None:
-        cls = _CLASSES[rep.key, sign] = GraphClass(rep, sign)
-    # a representative's own key is stored as the interned tuple
-    _CANON_CACHE[rep.key if key == rep.key else key] = cls
+        twin = tables[-side].get(best)
+        rep = DirectedGraph._trusted(n, m, best) if twin is None else twin.rep
+        cls = tables[side][best] = GraphClass(rep, sign)
+    _TABLE_ENTRIES += pairs not in tables[0]
+    tables[0][cls.rep.out_edges if pairs == best else pairs] = cls
     return cls
 
 
-def _lookup(key: tuple) -> GraphClass:
-    """Class of the labeled graph whose encoding key is ``key``, memoised;
-    a miss runs one ``_canonical_raw`` search and interns its result
-    through ``_register``.  ``key`` must be the key of an admissible
-    graph."""
-    cls = _CANON_CACHE.get(key)
-    if cls is not None:
-        return cls
-    n, m, pairs = key
-    best, sign, _ = _canonical_raw(n, m, pairs)
-    return _register(key, best, sign)
+def _lookup(n: int, m: int, pairs: Pairs) -> GraphClass:
+    """Class of the admissible graph of K_{n,m} on ``pairs``, memoised."""
+    return _TABLES[n, m][0].get(pairs) or _register(n, m, pairs)
 
 
 def canonical_form(g: DirectedGraph) -> GraphClass:
@@ -382,7 +388,7 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     records every class it yields, so a representative it returned is
     found without a search.
     """
-    return _lookup(g.key)
+    return _lookup(g.n, g.m, g.out_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +519,7 @@ def _classes(n: int, m: int, filter: str) -> Iterator[tuple]:
             continue
         best, sign, automorphisms = _canonical_raw(n, m, pairs, n)
         if best == pairs:
-            yield pairs, sign, group_order // automorphisms
+            yield best, sign, group_order // automorphisms
 
 
 def _check_size(n: int, m: int, vertex_budget: int):
@@ -547,7 +553,7 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     classes = []
     for pairs, sign, orbit in _classes(n, m, filter):
         labeled += orbit
-        cls = _register((n, m, pairs), pairs, sign)
+        cls = _register(n, m, pairs, pairs, sign)
         if sign:
             classes.append(cls)
     return EnumerationResult(tuple(classes), labeled)
@@ -618,19 +624,18 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     dict from canonical representative to ``int`` numerator, and return it.
 
     ``pairs`` yields the out-edge tuples of the graphs, which the producers
-    (grafting, slot splitting, Jacobiator expansion) build admissible, so no
-    ``DirectedGraph`` is made for them.  Each is looked up once and its
-    signed weight added into the numerator of its class.  Callers scale
-    their coefficients to ``int`` numerators over one common denominator
-    and pass the accumulator of a whole operation to
-    ``GraphSum._from_numerators``, so the graph-level algebra does no
-    Fraction arithmetic per graph or per call.  Numerators that cancel
-    stay in ``acc`` as 0.
+    (grafting, slot splitting, Jacobiator expansion) build admissible from
+    ``_PAIRS``, so no ``DirectedGraph`` is made for them.  Each is probed
+    once in the held table of K_{n,m} and its signed weight added into the
+    numerator of its class.  Callers scale their coefficients to ``int``
+    numerators over one common denominator and pass the accumulator of a
+    whole operation to ``GraphSum._from_numerators``, so the graph-level
+    algebra does no Fraction arithmetic per graph or per call.  Numerators
+    that cancel stay in ``acc`` as 0.
     """
-    cache = _CANON_CACHE
+    labeled = _TABLES[n, m][0]
     for out_edges in pairs:
-        key = (n, m, out_edges)
-        cls = cache.get(key) or _lookup(key)
+        cls = labeled.get(out_edges) or _register(n, m, out_edges)
         if cls.sign:
             rep = cls.rep
             acc[rep] = acc.get(rep, 0) + (weight if cls.sign > 0 else -weight)
@@ -651,21 +656,20 @@ class GraphSum:
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
             raise GraphError("arity must be >= 1, got %d" % arity)
+        self._set(arity, _merge({}, _canonical_terms(arity, terms)))
+
+    def _set(self, arity: int, terms: dict) -> "GraphSum":
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", _merge({}, _canonical_terms(arity, terms)))
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def _wrap(cls, arity: int, terms: dict) -> "GraphSum":
         """The sum over ``terms``, a dict from canonical representative to
         nonzero Fraction that the new sum owns; nothing is checked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "arity", arity)
-        object.__setattr__(s, "_terms", terms)
-        object.__setattr__(s, "_key", None)
-        object.__setattr__(s, "_hash", None)
-        return s
+        return object.__new__(cls)._set(arity, terms)
 
     @classmethod
     def _from_numerators(cls, arity: int, numerators: dict, denom: int) -> "GraphSum":
@@ -754,9 +758,6 @@ class GraphSum:
         return (isinstance(other, GraphSum) and self.arity == other.arity
                 and self._terms == other._terms)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def cache_key(self):
         """(arity, (encoding key, coefficient) sorted by key); built once."""
         if self._key is None:
@@ -778,8 +779,8 @@ class GraphSum:
         items = []
         for rep, coeff in self._terms.items():
             pairs = tuple(
-                (perm[left - 1] if left <= rep.m else left,
-                 perm[right - 1] if right <= rep.m else right)
+                _PAIRS[perm[left - 1] if left <= rep.m else left,
+                       perm[right - 1] if right <= rep.m else right]
                 for left, right in rep.out_edges)
             items.append((DirectedGraph(rep.n, rep.m, pairs), coeff))
         return GraphSum(self.arity, items)

@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GraphError
-from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, add_labeled_graphs,
-                     has_wheel)
+from .graphs import (_PAIRS, DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
+                     add_labeled_graphs, has_wheel)
 
 # ---------------------------------------------------------------------------
 # Hochschild differential
@@ -26,19 +26,21 @@ from .graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum, add_labeled
 
 def _split_terms(g: DirectedGraph, slot: int):
     """All proper splits of the incoming edges of argument ``slot`` over two
-    adjacent argument vertices; yields out-edge pair tuples of K_{n,m+1}."""
+    adjacent argument vertices; yields out-edge tuples of K_{n,m+1} built
+    from the shared ``_PAIRS``."""
     incoming = g.in_edges.get(slot, ())
     k = len(incoming)
     if k < 2:
         return
     # targets past the slot move up by one; the slot's own edges are set below
-    base = [(left + (left >= slot), right + (right >= slot)) for left, right in g.out_edges]
+    base = [_PAIRS[left + (left >= slot), right + (right >= slot)]
+            for left, right in g.out_edges]
     for mask in range(1, (1 << k) - 1):
         pairs = base.copy()
         for bit, (src, side) in enumerate(incoming):
             target = slot if (mask >> bit) & 1 else slot + 1
             left, right = pairs[src]
-            pairs[src] = (target, right) if side == 0 else (left, target)
+            pairs[src] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
         yield tuple(pairs)
 
 
@@ -72,7 +74,8 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
     """Insert ``g2`` into argument ``slot`` of ``g1``: the grafted graph keeps
     both edge sets, and every edge of g1 that pointed at the slot is re-aimed
     to each vertex of the grafted copy in all combinations (Leibniz rule).
-    Yields out-edge pair tuples of K_{n1+n2, m1+m2-1}."""
+    Yields out-edge tuples of K_{n1+n2, m1+m2-1} built from the shared
+    ``_PAIRS``."""
     n1, m1 = g1.n, g1.m
     m2 = g2.m
     if not 1 <= slot <= m1:
@@ -98,15 +101,15 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
             aimed.append((pos, 0))
         elif right == slot:
             aimed.append((pos, 1))
-        template.append((map_g1(left), map_g1(right)))
-    template.extend((map_g2(left), map_g2(right)) for left, right in g2.out_edges)
+        template.append(_PAIRS[map_g1(left), map_g1(right)])
+    template.extend(_PAIRS[map_g2(left), map_g2(right)] for left, right in g2.out_edges)
 
     graft_targets = tuple(range(slot, slot + m2)) + tuple(range(m + 1 + n1, m + 1 + n1 + g2.n))
     for choice in itertools.product(graft_targets, repeat=len(aimed)):
         pairs = template.copy()
         for (pos, side), target in zip(aimed, choice):
             left, right = pairs[pos]
-            pairs[pos] = (target, right) if side == 0 else (left, target)
+            pairs[pos] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
         yield tuple(pairs)
 
 
@@ -184,24 +187,24 @@ class LeibnizGenerator:
 def _jacobiator_terms(m: int, ordinary_out: tuple, special_out: tuple):
     """The three cyclic two-vertex terms of the Jacobiator in place of the
     outdegree-3 vertex, with the incoming edges redistributed over the two
-    new vertices in all ways; yields out-edge pair tuples of
-    K_{n_ord+2, m}."""
+    new vertices in all ways; yields out-edge tuples of K_{n_ord+2, m}
+    built from the shared ``_PAIRS``."""
     n_ord = len(ordinary_out)
     special_id = m + n_ord + 1
     a_id, b_id = m + n_ord + 1, m + n_ord + 2
     incoming = [(pos, side) for pos, pair in enumerate(ordinary_out)
                 for side in (0, 1) if pair[side] == special_id]
-    base = [(left, right) for left, right in ordinary_out]
+    base = [_PAIRS[pair] for pair in ordinary_out]
     e1, e2, e3 = special_out
     for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
         # outer factor p^{i l}: i -> head, l -> inner; inner factor p^{j k}
-        tail_pairs = ((head, b_id), (mid, tail))
+        tail_pairs = (_PAIRS[head, b_id], _PAIRS[mid, tail])
         for mask in range(1 << len(incoming)):
             pairs = base.copy()
             for bit, (pos, side) in enumerate(incoming):
                 target = a_id if (mask >> bit) & 1 == 0 else b_id
                 left, right = pairs[pos]
-                pairs[pos] = (target, right) if side == 0 else (left, target)
+                pairs[pos] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
             yield tuple(pairs) + tail_pairs
 
 

@@ -64,7 +64,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import _CANON_CACHE_LIMIT, DirectedGraph, GraphSum, _lookup
+from .graphs import _CANON_CACHE_LIMIT, _PAIRS, DirectedGraph, GraphSum, _lookup
 from .poisson import PoissonStructure
 from .poly import Poly, _add_terms, _mul_terms, _rational, _wrap
 
@@ -283,12 +283,13 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
 _ORBITS: dict = {}  # class representative key -> (anchor, perm, sign), see ``_orbit``
 
 
-def _relabeled_key(key: tuple, perm: tuple) -> tuple:
-    """Encoding key of the graph with key ``key`` and argument t renamed
-    perm[t - 1]."""
-    n, m, pairs = key
-    return n, m, tuple((perm[left - 1] if left <= m else left,
-                        perm[right - 1] if right <= m else right) for left, right in pairs)
+def _relabeled_pairs(g: DirectedGraph, perm: tuple) -> tuple:
+    """Out-edge tuple of ``g`` with argument t renamed perm[t - 1], built
+    from the shared ``graphs._PAIRS``."""
+    m = g.m
+    return tuple([_PAIRS[perm[left - 1] if left <= m else left,
+                         perm[right - 1] if right <= m else right]
+                  for left, right in g.out_edges])
 
 
 def _orbit(rep: DirectedGraph) -> tuple:
@@ -309,7 +310,7 @@ def _orbit(rep: DirectedGraph) -> tuple:
     if len(_ORBITS) >= _CANON_CACHE_LIMIT:
         _ORBITS.clear()
     perms = list(permutations(range(1, rep.m + 1)))
-    found = {s: _lookup(_relabeled_key(rep.key, s)) for s in perms}
+    found = {s: _lookup(rep.n, rep.m, _relabeled_pairs(rep, s)) for s in perms}
     anchor = min((cls.rep for cls in found.values()), key=lambda g: g.key)
     for s, cls in found.items():
         if cls.rep.key in _ORBITS:
@@ -342,7 +343,7 @@ def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     op = cache.get(g.key)
     if op is not None:
         return op
-    cls = _lookup(g.key)
+    cls = _lookup(g.n, g.m, g.out_edges)
     if not cls.sign:
         op = cache[g.key] = PolyDiffOperator(p.d, g.m, {})
         return op

@@ -979,7 +979,7 @@ def fraction_add_labeled_graphs(acc, n, m, pairs, weight):
     ``weight`` multiplied into each nonzero count and merged into ``acc``."""
     counts = {}
     for out_edges in pairs:
-        cls = _lookup((n, m, out_edges))
+        cls = _lookup(n, m, out_edges)
         if cls.sign:
             counts[cls.rep] = counts.get(cls.rep, 0) + cls.sign
     return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))

@@ -1,9 +1,11 @@
 import copy
+import gc
 import hashlib
 import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
                      brute_force_labeled_graphs, candidate_list_canonical_raw,
-                     scan_enumerate_graphs, scan_zero_classes, unpruned_restricted_growth)
-from stargraphs import graphs
+                     fraction_graph_gerstenhaber, scan_enumerate_graphs, scan_zero_classes,
+                     unpruned_restricted_growth)
+from stargraphs import graphs, operators
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (FILTERS, DirectedGraph, EnumerationResult, GraphClass, GraphSum,
                                _canonical_raw, _classes, _passes_filter, _restricted_growth,
                                canonical_form, encode_graph, enumerate_graphs, has_wheel,
                                parse_graph, zero_classes)
+from stargraphs.homology import expand_jacobiator_vertex, graph_delta, graph_gerstenhaber
 
 POISSON = "1 2 ; 3: 1 2"
 TRIDIFF = "4 3 ; 4: 1 5 / 5: 2 6 / 6: 5 3 / 7: 4 2"
@@ -123,9 +127,26 @@ def test_swap_changes_sign():
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty canonical-form cache and interning tables for one test."""
-    for name in ("_CANON_CACHE", "_REPS", "_CLASSES"):
-        monkeypatch.setattr(graphs, name, {})
+    """Empty canonical-form tables for one test."""
+    monkeypatch.setattr(graphs, "_TABLES", type(graphs._TABLES)(graphs._TABLES.default_factory))
+    monkeypatch.setattr(graphs, "_TABLE_ENTRIES", 0)
+
+
+def labeled_entries():
+    """{(n, m, out-edge tuple): GraphClass} over every labeled table."""
+    return {(n, m, pairs): cls for (n, m), (labeled, _, _) in graphs._TABLES.items()
+            for pairs, cls in labeled.items()}
+
+
+def interned_classes():
+    """Every interned GraphClass, of both signs."""
+    return [cls for _, plus, minus in graphs._TABLES.values()
+            for table in (plus, minus) for cls in table.values()]
+
+
+def representatives():
+    """{canonical key: representative} of every interned class."""
+    return {cls.rep.key: cls.rep for cls in interned_classes()}
 
 
 def test_isomorphic_graphs_share_one_representative(fresh_tables):
@@ -146,11 +167,11 @@ def test_cache_limit_clears_the_interned_representatives(fresh_tables, monkeypat
     monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", 2)
     first = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
     assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")).rep is first.rep
-    assert len(graphs._CANON_CACHE) == 2
+    assert len(labeled_entries()) == graphs._TABLE_ENTRIES == 2
     other = canonical_form(parse_graph("1 2 ; 3: 2 1"))  # a miss at the limit
-    assert (graphs._CANON_CACHE, graphs._REPS) == (
+    assert (labeled_entries(), representatives()) == (
         {(1, 2, ((2, 1),)): other}, {other.rep.key: other.rep})
-    assert list(graphs._CLASSES.values()) == [other]
+    assert interned_classes() == [other]
     again = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
     assert again == first and again.rep is not first.rep
 
@@ -182,8 +203,10 @@ def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
         assert GraphSum.single(rep).is_zero
     assert searches == []
     # the tables hold exactly the enumerated classes, zero classes included
-    assert len(graphs._CANON_CACHE) == len(graphs._REPS) == len(result.classes) + len(zeros)
+    assert len(labeled_entries()) == len(representatives()) == len(result.classes) + len(zeros)
     assert enumerate_graphs(4, 2) == scan_enumerate_graphs(4, 2)
+    # registering the classes again adds no entry and counts none
+    assert graphs._TABLE_ENTRIES == len(labeled_entries()) == len(representatives())
 
 
 def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
@@ -192,11 +215,84 @@ def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
     assert len(result.classes) > 10
     assert result == scan_enumerate_graphs(3, 2)
     # cleared together: the tables hold the same last few classes
-    interned = set(graphs._CANON_CACHE.values())
+    interned = set(labeled_entries().values())
     assert 1 <= len(interned) <= 5
-    assert set(graphs._CLASSES.values()) == interned
-    assert set(graphs._REPS.values()) == {cls.rep for cls in interned}
+    assert set(interned_classes()) == interned
+    assert set(representatives().values()) == {cls.rep for cls in interned}
     assert set(result.classes[-len(interned):]) >= {c for c in interned if c.sign}
+
+
+# three of the four K_{2,2} classes: the graded Jacobi sum of the graph-level
+# benchmark brackets them, and [[a, b], c] makes n=6 grafts
+JACOBI_CLASSES = ("2 2 ; 3: 1 2 / 4: 1 3", "2 2 ; 3: 1 2 / 4: 2 3", "2 2 ; 3: 1 4 / 4: 2 3")
+
+
+def jacobi_inputs():
+    return [GraphSum(2, [(enc, Fraction(k + 1, 2))]) for k, enc in enumerate(JACOBI_CLASSES)]
+
+
+def test_held_table_stays_valid_when_the_limit_clears_mid_loop(fresh_tables, monkeypatch):
+    limit = 5
+    monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", limit)
+    a, b, _ = jacobi_inputs()
+    held = graphs._TABLES[4, 3][0]  # the table the bracket's producer calls use
+    register = graphs._register
+    sizes = []
+
+    def checking(*args):
+        cls = register(*args)
+        sizes.append(len(labeled_entries()))
+        assert graphs._TABLE_ENTRIES == sizes[-1] <= limit and len(held) <= limit
+        return cls
+
+    monkeypatch.setattr(graphs, "_register", checking)
+    result = graph_gerstenhaber(a, b)
+    # a single graft call yields more graphs than the limit, so the tables
+    # were cleared inside the loop, in place
+    assert sizes.count(1) > 3 and graphs._TABLES[4, 3][0] is held
+    assert result == fraction_graph_gerstenhaber(a, b) and not result.is_zero
+
+
+def test_labeled_entries_retain_few_bytes(fresh_tables):
+    a, b, c = jacobi_inputs()
+    ab = graph_gerstenhaber(a, b)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, entries = tracemalloc.get_traced_memory()[0], graphs._TABLE_ENTRIES
+        graph_gerstenhaber(ab, c)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    added = graphs._TABLE_ENTRIES - entries
+    assert added > 2000
+    # an out-edge tuple of shared pairs and its dict slot, plus the classes
+    # and representatives the new entries reach
+    assert retained / added <= 650
+
+
+def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch):
+    monkeypatch.setattr(operators, "_ORBITS", {})
+    a, b, c = jacobi_inputs()
+    ab = graph_gerstenhaber(a, b)  # grafting
+    graph_gerstenhaber(ab, c)
+    graph_delta(ab)  # slot splitting
+    expand_jacobiator_vertex(2, ((1, 4),), (1, 2, 3))  # Jacobiator expansion
+    operators._orbit(canonical_form(parse_graph("3 3 ; 4: 1 2 / 5: 3 6 / 6: 1 4")).rep)
+    enumerate_graphs(2, 3)
+    a.permute_args((2, 1))  # a labeling of a's class that no producer made
+    sizes = {(n, m) for n, m, _ in labeled_entries()}
+    assert sizes == {(2, 2), (4, 3), (6, 4), (4, 4), (3, 2), (3, 3), (2, 3)}
+    stored = [pairs for _, _, pairs in labeled_entries()] + [
+        rep.out_edges for rep in representatives().values()]
+    assert all(graphs._PAIRS.get(pair) is pair for pairs in stored for pair in pairs)
+    # a representative's own labeling is stored as the representative's tuple
+    assert all(pairs is cls.rep.out_edges for (_, _, pairs), cls in labeled_entries().items()
+               if pairs == cls.rep.out_edges)
+    # a parsed graph holds the shared pairs too
+    pair, = parse_graph("1 2 ; 3: 2 1").out_edges
+    assert pair is graphs._PAIRS[2, 1]
 
 
 def test_antisymmetrized_pair_cancels():

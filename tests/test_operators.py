@@ -688,9 +688,9 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
     lookups = []
     lookup = operators._lookup
 
-    def counting(key):
+    def counting(*key):
         lookups.append(key)
-        return lookup(key)
+        return lookup(*key)
 
     monkeypatch.setattr(operators, "_lookup", counting)
     p, reference = preset_from_string(spec), preset_from_string(spec)
