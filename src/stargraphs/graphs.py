@@ -128,7 +128,7 @@ class DirectedGraph:
         return self.encode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphClass:
     """A canonical representative together with the sign relating a labeled
     graph to it; sign 0 marks classes that are the zero cochain."""

@@ -272,53 +272,60 @@ class StreamingReducer:
         combinations of the kept ones, so the kept subsystem has the same
         rank and feasibility verdict).
 
-        Fraction-free: the row and its rhs are scaled by their common
-        denominator, each elimination step cross-multiplies
-        (pivot[col] * work - work[col] * pivot) and divides out the gcd of
-        the row and rhs, and a new pivot row is stored primitive with a
-        positive leading entry.  Every row is a nonzero multiple of the one
-        that ``Fraction`` elimination would hold, so the outcomes are the
-        same.  Entries and rhs pass the exact-value rule of
+        Fraction-free: ``int`` entries are taken as they are, and a row with
+        ``Fraction`` entries or rhs is scaled to integers by the lcm of their
+        denominators.  Each elimination step cross-multiplies
+        (pivot[col] * work - work[col] * pivot, both factors divided by their
+        gcd), and the gcd of the row and rhs is divided out once, when the
+        row is stored as a pivot: primitive with a positive leading entry.
+        Every intermediate row is a nonzero multiple of the one that
+        ``Fraction`` elimination would hold, and the primitive pivot row is
+        unique, so the outcomes and the pivots are the same.  The raw rhs is
+        kept as a ``Fraction``.  Entries and rhs pass the exact-value rule of
         ``poly._rational``: a ``float`` raises ``TypeError``."""
-        raw_rhs = Fraction(_rational(rhs))
         for v in row.values():
             if type(v) is not int and type(v) is not Fraction:
                 row = {c: _rational(v) for c, v in row.items()}
                 break
-        scale = math.lcm(raw_rhs.denominator, *(v.denominator for v in row.values()))
-        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        rhs = raw_rhs.numerator * (scale // raw_rhs.denominator)
+        rhs = _rational(rhs)
+        denominators = [v.denominator for v in row.values() if type(v) is not int]
+        if type(rhs) is not int:
+            denominators.append(rhs.denominator)
+        if denominators:
+            scale = math.lcm(*denominators)
+            work = {c: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                    for c, v in row.items()}
+            b = rhs * scale if type(rhs) is int else rhs.numerator * (scale // rhs.denominator)
+        else:
+            work, b = dict(row), rhs
         while work:
             col = min(work)
             pivot = self.pivots.get(col)
             if pivot is None:
-                g = math.gcd(rhs, *work.values())
+                g = math.gcd(b, *work.values())
                 if work[col] < 0:
                     g = -g
                 if g != 1:
                     work = {c: v // g for c, v in work.items()}
-                    rhs //= g
-                self.pivots[col] = (work, rhs)
+                    b //= g
+                self.pivots[col] = (work, b)
                 self.raw_rows.append(dict(row))
-                self.raw_rhs.append(raw_rhs)
+                self.raw_rhs.append(Fraction(rhs))
                 return "pivot"
             pivot_row, pivot_rhs = pivot
             lead, factor = pivot_row[col], work[col]
             g = math.gcd(lead, factor)
             lead, factor = lead // g, factor // g
             if lead != 1:
-                work = {c: lead * v for c, v in work.items()}
-                rhs *= lead
+                for c in work:
+                    work[c] *= lead
+                b *= lead
             _eliminate_into(work, pivot_row, factor)
-            rhs -= factor * pivot_rhs
-            g = math.gcd(rhs, *work.values())
-            if g > 1:
-                work = {c: v // g for c, v in work.items()}
-                rhs //= g
-        if rhs:
+            b -= factor * pivot_rhs
+        if b:
             self.inconsistent = True
             self.raw_rows.append(dict(row))
-            self.raw_rhs.append(raw_rhs)
+            self.raw_rhs.append(Fraction(rhs))
             return "inconsistent"
         return "redundant"
 

@@ -34,14 +34,15 @@ downset and derivatives (closed-form ``Poly.derive_multi``) are settled once
 per argument object: a ``Poly`` is immutable, so they are kept on it as its
 jet (``_jet``) and serve every later pass, tuple and slot it fills.  A
 reached key's value is formed once and multiplied into every column of its
-leaf.  ``PolyDiffOperator.apply`` is the one-operator, one-tuple case.
-``CoboundaryColumns`` is the many-column case: the Hochschild coboundaries
-of many cochains on one argument tuple, whose m + 2 inner argument tuples
-enter each key as one signed combination; it forms each argument product
-f_j f_{j+1} once per argument pair.  Every key of a graph's operator has
-the slot orders (indeg(1), .., indeg(m)), so ``CoboundaryColumns`` groups
-its graphs by in-degree before compiling and compiles a group into its trie
-only once some argument tuple's degrees admit it.
+leaf; only the columns touched are returned.  ``PolyDiffOperator.apply`` is
+the one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
+case: the Hochschild coboundaries of many cochains on one argument tuple,
+whose m + 2 inner argument tuples enter each key as one signed
+combination; it forms each argument product f_j f_{j+1} once per argument
+pair.  Every key of a graph's operator has the slot orders (indeg(1), ..,
+indeg(m)), so ``CoboundaryColumns`` groups its graphs by in-degree before
+compiling and compiles a group into its trie only once some argument
+tuple's degrees admit it.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
@@ -99,7 +100,7 @@ class PolyDiffOperator:
         _check_args(self.d, self.arity, args)
         if self._trie is None:
             object.__setattr__(self, "_trie", _group_terms(self))
-        return _wrap(self.d, _accumulate(self._trie, 1, [(args, None)])[0])
+        return _wrap(self.d, _accumulate(self._trie, [(args, None)]).get(0, {}))
 
 
 def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
@@ -138,13 +139,13 @@ def _downset(f: Poly) -> set:
 
 
 def _jet(f: Poly) -> tuple:
-    """f's jet: (downset, {alpha: derivative terms}).  A Poly is immutable,
-    so the jet is formed on f's first use as an argument and kept on f
-    (``Poly._jet``); the table is filled as keys reach it, and no reader
-    mutates a derivative dict."""
+    """f's jet: (downset, {alpha: derivative terms}, degree).  A Poly is
+    immutable, so the jet is formed on f's first use as an argument and
+    kept on f (``Poly._jet``); the table is filled as keys reach it, and no
+    reader mutates a derivative dict."""
     jet = f._jet
     if jet is None:
-        jet = (_downset(f), {})
+        jet = (_downset(f), {}, f.degree())
         object.__setattr__(f, "_jet", jet)
     return jet
 
@@ -161,7 +162,7 @@ def _reach(trie: dict, args: Sequence[Poly]) -> list:
     for f in args:
         if not frontier:
             break
-        down, table = _jet(f)
+        down, table, _ = _jet(f)
         reached = []
         for node, prefix in frontier:
             if len(down) < len(node):
@@ -183,16 +184,16 @@ def _fits(orders: tuple, degrees: list) -> bool:
     return any(all(map(int.__le__, orders, degs)) for degs in degrees)
 
 
-def _accumulate(trie: dict, width: int, tuples: list) -> list:
+def _accumulate(trie: dict, tuples: list) -> dict:
     """The one evaluation pass of a per-slot trie of operator terms
     (``_insert``) on a linear combination of argument tuples.  ``tuples``
     holds (argument tuple, factor terms); a key's argument value is the sum
     over the tuples of the product of their derivatives times the factor
     (None: one tuple, factor 1).  Each tuple reaches only the keys that its
     arguments' downsets admit (``_reach``); the value of a reached key is
-    formed once and multiplied into every column of its leaf.  Returns one
-    term dict per column."""
-    totals: list[dict] = [{} for _ in range(width)]
+    formed once and multiplied into every column of its leaf.  Returns
+    {column: term dict} for the columns of the reached leaves."""
+    totals: dict = {}
     if tuples[0][1] is None:
         reached = _reach(trie, tuples[0][0])
     else:
@@ -207,7 +208,10 @@ def _accumulate(trie: dict, width: int, tuples: list) -> list:
     for leaf, value in reached:
         if value:
             for col, coeff in leaf:
-                _mul_terms(value, coeff, totals[col])
+                acc = totals.get(col)
+                if acc is None:
+                    acc = totals[col] = {}
+                _mul_terms(value, coeff, acc)
     return totals
 
 
@@ -454,11 +458,12 @@ class CoboundaryColumns:
     Compiled graphs are cached on the Poisson structure.  A column's
     coefficients are scaled by their common denominator, so the trie holds
     ``int`` multiples of the column's terms and each value is divided by it
-    once.  ``values`` makes one ``_accumulate`` pass over the m + 2 argument
-    tuples, each with its outer factor and sign, for all the columns at
-    once.  Each product f_j f_{j+1} is formed once per argument pair for the
-    lifetime of the columns (``products``), so the product object keeps its
-    jet from one argument tuple to the next."""
+    once.  ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
+    argument tuples, each with its outer factor and sign, for all the
+    columns at once, and returns the columns it touches.  Each product
+    f_j f_{j+1} is formed once per argument pair for the lifetime of the
+    columns (``products``), so the product object keeps its jet from one
+    argument tuple to the next."""
 
     __slots__ = ("p", "arity", "width", "denoms", "pending", "trie", "products")
 
@@ -503,6 +508,16 @@ class CoboundaryColumns:
 
     def terms(self, args: Sequence[Poly]) -> list:
         """The term dicts of ``values(args)``, not wrapped in Polys."""
+        totals: list[dict] = [{} for _ in range(self.width)]
+        for col, terms in self.touched_terms(args):
+            totals[col] = terms
+        return totals
+
+    def touched_terms(self, args: Sequence[Poly]) -> list:
+        """[(column, terms of (delta C_col)(args))] for the columns that the
+        pass touches, in ascending order; every other column is zero.  The
+        pending groups, while any are left, are checked against the argument
+        degrees kept in the jets."""
         d, m = self.p.d, self.arity
         args = tuple(args)
         _check_args(d, m + 1, args)
@@ -515,13 +530,13 @@ class CoboundaryColumns:
                 entry = self.products[id(f), id(g)] = (f, g, f * g)
             merged = args[:j] + (entry[2],) + args[j + 2:]
             tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
-        degrees = [[f.degree() for f in inner] for inner, _ in tuples]
-        for orders in [o for o in self.pending if _fits(o, degrees)]:
-            self._compile(orders)
-        totals = _accumulate(self.trie, self.width, tuples)
-        for col, denom in self.denoms.items():
-            totals[col] = _divided(totals[col], denom)
-        return totals
+        if self.pending:
+            degrees = [[_jet(f)[2] for f in inner] for inner, _ in tuples]
+            for orders in [o for o in self.pending if _fits(o, degrees)]:
+                self._compile(orders)
+        totals = _accumulate(self.trie, tuples)
+        return [(col, _divided(terms, self.denoms.get(col, 1)))
+                for col, terms in sorted(totals.items())]
 
 
 # ---------------------------------------------------------------------------

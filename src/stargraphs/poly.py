@@ -45,9 +45,9 @@ class Poly:
 
     Being immutable, a Poly can carry its own derivative jet: ``_jet`` is
     None until the polynomial first enters an operator evaluation as an
-    argument (``operators._jet``), and then holds its downset and a table
-    alpha -> derivative terms that is only ever extended, as keys reach it;
-    no reader mutates a derivative dict in it."""
+    argument (``operators._jet``), and then holds its downset, a table
+    alpha -> derivative terms that is only ever extended, as keys reach it,
+    and its degree; no reader mutates a derivative dict in it."""
 
     __slots__ = ("d", "terms", "_jet")
 

@@ -412,8 +412,10 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     a round feeds each fixture the triples new at its cap, and a feed is cut
     short after ``STALL_WINDOW`` consecutive triples that raise no rank.  The
     rank is recorded after every feed, and growth stops at the first
-    inconsistency, or once every fixture has been fed and the last three
-    recorded ranks are equal, or when the cap would pass 8."""
+    inconsistency, or once at least ``len(family) + 2`` ranks are recorded
+    (six for the four policy fixtures, so the earliest stop is after the
+    second feed of the second round) and the last three are equal, or when
+    the cap would pass 8."""
     basis: list[GraphClass] = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
@@ -433,11 +435,11 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         count = 0
         for triple in triples:
             count += 1
-            row_terms = delta.terms(triple)
+            touched = delta.touched_terms(triple)
             rhs_poly = _bracket_rhs(lower, p, triple, inner)
-            # one row per monomial, columns inserted in ascending order
+            # one row per monomial, from the touched columns in ascending order
             rows: dict = {e: {} for e in rhs_poly.terms}
-            for col, terms in enumerate(row_terms):
+            for col, terms in touched:
                 for e, c in terms.items():
                     rows.setdefault(e, {})[col] = c
             progressed = False
@@ -477,8 +479,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
                     infeasible = True
                     break
                 ranks.append(reducer.rank)
-                # every fixture must have been fed once before the
-                # rank-stabilization stop may fire
+                # stop on three equal ranks, once len(family) + 2 are recorded
                 if (len(ranks) >= len(family) + 2
                         and ranks[-1] == ranks[-2] == ranks[-3]):
                     break

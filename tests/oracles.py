@@ -19,7 +19,7 @@ from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_ter
 from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
 from stargraphs.operators import (PolyDiffOperator, _divided, _downset, _fits, _graph_terms,
                                   _group_terms, apply_graph)
-from stargraphs.poly import Poly, _add_terms, _mul_terms, _wrap
+from stargraphs.poly import Poly, _add_terms, _mul_terms, _rational, _wrap
 
 
 def brute_force_labeled_graphs(n, m):
@@ -630,6 +630,55 @@ class FractionStreamingReducer(StreamingReducer):
                 else:
                     work.pop(c, None)
             rhs -= factor * pivot_rhs
+        if rhs:
+            self.inconsistent = True
+            self.raw_rows.append(dict(row))
+            self.raw_rhs.append(raw_rhs)
+            return "inconsistent"
+        return "redundant"
+
+
+class StepNormalizingStreamingReducer(StreamingReducer):
+    """``StreamingReducer`` as it was before one normalization per stored
+    pivot: every row and rhs go through ``Fraction``, and the gcd of the
+    working row and rhs is divided out after every elimination step."""
+
+    def add_row(self, row, rhs):
+        raw_rhs = Fraction(_rational(rhs))
+        for v in row.values():
+            if type(v) is not int and type(v) is not Fraction:
+                row = {c: _rational(v) for c, v in row.items()}
+                break
+        scale = math.lcm(raw_rhs.denominator, *(v.denominator for v in row.values()))
+        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        rhs = raw_rhs.numerator * (scale // raw_rhs.denominator)
+        while work:
+            col = min(work)
+            pivot = self.pivots.get(col)
+            if pivot is None:
+                g = math.gcd(rhs, *work.values())
+                if work[col] < 0:
+                    g = -g
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                    rhs //= g
+                self.pivots[col] = (work, rhs)
+                self.raw_rows.append(dict(row))
+                self.raw_rhs.append(raw_rhs)
+                return "pivot"
+            pivot_row, pivot_rhs = pivot
+            lead, factor = pivot_row[col], work[col]
+            g = math.gcd(lead, factor)
+            lead, factor = lead // g, factor // g
+            if lead != 1:
+                work = {c: lead * v for c, v in work.items()}
+                rhs *= lead
+            _eliminate_into(work, pivot_row, factor)
+            rhs -= factor * pivot_rhs
+            g = math.gcd(rhs, *work.values())
+            if g > 1:
+                work = {c: v // g for c, v in work.items()}
+                rhs //= g
         if rhs:
             self.inconsistent = True
             self.raw_rows.append(dict(row))

@@ -268,8 +268,8 @@ def test_labeled_entries_retain_few_bytes(fresh_tables):
     added = graphs._TABLE_ENTRIES - entries
     assert added > 2000
     # an out-edge tuple of shared pairs and its dict slot, plus the classes
-    # and representatives the new entries reach
-    assert retained / added <= 650
+    # (slotted) and representatives the new entries reach
+    assert retained / added <= 550
 
 
 def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch):

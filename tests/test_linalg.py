@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (FractionStreamingReducer, dense_rank, fraction_echelon,
-                     two_elimination_reverify)
+from oracles import (FractionStreamingReducer, StepNormalizingStreamingReducer, dense_rank,
+                     fraction_echelon, two_elimination_reverify)
 from stargraphs import linalg, solver
 from stargraphs.errors import BudgetExceededError
 from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
@@ -293,6 +293,51 @@ def test_streaming_reducer_matches_fraction_oracle():
             lead = row[col]
             assert ({c: F(v, lead) for c, v in row.items()}, F(b, lead)) == oracle.pivots[col]
     assert seen == {"pivot", "redundant", "inconsistent"}
+
+
+def cascade_system(rng, length=40):
+    """Pivot rows {i: p_i, i + 1: q_i / 7} with distinct primes p_i, q_i,
+    then rows that reduce through all of them: a combination of the pivot
+    rows (redundant), the same with its rhs off by one (inconsistent), and
+    dense rows, each of which a step multiplies by a new prime leading
+    entry, so its integers grow when no gcd is divided out between steps."""
+    primes = [n for n in range(101, 1000) if all(n % k for k in range(2, 32))]
+    rows = [{i: primes[i], i + 1: F(primes[length + i], 7)} for i in range(length)]
+    rhs = [F(rng.randint(-50, 50), rng.randint(1, 5)) for _ in range(length)]
+    coeffs = [rng.randint(1, 10 ** 6) for _ in range(length)]
+    combination = {}
+    for c, row in zip(coeffs, rows):
+        for col, v in row.items():
+            combination[col] = combination.get(col, 0) + c * v
+    b = sum(c * v for c, v in zip(coeffs, rhs))
+    dense = [{col: rng.randint(-10 ** 6, 10 ** 6) or 1 for col in range(length + 1)}
+             for _ in range(2)]
+    return rows + [combination, combination] + dense, rhs + [b, b + 1, F(1, 3), 5]
+
+
+def test_one_normalization_per_pivot_matches_the_step_normalizing_reducer():
+    # the gcd divided out once per stored pivot instead of after every step:
+    # the same outcomes, primitive pivot rows, raw rows and Fraction raw rhs
+    rng = random.Random(2024)
+    systems = [random_mixed_system(rng) for _ in range(60)] + list(INT_SYSTEMS)
+    systems += list(random_int_systems()) + [cascade_system(random.Random(7))]
+    seen = set()
+    for rows, rhs in systems:
+        red, old = StreamingReducer(), StepNormalizingStreamingReducer()
+        outcomes = [red.add_row(r, b) for r, b in zip(rows, rhs)]
+        assert outcomes == [old.add_row(r, b) for r, b in zip(rows, rhs)]
+        seen.update(outcomes)
+        assert red.pivots == old.pivots
+        assert all(type(v) is int for row, b in red.pivots.values() for v in (*row.values(), b))
+        assert (red.raw_rows, red.raw_rhs, red.inconsistent) == (
+            old.raw_rows, old.raw_rhs, old.inconsistent)
+        assert all(type(b) is Fraction for b in red.raw_rhs)
+    assert seen == {"pivot", "redundant", "inconsistent"}
+    # the cascade: 40 pivots, then the combination twice, and the first
+    # dense row reduces through all 40 pivots to a new one at column 40,
+    # which the second, with its unrelated rhs, contradicts
+    assert outcomes == ["pivot"] * 40 + ["redundant", "inconsistent", "pivot", "inconsistent"]
+    assert max(abs(v) for v in red.pivots[40][0].values()) > 2 ** 64
 
 
 # -- integral echelon against the Fraction oracle ------------------------------

@@ -381,6 +381,34 @@ def test_jets_match_the_per_pass_evaluation(spec):
     assert nonzero
 
 
+@pytest.mark.parametrize("spec", ("so3", "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
+def test_touched_terms_are_the_nonzero_columns_in_order(spec, monkeypatch):
+    # the evaluation route reads only the columns a pass touches, in
+    # ascending order; every other column is zero, and the touched ones
+    # hold the per-pass values with their types
+    p = preset_from_string(spec)
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+    quadratic = monomials_up_to_degree(p.d, 2, min_degree=2)
+    untouched = 0
+    for args in coboundary_triples(p.d) + [tuple(quadratic[:3]), tuple(quadratic[-3:])]:
+        touched = delta.touched_terms(args)
+        full = per_pass_coboundary_terms(reference, args)
+        cols = [col for col, _ in touched]
+        assert cols == sorted(set(cols))
+        assert {col: typed_terms(t) for col, t in touched} == {
+            col: typed_terms(full[col]) for col in cols}
+        assert not any(t for col, t in enumerate(full) if col not in cols)
+        untouched += len(columns) - len(cols)
+        assert all(f._jet[2] == f.degree() for f in args)
+    assert untouched
+    # once every group is compiled, no pass reads the argument degrees
+    for orders in list(delta.pending):
+        delta._compile(orders)
+    monkeypatch.setattr(operators, "_fits", None)
+    assert delta.terms(args) == per_pass_coboundary_terms(reference, args)
+
+
 def test_vertex_without_admissible_pair_compiles_to_zero_without_search(monkeypatch):
     # so3 has linear entries, so a vertex with two incoming edges takes no
     # pair at all: the operator is zero before any entry derivative is taken

@@ -379,13 +379,18 @@ def test_monotonicity_of_growing_fixture_sets():
 
 # sha256 of the (row, rhs) pairs that the order-4 evaluation route feeds the
 # reducer on the jacobian cubic with all 27 degree-1 triples, recorded before
-# orbit reuse and integer sums entered the operator layer
+# orbit reuse and integer sums entered the operator layer, and on so3 with
+# all 216 triples of degree-2 monomials, recorded before the feed read only
+# the columns that a pass touches
 CUBIC_ROWS_DIGEST = "13f15637521a3cd3bff8ac8b588ebdc7b5d5e06881b8c3713e6fba61a05af405"
+SO3_QUADRATIC_ROWS_DIGEST = "0610109bb27a15cca5e67d55f50cc8497527d3553fe4765465e869b2bf9e92d6"
 
 
 def test_eval_obstruction_feeds_the_pinned_rows(monkeypatch):
     # the rows, their column order and their value types (int or Fraction)
-    # are pinned, so a change to the operator layer must feed the same rows
+    # are pinned, so a change to the operator layer must feed the same rows:
+    # on the cubic with degree-1 arguments, and on so3 with degree-2 ones,
+    # where most of the 90 columns vanish on every triple
     fed = []
     add_row = StreamingReducer.add_row
 
@@ -401,6 +406,13 @@ def test_eval_obstruction_feeds_the_pinned_rows(monkeypatch):
     eval_obstruction(series, 4, fixtures=[(p, triples)])
     assert fed
     assert hashlib.sha256("\n".join(fed).encode()).hexdigest() == CUBIC_ROWS_DIGEST
+    del fed[:]
+    quadratic = monomials_up_to_degree(3, 2, min_degree=2)
+    triples = list(itertools.product(quadratic, repeat=3))
+    assert len(triples) == 216
+    report = eval_obstruction(series, 4, fixtures=[(preset_poisson("so3"), triples)])
+    assert (len(fed), report.certificate["rank_coefficient"]) == (1248, 16)
+    assert hashlib.sha256("\n".join(fed).encode()).hexdigest() == SO3_QUADRATIC_ROWS_DIGEST
 
 
 def test_eval_obstruction_order4_golden_certificate():
