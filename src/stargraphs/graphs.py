@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, GraphError
+from .poly import _rational
 
 Pairs = tuple  # n (L, R) pairs: the targets of each internal vertex
 
@@ -588,13 +589,9 @@ def _merge(acc: dict, items: Iterable) -> dict:
 
 
 def _fraction(c) -> Fraction:
-    """c as a Fraction; a float is rejected, since its binary value is
-    rarely the rational that was meant."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, float):
-        raise TypeError("inexact coefficient %r: use int or Fraction" % (c,))
-    return Fraction(c)
+    """c as a Fraction, by the exact-value rule of ``poly._rational``: a
+    float raises ``TypeError``."""
+    return c if isinstance(c, Fraction) else Fraction(_rational(c))
 
 
 def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:

@@ -504,14 +504,8 @@ class CoboundaryColumns:
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
-        return [_wrap(self.p.d, terms) for terms in self.terms(args)]
-
-    def terms(self, args: Sequence[Poly]) -> list:
-        """The term dicts of ``values(args)``, not wrapped in Polys."""
-        totals: list[dict] = [{} for _ in range(self.width)]
-        for col, terms in self.touched_terms(args):
-            totals[col] = terms
-        return totals
+        touched = dict(self.touched_terms(args))
+        return [_wrap(self.p.d, touched.get(col, {})) for col in range(self.width)]
 
     def touched_terms(self, args: Sequence[Poly]) -> list:
         """[(column, terms of (delta C_col)(args))] for the columns that the

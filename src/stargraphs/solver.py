@@ -45,7 +45,7 @@ from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
 from .operators import CoboundaryColumns, InnerValues, _bracket, compile_sum  # noqa: F401
 from .poisson import PoissonStructure, preset_poisson
-from .poly import Poly, _compositions, monomials_up_to_degree
+from .poly import Poly, _compositions, _rational, monomials_up_to_degree
 
 DEFAULT_MATRIX_NONZERO_CAP = 200_000
 
@@ -545,7 +545,7 @@ def reparametrize(series: StarSeries, alphas: dict) -> StarSeries:
         if j < 2:
             raise GraphError("reparametrization exponents start at 2")
         if j <= max_order:
-            h[j] = Fraction(a)
+            h[j] = Fraction(_rational(a))
     powers = [None, h]
     for i in range(2, max_order + 1):
         prev = powers[i - 1]

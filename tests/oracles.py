@@ -1,8 +1,49 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations used only by the tests: one per rule of the
+library, each stated from first principles with plain loops.
 
-These are deliberately naive: plain nested loops transcribed from first
-principles, written before (and kept independent of) the library code they
-check.
+* admissible labeled graphs: ``brute_force_labeled_graphs``;
+* canonical form, sign, |Aut| and the prefix cut of the canonical search:
+  ``brute_force_canonical``, ``brute_force_automorphisms`` and
+  ``brute_force_prefix_key``, each over all n! internal relabelings;
+* enumeration, labeled counts and zero classes: ``scan_enumerate_graphs``,
+  ``scan_zero_classes``; pruned generation: ``unpruned_restricted_growth``;
+* wheel detection: ``brute_force_has_wheel``;
+* ``compile_graph``: ``brute_force_compile_graph``, over all |pairs|^n
+  index assignments;
+* orbit reuse (``_compiled``) and integer sums (``compile_sum``):
+  ``reference_operator``;
+* the evaluation pass (``apply``): ``brute_force_apply``, by Poly products;
+* ``CoboundaryColumns``: ``brute_force_delta``, by ``brute_force_columns``;
+  a three-argument operator: ``transcribed_tridiff``;
+* ranks, feasibility and the streaming reducer's outcomes: ``dense_rank``;
+  ``echelon`` (reduced rows, pivot order, nonzero budget):
+  ``fraction_echelon``;
+* Leibniz generators (sorted pairs, skipped twin skeletons):
+  ``product_order_leibniz_generators``;
+* graph-level delta, composition and bracket: ``labelled_graph_delta``,
+  ``labelled_graph_compose``, ``labelled_graph_gerstenhaber``; the
+  Jacobiator expansion: ``labelled_expand_jacobiator_vertex`` on
+  ``transcribed_jacobiator_graphs``;
+* the Jacobi identity of a structure: ``operator_jacobiator``.
+
+Some references deliberately share one library step that another reference
+checks, so that each checks one rule:
+
+* ``scan_enumerate_graphs``, ``scan_zero_classes`` and the minima of
+  ``unpruned_restricted_growth`` share ``_canonical_raw`` and the filters;
+  ``brute_force_canonical`` checks the canonical forms.
+* ``reference_operator``, and so ``brute_force_columns``, share
+  ``compile_graph``, which the tests check against
+  ``brute_force_compile_graph`` on every graph it serves as a reference
+  for, on at least one fixture; ``brute_force_apply`` and
+  ``brute_force_delta`` share ``Poly``.
+* ``labelled_graph_*`` share the producers ``_split_terms`` and
+  ``graft_terms`` and pass each labeled graph to the ``GraphSum``
+  constructor, so they check the counting into classes; the operator-level
+  tests check the producers.
+* ``product_order_leibniz_generators`` shares ``expand_jacobiator_vertex``,
+  ``operator_jacobiator`` shares ``apply_graph``, and ``fraction_echelon``
+  the ``Echelon`` container and the names of the pivot strategies.
 """
 
 import itertools
@@ -12,45 +53,33 @@ from typing import Iterable
 
 from stargraphs.errors import BudgetExceededError, DimensionError
 from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
-                               _canonical_raw, _lookup, _merge, _passes_filter, has_wheel,
-                               parse_graph)
+                               _canonical_raw, _passes_filter, has_wheel, parse_graph)
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
-from stargraphs.linalg import STRATEGIES, Echelon, Row, StreamingReducer, _eliminate_into
-from stargraphs.operators import (PolyDiffOperator, _divided, _downset, _fits, _graph_terms,
-                                  _group_terms, apply_graph)
-from stargraphs.poly import Poly, _add_terms, _mul_terms, _rational, _wrap
+from stargraphs.linalg import STRATEGIES, Echelon, Row
+from stargraphs.operators import PolyDiffOperator, apply_graph, compile_graph
+from stargraphs.poly import Poly
 
 
 def brute_force_labeled_graphs(n, m):
-    """Every valid labeled graph of K_{n,m} as a tuple of (L, R) pairs, by
-    direct nested iteration over ordered target pairs with an indegree check."""
+    """Every admissible labeled graph of K_{n,m} as a tuple of (L, R) pairs,
+    in lexicographic order: the product over the vertices of all ordered
+    target pairs, kept when every argument has an incoming edge."""
     total = n + m
-    results = []
-
-    def extend(pairs):
-        pos = len(pairs)
-        if pos == n:
-            hit = set()
-            for left, right in pairs:
-                if left <= m:
-                    hit.add(left)
-                if right <= m:
-                    hit.add(right)
-            if len(hit) == m:
-                results.append(tuple(pairs))
-            return
+    options = []
+    for pos in range(n):
         vid = m + 1 + pos
-        for left in range(1, total + 1):
-            if left == vid:
-                continue
-            for right in range(1, total + 1):
-                if right == vid or right == left:
-                    continue
-                extend(pairs + [(left, right)])
-
-    extend([])
-    return results
+        targets = [t for t in range(1, total + 1) if t != vid]
+        options.append(tuple((a, b) for a in targets for b in targets if a != b))
+    for combo in itertools.product(*options):
+        covered = 0
+        for left, right in combo:
+            if left <= m:
+                covered |= 1 << left
+            if right <= m:
+                covered |= 1 << right
+        if covered == ((1 << (m + 1)) - 2):
+            yield combo
 
 
 def brute_force_canonical(n, m, pairs):
@@ -110,23 +139,33 @@ def brute_force_automorphisms(n, m, pairs):
     return count
 
 
-def scan_labeled_pairs(n: int, m: int):
-    """All valid labeled graphs of K_{n,m} as raw out-edge tuples."""
-    total = n + m
-    options = []
-    for pos in range(n):
-        vid = m + 1 + pos
-        targets = [t for t in range(1, total + 1) if t != vid]
-        options.append(tuple((a, b) for a in targets for b in targets if a != b))
-    for combo in itertools.product(*options):
-        covered = 0
-        for left, right in combo:
-            if left <= m:
-                covered |= 1 << left
-            if right <= m:
-                covered |= 1 << right
-        if covered == ((1 << (m + 1)) - 2):
-            yield combo
+def brute_force_prefix_key(n, m, prefix):
+    """The key the canonical search reads off the out-edge pairs of the
+    first k = len(prefix) internal vertices of a K_{n,m} graph, by scanning
+    all n! internal relabelings.  Entry e of a relabeling, the sorted
+    relabeled pair of the vertex it labels e, is known when that vertex is
+    among the first k.  Level by level the key takes the least known entry
+    over the relabelings whose earlier entries equal the key so far, and it
+    stops after the first entry below prefix[e].  With k = n this is the
+    orbit minimum, cut after its first entry that differs from ``prefix``."""
+    k = len(prefix)
+    relabelings = list(itertools.permutations(range(n)))  # perm[old] = new
+    key = ()
+    for e in range(k):
+        entries = []
+        for perm in relabelings:
+            old = perm.index(e)
+            if old < k:
+                left, right = (t if t <= m else m + 1 + perm[t - m - 1] for t in prefix[old])
+                entries.append((min(left, right), max(left, right)))
+            else:
+                entries.append(None)
+        least = min(entry for entry in entries if entry is not None)
+        key += (least,)
+        if least < prefix[e]:
+            break
+        relabelings = [perm for perm, entry in zip(relabelings, entries) if entry == least]
+    return key
 
 
 def scan_enumerate_graphs(n, m, filter="all"):
@@ -137,7 +176,7 @@ def scan_enumerate_graphs(n, m, filter="all"):
     not the canonical forms (``brute_force_canonical`` checks those)."""
     labeled = 0
     reps = set()
-    for pairs in scan_labeled_pairs(n, m):
+    for pairs in brute_force_labeled_graphs(n, m):
         if not _passes_filter(n, m, pairs, filter):
             continue
         labeled += 1
@@ -202,7 +241,7 @@ def unpruned_restricted_growth(n: int, m: int):
 def scan_zero_classes(n, m):
     """Sign-0 orbit minima of K_{n,m} by the same product scan."""
     reps = set()
-    for pairs in scan_labeled_pairs(n, m):
+    for pairs in brute_force_labeled_graphs(n, m):
         best, sign, _ = _canonical_raw(n, m, pairs)
         if sign == 0:
             reps.add(best)
@@ -277,70 +316,6 @@ def brute_force_compile_graph(g, p):
     return PolyDiffOperator(d, m, terms)
 
 
-def rescan_compile_graph(g, p):
-    """``compile_graph`` as it was before the per-vertex index counts: the
-    same depth-first search, each derivative multi-index rescanned from
-    the assigned pairs by ``alpha_of``.  Kept verbatim as the reference for
-    the compiled operators."""
-    d, n, m = p.d, g.n, g.m
-    pairs = p.nonzero_ordered_pairs()
-    in_edges = g.in_edges
-    arg_sources = [in_edges.get(t, ()) for t in range(1, m + 1)]
-    vertex_sources = [in_edges.get(m + 1 + pos, ()) for pos in range(n)]
-    degree = {(i, j): p.entry(i, j).degree() for i, j in pairs}
-    choices = [[pair for pair in pairs if degree[pair] >= len(sources)]
-               for sources in vertex_sources]
-    if not all(choices):
-        # a vertex with more incoming edges than any entry has degree
-        return PolyDiffOperator(d, m, {})
-    # ready[t]: the vertices whose factor is fixed once positions t..n-1
-    # are assigned
-    ready: list[list[int]] = [[] for _ in range(n)]
-    for pos, sources in enumerate(vertex_sources):
-        ready[min([pos] + [src for src, _side in sources])].append(pos)
-    assign: list = [None] * n
-    acc: dict[tuple, dict] = {}
-
-    def alpha_of(sources):
-        alpha = [0] * d
-        for src, side in sources:
-            alpha[assign[src][side] - 1] += 1
-        return tuple(alpha)
-
-    def visit(pos: int, prefix):
-        if pos < 0:
-            key = tuple(alpha_of(sources) for sources in arg_sources)
-            _add_terms(acc.setdefault(key, {}), prefix)
-            return
-        for pair in choices[pos]:
-            assign[pos] = pair
-            coeff = prefix
-            for v in ready[pos]:
-                i, j = assign[v]
-                factor = p.entry_derivative(i, j, alpha_of(vertex_sources[v])).terms
-                if not factor:
-                    break
-                coeff = factor if coeff is None else _mul_terms(coeff, factor, {})
-            else:
-                visit(pos - 1, coeff)
-
-    visit(n - 1, None)
-    return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
-
-
-def fraction_compile_sum(s, p):
-    """``compile_sum`` as it was before orbit reuse and integer sums: every
-    term's graph compiled by ``rescan_compile_graph`` and added with its
-    coefficient as given (integral sums can hold ``Fraction(k, 1)``), with
-    no cache."""
-    acc: dict[tuple, dict] = {}
-    for g, coeff in _graph_terms(s):
-        for key, poly in rescan_compile_graph(g, p).terms.items():
-            _add_terms(acc.setdefault(key, {}), poly.terms, coeff)
-    return PolyDiffOperator(p.d, s.arity,
-                            {op_key: _wrap(p.d, terms) for op_key, terms in acc.items()})
-
-
 def brute_force_apply(op, args):
     """Evaluate a compiled operator term by term with Poly products and sums."""
     total = Poly.zero(op.d)
@@ -363,28 +338,50 @@ def brute_force_apply(op, args):
     return total
 
 
-def brute_force_delta(s, p, args):
-    """Hochschild coboundary [m0, .] evaluated literally, one cochain and
-    one apply_graph call per argument tuple:
+def reference_operator(s, p):
+    """Operator of a GraphSum, or of one labeled graph, as the Poly sum over
+    its terms of the coefficient times ``compile_graph`` of the term's
+    graph: no orbit reuse, no integer sums and no cache, so it checks
+    ``_compiled`` and ``compile_sum``, while ``compile_graph`` is checked
+    against ``brute_force_compile_graph`` on the same graphs."""
+    if isinstance(s, DirectedGraph):
+        return compile_graph(s, p)
+    terms = {}
+    for cls, coeff in s.terms():
+        for key, poly in compile_graph(cls.rep, p).terms.items():
+            terms[key] = terms.get(key, Poly.zero(p.d)) + poly.scale(coeff)
+    return PolyDiffOperator(p.d, s.arity, terms)
+
+
+def brute_force_delta(op, args):
+    """Hochschild coboundary [m0, .] of the operator ``op`` evaluated
+    literally, each inner value by ``brute_force_apply`` and each product
+    f_j f_{j+1} formed anew:
 
     (delta C)(f_0..f_m) = C(f_0..f_{m-1}) f_m + (-1)^{m-1} f_0 C(f_1..f_m)
                           - (-1)^{m-1} sum_j (-1)^j C(.., f_j f_{j+1}, ..).
     """
-    arity = s.m if isinstance(s, DirectedGraph) else (
-        s.rep.m if isinstance(s, GraphClass) else s.arity)
-    if len(args) != arity + 1:
+    m = op.arity
+    if len(args) != m + 1:
         raise DimensionError("coboundary of arity-%d cochain needs %d arguments, got %d"
-                             % (arity, arity + 1, len(args)))
-    m = arity
+                             % (m, m + 1, len(args)))
     sgn = 1 if (m - 1) % 2 == 0 else -1
-    total = apply_graph(s, p, args[:m]) * args[m]
-    total = total + (args[0] * apply_graph(s, p, args[1:])).scale(sgn)
+    total = brute_force_apply(op, args[:m]) * args[m]
+    total = total + (args[0] * brute_force_apply(op, args[1:])).scale(sgn)
     for j in range(m):
         merged = list(args[:j]) + [args[j] * args[j + 1]] + list(args[j + 2:])
-        inner = apply_graph(s, p, merged)
+        inner = brute_force_apply(op, merged)
         term_sign = -sgn if j % 2 == 0 else sgn
         total = total + inner.scale(term_sign)
     return total
+
+
+def brute_force_columns(sums, p):
+    """``CoboundaryColumns(sums, p).values`` by the references: a function
+    of the argument tuple giving ``brute_force_delta`` of the
+    ``reference_operator`` of each sum, each operator formed once."""
+    ops = [reference_operator(s, p) for s in sums]
+    return lambda args: [brute_force_delta(op, args) for op in ops]
 
 
 def transcribed_tridiff(p, f, g, h):
@@ -455,12 +452,14 @@ def dense_rank(rows, ncols):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
+        pivot_row = mat[rank]
+        pv = pivot_row[col]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 factor = mat[r][col] / pv
                 for c in range(col, ncols):
-                    mat[r][c] -= factor * mat[rank][c]
+                    if pivot_row[c]:
+                        mat[r][c] -= factor * pivot_row[c]
         rank += 1
     return rank
 
@@ -580,7 +579,12 @@ def fraction_echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: in
             factor = other_row.get(col)
             if factor:
                 before = len(other_row)
-                _eliminate_into(other_row, pivot_row, factor)
+                for c, value in pivot_row.items():
+                    cur = other_row.get(c, 0) - factor * value
+                    if cur:
+                        other_row[c] = cur
+                    else:
+                        other_row.pop(c, None)
                 charge(other_row_idx, before)
                 b[other_row_idx] -= factor * b[row_idx]
     return Echelon(ncols=ncols,
@@ -590,107 +594,12 @@ def fraction_echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: in
                    inconsistent=inconsistent)
 
 
-def two_elimination_reverify(reducer, strategy="markowitz"):
-    """``StreamingReducer.reverify`` by two ``fraction_echelon`` calls: the
-    augmented system for feasibility, A alone for the coefficient rank."""
-    ech_aug = fraction_echelon([dict(r) for r in reducer.raw_rows], reducer.raw_rhs, 0, strategy)
-    ech_coeff = fraction_echelon([dict(r) for r in reducer.raw_rows], None, 0, strategy)
-    return {
-        "strategy": strategy,
-        "rank_coefficient": ech_coeff.rank,
-        "rank_augmented": ech_aug.rank + (1 if ech_aug.inconsistent else 0),
-        "inconsistent": ech_aug.inconsistent,
-    }
-
-
-class FractionStreamingReducer(StreamingReducer):
-    """``StreamingReducer`` with ``Fraction`` elimination: each pivot row is
-    divided by its leading entry, and each new row has the pivot rows
-    subtracted with Fraction factors.  Raw rows, rank and ``reverify`` are
-    inherited."""
-
-    def add_row(self, row, rhs):
-        rhs = raw_rhs = Fraction(rhs)
-        work = {c: Fraction(v) for c, v in row.items()}
-        while work:
-            col = min(work)
-            pivot = self.pivots.get(col)
-            if pivot is None:
-                lead = work[col]
-                self.pivots[col] = ({c: v / lead for c, v in work.items()}, rhs / lead)
-                self.raw_rows.append(dict(row))
-                self.raw_rhs.append(raw_rhs)
-                return "pivot"
-            pivot_row, pivot_rhs = pivot
-            factor = work[col]
-            for c, v in pivot_row.items():
-                value = work.get(c, 0) - factor * v
-                if value:
-                    work[c] = value
-                else:
-                    work.pop(c, None)
-            rhs -= factor * pivot_rhs
-        if rhs:
-            self.inconsistent = True
-            self.raw_rows.append(dict(row))
-            self.raw_rhs.append(raw_rhs)
-            return "inconsistent"
-        return "redundant"
-
-
-class StepNormalizingStreamingReducer(StreamingReducer):
-    """``StreamingReducer`` as it was before one normalization per stored
-    pivot: every row and rhs go through ``Fraction``, and the gcd of the
-    working row and rhs is divided out after every elimination step."""
-
-    def add_row(self, row, rhs):
-        raw_rhs = Fraction(_rational(rhs))
-        for v in row.values():
-            if type(v) is not int and type(v) is not Fraction:
-                row = {c: _rational(v) for c, v in row.items()}
-                break
-        scale = math.lcm(raw_rhs.denominator, *(v.denominator for v in row.values()))
-        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-        rhs = raw_rhs.numerator * (scale // raw_rhs.denominator)
-        while work:
-            col = min(work)
-            pivot = self.pivots.get(col)
-            if pivot is None:
-                g = math.gcd(rhs, *work.values())
-                if work[col] < 0:
-                    g = -g
-                if g != 1:
-                    work = {c: v // g for c, v in work.items()}
-                    rhs //= g
-                self.pivots[col] = (work, rhs)
-                self.raw_rows.append(dict(row))
-                self.raw_rhs.append(raw_rhs)
-                return "pivot"
-            pivot_row, pivot_rhs = pivot
-            lead, factor = pivot_row[col], work[col]
-            g = math.gcd(lead, factor)
-            lead, factor = lead // g, factor // g
-            if lead != 1:
-                work = {c: lead * v for c, v in work.items()}
-                rhs *= lead
-            _eliminate_into(work, pivot_row, factor)
-            rhs -= factor * pivot_rhs
-            g = math.gcd(rhs, *work.values())
-            if g > 1:
-                work = {c: v // g for c, v in work.items()}
-                rhs //= g
-        if rhs:
-            self.inconsistent = True
-            self.raw_rows.append(dict(row))
-            self.raw_rhs.append(raw_rhs)
-            return "inconsistent"
-        return "redundant"
-
-
-def sorted_skeleton_leibniz_generators(n_total, m, wheel_free_expansions=False):
-    """The Leibniz generator loop before relabeled twin skeletons were
-    skipped: every skeleton with sorted pairs and a sorted triple is
-    expanded and deduplicated by expansion direction in product order."""
+def product_order_leibniz_generators(n_total, m, wheel_free_expansions=False,
+                                     both_orientations=False):
+    """Jacobi-ideal generators by the plain product loop: every skeleton
+    with a sorted triple and sorted ordinary pairs (with
+    ``both_orientations``, all ordered target pairs) is expanded, and the
+    expansions are deduplicated by direction in product order."""
     n_ord = n_total - 2
     special_id = m + n_ord + 1
     all_ids = range(1, special_id + 1)
@@ -698,49 +607,9 @@ def sorted_skeleton_leibniz_generators(n_total, m, wheel_free_expansions=False):
     seen = set()
     ordinary_options = []
     for pos in range(n_ord):
-        vid = m + 1 + pos
-        targets = [t for t in all_ids if t != vid]
-        ordinary_options.append(tuple(itertools.combinations(targets, 2)))
-    for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
-        for ordinary in itertools.product(*ordinary_options):
-            covered = set(t for t in triple if t <= m)
-            for left, right in ordinary:
-                if left <= m:
-                    covered.add(left)
-                if right <= m:
-                    covered.add(right)
-            if len(covered) != m:
-                continue
-            expansion = expand_jacobiator_vertex(m, ordinary, triple)
-            if expansion.is_zero:
-                continue
-            if wheel_free_expansions and any(
-                    has_wheel(cls.rep) for cls, _ in expansion.terms()):
-                continue
-            terms = expansion.terms()
-            lead = terms[0][1]
-            key = tuple((cls.rep.key, coeff / lead) for cls, coeff in terms)
-            if key in seen:
-                continue
-            seen.add(key)
-            generators.append(LeibnizGenerator(n_total, m, ordinary, triple, expansion))
-    return tuple(generators)
-
-
-def all_pairs_leibniz_generators(n_total, m, wheel_free_expansions=False):
-    """Jacobi-ideal generators with every ordinary vertex offered all ordered
-    target pairs (both orientations), deduplicated by expansion direction in
-    product order."""
-    n_ord = n_total - 2
-    special_id = m + n_ord + 1
-    all_ids = range(1, special_id + 1)
-    generators = []
-    seen = set()
-    ordinary_options = []
-    for pos in range(n_ord):
-        vid = m + 1 + pos
-        targets = [t for t in all_ids if t != vid]
-        ordinary_options.append(tuple((a, b) for a in targets for b in targets if a != b))
+        targets = [t for t in all_ids if t != m + 1 + pos]
+        ordinary_options.append(tuple(itertools.permutations(targets, 2) if both_orientations
+                                      else itertools.combinations(targets, 2)))
     for triple in itertools.combinations([t for t in all_ids if t != special_id], 3):
         for ordinary in itertools.product(*ordinary_options):
             covered = set(t for t in triple if t <= m)
@@ -869,207 +738,3 @@ def labelled_expand_jacobiator_vertex(m, ordinary_out, special_out):
     GraphSum constructor with weight 1."""
     return GraphSum(m, [(g, 1) for g in transcribed_jacobiator_graphs(m, ordinary_out,
                                                                       special_out)])
-
-
-def per_pass_reach(trie, args, derivatives):
-    """``operators._reach`` as it was before derivative jets: ``derivatives``
-    maps id(argument) -> (downset, {alpha: derivative terms}) for one pass
-    only, so every pass differentiates its arguments anew."""
-    frontier = [(trie, None)]
-    for f in args:
-        if not frontier:
-            break
-        entry = derivatives.get(id(f))
-        if entry is None:
-            entry = derivatives[id(f)] = (_downset(f), {})
-        down, table = entry
-        reached = []
-        for node, prefix in frontier:
-            if len(down) < len(node):
-                hits = [(alpha, node[alpha]) for alpha in down if alpha in node]
-            else:
-                hits = [(alpha, child) for alpha, child in node.items() if alpha in down]
-            for alpha, child in hits:
-                der = table.get(alpha)
-                if der is None:
-                    der = table[alpha] = f.derive_multi(alpha).terms
-                reached.append((child, der if prefix is None else _mul_terms(prefix, der, {})))
-        frontier = reached
-    return frontier
-
-
-def per_pass_accumulate(trie, width, tuples):
-    """``operators._accumulate`` as it was before derivative jets, with one
-    fresh ``derivatives`` table per pass (``per_pass_reach``)."""
-    derivatives = {}
-    totals = [{} for _ in range(width)]
-    if tuples[0][1] is None:
-        reached = per_pass_reach(trie, tuples[0][0], derivatives)
-    else:
-        values = {}  # id(leaf) -> (leaf, value terms)
-        for args, factor in tuples:
-            for leaf, value in per_pass_reach(trie, args, derivatives):
-                entry = values.get(id(leaf))
-                if entry is None:
-                    entry = values[id(leaf)] = (leaf, {})
-                _mul_terms(value, factor, entry[1])
-        reached = values.values()
-    for leaf, value in reached:
-        if value:
-            for col, coeff in leaf:
-                _mul_terms(value, coeff, totals[col])
-    return totals
-
-
-def per_pass_apply(op, args):
-    """``PolyDiffOperator.apply`` by one ``per_pass_accumulate`` pass."""
-    return _wrap(op.d, per_pass_accumulate(_group_terms(op), 1, [(args, None)])[0])
-
-
-def per_pass_coboundary_terms(columns, args):
-    """``CoboundaryColumns.terms`` as it was before derivative jets and the
-    product memo: every f_j f_{j+1} formed anew and one
-    ``per_pass_accumulate`` pass over the trie of ``columns``, whose pending
-    groups it compiles as ``terms`` does."""
-    d, m = columns.p.d, columns.arity
-    args = tuple(args)
-    sgn = 1 if (m - 1) % 2 == 0 else -1
-    tuples = [(args[:m], args[m].terms), (args[1:], args[0].scale(sgn).terms)]
-    for j in range(m):
-        merged = args[:j] + (args[j] * args[j + 1],) + args[j + 2:]
-        tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
-    degrees = [[f.degree() for f in inner] for inner, _ in tuples]
-    for orders in [o for o in columns.pending if _fits(o, degrees)]:
-        columns._compile(orders)
-    totals = per_pass_accumulate(columns.trie, columns.width, tuples)
-    for col, denom in columns.denoms.items():
-        totals[col] = _divided(totals[col], denom)
-    return totals
-
-
-# -- the level-wise canonical search with a candidate list per labeling ---------
-
-def candidate_list_canonical_raw(n, m, pairs, known=None):
-    """``graphs._canonical_raw`` as it was before its loop was tightened:
-    every frontier labeling builds a list of its candidates, every candidate
-    is extended to a labeling before its pair is compared, and targets are
-    located in that labeling."""
-    base = m + 1
-    key = []
-    frontier = [((), 0)]
-    bound = n if known is None else known
-    everyone = range(bound)
-    for e in range(bound):
-        lo = hi = None
-        survivors = []
-        for order, parity in frontier:
-            if e < len(order):
-                candidates = (order[e],)
-                if order[e] >= bound:
-                    continue
-                grow = False
-            else:
-                candidates = [u for u in everyone if u not in order]
-                grow = True
-            for u in candidates:
-                labeled = order + (u,) if grow else order
-                left, right = pairs[u]
-                free = base + len(labeled)
-                open_left = open_right = -1
-                if left > m:
-                    open_left = left - base
-                    if open_left in labeled:
-                        left = base + labeled.index(open_left)
-                        open_left = -1
-                    else:
-                        left = free
-                if right > m:
-                    open_right = right - base
-                    if open_right in labeled:
-                        right = base + labeled.index(open_right)
-                        open_right = -1
-                    else:
-                        right = free + 1 if open_left >= 0 else free
-                flip = left > right
-                if flip:
-                    left, right = right, left
-                if lo is None or left < lo or (left == lo and right < hi):
-                    lo, hi = left, right
-                    survivors = []
-                elif left != lo or right != hi:
-                    continue
-                if open_left >= 0:
-                    if open_right >= 0:
-                        survivors.append((labeled + (open_left, open_right), parity))
-                        survivors.append((labeled + (open_right, open_left), parity ^ 1))
-                        continue
-                    labeled += (open_left,)
-                elif open_right >= 0:
-                    labeled += (open_right,)
-                survivors.append((labeled, parity ^ flip))
-        key.append((lo, hi))
-        if known is not None and key[e] < pairs[e]:
-            break
-        frontier = survivors
-    parities = {parity for _, parity in frontier}
-    if len(parities) == 2:
-        sign = 0
-    elif 0 in parities:
-        sign = 1
-    else:
-        sign = -1
-    return tuple(key), sign, len(frontier)
-
-
-# -- graph-level algebra with a Fraction weight per producer call ---------------
-
-def fraction_add_labeled_graphs(acc, n, m, pairs, weight):
-    """Signs counted per class for one producer call, then the Fraction
-    ``weight`` multiplied into each nonzero count and merged into ``acc``."""
-    counts = {}
-    for out_edges in pairs:
-        cls = _lookup(n, m, out_edges)
-        if cls.sign:
-            counts[cls.rep] = counts.get(cls.rep, 0) + cls.sign
-    return _merge(acc, ((rep, weight * count) for rep, count in counts.items() if count))
-
-
-def fraction_graph_delta(s):
-    m = s.arity
-    acc = {}
-    outer_sign = 1 if m % 2 == 0 else -1
-    for cls, coeff in s.terms():
-        for slot in range(1, m + 1):
-            term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
-            fraction_add_labeled_graphs(acc, cls.rep.n, m + 1, _split_terms(cls.rep, slot),
-                                        coeff * term_sign)
-    return GraphSum._wrap(m + 1, acc)
-
-
-def _fraction_compose_into(acc, s1, s2, sign):
-    m1, m2 = s1.arity, s2.arity
-    for cls1, c1 in s1.terms():
-        for cls2, c2 in s2.terms():
-            base = c1 * c2 * sign
-            for slot in range(1, m1 + 1):
-                weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                fraction_add_labeled_graphs(acc, cls1.rep.n + cls2.rep.n, m1 + m2 - 1,
-                                            graft_terms(cls1.rep, slot, cls2.rep), weight)
-    return acc
-
-
-def fraction_graph_compose(s1, s2):
-    return GraphSum._wrap(s1.arity + s2.arity - 1, _fraction_compose_into({}, s1, s2, 1))
-
-
-def fraction_graph_gerstenhaber(s1, s2):
-    k1, k2 = s1.arity - 1, s2.arity - 1
-    acc = _fraction_compose_into({}, s1, s2, 1)
-    _fraction_compose_into(acc, s2, s1, 1 if (k1 * k2) % 2 else -1)
-    return GraphSum._wrap(k1 + k2 + 1, acc)
-
-
-def fraction_expand_jacobiator_vertex(m, ordinary_out, special_out):
-    return GraphSum._wrap(m, fraction_add_labeled_graphs(
-        {}, len(ordinary_out) + 2, m, _jacobiator_terms(m, ordinary_out, special_out),
-        Fraction(1)))

@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import hashlib
 import itertools
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_force_automorphisms, brute_force_canonical, brute_force_has_wheel,
-                     brute_force_labeled_graphs, candidate_list_canonical_raw,
-                     fraction_graph_gerstenhaber, scan_enumerate_graphs, scan_zero_classes,
+                     brute_force_labeled_graphs, brute_force_prefix_key,
+                     labelled_graph_gerstenhaber, scan_enumerate_graphs, scan_zero_classes,
                      unpruned_restricted_growth)
 from stargraphs import graphs, operators
 from stargraphs.errors import BudgetExceededError, GraphError
@@ -250,7 +251,7 @@ def test_held_table_stays_valid_when_the_limit_clears_mid_loop(fresh_tables, mon
     # a single graft call yields more graphs than the limit, so the tables
     # were cleared inside the loop, in place
     assert sizes.count(1) > 3 and graphs._TABLES[4, 3][0] is held
-    assert result == fraction_graph_gerstenhaber(a, b) and not result.is_zero
+    assert result == labelled_graph_gerstenhaber(a, b) and not result.is_zero
 
 
 def test_labeled_entries_retain_few_bytes(fresh_tables):
@@ -352,11 +353,10 @@ def _assert_canonical_matches_brute_force(n, m, pairs):
 
 def test_canonical_search_matches_scan_on_all_small_graphs():
     checked = 0
-    for n in range(1, 5):
-        for m in range(1, 6 - n):
-            for pairs in brute_force_labeled_graphs(n, m):
-                _assert_canonical_matches_brute_force(n, m, pairs)
-                checked += 1
+    for n, m in [(n, m) for n in range(1, 5) for m in range(1, 6 - n)] + [(3, 3)]:
+        for pairs in brute_force_labeled_graphs(n, m):
+            _assert_canonical_matches_brute_force(n, m, pairs)
+            checked += 1
     assert checked > 20_000
 
 
@@ -431,14 +431,14 @@ def test_census_k11_empty():
 
 def test_labeled_counts_match_brute_force():
     for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3)):
-        expected = brute_force_labeled_graphs(n, m)
+        expected = list(brute_force_labeled_graphs(n, m))
         got = enumerate_graphs(n, m)
         assert got.labeled_count == len(expected), (n, m)
 
 
 def test_wheel_filters_match_brute_force():
     for n, m in ((2, 2), (3, 2), (2, 3)):
-        labeled = brute_force_labeled_graphs(n, m)
+        labeled = list(brute_force_labeled_graphs(n, m))
         wheels = sum(1 for pairs in labeled if brute_force_has_wheel(n, m, pairs))
         assert enumerate_graphs(n, m, "wheels_only").labeled_count == wheels
         assert enumerate_graphs(n, m, "wheel_free").labeled_count == len(labeled) - wheels
@@ -531,16 +531,29 @@ def test_prefix_cut_explicit_cases():
     assert not _prefix_cut(3, 2, ((1, 2), (1, 4), (1, 2)), 2)
 
 
+def _assert_prefix_search_matches_brute_force(n, m, pairs, known, expected_key):
+    """The key read off pairs[:known] is ``expected_key``; with known = n a
+    key equal to ``pairs`` comes with the sign and |Aut| of the graph."""
+    found = _canonical_raw(n, m, pairs, known)
+    assert found[0] == expected_key, (pairs, known)
+    if known == n and found[0] == pairs:
+        assert found[1:] == (brute_force_canonical(n, m, pairs)[1],
+                             brute_force_automorphisms(n, m, pairs))
+
+
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                   (4, 1)])
-def test_canonical_search_matches_candidate_list_oracle_for_every_prefix(n, m):
+def test_canonical_search_matches_brute_force_for_every_prefix(n, m):
+    # the brute-force key depends on the prefix alone, so it is found once
+    # per prefix; the full search is checked on these sizes above
+    expected = functools.cache(lambda prefix: brute_force_prefix_key(n, m, prefix))
     for pairs in brute_force_labeled_graphs(n, m):
-        for known in (None, *range(1, n + 1)):
-            assert (_canonical_raw(n, m, pairs, known)
-                    == candidate_list_canonical_raw(n, m, pairs, known)), (pairs, known)
+        for known in range(1, n + 1):
+            _assert_prefix_search_matches_brute_force(n, m, pairs, known,
+                                                      expected(pairs[:known]))
 
 
-def test_canonical_search_matches_candidate_list_oracle_on_generation_prefixes():
+def test_canonical_search_matches_brute_force_on_generation_prefixes():
     # the prefix tests of generation, and the deliberately inadmissible
     # inputs of the explicit cases (a short prefix, a loop at vertex 4)
     cases = [(3, 2, ((1, 4), (1, 2)), 2), (3, 2, ((1, 4), (1, 2), (1, 2)), 2),
@@ -548,8 +561,9 @@ def test_canonical_search_matches_candidate_list_oracle_on_generation_prefixes()
     for n, m in [(4, 2), (3, 3)]:
         for pairs in unpruned_restricted_growth(n, m):
             cases += [(n, m, pairs[:e], e) for e in range(2, n + 1)]
-    for case in cases:
-        assert _canonical_raw(*case) == candidate_list_canonical_raw(*case), case
+    for n, m, pairs, known in cases:
+        _assert_prefix_search_matches_brute_force(
+            n, m, pairs, known, brute_force_prefix_key(n, m, pairs[:known]))
 
 
 def test_enumeration_k52_all_matches_generate_then_filter():

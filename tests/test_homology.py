@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (all_pairs_leibniz_generators, fraction_expand_jacobiator_vertex,
-                     fraction_graph_compose, fraction_graph_delta, fraction_graph_gerstenhaber,
-                     grafted_graphs, jacobiator_graphs,
-                     labelled_expand_jacobiator_vertex, labelled_graph_compose,
-                     labelled_graph_delta, labelled_graph_gerstenhaber,
-                     sorted_skeleton_leibniz_generators, transcribed_jacobiator_graphs)
+from oracles import (grafted_graphs, jacobiator_graphs, labelled_expand_jacobiator_vertex,
+                     labelled_graph_compose, labelled_graph_delta, labelled_graph_gerstenhaber,
+                     product_order_leibniz_generators, transcribed_jacobiator_graphs)
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
                               enumerate_graphs, has_wheel, parse_graph)
@@ -288,26 +285,26 @@ def assert_same_fraction_sum(result, reference):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(1, 3).flatmap(fractional_sums))
-def test_integer_delta_matches_fraction_weight_oracle(s):
-    assert_same_fraction_sum(graph_delta(s), fraction_graph_delta(s))
+def test_integer_delta_matches_labelled_oracle_on_fraction_sums(s):
+    assert_same_fraction_sum(graph_delta(s), labelled_graph_delta(s))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)])
        .flatmap(lambda arities: st.tuples(fractional_sums(arities[0]),
                                           fractional_sums(arities[1], max_terms=2))))
-def test_integer_compose_and_bracket_match_fraction_weight_oracles(sums):
+def test_integer_compose_and_bracket_match_labelled_oracles_on_fraction_sums(sums):
     s1, s2 = sums
-    assert_same_fraction_sum(graph_compose(s1, s2), fraction_graph_compose(s1, s2))
-    assert_same_fraction_sum(graph_gerstenhaber(s1, s2), fraction_graph_gerstenhaber(s1, s2))
+    assert_same_fraction_sum(graph_compose(s1, s2), labelled_graph_compose(s1, s2))
+    assert_same_fraction_sum(graph_gerstenhaber(s1, s2), labelled_graph_gerstenhaber(s1, s2))
 
 
 @pytest.mark.parametrize("n_total, m", [(2, 3), (3, 2), (4, 2)])
-def test_integer_jacobiator_expansion_matches_fraction_weight_oracle(n_total, m):
+def test_integer_jacobiator_expansion_matches_labelled_oracle_on_generators(n_total, m):
     for gen in leibniz_generators(n_total, m):
         args = (m, gen.ordinary_out, gen.special_out)
         assert_same_fraction_sum(expand_jacobiator_vertex(*args),
-                                 fraction_expand_jacobiator_vertex(*args))
+                                 labelled_expand_jacobiator_vertex(*args))
 
 
 def test_merged_sums_equal_constructed_sums():
@@ -406,15 +403,15 @@ def test_generator_validation():
 @pytest.mark.parametrize("n_total, m", [(2, 3), (3, 3), (4, 3), (3, 2), (4, 2),
                                         (3, 4), (2, 1), (3, 1), (4, 1)])
 def test_sorted_pairs_give_the_all_pairs_generators(n_total, m, wheel_free):
-    expected = all_pairs_leibniz_generators(n_total, m, wheel_free)
+    expected = product_order_leibniz_generators(n_total, m, wheel_free, both_orientations=True)
     assert list(leibniz_generators(n_total, m, wheel_free)) == expected
 
 
 @pytest.mark.parametrize("n_total, m, wheel_free", [(3, 3, False), (4, 2, False), (4, 3, False),
                                                     (4, 3, True), (5, 2, False), (3, 4, False)])
 def test_skipping_relabeled_skeletons_keeps_the_generators(n_total, m, wheel_free):
-    expected = sorted_skeleton_leibniz_generators(n_total, m, wheel_free)
-    assert leibniz_generators(n_total, m, wheel_free) == expected
+    expected = product_order_leibniz_generators(n_total, m, wheel_free)
+    assert list(leibniz_generators(n_total, m, wheel_free)) == expected
 
 
 def test_generators_are_built_once_per_argument():

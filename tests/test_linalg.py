@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (FractionStreamingReducer, StepNormalizingStreamingReducer, dense_rank,
-                     fraction_echelon, two_elimination_reverify)
+from oracles import dense_rank, fraction_echelon
 from stargraphs import linalg, solver
 from stargraphs.errors import BudgetExceededError
 from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
@@ -270,29 +269,37 @@ def random_mixed_system(rng):
     return rows, rhs
 
 
-def test_streaming_reducer_matches_fraction_oracle():
-    rng = random.Random(2024)
-    seen = set()
-    for _ in range(60):
-        rows, rhs = random_mixed_system(rng)
-        red, oracle = StreamingReducer(), FractionStreamingReducer()
-        outcomes = [red.add_row(r, b) for r, b in zip(rows, rhs)]
-        assert outcomes == [oracle.add_row(r, b) for r, b in zip(rows, rhs)]
-        seen.update(outcomes)
-        assert (red.rank, red.inconsistent) == (oracle.rank, oracle.inconsistent)
-        assert (red.raw_rows, red.raw_rhs) == (oracle.raw_rows, oracle.raw_rhs)
-        assert all(type(b) is Fraction for b in red.raw_rhs)
-        for strategy in STRATEGIES:
-            assert red.reverify(strategy) == oracle.reverify(strategy)
-        # each pivot row is a primitive int multiple of the oracle's
-        assert red.pivots.keys() == oracle.pivots.keys()
-        for col, (row, b) in red.pivots.items():
-            values = [*row.values(), b]
-            assert all(type(v) is int for v in values)
-            assert row[col] > 0 and math.gcd(*values) == 1
-            lead = row[col]
-            assert ({c: F(v, lead) for c, v in row.items()}, F(b, lead)) == oracle.pivots[col]
-    assert seen == {"pivot", "redundant", "inconsistent"}
+def width(rows):
+    """One more than the largest column of ``rows``: the rhs column of [A | b]."""
+    return 1 + max((c for row in rows for c in row), default=0)
+
+
+def rank_rule_outcomes(rows, rhs):
+    """The outcome of each ``StreamingReducer.add_row`` by ranks alone: a row
+    is a pivot when it raises the rank of the pivot rows before it, and
+    otherwise inconsistent when it raises the rank of their rows of
+    [A | b]."""
+    ncols = width(rows)
+    kept, outcomes = [], []
+    for row, b in zip(rows, rhs):
+        augmented = {**row, ncols: b}
+        if dense_rank([r for r, _ in kept] + [row], ncols) > len(kept):
+            kept.append((row, augmented))
+            outcomes.append("pivot")
+        elif dense_rank([a for _, a in kept] + [augmented], ncols + 1) > len(kept):
+            outcomes.append("inconsistent")
+        else:
+            outcomes.append("redundant")
+    return outcomes
+
+
+def rank_verdict(rows, rhs, strategy):
+    """``StreamingReducer.reverify`` of the raw system by ``dense_rank``."""
+    ncols = width(rows)
+    coefficient = dense_rank(rows, ncols)
+    augmented = dense_rank([{**row, ncols: b} for row, b in zip(rows, rhs)], ncols + 1)
+    return {"strategy": strategy, "rank_coefficient": coefficient,
+            "rank_augmented": augmented, "inconsistent": augmented > coefficient}
 
 
 def cascade_system(rng, length=40):
@@ -315,27 +322,45 @@ def cascade_system(rng, length=40):
     return rows + [combination, combination] + dense, rhs + [b, b + 1, F(1, 3), 5]
 
 
-def test_one_normalization_per_pivot_matches_the_step_normalizing_reducer():
-    # the gcd divided out once per stored pivot instead of after every step:
-    # the same outcomes, primitive pivot rows, raw rows and Fraction raw rhs
+def test_streaming_reducer_follows_the_rank_rule():
+    # outcomes, kept raw rows, reverify verdicts and stored pivots against
+    # ranks and reduced echelon forms of plain Fraction elimination, on mixed
+    # int and Fraction systems with values above 2^64, int systems and a
+    # cascade through 40 pivots
     rng = random.Random(2024)
     systems = [random_mixed_system(rng) for _ in range(60)] + list(INT_SYSTEMS)
     systems += list(random_int_systems()) + [cascade_system(random.Random(7))]
     seen = set()
     for rows, rhs in systems:
-        red, old = StreamingReducer(), StepNormalizingStreamingReducer()
+        red = StreamingReducer()
         outcomes = [red.add_row(r, b) for r, b in zip(rows, rhs)]
-        assert outcomes == [old.add_row(r, b) for r, b in zip(rows, rhs)]
+        assert outcomes == rank_rule_outcomes(rows, rhs)
         seen.update(outcomes)
-        assert red.pivots == old.pivots
-        assert all(type(v) is int for row, b in red.pivots.values() for v in (*row.values(), b))
-        assert (red.raw_rows, red.raw_rhs, red.inconsistent) == (
-            old.raw_rows, old.raw_rhs, old.inconsistent)
+        kept = [i for i, outcome in enumerate(outcomes) if outcome != "redundant"]
+        assert (red.raw_rows, red.raw_rhs) == ([rows[i] for i in kept], [rhs[i] for i in kept])
         assert all(type(b) is Fraction for b in red.raw_rhs)
+        assert (red.rank, red.inconsistent) == (outcomes.count("pivot"),
+                                                "inconsistent" in outcomes)
+        for strategy in STRATEGIES:
+            assert red.reverify(strategy) == rank_verdict(red.raw_rows, red.raw_rhs, strategy)
+        # each stored pivot is a primitive int row led by a positive entry at
+        # its column, and together they span the pivot rows fed, with rhs
+        for col, (row, b) in red.pivots.items():
+            values = [*row.values(), b]
+            assert all(type(v) is int for v in values)
+            assert min(row) == col and row[col] > 0 and math.gcd(*values) == 1
+        pivots = [i for i in kept if outcomes[i] == "pivot"]
+        stored = fraction_echelon([dict(row) for row, _ in red.pivots.values()],
+                                  [b for _, b in red.pivots.values()], 0, "ordered")
+        fed = fraction_echelon([dict(rows[i]) for i in pivots], [rhs[i] for i in pivots],
+                               0, "ordered")
+        assert (stored.pivot_cols, stored.rows, stored.rhs) == (fed.pivot_cols, fed.rows, fed.rhs)
+        assert stored.pivot_cols == sorted(red.pivots)
     assert seen == {"pivot", "redundant", "inconsistent"}
     # the cascade: 40 pivots, then the combination twice, and the first
     # dense row reduces through all 40 pivots to a new one at column 40,
-    # which the second, with its unrelated rhs, contradicts
+    # which the second, with its unrelated rhs, contradicts; one gcd per
+    # stored pivot still leaves integers above 2^64
     assert outcomes == ["pivot"] * 40 + ["redundant", "inconsistent", "pivot", "inconsistent"]
     assert max(abs(v) for v in red.pivots[40][0].values()) > 2 ** 64
 
@@ -444,7 +469,7 @@ def seeded_reducers():
         yield red
 
 
-def test_reverify_eliminates_once_with_the_two_elimination_result(monkeypatch):
+def test_reverify_eliminates_once_with_the_dense_rank_verdict(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -458,6 +483,6 @@ def test_reverify_eliminates_once_with_the_two_elimination_result(monkeypatch):
             del calls[:]
             result = red.reverify(strategy)
             assert len(calls) == 1
-            assert result == two_elimination_reverify(red, strategy)
+            assert result == rank_verdict(red.raw_rows, red.raw_rhs, strategy)
             verdicts.add(result["inconsistent"])
     assert verdicts == {True, False}

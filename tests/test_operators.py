@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (brute_force_apply, brute_force_compile_graph, brute_force_delta,
-                     fraction_compile_sum, per_pass_apply, per_pass_coboundary_terms,
-                     rescan_compile_graph, transcribed_tridiff)
+from oracles import (brute_force_apply, brute_force_columns, brute_force_compile_graph,
+                     reference_operator, transcribed_tridiff)
 from stargraphs.errors import DimensionError
 from stargraphs import operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
@@ -246,8 +245,8 @@ def test_downset_walk_misses_keys_outside_a_union_of_boxes(monkeypatch):
         assert sym.apply(pair) == brute_force_apply(sym, pair)
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
     args = (square_sum, x(3, 1) * x(3, 3), x(3, 2) * x(3, 2) + x(3, 3))
-    assert CoboundaryColumns(columns, p).values(args) == [
-        brute_force_delta(col, preset_poisson("so3"), args) for col in columns]
+    assert (CoboundaryColumns(columns, p).values(args)
+            == brute_force_columns(columns, preset_poisson("so3"))(args))
 
 
 def test_zero_argument_reaches_no_key():
@@ -262,11 +261,11 @@ def test_zero_argument_reaches_no_key():
             assert brute_force_apply(op, args).is_zero
     # each inner tuple of the coboundary has a zero argument
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
-    delta = CoboundaryColumns(columns, p)
+    delta, expected = CoboundaryColumns(columns, p), brute_force_columns(columns, p)
     for args in ((zero, x(3, 1), x(3, 2) * x(3, 3)), (x(3, 1) * x(3, 1), zero, x(3, 3))):
         values = delta.values(args)
         assert all(value.is_zero for value in values)
-        assert values == [brute_force_delta(col, p, args) for col in columns]
+        assert values == expected(args)
 
 
 # -- oracle_delta -------------------------------------------------------------
@@ -298,14 +297,13 @@ def test_coboundary_columns_match_brute_force_delta(spec):
     basis = order4_wheel_free_basis()
     assert len(basis) == 90
     columns = [GraphSum.single(cls.rep) for cls in basis]
-    delta = CoboundaryColumns(columns, p)
+    delta, reference = CoboundaryColumns(columns, p), brute_force_columns(columns, p)
     nonzero = 0
     for args in coboundary_triples(p.d):
         values = delta.values(args)
         assert len(values) == 90
-        for col, value in zip(columns, values):
-            assert value == brute_force_delta(col, p, args)
-            nonzero += not value.is_zero
+        assert values == reference(args)
+        nonzero += sum(not value.is_zero for value in values)
         # the one-column case is the same pass
         assert oracle_delta(columns[-1], p, args) == values[-1]
     assert nonzero
@@ -335,22 +333,28 @@ def test_integer_fixtures_compile_to_int_coefficients(spec):
             assert all(type(c) is int for c in value.terms.values())
 
 
-def typed_terms(terms):
-    """A term dict with the type of each coefficient, so that an ``int`` and
-    an equal ``Fraction`` tell apart."""
-    return {e: (type(c), c) for e, c in terms.items()}
-
-
 def fresh_copies(args):
     """New Poly objects equal to ``args``, without derivative jets."""
     return tuple(Poly(f.d, f.terms) for f in args)
 
 
+def normal_values(values):
+    """Whether every coefficient of the Polys ``values`` is in normal form."""
+    return all(is_normal(c) for value in values for c in value.terms.values())
+
+
+def typed_terms(value):
+    """The terms of a Poly with the type of each coefficient."""
+    return {e: (type(c), c) for e, c in value.terms.items()}
+
+
 @pytest.mark.parametrize("spec", ("so3", "sl2", "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
-def test_jets_match_the_per_pass_evaluation(spec):
-    # derivatives kept on the argument objects give the values, and the
-    # value types, of the per-pass tables they replace: on first use, on a
-    # second use with the jets warm, and on fresh copies without jets
+def test_jets_give_the_brute_force_values_on_every_use(spec):
+    # derivatives kept on the argument objects give the term-by-term values
+    # on first use, on a second use with the jets warm, and on fresh copies
+    # without jets, with the same coefficient types on every use (Poly
+    # products of Fractions can leave Fraction(k, 1), so apply's types are
+    # compared across uses; the coboundary columns divide into normal form)
     p = preset_from_string(spec)
     rng = random.Random(73)
     pool = [cls.rep for cls in small_classes()]
@@ -364,19 +368,21 @@ def test_jets_match_the_per_pass_evaluation(spec):
         for first in range(0, 2 * arity, arity):
             use = args[first:first + arity]
             assert all(f._jet is None for f in use)
-            for same in (use, use, fresh_copies(use)):
-                assert (typed_terms(op.apply(same).terms)
-                        == typed_terms(per_pass_apply(op, same).terms))
+            expected = brute_force_apply(op, use)
+            values = [op.apply(same) for same in (use, use, fresh_copies(use))]
+            assert values == [expected] * 3
+            assert typed_terms(values[1]) == typed_terms(values[2]) == typed_terms(values[0])
             assert use[0]._jet is not None
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
-    delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+    delta = CoboundaryColumns(columns, p)
+    reference = brute_force_columns(columns, preset_from_string(spec))
     nonzero = 0
     for args in coboundary_triples(p.d):
+        expected = reference(args)
         for same in (args, args, fresh_copies(args)):
-            values = delta.terms(same)
-            assert ([typed_terms(t) for t in values]
-                    == [typed_terms(t) for t in per_pass_coboundary_terms(reference, same)])
-            nonzero += any(values)
+            values = delta.values(same)
+            assert values == expected and normal_values(values)
+            nonzero += any(not value.is_zero for value in values)
         assert args[0]._jet is not None
     assert nonzero
 
@@ -385,20 +391,21 @@ def test_jets_match_the_per_pass_evaluation(spec):
 def test_touched_terms_are_the_nonzero_columns_in_order(spec, monkeypatch):
     # the evaluation route reads only the columns a pass touches, in
     # ascending order; every other column is zero, and the touched ones
-    # hold the per-pass values with their types
+    # hold the brute-force values, each coefficient in normal form
     p = preset_from_string(spec)
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
-    delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+    delta = CoboundaryColumns(columns, p)
+    reference = brute_force_columns(columns, preset_from_string(spec))
     quadratic = monomials_up_to_degree(p.d, 2, min_degree=2)
     untouched = 0
     for args in coboundary_triples(p.d) + [tuple(quadratic[:3]), tuple(quadratic[-3:])]:
         touched = delta.touched_terms(args)
-        full = per_pass_coboundary_terms(reference, args)
+        expected = reference(args)
         cols = [col for col, _ in touched]
         assert cols == sorted(set(cols))
-        assert {col: typed_terms(t) for col, t in touched} == {
-            col: typed_terms(full[col]) for col in cols}
-        assert not any(t for col, t in enumerate(full) if col not in cols)
+        for col, terms in touched:
+            assert terms == expected[col].terms and all(map(is_normal, terms.values()))
+        assert all(value.is_zero for col, value in enumerate(expected) if col not in cols)
         untouched += len(columns) - len(cols)
         assert all(f._jet[2] == f.degree() for f in args)
     assert untouched
@@ -406,7 +413,7 @@ def test_touched_terms_are_the_nonzero_columns_in_order(spec, monkeypatch):
     for orders in list(delta.pending):
         delta._compile(orders)
     monkeypatch.setattr(operators, "_fits", None)
-    assert delta.terms(args) == per_pass_coboundary_terms(reference, args)
+    assert delta.values(args) == expected
 
 
 def test_vertex_without_admissible_pair_compiles_to_zero_without_search(monkeypatch):
@@ -500,14 +507,15 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     anchors = {orbit_anchor(g) for g in fits}
     assert len(anchors) == 6
     assert sorted(compiled_keys(p)) == sorted(anchors)
-    reference = preset_from_string(CUBIC)  # a separate cache for the oracle
+    # the reference on a structure of its own
+    reference = brute_force_columns(columns, preset_from_string(CUBIC))
     for args, row in zip(triples[::5], values[::5]):
-        assert row == [brute_force_delta(col, reference, args) for col in columns]
+        assert row == reference(args)
     # a tuple of argument degrees (2, 3, 2) forces more groups: the inner
     # tuples have degrees (2, 3), (3, 2), (5, 2) and (2, 5)
     args = (x(3, 1) * x(3, 1), x(3, 2) * x(3, 3) * x(3, 3), x(3, 1) * x(3, 3))
     row = delta.values(args)
-    assert row == [brute_force_delta(col, reference, args) for col in columns]
+    assert row == reference(args)
     assert any(not value.is_zero for value in row)
     forced = {cls.rep for cls in basis
               if admitted(cls.rep, [(2, 3), (3, 2), (5, 2), (2, 5)])}
@@ -518,8 +526,7 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     assert sorted(compiled_keys(p)) == sorted(anchors)
     # lower-degree tuples compile nothing more, and the values still agree
     for args in triples[:3]:
-        assert delta.values(args) == [brute_force_delta(col, reference, args)
-                                      for col in columns]
+        assert delta.values(args) == reference(args)
     assert sorted(compiled_keys(p)) == sorted(anchors)
 
 
@@ -535,9 +542,9 @@ def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_ke
                labeled,
                GraphSum(2, [(c, 1)])]
     delta = CoboundaryColumns(columns, p)
-    reference = preset_from_string(CUBIC)
+    reference = brute_force_columns(columns, preset_from_string(CUBIC))
     low = (x(3, 2), x(3, 1), x(3, 3))
-    assert delta.values(low) == [brute_force_delta(col, reference, low) for col in columns]
+    assert delta.values(low) == reference(low)
     # the (2, 2) graph c is not compiled until a tuple can feed it, and an
     # orbit is compiled once
     fed = {orbit_anchor(g) for g in (a, b, labeled)}
@@ -545,7 +552,7 @@ def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_ke
     assert sorted(compiled_keys(p)) == sorted(fed)
     high = (x(3, 1) * x(3, 3), x(3, 2) * x(3, 2), x(3, 3))
     row = delta.values(high)
-    assert row == [brute_force_delta(col, reference, high) for col in columns]
+    assert row == reference(high)
     assert not row[1].is_zero
     assert sorted(compiled_keys(p)) == sorted(fed | {orbit_anchor(c)})
     # a labeled graph is compiled as labeled: flipping a pair flips the sign
@@ -566,14 +573,14 @@ def test_coboundary_columns_trie_grows_between_calls(compiled_keys):
     p = so3()
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
-    reference = so3()
+    reference = brute_force_columns(columns, so3())
     low = (x(3, 1), x(3, 3), x(3, 2))
     high = (x(3, 1) * x(3, 2), x(3, 3) * x(3, 3), x(3, 2) * x(3, 1))
     first = delta.values(low)
-    assert first == [brute_force_delta(col, reference, low) for col in columns]
+    assert first == reference(low)
     keys, compiled = len(trie_leaves(delta.trie)), len(compiled_keys(p))
     second = delta.values(high)
-    assert second == [brute_force_delta(col, reference, high) for col in columns]
+    assert second == reference(high)
     assert any(not value.is_zero for value in second)
     assert len(trie_leaves(delta.trie)) > keys and len(compiled_keys(p)) > compiled
     assert delta.values(low) == first
@@ -636,7 +643,7 @@ def test_delta_squared_is_zero():
         assert total.is_zero
 
 
-# -- orbit reuse and integer sums against the pre-orbit compile path -----------
+# -- orbit reuse and integer sums against compile_graph, and it against brute force
 
 ORBIT_FIXTURES = ("so3", "sl2", CUBIC)
 
@@ -668,25 +675,62 @@ def orbit_series():
     return solve_up_to(3)[0]
 
 
+def small_reps():
+    return [cls.rep for n, m in small_sizes() for cls in enumerate_graphs(n, m).classes]
+
+
 @pytest.mark.parametrize("spec", ORBIT_FIXTURES)
-def test_compiled_matches_rescan_oracle_on_small_classes(spec, compiled_keys):
+def test_compiled_matches_compile_graph_on_small_classes(spec, compiled_keys):
     # a fresh structure per spec, so that anchors and the graphs built from
-    # them by slot permutation both occur; the oracle compiles every graph
-    # itself on a structure of its own
+    # them by slot permutation both occur; the reference compiles every
+    # labeled graph itself on a structure of its own
     p, reference = preset_from_string(spec), preset_from_string(spec)
-    reps = [cls.rep for n, m in small_sizes() for cls in enumerate_graphs(n, m).classes]
+    reps = small_reps()
     count = 0
     for rep in reps:
         for g in labeled_variants(rep):
-            assert_same_operator(operators._compiled(g, p), rescan_compile_graph(g, reference))
+            assert_same_operator(operators._compiled(g, p), compile_graph(g, reference))
             count += 1
     assert count > 1000
     # exactly one compile per argument-relabeling orbit
     assert sorted(compiled_keys(p)) == sorted({orbit_anchor(rep) for rep in reps})
-    # compile_graph itself, on labeled graphs and on representatives
-    for rep in reps:
-        for g in (rep, flip_first_pair(rep)):
-            assert_same_operator(compile_graph(g, p), rescan_compile_graph(g, reference))
+
+
+def reference_graphs():
+    """The class representatives whose ``compile_graph`` operators are
+    references in this module: every class of the small sizes and every
+    term of the orbit sums."""
+    reps = set(small_reps())
+    reps.update(cls.rep for s in orbit_sums() for cls, _ in s.terms())
+    return sorted(reps, key=lambda g: g.key)
+
+
+def test_compile_graph_matches_brute_force_on_the_reference_graphs():
+    # once per representative, on the fixture of the three whose quadratic
+    # entries leave the most operators nonzero (635 of 810; 267 on so3, sl2)
+    p = preset_from_string(CUBIC)
+    reps = reference_graphs()
+    assert len(reps) == 810
+    nonzero = 0
+    for g in reps:
+        op = compile_graph(g, p)
+        assert_same_operator(op, brute_force_compile_graph(g, p))
+        nonzero += not op.is_zero
+    assert nonzero == 635
+
+
+def test_compile_graph_matches_brute_force_on_labeled_variants():
+    # the labeled graphs of the orbit check, on a fixture with two index
+    # pairs, so that the brute force is cheap, and cubic entries, so that
+    # most operators are nonzero
+    p = preset_from_string("free2:2/3*x1^2*x2 - 1/2*x2^3")
+    nonzero = 0
+    for rep in small_reps():
+        for g in labeled_variants(rep):
+            op = compile_graph(g, p)
+            assert_same_operator(op, brute_force_compile_graph(g, p))
+            nonzero += not op.is_zero
+    assert nonzero > 1000
 
 
 @pytest.mark.parametrize("spec", ORBIT_FIXTURES)
@@ -697,7 +741,7 @@ def test_sign_zero_classes_compile_to_zero_without_a_search(spec, compiled_keys)
     assert len(graphs) > 50
     for g in graphs:
         assert operators._compiled(g, p).is_zero
-        assert rescan_compile_graph(g, reference).is_zero
+        assert brute_force_compile_graph(g, reference).is_zero
     assert compiled_keys(p) == []
 
 
@@ -751,14 +795,15 @@ def orbit_sums():
 
 
 @pytest.mark.parametrize("spec", ORBIT_FIXTURES)
-def test_compile_sum_matches_fraction_oracle(spec):
+def test_compile_sum_matches_the_reference_operator(spec):
     p, reference = preset_from_string(spec), preset_from_string(spec)
     sums = orbit_sums()
     assert {s.arity for s in sums} == {2, 3}
     nonzero = 0
     for s in sums:
         op = compile_sum(s, p)
-        assert_same_operator(op, fraction_compile_sum(s, reference))
+        assert_same_operator(op, reference_operator(s, reference))
+        assert normal_values(op.terms.values())
         nonzero += not op.is_zero
     assert nonzero >= 4
 
@@ -777,8 +822,8 @@ def test_compile_sum_and_columns_keep_integral_coefficients_int():
     coeffs = [c for poly in op.terms.values() for c in poly.terms.values()]
     assert len(coeffs) == 180
     assert all(map(is_normal, coeffs))
-    # the oracle sums Fractions as given, so some integral values are Fraction(k, 1)
-    reference = fraction_compile_sum(s, so3())
+    # the reference sums Fractions as given, so some integral values are Fraction(k, 1)
+    reference = reference_operator(s, so3())
     assert any(type(c) is Fraction and c.denominator == 1
                for poly in reference.terms.values() for c in poly.terms.values())
     by_degrees = {}
@@ -790,13 +835,14 @@ def test_compile_sum_and_columns_keep_integral_coefficients_int():
                GraphSum(2, [(b, Fraction(3, 2)), (c, Fraction(-4, 9))]),
                series.order(2), series.order(3), GraphSum.single(a)]
     for spec in ORBIT_FIXTURES:
-        p, reference = preset_from_string(spec), preset_from_string(spec)
+        p = preset_from_string(spec)
         delta = CoboundaryColumns(columns, p)
+        reference = brute_force_columns(columns, preset_from_string(spec))
         monos = monomials_up_to_degree(3, 2)
         for args in itertools.islice(itertools.product(monos, repeat=3), 0, None, 97):
             values = delta.values(args)
-            assert values == [brute_force_delta(col, reference, args) for col in columns]
-            assert all(is_normal(c) for value in values for c in value.terms.values())
+            assert values == reference(args)
+            assert normal_values(values)
 
 
 # -- oracle_compose -----------------------------------------------------------

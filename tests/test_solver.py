@@ -12,7 +12,7 @@ from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta, graph_gerstenhaber
 from stargraphs.linalg import StreamingReducer
-from oracles import per_pass_coboundary_terms
+from oracles import brute_force_columns
 from stargraphs.operators import (CoboundaryColumns, InnerValues, apply_graph, compile_sum,
                                   oracle_compose, oracle_delta, oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
@@ -236,6 +236,12 @@ def test_reparametrization_composition_rule():
     assert moved.order(3) == expected3
 
 
+def test_reparametrization_rejects_a_float_shift():
+    # 0.1 is not the rational 1/10 in binary, so it must not be taken silently
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        reparametrize(kontsevich_k2(), {2: 0.1})
+
+
 
 # -- golden graph-level results ----------------------------------------------------
 
@@ -328,6 +334,29 @@ def test_cocycle_kernel_order2_strict_wheel_free_is_zero():
 def test_cocycle_kernel_order2_all_graphs_dimension():
     kernel = cocycle_kernel(2, wheel_free=False, modulo_leibniz=False)
     assert len(kernel) == 1  # frozen regression value: the two-cycle class
+
+
+@pytest.mark.parametrize("spec", ("so3", "sl2", CUBIC))
+@pytest.mark.parametrize("wheel_free, unknowns", [(True, 4), (False, 5)],
+                         ids=["wheel_free", "all"])
+def test_order2_evaluated_coboundaries_have_rank_three(spec, wheel_free, unknowns):
+    # the evaluated rows of delta B_j for the arity-2 classes B_j with one or
+    # two internal vertices, one row per monomial and triple as in the
+    # evaluation route, have rank 3: wheel-free, the one direction left is
+    # the Poisson class, the reparametrization t -> t + alpha t^2
+    which = "wheel_free" if wheel_free else "all"
+    basis = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2, which).classes]
+    assert len(basis) == unknowns
+    delta = CoboundaryColumns(basis, preset_from_string(spec))
+    reducer = StreamingReducer()
+    for triple in triples_by_total_degree(3, 2):
+        rows = {}
+        for col, terms in delta.touched_terms(triple):
+            for e, c in terms.items():
+                rows.setdefault(e, {})[col] = c
+        for e in sorted(rows):
+            reducer.add_row(rows[e], 0)
+    assert reducer.rank == 3
 
 
 # -- evaluation route ------------------------------------------------------------
@@ -585,10 +614,11 @@ def test_memos_hold_their_arguments_against_id_reuse(memo):
     if memo == "products":
         columns = [GraphSum.single(cls.rep) for n in (1, 2)
                    for cls in enumerate_graphs(n, 2, "wheel_free").classes]
-        delta, reference = CoboundaryColumns(columns, p), CoboundaryColumns(columns, p)
+        delta = CoboundaryColumns(columns, p)
+        reference = brute_force_columns(columns, preset_poisson("so3"))
 
         def check(triple):
-            assert delta.terms(triple) == per_pass_coboundary_terms(reference, triple)
+            assert delta.values(triple) == reference(triple)
     else:
         series, _ = solve_up_to(3, wheel_free=True)
         lower = _bracket_pairs(series, 4)
