@@ -55,7 +55,7 @@ class DirectedGraph:
 
     # slots: many graphs are alive at once, and each instance dict would
     # cost more than the fields it holds
-    __slots__ = ("n", "m", "out_edges", "key", "_hash", "_in_edges")
+    __slots__ = ("n", "m", "out_edges", "_hash", "_in_edges")
 
     n: int
     m: int
@@ -80,15 +80,19 @@ class DirectedGraph:
         if covered != (1 << (m + 1)) - 2:
             arg = next(t for t in range(1, m + 1) if not covered >> t & 1)
             raise GraphError("argument vertex %d has indegree 0" % arg)
-        self._set_key()
+        self._set_hash()
 
-    def _set_key(self):
-        # the encoding key, used for every cache lookup and sort, and its
-        # hash, which equals the dataclass hash of (n, m, out_edges)
-        key = (self.n, self.m, self.out_edges)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def _set_hash(self):
+        # the hash of the encoding key (n, m, out_edges), as the dataclass
+        # would compute it, kept so that lookups keyed by the graph itself
+        # build no key tuple
+        object.__setattr__(self, "_hash", hash((self.n, self.m, self.out_edges)))
         object.__setattr__(self, "_in_edges", None)
+
+    @property
+    def key(self) -> tuple:
+        """The encoding key (n, m, out_edges), the order of sorted output."""
+        return self.n, self.m, self.out_edges
 
     @classmethod
     def _trusted(cls, n: int, m: int, out_edges: Pairs) -> "DirectedGraph":
@@ -100,7 +104,7 @@ class DirectedGraph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "m", m)
         object.__setattr__(g, "out_edges", out_edges)
-        g._set_key()
+        g._set_hash()
         return g
 
     def __hash__(self):
@@ -572,33 +576,13 @@ def zero_classes(n: int, m: int,
 # rational combinations of classes
 
 
-def _merge(acc: dict, items: Iterable) -> dict:
-    """Add (canonical representative, coefficient) items into ``acc`` in
-    place; a coefficient that cancels drops its representative."""
-    for rep, coeff in items:
-        value = acc.get(rep)
-        if value is None:
-            acc[rep] = coeff
-        else:
-            value += coeff
-            if value:
-                acc[rep] = value
-            else:
-                del acc[rep]
-    return acc
-
-
-def _fraction(c) -> Fraction:
-    """c as a Fraction, by the exact-value rule of ``poly._rational``: a
-    float raises ``TypeError``."""
-    return c if isinstance(c, Fraction) else Fraction(_rational(c))
-
-
 def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
-    """(representative, signed nonzero Fraction) for each (graph-like,
-    coefficient) item, checked against the arity; sign-0 classes vanish."""
+    """(representative, signed nonzero coefficient) for each (graph-like,
+    coefficient) item, checked against the arity; the coefficient is an
+    exact rational by the rule of ``poly._rational`` (a float raises
+    ``TypeError``), and sign-0 classes vanish."""
     for item, coeff in terms:
-        coeff = _fraction(coeff)
+        coeff = _rational(coeff)
         if not coeff:
             continue
         if isinstance(item, str):
@@ -626,8 +610,8 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     once in the held table of K_{n,m} and its signed weight added into the
     numerator of its class.  Callers scale their coefficients to ``int``
     numerators over one common denominator and pass the accumulator of a
-    whole operation to ``GraphSum._from_numerators``, so the graph-level
-    algebra does no Fraction arithmetic per graph or per call.  Numerators
+    whole operation to ``GraphSum._from_numerators``, which keeps the
+    numerators, so the graph-level algebra makes no Fraction.  Numerators
     that cancel stay in ``acc`` as 0.
     """
     labeled = _TABLES[n, m][0]
@@ -639,50 +623,64 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     return acc
 
 
+def _relabeled_pairs(g: DirectedGraph, perm: tuple) -> tuple:
+    """Out-edge tuple of ``g`` with argument t renamed perm[t - 1], built
+    from the shared ``_PAIRS``."""
+    m = g.m
+    return tuple([_PAIRS[perm[left - 1] if left <= m else left,
+                         perm[right - 1] if right <= m else right]
+                  for left, right in g.out_edges])
+
+
 class GraphSum:
     """Finite QQ-linear combination of canonical graph classes of one arity.
 
     Terms are stored against canonical representatives; the sign produced by
     canonicalization is absorbed into the coefficient, and zero classes are
-    dropped.  Internal vertex counts may differ between terms.  Coefficients
-    are Fractions; a float coefficient raises ``TypeError``.
+    dropped.  Internal vertex counts may differ between terms.  The
+    coefficients are ``int`` numerators over one positive ``int``
+    denominator, in normal form: no numerator is 0, the gcd of the
+    denominator and all numerators is 1, and the empty sum has denominator
+    1.  The form is unique, so equal sums compare and hash equal.  The
+    graph-level algebra reads and builds the numerators directly;
+    ``terms``, ``coefficient_of``, ``cache_key`` and the text give each
+    coefficient as a ``Fraction``.  A float coefficient raises
+    ``TypeError``.
     """
 
-    __slots__ = ("arity", "_terms", "_key", "_hash")
+    __slots__ = ("arity", "_nums", "_denom", "_hash")
 
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
             raise GraphError("arity must be >= 1, got %d" % arity)
-        self._set(arity, _merge({}, _canonical_terms(arity, terms)))
+        items = list(_canonical_terms(arity, terms))
+        denom = math.lcm(*(c.denominator for _, c in items))
+        nums: dict = {}
+        for rep, c in items:
+            nums[rep] = nums.get(rep, 0) + c.numerator * (denom // c.denominator)
+        self._set(arity, nums, denom)
 
-    def _set(self, arity: int, terms: dict) -> "GraphSum":
+    def _set(self, arity: int, nums: dict, denom: int) -> "GraphSum":
+        """Hold ``nums`` (zero numerators allowed) over ``denom`` > 0,
+        brought to normal form by one gcd pass."""
+        nums = {rep: num for rep, num in nums.items() if num}
+        if denom != 1:
+            common = math.gcd(denom, *nums.values())
+            if common != 1:
+                denom //= common
+                nums = {rep: num // common for rep, num in nums.items()}
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_denom", denom)
         object.__setattr__(self, "_hash", None)
         return self
 
     @classmethod
-    def _wrap(cls, arity: int, terms: dict) -> "GraphSum":
-        """The sum over ``terms``, a dict from canonical representative to
-        nonzero Fraction that the new sum owns; nothing is checked."""
-        return object.__new__(cls)._set(arity, terms)
-
-    @classmethod
-    def _from_numerators(cls, arity: int, numerators: dict, denom: int) -> "GraphSum":
-        """The sum over ``numerators``, a dict from canonical representative
-        to ``int`` numerator over the common denominator ``denom``: each
-        nonzero numerator gets one Fraction, and zeros are dropped."""
-        return cls._wrap(arity, {rep: Fraction(num, denom)
-                                 for rep, num in numerators.items() if num})
-
-    def _numerators(self) -> tuple:
-        """(D, [(representative, numerator)]): the coefficients as ``int``
-        numerators over their common denominator D, the least common
-        multiple of their denominators."""
-        denom = math.lcm(*(c.denominator for c in self._terms.values()))
-        return denom, [(rep, c.numerator * (denom // c.denominator))
-                       for rep, c in self._terms.items()]
+    def _from_numerators(cls, arity: int, nums: dict, denom: int) -> "GraphSum":
+        """The sum over ``nums``, a dict from canonical representative to
+        ``int`` numerator over the common denominator ``denom`` > 0, brought
+        to normal form; nothing else is checked."""
+        return object.__new__(cls)._set(arity, nums, denom)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphSum is immutable")
@@ -702,85 +700,81 @@ class GraphSum:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def terms(self) -> list:
-        """Sorted list of (GraphClass with sign +1, coefficient)."""
-        return [(GraphClass(rep, 1), self._terms[rep])
-                for rep in sorted(self._terms, key=lambda g: g.key)]
+        """Sorted list of (GraphClass with sign +1, Fraction coefficient)."""
+        return [(GraphClass(rep, 1), Fraction(self._nums[rep], self._denom))
+                for rep in sorted(self._nums, key=lambda g: g.key)]
 
     def coefficient_of(self, graph) -> Fraction:
         """Effective coefficient of the given labeled graph (sign included)."""
         if isinstance(graph, str):
             graph = parse_graph(graph)
         cls = canonical_form(graph) if isinstance(graph, DirectedGraph) else graph
-        if cls.sign == 0:
-            return Fraction(0)
-        return self._terms.get(cls.rep, Fraction(0)) * cls.sign
+        return Fraction(self._nums.get(cls.rep, 0) * cls.sign, self._denom)
 
     def internal_counts(self) -> tuple:
-        return tuple(sorted({rep.n for rep in self._terms}))
+        return tuple(sorted({rep.n for rep in self._nums}))
 
     def restrict_count(self, n: int) -> "GraphSum":
-        return GraphSum._wrap(self.arity,
-                              {rep: c for rep, c in self._terms.items() if rep.n == n})
+        return GraphSum._from_numerators(
+            self.arity, {rep: num for rep, num in self._nums.items() if rep.n == n}, self._denom)
 
     # -- algebra -----------------------------------------------------------
-    # the terms are canonical already, so sums and multiples merge the dicts
+    # the terms are canonical already, so sums and multiples combine the
+    # numerators over the least common denominator
 
-    def _check_arity(self, other: "GraphSum"):
+    def _combined(self, other: "GraphSum", sign: int) -> "GraphSum":
+        """self + sign * other."""
         if self.arity != other.arity:
             raise GraphError("cannot add sums of arity %d and %d"
                              % (self.arity, other.arity))
+        denom = math.lcm(self._denom, other._denom)
+        up, factor = denom // self._denom, sign * (denom // other._denom)
+        nums = {rep: num * up for rep, num in self._nums.items()}
+        for rep, num in other._nums.items():
+            nums[rep] = nums.get(rep, 0) + num * factor
+        return GraphSum._from_numerators(self.arity, nums, denom)
 
     def __add__(self, other: "GraphSum") -> "GraphSum":
-        self._check_arity(other)
-        return GraphSum._wrap(self.arity, _merge(dict(self._terms), other._terms.items()))
+        return self._combined(other, 1)
 
     def __sub__(self, other: "GraphSum") -> "GraphSum":
-        self._check_arity(other)
-        return GraphSum._wrap(self.arity, _merge(
-            dict(self._terms), ((rep, -c) for rep, c in other._terms.items())))
+        return self._combined(other, -1)
 
     def scale(self, c) -> "GraphSum":
-        c = _fraction(c)
-        if not c:
-            return GraphSum.zero(self.arity)
-        return GraphSum._wrap(self.arity, {rep: coeff * c for rep, coeff in self._terms.items()})
+        c = _rational(c)
+        return GraphSum._from_numerators(
+            self.arity, {rep: num * c.numerator for rep, num in self._nums.items()},
+            self._denom * c.denominator)
 
     def __eq__(self, other):
         return (isinstance(other, GraphSum) and self.arity == other.arity
-                and self._terms == other._terms)
+                and self._denom == other._denom and self._nums == other._nums)
 
     def cache_key(self):
-        """(arity, (encoding key, coefficient) sorted by key); built once."""
-        if self._key is None:
-            object.__setattr__(self, "_key", (self.arity,) + tuple(
-                (rep.key, self._terms[rep]) for rep in sorted(self._terms, key=lambda g: g.key)))
-        return self._key
+        """(arity, (encoding key, coefficient) sorted by key)."""
+        return (self.arity,) + tuple((cls.rep.key, coeff) for cls, coeff in self.terms())
 
     def __hash__(self):
-        """Hash of ``cache_key()``, computed once: the key holds Fractions,
-        whose hashes are costly."""
+        """Hash of the normal form, computed once."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.cache_key()))
+            object.__setattr__(self, "_hash", hash(
+                (self.arity, self._denom, frozenset(self._nums.items()))))
         return self._hash
 
     def permute_args(self, perm: tuple) -> "GraphSum":
         """Relabel argument slots: old slot i becomes perm[i-1] (1-based values)."""
         if sorted(perm) != list(range(1, self.arity + 1)):
             raise GraphError("bad argument permutation %r" % (perm,))
-        items = []
-        for rep, coeff in self._terms.items():
-            pairs = tuple(
-                _PAIRS[perm[left - 1] if left <= rep.m else left,
-                       perm[right - 1] if right <= rep.m else right]
-                for left, right in rep.out_edges)
-            items.append((DirectedGraph(rep.n, rep.m, pairs), coeff))
-        return GraphSum(self.arity, items)
+        acc: dict = {}
+        for rep, num in self._nums.items():
+            add_labeled_graphs(acc, rep.n, rep.m, [_relabeled_pairs(rep, perm)], num)
+        return GraphSum._from_numerators(self.arity, acc, self._denom)
 
     # -- text --------------------------------------------------------------
 
@@ -788,10 +782,10 @@ class GraphSum:
         return ["%s\t%s" % (coeff, cls.rep.encode()) for cls, coeff in self.terms()]
 
     def __str__(self) -> str:
-        return "\n".join(self.to_lines()) if self._terms else "(empty sum of arity %d)" % self.arity
+        return "\n".join(self.to_lines()) if self._nums else "(empty sum of arity %d)" % self.arity
 
     def __repr__(self) -> str:
-        return "GraphSum(arity=%d, terms=%d)" % (self.arity, len(self._terms))
+        return "GraphSum(arity=%d, terms=%d)" % (self.arity, len(self._nums))
 
     @classmethod
     def from_lines(cls, lines: Iterable, arity: int | None = None) -> "GraphSum":

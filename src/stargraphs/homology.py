@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GraphError
@@ -49,21 +50,19 @@ def graph_delta(s: GraphSum) -> GraphSum:
 
     For each argument slot t (1-based) the incoming edges are split over two
     adjacent argument vertices in all proper ways, with sign
-    (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.  The
-    coefficients of ``s`` are scaled to ``int`` numerators over their common
-    denominator, every split adds its signed numerator into one accumulator
-    (``add_labeled_graphs``), and each class of the result is divided by the
-    denominator once.
+    (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.  Every
+    split adds the signed ``int`` numerator of its term of ``s`` into one
+    accumulator (``add_labeled_graphs``), and the result keeps the
+    denominator of ``s``.
     """
     m = s.arity
-    denom, terms = s._numerators()
     acc: dict = {}
     outer_sign = 1 if m % 2 == 0 else -1
-    for rep, num in terms:
+    for rep, num in s._nums.items():
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
             add_labeled_graphs(acc, rep.n, m + 1, _split_terms(rep, slot), num * term_sign)
-    return GraphSum._from_numerators(m + 1, acc, denom)
+    return GraphSum._from_numerators(m + 1, acc, s._denom)
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +114,26 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
 
 def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> int:
     """Add sign * (s1 o s2) into ``acc`` as ``int`` numerators over
-    D = D1 D2, the product of the common denominators of s1 and s2, and
-    return D.  Each term pair's numerators are multiplied once, and every
-    graft adds the signed product into ``acc`` (``add_labeled_graphs``)."""
+    D = D1 D2, the product of the denominators of s1 and s2, and return D.
+    Each term pair's numerators are multiplied once, and every graft adds
+    the signed product into ``acc`` (``add_labeled_graphs``)."""
     m1, m2 = s1.arity, s2.arity
-    denom1, terms1 = s1._numerators()
-    denom2, terms2 = s2._numerators()
-    for rep1, num1 in terms1:
+    terms2 = s2._nums.items()
+    for rep1, num1 in s1._nums.items():
         for rep2, num2 in terms2:
             base = num1 * num2 * sign
             n = rep1.n + rep2.n
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
                 add_labeled_graphs(acc, n, m1 + m2 - 1, graft_terms(rep1, slot, rep2), weight)
-    return denom1 * denom2
+    return s1._denom * s2._denom
 
 
 def graph_compose(s1: GraphSum, s2: GraphSum) -> GraphSum:
     """Insertion composition at graph level; arities (m1, m2) -> m1 + m2 - 1.
     Slot t carries the sign (-1)^((t-1)(m2-1)) of the operator formula.
     Each grafted graph is canonicalized once and its signed numerator
-    added per class (``_compose_into``); each class of the result gets one
-    Fraction."""
+    added per class (``_compose_into``)."""
     acc: dict = {}
     denom = _compose_into(acc, s1, s2, 1)
     return GraphSum._from_numerators(s1.arity + s2.arity - 1, acc, denom)
@@ -212,7 +209,7 @@ def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) ->
     """Replace the outdegree-3 vertex by the three cyclic two-vertex terms of
     the Jacobiator, redistributing the incoming edges over the two new
     vertices in all ways.  Every term has weight 1, so the signs are summed
-    as ``int`` per class and each class gets one Fraction."""
+    as ``int`` numerators per class over the denominator 1."""
     n = len(ordinary_out) + 2
     return GraphSum._from_numerators(m, add_labeled_graphs(
         {}, n, m, _jacobiator_terms(m, ordinary_out, special_out), 1), 1)
@@ -281,12 +278,14 @@ def leibniz_generators(n_total: int, m: int, wheel_free_expansions: bool = False
             expansion = expand_jacobiator_vertex(m, ordinary, triple)
             if expansion.is_zero:
                 continue
-            if wheel_free_expansions and any(
-                    has_wheel(cls.rep) for cls, _ in expansion.terms()):
+            nums = expansion._nums
+            if wheel_free_expansions and any(map(has_wheel, nums)):
                 continue
-            terms = expansion.terms()
-            lead = terms[0][1]
-            key = tuple((cls.rep.key, coeff / lead) for cls, coeff in terms)
+            # the primitive numerator vector, its sign fixed by the lead term
+            common = math.gcd(*nums.values())
+            if nums[min(nums, key=lambda g: g.key)] < 0:
+                common = -common
+            key = frozenset((rep, num // common) for rep, num in nums.items())
             if key in seen:
                 continue
             seen.add(key)

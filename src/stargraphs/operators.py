@@ -16,10 +16,10 @@ representative is compiled, and each graph of the orbit takes that
 operator with its slots permuted and the class sign applied.  The orbit
 of a class is looked up once (``_orbit``) and recorded for every class in
 it, so a graph of a known orbit costs one class lookup.  Compiled
-graphs are cached on the Poisson structure under their key, and
-``compile_sum`` operators under the sum.  ``compile_sum`` scales its terms
-by their common denominator, accumulates into one exponent dict in ``int``
-arithmetic and divides once at the end.  ``Poly`` keeps integral
+graphs are cached on the Poisson structure under the graph, and
+``compile_sum`` operators under the sum.  ``compile_sum`` accumulates the
+sum's ``int`` numerators into one exponent dict in ``int`` arithmetic and
+divides by its denominator once at the end.  ``Poly`` keeps integral
 coefficients as ``int``, so integral cochains on an integral fixture
 evaluate on integral arguments without any ``Fraction`` arithmetic.
 
@@ -59,15 +59,14 @@ memo (``InnerValues``), so each is formed once per argument pair.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import _CANON_CACHE_LIMIT, _PAIRS, DirectedGraph, GraphSum, _lookup
+from .graphs import _CANON_CACHE_LIMIT, DirectedGraph, GraphSum, _lookup, _relabeled_pairs
 from .poisson import PoissonStructure
-from .poly import Poly, _add_terms, _mul_terms, _rational, _wrap
+from .poly import Poly, _add_terms, _exact, _mul_terms, _rational, _wrap
 
 
 class PolyDiffOperator:
@@ -100,7 +99,7 @@ class PolyDiffOperator:
         _check_args(self.d, self.arity, args)
         if self._trie is None:
             object.__setattr__(self, "_trie", _group_terms(self))
-        return _wrap(self.d, _accumulate(self._trie, [(args, None)]).get(0, {}))
+        return _wrap(self.d, _exact(_accumulate(self._trie, [(args, None)]).get(0, {})))
 
 
 def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
@@ -284,16 +283,7 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
 
 
-_ORBITS: dict = {}  # class representative key -> (anchor, perm, sign), see ``_orbit``
-
-
-def _relabeled_pairs(g: DirectedGraph, perm: tuple) -> tuple:
-    """Out-edge tuple of ``g`` with argument t renamed perm[t - 1], built
-    from the shared ``graphs._PAIRS``."""
-    m = g.m
-    return tuple([_PAIRS[perm[left - 1] if left <= m else left,
-                         perm[right - 1] if right <= m else right]
-                  for left, right in g.out_edges])
+_ORBITS: dict = {}  # class representative -> (anchor, perm, sign), see ``_orbit``
 
 
 def _orbit(rep: DirectedGraph) -> tuple:
@@ -308,7 +298,7 @@ def _orbit(rep: DirectedGraph) -> tuple:
     argument relabeling commutes with an internal one, so c o t is
     e (rep o (t s)): c's record is read off the same lookups.  The table is
     cleared at ``graphs._CANON_CACHE_LIMIT``."""
-    record = _ORBITS.get(rep.key)
+    record = _ORBITS.get(rep)
     if record is not None:
         return record
     if len(_ORBITS) >= _CANON_CACHE_LIMIT:
@@ -317,19 +307,19 @@ def _orbit(rep: DirectedGraph) -> tuple:
     found = {s: _lookup(rep.n, rep.m, _relabeled_pairs(rep, s)) for s in perms}
     anchor = min((cls.rep for cls in found.values()), key=lambda g: g.key)
     for s, cls in found.items():
-        if cls.rep.key in _ORBITS:
+        if cls.rep in _ORBITS:
             continue
         for t in perms:
             target = found[tuple([t[i - 1] for i in s])]
-            if target.rep.key == anchor.key:
-                _ORBITS[cls.rep.key] = anchor, t, cls.sign * target.sign
+            if target.rep == anchor:
+                _ORBITS[cls.rep] = anchor, t, cls.sign * target.sign
                 break
-    return _ORBITS[rep.key]
+    return _ORBITS[rep]
 
 
 def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of the labeled graph ``g``, cached on the Poisson structure
-    under ``g.key``; equal to ``compile_graph(g, p)``.
+    under ``g``; equal to ``compile_graph(g, p)``.
 
     Relabeling the arguments of a graph by a permutation s moves the
     derivatives of slot t to slot s(t) and changes nothing else, and a
@@ -344,19 +334,19 @@ def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     times both signs.  A sign-0 class (its relabelings are sign 0 too) is
     the zero operator."""
     cache = p._op_cache
-    op = cache.get(g.key)
+    op = cache.get(g)
     if op is not None:
         return op
     cls = _lookup(g.n, g.m, g.out_edges)
     if not cls.sign:
-        op = cache[g.key] = PolyDiffOperator(p.d, g.m, {})
+        op = cache[g] = PolyDiffOperator(p.d, g.m, {})
         return op
     anchor, perm, sign = _orbit(cls.rep)
     sign *= cls.sign
-    base = cache.get(anchor.key)
+    base = cache.get(anchor)
     if base is None:
         # through the module global, so that a wrapper sees every compile
-        base = cache[anchor.key] = compile_graph(anchor, p)
+        base = cache[anchor] = compile_graph(anchor, p)
     if sign == 1 and perm == tuple(range(1, g.m + 1)):
         op = base
     else:
@@ -365,18 +355,8 @@ def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
         op = PolyDiffOperator(p.d, g.m, {tuple([key[s] for s in slots]):
                                          (poly if sign == 1 else -poly)
                                          for key, poly in base.terms.items()})
-    cache[g.key] = op
+    cache[g] = op
     return op
-
-
-def _integral_terms(terms: list) -> tuple:
-    """(D, [(graph, D * coefficient)]) for (graph, coefficient) terms, D the
-    least common multiple of the coefficients' denominators, so every
-    scaled coefficient is an ``int``."""
-    denom = math.lcm(*(coeff.denominator for _, coeff in terms))
-    if denom == 1:
-        return 1, terms
-    return denom, [(g, coeff.numerator * (denom // coeff.denominator)) for g, coeff in terms]
 
 
 def _divided(terms: dict, denom: int) -> dict:
@@ -397,15 +377,15 @@ def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
 
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     """Operator of a whole graph sum; cached on the Poisson structure under
-    the sum itself, which hashes once.  The terms are scaled by the common
-    denominator D of their coefficients and accumulated in ``int``
-    arithmetic (on an integral structure), and each coefficient of the
-    result is divided by D once, so it is an ``int`` when integral."""
+    the sum itself, which hashes once.  The sum's ``int`` numerators are
+    accumulated in ``int`` arithmetic (on an integral structure), and each
+    coefficient of the result is divided by the sum's denominator D once,
+    so it is an ``int`` when integral."""
     cache = p._op_cache
     op = cache.get(s)
     if op is not None:
         return op
-    denom, graph_terms = _integral_terms(_graph_terms(s))
+    denom, graph_terms = _graph_terms(s)
     acc: dict[tuple, dict] = {}
     _add_graph_terms(acc, graph_terms, p)
     total = PolyDiffOperator(p.d, s.arity, {op_key: _wrap(p.d, _divided(terms, denom))
@@ -422,13 +402,14 @@ def _arity(s) -> int:
     raise TypeError("expected GraphSum or DirectedGraph")
 
 
-def _graph_terms(s) -> list:
-    """(graph, coefficient) terms of a GraphSum or a labeled graph (itself,
-    not canonicalized).  Integral coefficients are given as ``int``, so
-    integral operators stay in ``int`` arithmetic."""
+def _graph_terms(s) -> tuple:
+    """(D, [(graph, numerator)]): a GraphSum's ``int`` numerators over its
+    denominator D, as stored, or a labeled graph (itself, not
+    canonicalized) with numerator and D 1.  So integral operators stay in
+    ``int`` arithmetic."""
     if isinstance(s, DirectedGraph):
-        return [(s, 1)]
-    return [(cls.rep, _rational(coeff)) for cls, coeff in s.terms()]
+        return 1, [(s, 1)]
+    return s._denom, s._nums.items()
 
 
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
@@ -455,10 +436,9 @@ class CoboundaryColumns:
     by these orders, and ``values`` compiles a group the first time its
     argument degrees admit it, into the one per-slot trie of all compiled
     terms; a graph that no argument tuple can feed is never compiled.
-    Compiled graphs are cached on the Poisson structure.  A column's
-    coefficients are scaled by their common denominator, so the trie holds
-    ``int`` multiples of the column's terms and each value is divided by it
-    once.  ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
+    Compiled graphs are cached on the Poisson structure.  The trie holds a
+    column's terms times its ``int`` numerators, and each value is divided
+    by the column's denominator once.  ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
     argument tuples, each with its outer factor and sign, for all the
     columns at once, and returns the columns it touches.  Each product
     f_j f_{j+1} is formed once per argument pair for the lifetime of the
@@ -480,7 +460,7 @@ class CoboundaryColumns:
         # column -> the denominator its trie terms are scaled by, when not 1
         self.denoms: dict[int, int] = {}
         for col, s in enumerate(sums):
-            denom, terms = _integral_terms(_graph_terms(s))
+            denom, terms = _graph_terms(s)
             if denom != 1:
                 self.denoms[col] = denom
             for g, coeff in terms:

@@ -133,7 +133,7 @@ class Poly:
             return self
         res = dict(self.terms)
         _add_terms(res, other.terms)
-        return _wrap(self.d, res)
+        return _wrap(self.d, _exact(res))
 
     def __neg__(self) -> "Poly":
         return _wrap(self.d, {e: -c for e, c in self.terms.items()})
@@ -145,13 +145,13 @@ class Poly:
         c = _rational(c)
         if not c:
             return Poly.zero(self.d)
-        return _wrap(self.d, {e: k * c for e, k in self.terms.items()})
+        return _wrap(self.d, _exact({e: k * c for e, k in self.terms.items()}))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        return _wrap(self.d, _mul_terms(self.terms, other.terms, {}))
+        return _wrap(self.d, _exact(_mul_terms(self.terms, other.terms, {})))
 
     __rmul__ = __mul__
 
@@ -166,7 +166,7 @@ class Poly:
             if e:
                 key = exps[:i] + (e - 1,) + exps[i + 1:]
                 res[key] = coeff * e
-        return _wrap(self.d, res)
+        return _wrap(self.d, _exact(res))
 
     def derive_multi(self, alpha: Iterable[int]) -> "Poly":
         """Apply the multi-derivative with multiplicity vector alpha (length
@@ -184,7 +184,7 @@ class Poly:
                 factor *= perm(e, k)  # 0 when k > e
             if factor:
                 res[tuple(map(sub, exps, alpha))] = coeff * factor
-        return _wrap(self.d, res)
+        return _wrap(self.d, _exact(res))
 
     # -- comparison / text -------------------------------------------------
 
@@ -228,6 +228,16 @@ def _wrap(d: int, terms: dict) -> Poly:
     object.__setattr__(out, "terms", terms)
     object.__setattr__(out, "_jet", None)
     return out
+
+
+def _exact(terms: dict) -> dict:
+    """``terms`` with each integral ``Fraction`` replaced by its ``int``, in
+    place: the normal form of a result of ``Fraction`` arithmetic, formed
+    once per result rather than per product in ``_mul_terms``."""
+    for exps, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[exps] = coeff.numerator
+    return terms
 
 
 def _add_terms(acc: dict, terms: Mapping[Exponents, Fraction], c=1) -> None:

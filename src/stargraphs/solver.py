@@ -33,7 +33,6 @@ lower orders c_1..c_{k-1} that the series fixes.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,19 +150,31 @@ def _wheel_basis(n: int, wheel_free: bool) -> tuple:
     return enumerate_graphs(n, 2, "wheel_free" if wheel_free else "all").classes
 
 
+def _entries(s: GraphSum) -> list:
+    """(representative, coefficient) of every term of ``s`` in sorted
+    order; a coefficient is its ``int`` numerator when the denominator of
+    ``s`` is 1, else a ``Fraction``."""
+    nums, denom = s._nums, s._denom
+    reps = sorted(nums, key=lambda g: g.key)
+    if denom == 1:
+        return [(rep, nums[rep]) for rep in reps]
+    return [(rep, Fraction(nums[rep], denom)) for rep in reps]
+
+
 def _assemble(columns: list, rhs: GraphSum | None = None):
     """Sparse rows and right-hand side of the system whose column j is the
     GraphSum ``columns[j]``: one row per graph class, numbered by first
-    appearance over the columns and then over ``rhs`` (zero when None)."""
+    appearance over the columns, each in sorted term order, and then over
+    ``rhs`` (zero when None)."""
     row_index: dict = {}
-    entries = [(row_index.setdefault(cls.rep.key, len(row_index)), col, coeff)
-               for col, s in enumerate(columns) for cls, coeff in s.terms()]
-    targets = [(row_index.setdefault(cls.rep.key, len(row_index)), coeff)
-               for cls, coeff in (rhs.terms() if rhs is not None else ())]
+    entries = [(row_index.setdefault(rep, len(row_index)), col, coeff)
+               for col, s in enumerate(columns) for rep, coeff in _entries(s)]
+    targets = [(row_index.setdefault(rep, len(row_index)), coeff)
+               for rep, coeff in (_entries(rhs) if rhs is not None else ())]
     rows: list[dict] = [dict() for _ in row_index]
     for row, col, coeff in entries:
         rows[row][col] = coeff
-    b = [Fraction(0)] * len(rows)
+    b = [0] * len(rows)
     for row, coeff in targets:
         b[row] = coeff
     return rows, b
@@ -351,15 +362,14 @@ def triples_by_total_degree(d: int, cap: int, prev_cap: int = 0):
 
 def _bracket_pairs(series: StarSeries, k: int) -> list:
     """-(1/2) sum_{a+b=k} [c_a, c_b] as sum weight * [D_a c_a, D_b c_b]:
-    one (D_a c_a, D_b c_b, weight) per pair a <= b, D_a the LCM of the
-    denominators of the coefficients of c_a (so D_a c_a is integral) and
-    weight -1/(2^[a=b] D_a D_b), since [c_a, c_b] = [c_b, c_a] for arity-2
+    one (D_a c_a, D_b c_b, weight) per pair a <= b, D_a the denominator of
+    c_a (so D_a c_a is c_a's numerators over 1) and weight
+    -1/(2^[a=b] D_a D_b), since [c_a, c_b] = [c_b, c_a] for arity-2
     cochains."""
     integral = {}
     for a in range(1, k):
         c_a = series.order(a)
-        denom = math.lcm(*(coeff.denominator for _, coeff in c_a.terms()))
-        integral[a] = (c_a.scale(denom), denom)
+        integral[a] = (GraphSum._from_numerators(c_a.arity, c_a._nums, 1), c_a._denom)
     pairs = []
     for a in range(1, k // 2 + 1):
         (c_a, d_a), (c_b, d_b) = integral[a], integral[k - a]

@@ -20,6 +20,9 @@ library, each stated from first principles with plain loops.
   ``fraction_echelon``;
 * Leibniz generators (sorted pairs, skipped twin skeletons):
   ``product_order_leibniz_generators``;
+* ``GraphSum`` arithmetic (``+``, ``-``, ``scale``, ``restrict_count``,
+  ``coefficient_of``, ``cache_key``): ``FractionDictSum``, a plain dict of
+  Fractions updated with loops;
 * graph-level delta, composition and bracket: ``labelled_graph_delta``,
   ``labelled_graph_compose``, ``labelled_graph_gerstenhaber``; the
   Jacobiator expansion: ``labelled_expand_jacobiator_vertex`` on
@@ -41,6 +44,8 @@ checks, so that each checks one rule:
   ``graft_terms`` and pass each labeled graph to the ``GraphSum``
   constructor, so they check the counting into classes; the operator-level
   tests check the producers.
+* ``FractionDictSum`` shares ``canonical_form`` to find each labeled
+  graph's class and sign.
 * ``product_order_leibniz_generators`` shares ``expand_jacobiator_vertex``,
   ``operator_jacobiator`` shares ``apply_graph``, and ``fraction_echelon``
   the ``Echelon`` container and the names of the pivot strategies.
@@ -53,7 +58,8 @@ from typing import Iterable
 
 from stargraphs.errors import BudgetExceededError, DimensionError
 from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
-                               _canonical_raw, _passes_filter, has_wheel, parse_graph)
+                               _canonical_raw, _passes_filter, canonical_form, has_wheel,
+                               parse_graph)
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
 from stargraphs.linalg import STRATEGIES, Echelon, Row
@@ -650,6 +656,61 @@ def operator_jacobiator(p):
         if not total.is_zero:
             comps[(i, j, k)] = total
     return comps
+
+
+# -- GraphSum arithmetic on a dict of Fractions ----------------------------------
+
+class FractionDictSum:
+    """A rational combination of graph classes as a plain dict from the
+    encoding key (n, m, out_edges) of each class representative to its
+    nonzero Fraction coefficient; every operation is a loop over the terms
+    that adds one Fraction at a time and drops a key whose sum is 0."""
+
+    def __init__(self, arity, items=()):
+        """The sum of (labeled graph, coefficient) items, each added to its
+        class with the sign of ``canonical_form``."""
+        self.arity = arity
+        self.coeffs = {}
+        for g, coeff in items:
+            cls = canonical_form(g)
+            self._add(cls.rep.key, Fraction(coeff) * cls.sign)
+
+    def _add(self, key, value):
+        total = self.coeffs.get(key, Fraction(0)) + value
+        if total:
+            self.coeffs[key] = total
+        else:
+            self.coeffs.pop(key, None)
+
+    def combined(self, other, sign):
+        """self + sign * other."""
+        out = FractionDictSum(self.arity)
+        for key, value in self.coeffs.items():
+            out._add(key, value)
+        for key, value in other.coeffs.items():
+            out._add(key, sign * value)
+        return out
+
+    def scale(self, c):
+        out = FractionDictSum(self.arity)
+        for key, value in self.coeffs.items():
+            out._add(key, value * Fraction(c))
+        return out
+
+    def restrict_count(self, n):
+        out = FractionDictSum(self.arity)
+        for key, value in self.coeffs.items():
+            if key[0] == n:
+                out._add(key, value)
+        return out
+
+    def coefficient_of(self, g):
+        cls = canonical_form(g)
+        return self.coeffs.get(cls.rep.key, Fraction(0)) * cls.sign
+
+    def cache_key(self):
+        """(arity, (encoding key, coefficient) sorted by key)."""
+        return (self.arity,) + tuple(sorted(self.coeffs.items()))
 
 
 # -- graph-level algebra with one GraphSum term per labeled graph ---------------

@@ -209,6 +209,13 @@ def test_apply_with_vanishing_derivative():
     assert not value.is_zero
 
 
+def test_apply_gives_integral_values_as_int():
+    # {x1/2, 2 x2} = 1 on the symplectic plane, a product of two Fractions
+    args = (Poly.monomial(2, (1, 0), Fraction(1, 2)), Poly.monomial(2, (0, 1), 2))
+    value = apply_graph(GraphSum.single(POISSON), preset_poisson("symplectic2"), args)
+    assert value.terms == {(0, 0): 1} and type(value.terms[0, 0]) is int
+
+
 def test_downset_walk_misses_keys_outside_a_union_of_boxes(monkeypatch):
     # the downset of x1^2 + x2^2 is the union of two boxes; the mixed key
     # (1, 1, 0) lies in their hull but not in the union, so it is never
@@ -352,9 +359,8 @@ def typed_terms(value):
 def test_jets_give_the_brute_force_values_on_every_use(spec):
     # derivatives kept on the argument objects give the term-by-term values
     # on first use, on a second use with the jets warm, and on fresh copies
-    # without jets, with the same coefficient types on every use (Poly
-    # products of Fractions can leave Fraction(k, 1), so apply's types are
-    # compared across uses; the coboundary columns divide into normal form)
+    # without jets, with the same coefficient types on every use, all in
+    # normal form
     p = preset_from_string(spec)
     rng = random.Random(73)
     pool = [cls.rep for cls in small_classes()]
@@ -372,6 +378,7 @@ def test_jets_give_the_brute_force_values_on_every_use(spec):
             values = [op.apply(same) for same in (use, use, fresh_copies(use))]
             assert values == [expected] * 3
             assert typed_terms(values[1]) == typed_terms(values[2]) == typed_terms(values[0])
+            assert normal_values(values)
             assert use[0]._jet is not None
     columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
@@ -775,7 +782,7 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
     nonzero = 0
     for g in graphs.values():
         before = len(lookups)
-        known = canonical_form(g).rep.key in operators._ORBITS
+        known = canonical_form(g).rep in operators._ORBITS
         op = operators._compiled(g, p)
         # a graph of a known orbit costs one lookup, a new orbit 1 + 3! more
         assert len(lookups) - before == (1 if known else 7)
@@ -822,10 +829,10 @@ def test_compile_sum_and_columns_keep_integral_coefficients_int():
     coeffs = [c for poly in op.terms.values() for c in poly.terms.values()]
     assert len(coeffs) == 180
     assert all(map(is_normal, coeffs))
-    # the reference sums Fractions as given, so some integral values are Fraction(k, 1)
+    # the reference sums the Fraction coefficients term by term in Poly
+    # arithmetic, which gives integral values as int too
     reference = reference_operator(s, so3())
-    assert any(type(c) is Fraction and c.denominator == 1
-               for poly in reference.terms.values() for c in poly.terms.values())
+    assert normal_values(reference.terms.values())
     by_degrees = {}
     for cls in order4_wheel_free_basis():
         by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)

@@ -173,7 +173,22 @@ def test_integral_coefficients_stay_int():
     for value in (f + g, f * g, g.derive(2), (f * g).derive_multi((1, 2, 0)),
                   g.scale(Fraction(6, 3)), g * Fraction(-4, 2), -g):
         assert not value.is_zero and coefficient_types(value) == {int}
-    assert coefficient_types(g.scale(Fraction(1, 3))) == {Fraction}
+    third = g.scale(Fraction(1, 3))
+    assert third.terms == {(1, 3, 0): -1, (1, 0, 0): Fraction(-2, 3), (0, 1, 1): 1,
+                           (0, 0, 0): Fraction(-5, 3)}
+    assert coefficient_types(third) == {int, Fraction}
+
+
+def test_integral_results_of_fraction_arithmetic_are_int():
+    half, two = Poly.const(1, Fraction(1, 2)), Poly.const(1, 2)
+    x = Poly.variable(1, 1)
+    assert (half * two).terms == {(0,): 1}
+    assert type((half * two).terms[(0,)]) is int
+    # a sum, a scale and two derivatives of Fractions, each integral
+    values = [half + half, half.scale(4), (x * x).scale(Fraction(1, 2)).derive(1),
+              (x * x * x).scale(Fraction(1, 6)).derive_multi((2,))]
+    assert [value.terms for value in values] == [{(0,): 1}, {(0,): 2}, {(1,): 1}, {(1,): 1}]
+    assert all(coefficient_types(value) == {int} for value in values)
 
 
 def test_int_and_fraction_coefficients_compare_and_print_alike():

@@ -407,12 +407,15 @@ def test_monotonicity_of_growing_fixture_sets():
 
 
 # sha256 of the (row, rhs) pairs that the order-4 evaluation route feeds the
-# reducer on the jacobian cubic with all 27 degree-1 triples, recorded before
-# orbit reuse and integer sums entered the operator layer, and on so3 with
-# all 216 triples of degree-2 monomials, recorded before the feed read only
-# the columns that a pass touches
-CUBIC_ROWS_DIGEST = "13f15637521a3cd3bff8ac8b588ebdc7b5d5e06881b8c3713e6fba61a05af405"
-SO3_QUADRATIC_ROWS_DIGEST = "0610109bb27a15cca5e67d55f50cc8497527d3553fe4765465e869b2bf9e92d6"
+# reducer on the jacobian cubic with all 27 degree-1 triples, and on so3 with
+# all 216 triples of degree-2 monomials.  Both were first recorded before
+# orbit reuse and integer sums entered the operator layer and before the
+# feed read only the columns that a pass touches, then re-recorded when Poly
+# arithmetic began to give integral values as int: the same feed with every
+# value in normal form, where 12 right-hand sides of each run had been
+# Fraction(k, 1)
+CUBIC_ROWS_DIGEST = "5ebd7fdca68c053deb65e9899fcc4e33defb8b94704b37538c2bbf4aee4b957e"
+SO3_QUADRATIC_ROWS_DIGEST = "7ccd46da2e94bcd32597425bf4e8f5a11909a9f727fd640553e7921f3961d6af"
 
 
 def test_eval_obstruction_feeds_the_pinned_rows(monkeypatch):
