@@ -11,17 +11,21 @@ shared prefix coefficient once and cuts a subtree at its first zero factor;
 a graph with a vertex of more incoming edges than any entry has degree is
 zero without a search.  Relabeling the arguments of a graph only permutes
 the slots of its operator, so a graph is compiled once per orbit of
-argument relabelings (``_compiled``): the orbit's least class
-representative is compiled, and each graph of the orbit takes that
-operator with its slots permuted and the class sign applied.  The orbit
-of a class is looked up once (``_orbit``) and recorded for every class in
-it, so a graph of a known orbit costs one class lookup.  Compiled
-graphs are cached on the Poisson structure under the graph, and
-``compile_sum`` operators under the sum.  ``compile_sum`` accumulates the
-sum's ``int`` numerators into one exponent dict in ``int`` arithmetic and
-divides by its denominator once at the end.  ``Poly`` keeps integral
-coefficients as ``int``, so integral cochains on an integral fixture
-evaluate on integral arguments without any ``Fraction`` arithmetic.
+argument relabelings (``_anchored``): the orbit's least class
+representative, its anchor, is compiled and cached on the Poisson
+structure, and each graph of the orbit is the anchor's operator with its
+slots permuted and the class sign applied.  The orbit of a class is looked
+up once (``_orbit``) and recorded for every class in it, so a graph of a
+known orbit costs one class lookup.  ``compile_sum`` and
+``CoboundaryColumns`` add the anchor's terms under the permuted slot keys,
+with the sign folded into the sum's ``int`` numerator, into one dict per
+key in ``int`` arithmetic, and divide by the sum's denominator once at the
+end; only ``apply_graph`` on a single graph builds and caches the permuted
+operator (``_compiled``).  ``compile_sum`` operators are cached under the
+sum.  ``Poly`` keeps integral coefficients as ``int``, so integral
+cochains on an integral fixture evaluate on integral arguments without any
+``Fraction`` arithmetic, and its packed exponent keys make every monomial
+product of compilation and evaluation one ``int`` addition.
 
 Evaluation is one pass, ``_accumulate``, over operator terms stored in a
 per-slot trie: slot-1 derivative multi-index -> slot-2 multi-index -> .. ->
@@ -49,12 +53,13 @@ Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
 at operator level (no graph rewriting): ``oracle_delta`` is the one-column
 case of ``CoboundaryColumns``, the other two substitute slot values by one
 composition formula (``_compose``) that takes the inner values from
-``apply_graph``.  They are the reference implementations that the
-graph-level constructions in ``homology`` are tested against, and they also
-state the equations of the solver's evaluation route: its unknown columns
-are ``CoboundaryColumns`` of the basis graphs and its right-hand side is
-the same bracket formula (``_bracket``) with the inner values taken from a
-memo (``InnerValues``), so each is formed once per argument pair.
+``apply_graph`` and evaluates the outer operator on all its substitutions
+in one signed ``_accumulate`` pass.  They are the reference implementations
+that the graph-level constructions in ``homology`` are tested against, and
+they also state the equations of the solver's evaluation route: its unknown
+columns are ``CoboundaryColumns`` of the basis graphs and its right-hand
+side is the same bracket formula (``_bracket``) with the inner values taken
+from a memo (``InnerValues``), so each is formed once per argument pair.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from typing import Sequence
 from .errors import DimensionError
 from .graphs import _CANON_CACHE_LIMIT, DirectedGraph, GraphSum, _lookup, _relabeled_pairs
 from .poisson import PoissonStructure
-from .poly import Poly, _add_terms, _exact, _mul_terms, _rational, _wrap
+from .poly import Poly, _add_terms, _exact, _guards, _mul_terms, _rational, _unpack, _wrap
 
 
 class PolyDiffOperator:
@@ -97,9 +102,7 @@ class PolyDiffOperator:
         """The operator's value: the one-column, one-tuple case of
         ``_accumulate``."""
         _check_args(self.d, self.arity, args)
-        if self._trie is None:
-            object.__setattr__(self, "_trie", _group_terms(self))
-        return _wrap(self.d, _exact(_accumulate(self._trie, [(args, None)]).get(0, {})))
+        return _wrap(self.d, _exact(_accumulate(_trie(self), [(args, None)]).get(0, {})))
 
 
 def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
@@ -120,20 +123,24 @@ def _insert(trie: dict, key: tuple, col: int, coeffs: dict) -> None:
     node.setdefault(key[-1], []).append((col, coeffs))
 
 
-def _group_terms(op: PolyDiffOperator) -> dict:
-    """The terms of one operator (column 0) in a per-slot trie."""
-    trie: dict = {}
-    for key, poly in op.terms.items():
-        _insert(trie, key, 0, poly.terms)
-    return trie
+def _trie(op: PolyDiffOperator) -> dict:
+    """The terms of one operator (column 0) in a per-slot trie, built on
+    first use and kept on the operator."""
+    if op._trie is None:
+        trie: dict = {}
+        for key, poly in op.terms.items():
+            _insert(trie, key, 0, poly.terms)
+        object.__setattr__(op, "_trie", trie)
+    return op._trie
 
 
 def _downset(f: Poly) -> set:
     """The multi-indices alpha <= some exponent of f: those whose derivative
-    of f is nonzero (distinct exponents stay distinct under d^alpha)."""
+    of f is nonzero (distinct exponents stay distinct under d^alpha).  Each
+    packed exponent of f is decoded once, here."""
     down: set = set()
-    for e in f.terms:
-        down.update(product(*[range(k + 1) for k in e]))
+    for key in f.terms:
+        down.update(product(*[range(k + 1) for k in _unpack(key, f.d)]))
     return down
 
 
@@ -158,6 +165,7 @@ def _reach(trie: dict, args: Sequence[Poly]) -> list:
     are read from each argument's jet (``_jet``), so each is formed once
     per argument object however many tuples, slots and passes it fills."""
     frontier = [(trie, None)]
+    guards = _guards(args[0].d)
     for f in args:
         if not frontier:
             break
@@ -172,7 +180,8 @@ def _reach(trie: dict, args: Sequence[Poly]) -> list:
                 der = table.get(alpha)
                 if der is None:
                     der = table[alpha] = f.derive_multi(alpha).terms
-                reached.append((child, der if prefix is None else _mul_terms(prefix, der, {})))
+                reached.append((child, der if prefix is None
+                                else _mul_terms(prefix, der, {}, guards)))
         frontier = reached
     return frontier
 
@@ -192,6 +201,7 @@ def _accumulate(trie: dict, tuples: list) -> dict:
     arguments' downsets admit (``_reach``); the value of a reached key is
     formed once and multiplied into every column of its leaf.  Returns
     {column: term dict} for the columns of the reached leaves."""
+    guards = _guards(tuples[0][0][0].d)
     totals: dict = {}
     if tuples[0][1] is None:
         reached = _reach(trie, tuples[0][0])
@@ -202,7 +212,7 @@ def _accumulate(trie: dict, tuples: list) -> dict:
                 entry = values.get(id(leaf))
                 if entry is None:
                     entry = values[id(leaf)] = (leaf, {})
-                _mul_terms(value, factor, entry[1])
+                _mul_terms(value, factor, entry[1], guards)
         reached = values.values()
     for leaf, value in reached:
         if value:
@@ -210,7 +220,7 @@ def _accumulate(trie: dict, tuples: list) -> dict:
                 acc = totals.get(col)
                 if acc is None:
                     acc = totals[col] = {}
-                _mul_terms(value, coeff, acc)
+                _mul_terms(value, coeff, acc, guards)
     return totals
 
 
@@ -251,6 +261,7 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
     arg_counts, vertex_counts = counts[:m], counts[m:]
     assign: list = [None] * n
     derivatives = p._deriv_cache
+    guards = _guards(d)
     acc: dict[tuple, dict] = {}
 
     def visit(pos: int, prefix):
@@ -273,7 +284,8 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
                     factor = p.entry_derivative(*key)
                 if not factor.terms:
                     break
-                coeff = factor.terms if coeff is None else _mul_terms(coeff, factor.terms, {})
+                coeff = (factor.terms if coeff is None
+                         else _mul_terms(coeff, factor.terms, {}, guards))
             else:
                 visit(pos - 1, coeff)
             left[i - 1] -= 1
@@ -317,44 +329,56 @@ def _orbit(rep: DirectedGraph) -> tuple:
     return _ORBITS[rep]
 
 
-def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
-    """Operator of the labeled graph ``g``, cached on the Poisson structure
-    under ``g``; equal to ``compile_graph(g, p)``.
+def _anchored(g: DirectedGraph, p: PoissonStructure) -> tuple:
+    """(base, slots, sign) with ``g``'s operator equal to ``sign`` times the
+    operator ``base`` of the anchor of ``g``'s orbit of argument
+    relabelings, the least class representative in it, with slot t of each
+    key taken from slot ``slots[t]`` of ``base``'s key (``slots`` None: the
+    identity).  ``sign`` is 0 for a sign-0 class (its relabelings are sign 0
+    too), and ``base`` is then None.
 
     Relabeling the arguments of a graph by a permutation s moves the
     derivatives of slot t to slot s(t) and changes nothing else, and a
-    relabeled graph stays admissible.  So only the anchor of ``g``'s orbit
-    of argument relabelings, the least class representative in it, is
-    compiled, once per orbit and structure.  A miss costs one lookup of
-    ``g``'s class (``graphs._lookup``); its representative's record
-    (``_orbit``) gives the relabeling ``perm`` that takes it to the anchor's
-    class, with its sign, and relabeling commutes with the internal
-    relabeling that relates ``g`` to its representative, so ``g``'s
-    operator is the anchor's with the slots of every key permuted back,
-    times both signs.  A sign-0 class (its relabelings are sign 0 too) is
-    the zero operator."""
-    cache = p._op_cache
-    op = cache.get(g)
-    if op is not None:
-        return op
+    relabeled graph stays admissible.  So only the anchor is compiled, once
+    per orbit and structure, and cached on the structure under the anchor.
+    A call costs one lookup of ``g``'s class (``graphs._lookup``); its
+    representative's record (``_orbit``) gives the relabeling ``perm`` that
+    takes it to the anchor's class, with its sign, and relabeling commutes
+    with the internal relabeling that relates ``g`` to its representative,
+    so ``g``'s operator is the anchor's with the slots of every key permuted
+    back, times both signs."""
     cls = _lookup(g.n, g.m, g.out_edges)
     if not cls.sign:
-        op = cache[g] = PolyDiffOperator(p.d, g.m, {})
-        return op
+        return None, None, 0
     anchor, perm, sign = _orbit(cls.rep)
-    sign *= cls.sign
+    cache = p._op_cache
     base = cache.get(anchor)
     if base is None:
         # through the module global, so that a wrapper sees every compile
         base = cache[anchor] = compile_graph(anchor, p)
-    if sign == 1 and perm == tuple(range(1, g.m + 1)):
+    slots = None if perm == tuple(range(1, g.m + 1)) else [s - 1 for s in perm]
+    return base, slots, sign * cls.sign
+
+
+def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
+    """Operator of the labeled graph ``g``, cached on the Poisson structure
+    under ``g``; equal to ``compile_graph(g, p)``.  It is the orbit anchor's
+    operator with its slots permuted and the sign applied (``_anchored``),
+    the anchor's own object when both are trivial."""
+    cache = p._op_cache
+    op = cache.get(g)
+    if op is not None:
+        return op
+    base, slots, sign = _anchored(g, p)
+    if not sign:
+        op = PolyDiffOperator(p.d, g.m, {})
+    elif sign == 1 and slots is None:
         op = base
     else:
-        # slot t of g's key is slot perm[t] of the anchor's key
-        slots = [s - 1 for s in perm]
-        op = PolyDiffOperator(p.d, g.m, {tuple([key[s] for s in slots]):
-                                         (poly if sign == 1 else -poly)
-                                         for key, poly in base.terms.items()})
+        op = PolyDiffOperator(p.d, g.m, {
+            key if slots is None else tuple([key[s] for s in slots]):
+            poly if sign == 1 else -poly
+            for key, poly in base.terms.items()})
     cache[g] = op
     return op
 
@@ -369,9 +393,17 @@ def _divided(terms: dict, denom: int) -> dict:
 
 def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
     """acc[key] += coeff * (operator of g)[key] for every (g, coeff) in
-    terms, in place."""
+    terms, in place: the terms of the anchor of g's orbit (``_anchored``),
+    added under the permuted slot keys with the sign folded into the
+    numerator, so no permuted operator is built for g."""
     for g, coeff in terms:
-        for key, poly in _compiled(g, p).terms.items():
+        base, slots, sign = _anchored(g, p)
+        if not sign:
+            continue
+        coeff *= sign
+        for key, poly in base.terms.items():
+            if slots is not None:
+                key = tuple([key[s] for s in slots])
             _add_terms(acc.setdefault(key, {}), poly.terms, coeff)
 
 
@@ -412,14 +444,20 @@ def _graph_terms(s) -> tuple:
     return s._denom, s._nums.items()
 
 
+def _operator(s, p: PoissonStructure) -> PolyDiffOperator:
+    """The operator of a GraphSum (``compile_sum``), or of a single labeled
+    graph compiled as labeled, without canonicalization (``_compiled``)."""
+    if isinstance(s, DirectedGraph):
+        return _compiled(s, p)
+    if isinstance(s, GraphSum):
+        return compile_sum(s, p)
+    raise TypeError("expected GraphSum or DirectedGraph")
+
+
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Evaluate a GraphSum, or a single labeled graph (compiled as labeled,
     without canonicalization), on concrete polynomial arguments."""
-    if isinstance(s, DirectedGraph):
-        return _compiled(s, p).apply(args)
-    if isinstance(s, GraphSum):
-        return compile_sum(s, p).apply(args)
-    raise TypeError("expected GraphSum or DirectedGraph")
+    return _operator(s, p).apply(args)
 
 
 class CoboundaryColumns:
@@ -503,7 +541,7 @@ class CoboundaryColumns:
             if entry is None:
                 entry = self.products[id(f), id(g)] = (f, g, f * g)
             merged = args[:j] + (entry[2],) + args[j + 2:]
-            tuples.append((merged, {(0,) * d: -sgn if j % 2 == 0 else sgn}))
+            tuples.append((merged, {0: -sgn if j % 2 == 0 else sgn}))
         if self.pending:
             degrees = [[_jet(f)[2] for f in inner] for inner, _ in tuples]
             for orders in [o for o in self.pending if _fits(o, degrees)]:
@@ -531,20 +569,20 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
 
     with each inner value D2(f_j..f_{j+k2}) taken from
     ``inner(s2, p, args)``: ``apply_graph`` itself, or a memo of its
-    values (``InnerValues``)."""
+    values (``InnerValues``).  The k1 + 1 outer evaluations are one
+    ``_accumulate`` pass over D1's trie on the signed argument tuples, so a
+    key reached by several substitutions multiplies its coefficient once."""
     m1, m2 = _arity(s1), _arity(s2)
     k1, k2 = m1 - 1, m2 - 1
     if len(args) != m1 + m2 - 1:
         raise DimensionError("composition of arities (%d, %d) needs %d arguments, got %d"
                              % (m1, m2, m1 + m2 - 1, len(args)))
-    total = Poly.zero(p.d)
-    for j in range(k1 + 1):
-        outer_args = list(args[:j]) + [inner(s2, p, args[j:j + m2])] + list(args[j + m2:])
-        value = apply_graph(s1, p, outer_args)
-        if (j * k2) % 2:
-            value = -value
-        total = total + value
-    return total
+    args = tuple(args)
+    _check_args(p.d, m1 + m2 - 1, args)
+    tuples = [(args[:j] + (inner(s2, p, args[j:j + m2]),) + args[j + m2:],
+               {0: -1 if (j * k2) % 2 else 1})
+              for j in range(k1 + 1)]
+    return _wrap(p.d, _exact(_accumulate(_trie(_operator(s1, p)), tuples).get(0, {})))
 
 
 def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:

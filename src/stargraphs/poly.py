@@ -1,24 +1,76 @@
 """Exact multivariate polynomials over the rationals.
 
-A polynomial in d variables is a sparse map from exponent vectors (length-d
-tuples of nonnegative ints) to nonzero exact rationals: ``int`` when integral,
-else ``Fraction``; no floats (a ``float`` coefficient raises ``TypeError``).
-Sums, products and derivatives of ``int`` coefficients stay ``int``, so
-integer polynomials never pay for ``Fraction`` arithmetic.  All arithmetic is
-exact; there is no floating point anywhere in this package.
+A polynomial in d variables is a sparse map from exponent vectors to nonzero
+exact rationals: ``int`` when integral, else ``Fraction``; no floats (a
+``float`` coefficient raises ``TypeError``).  Sums, products and derivatives
+of ``int`` coefficients stay ``int``, so integer polynomials never pay for
+``Fraction`` arithmetic.  All arithmetic is exact; there is no floating point
+anywhere in this package.
+
+Each exponent vector (e_1, .., e_d) is held as one packed ``int`` key: every
+variable has a field of ``FIELD_BITS`` bits, x1 in the most significant one,
+so the key is sum_i e_i * 2^(FIELD_BITS * (d - i)).  The top bit of every
+field is a guard bit that a stored key never sets, so an exponent is at most
+``EXPONENT_BOUND`` = 2^(FIELD_BITS - 1) - 1.  Hence:
+
+* ``int`` order of keys is the lexicographic order of the exponent tuples;
+* the key of a monomial product is the sum of the keys: two fields below the
+  guard bit add without a carry into the next field, and a field that passes
+  the bound sets its guard bit, which the product loop tests on every key
+  it forms (``_mul_terms``), so an overflow raises ``DimensionError`` and
+  never wraps;
+* d^alpha x^e is nonzero exactly when alpha <= e fieldwise, which one
+  subtraction tests: (e | guards) - alpha keeps every guard bit exactly then,
+  and clearing the guards leaves the key of e - alpha.
+
+Exponent tuples appear only at the interface: the constructor's input,
+``coefficient``, ``monomial``, ``sorted_terms``, ``str``/``parse_poly`` and the
+multi-index of ``derive_multi``.  An exponent above the bound raises
+``DimensionError`` there.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import perm
-from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import DimensionError
 
-Exponents = tuple  # length-d tuple of nonnegative ints
+Exponents = tuple  # length-d tuple of nonnegative ints, at the interface only
+
+FIELD_BITS = 16
+EXPONENT_BOUND = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+@cache
+def _guards(d: int) -> int:
+    """The guard bits of all d fields."""
+    return sum((EXPONENT_BOUND + 1) << (FIELD_BITS * i) for i in range(d))
+
+
+def _pack(exps: Iterable[int], d: int) -> int:
+    """The key of the exponent vector ``exps``; a vector of the wrong length,
+    or with an exponent below 0 or above ``EXPONENT_BOUND``, raises
+    ``DimensionError``."""
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != d or any(e < 0 for e in exps):
+        raise DimensionError("bad exponent vector %r for d=%d" % (exps, d))
+    key = 0
+    for e in exps:
+        if e > EXPONENT_BOUND:
+            raise DimensionError("exponent %d above the bound %d in %r"
+                                 % (e, EXPONENT_BOUND, exps))
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _unpack(key: int, d: int) -> Exponents:
+    """The exponent vector of the key ``key``."""
+    return tuple([key >> (FIELD_BITS * i) & _FIELD_MASK for i in range(d - 1, -1, -1)])
 
 
 def _rational(c):
@@ -43,6 +95,14 @@ class Poly:
     """Immutable sparse polynomial with exact rational coefficients: ``int``
     when integral, else ``Fraction``; no floats.
 
+    ``terms`` maps the packed key of each exponent vector (see the module
+    docstring: ``FIELD_BITS``-bit fields, x1 most significant, a guard bit
+    per field, exponents at most ``EXPONENT_BOUND``) to its coefficient; the
+    constructor takes exponent tuples, and ``sorted_terms`` and
+    ``coefficient`` speak tuples.  A product adds keys, a derivative
+    subtracts them, and a product that would pass the bound raises
+    ``DimensionError``.
+
     Being immutable, a Poly can carry its own derivative jet: ``_jet`` is
     None until the polynomial first enters an operator evaluation as an
     argument (``operators._jet``), and then holds its downset, a table
@@ -54,23 +114,21 @@ class Poly:
     def __init__(self, d: int, terms: Mapping[Exponents, int | Fraction] | None = None):
         if d < 1:
             raise DimensionError("polynomial needs at least one variable, got d=%d" % d)
-        clean: dict[Exponents, int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != d or any(e < 0 for e in exps):
-                    raise DimensionError("bad exponent vector %r for d=%d" % (exps, d))
+                key = _pack(exps, d)
                 coeff = _rational(coeff)
                 if coeff:
-                    acc = clean.get(exps)
+                    acc = clean.get(key)
                     if acc is None:
-                        clean[exps] = coeff
+                        clean[key] = coeff
                     else:
                         acc += coeff
                         if acc:
-                            clean[exps] = acc
+                            clean[key] = acc
                         else:
-                            del clean[exps]
+                            del clean[key]
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_jet", None)
@@ -111,13 +169,17 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(_unpack(key, self.d)) for key in self.terms)
 
     def coefficient(self, exps: Iterable[int]) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(_pack(exps, self.d), 0)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+    def sorted_terms(self) -> list:
+        """[(exponent tuple, coefficient)] in graded order, highest degree
+        first, then x1-major."""
+        d = self.d
+        return sorted([(_unpack(key, d), coeff) for key, coeff in self.terms.items()],
+                      key=lambda kv: _term_sort_key(kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -151,7 +213,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        return _wrap(self.d, _exact(_mul_terms(self.terms, other.terms, {})))
+        return _wrap(self.d, _exact(_mul_terms(self.terms, other.terms, {}, _guards(self.d))))
 
     __rmul__ = __mul__
 
@@ -159,32 +221,42 @@ class Poly:
         """Partial derivative with respect to x_var, 1-based."""
         if not 1 <= var <= self.d:
             raise DimensionError("derivative index %d out of range 1..%d" % (var, self.d))
-        i = var - 1
-        res: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
+        shift = FIELD_BITS * (self.d - var)
+        unit = 1 << shift
+        res: dict[int, int | Fraction] = {}
+        for key, coeff in self.terms.items():
+            e = key >> shift & _FIELD_MASK
             if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                res[key] = coeff * e
+                res[key - unit] = coeff * e
         return _wrap(self.d, _exact(res))
 
     def derive_multi(self, alpha: Iterable[int]) -> "Poly":
         """Apply the multi-derivative with multiplicity vector alpha (length
-        d) in closed form: d^alpha x^a = a!/(a-alpha)! x^(a-alpha), zero
-        where some alpha_i > a_i."""
+        d) in closed form: d^alpha x^e = e!/(e-alpha)! x^(e-alpha), zero
+        where some alpha_i > e_i, which one guard-bit subtraction tests."""
         alpha = tuple(alpha)
-        if len(alpha) != self.d:
-            raise DimensionError("bad derivative multi-index %r for d=%d" % (alpha, self.d))
+        d = self.d
+        if len(alpha) != d or min(alpha) < 0:
+            raise DimensionError("bad derivative multi-index %r for d=%d" % (alpha, d))
         if not any(alpha):
             return self
-        res: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            factor = 1
-            for e, k in zip(exps, alpha):
-                factor *= perm(e, k)  # 0 when k > e
-            if factor:
-                res[tuple(map(sub, exps, alpha))] = coeff * factor
-        return _wrap(self.d, _exact(res))
+        if max(alpha) > EXPONENT_BOUND:
+            return Poly.zero(d)  # above every exponent
+        a = 0
+        orders = []  # (shift, order) of each differentiated variable
+        for i, k in enumerate(alpha):
+            a = a << FIELD_BITS | k
+            if k:
+                orders.append((FIELD_BITS * (d - 1 - i), k))
+        guards = _guards(d)
+        res: dict[int, int | Fraction] = {}
+        for key, coeff in self.terms.items():
+            diff = (key | guards) - a
+            if diff & guards == guards:
+                for shift, k in orders:
+                    coeff *= perm(key >> shift & _FIELD_MASK, k)
+                res[diff ^ guards] = coeff
+        return _wrap(d, _exact(res))
 
     # -- comparison / text -------------------------------------------------
 
@@ -222,7 +294,8 @@ class Poly:
 
 
 def _wrap(d: int, terms: dict) -> Poly:
-    """Poly over a dict of nonzero coefficients, adopted without a copy."""
+    """Poly over a dict of packed keys to nonzero coefficients, adopted
+    without a copy."""
     out = Poly.__new__(Poly)
     object.__setattr__(out, "d", d)
     object.__setattr__(out, "terms", terms)
@@ -234,31 +307,37 @@ def _exact(terms: dict) -> dict:
     """``terms`` with each integral ``Fraction`` replaced by its ``int``, in
     place: the normal form of a result of ``Fraction`` arithmetic, formed
     once per result rather than per product in ``_mul_terms``."""
-    for exps, coeff in terms.items():
+    for key, coeff in terms.items():
         if type(coeff) is Fraction and coeff.denominator == 1:
-            terms[exps] = coeff.numerator
+            terms[key] = coeff.numerator
     return terms
 
 
-def _add_terms(acc: dict, terms: Mapping[Exponents, Fraction], c=1) -> None:
+def _add_terms(acc: dict, terms: Mapping[int, Fraction], c=1) -> None:
     """acc += c * terms in place, dropping coefficients that cancel."""
     if c != 1:
-        terms = {exps: coeff * c for exps, coeff in terms.items()}
-    for exps, coeff in terms.items():
-        value = acc.get(exps)
+        terms = {key: coeff * c for key, coeff in terms.items()}
+    for key, coeff in terms.items():
+        value = acc.get(key)
         value = coeff if value is None else value + coeff
         if value:
-            acc[exps] = value
+            acc[key] = value
         else:
-            del acc[exps]
+            del acc[key]
 
 
-def _mul_terms(a: Mapping[Exponents, Fraction], b: Mapping[Exponents, Fraction],
-               acc: dict) -> dict:
-    """acc += a * b in place for term dicts: the one polynomial product loop."""
+def _mul_terms(a: Mapping[int, Fraction], b: Mapping[int, Fraction], acc: dict,
+               guards: int) -> dict:
+    """acc += a * b in place for term dicts of d variables, ``guards`` being
+    ``_guards(d)``: the one polynomial product loop, one key addition per
+    pair of terms.  A key with a guard bit set, an exponent above
+    ``EXPONENT_BOUND``, raises ``DimensionError`` before it is stored."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            key = tuple(map(add, e1, e2))
+            key = e1 + e2
+            if key & guards:
+                raise DimensionError("a product has an exponent above the bound %d"
+                                     % EXPONENT_BOUND)
             value = acc.get(key)
             value = c1 * c2 if value is None else value + c1 * c2
             if value:

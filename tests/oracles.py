@@ -23,6 +23,9 @@ library, each stated from first principles with plain loops.
 * ``GraphSum`` arithmetic (``+``, ``-``, ``scale``, ``restrict_count``,
   ``coefficient_of``, ``cache_key``): ``FractionDictSum``, a plain dict of
   Fractions updated with loops;
+* ``Poly`` arithmetic on packed exponents (``+``, ``-``, ``*``, ``scale``,
+  ``derive``, ``derive_multi``): ``TupleDictPoly``, a plain dict from
+  exponent tuple to Fraction updated with loops;
 * graph-level delta, composition and bracket: ``labelled_graph_delta``,
   ``labelled_graph_compose``, ``labelled_graph_gerstenhaber``; the
   Jacobiator expansion: ``labelled_expand_jacobiator_vertex`` on
@@ -39,7 +42,8 @@ checks, so that each checks one rule:
   ``compile_graph``, which the tests check against
   ``brute_force_compile_graph`` on every graph it serves as a reference
   for, on at least one fixture; ``brute_force_apply`` and
-  ``brute_force_delta`` share ``Poly``.
+  ``brute_force_delta`` share ``Poly``, whose arithmetic the tests check
+  against ``TupleDictPoly``.
 * ``labelled_graph_*`` share the producers ``_split_terms`` and
   ``graft_terms`` and pass each labeled graph to the ``GraphSum``
   constructor, so they check the counting into classes; the operator-level
@@ -711,6 +715,83 @@ class FractionDictSum:
     def cache_key(self):
         """(arity, (encoding key, coefficient) sorted by key)."""
         return (self.arity,) + tuple(sorted(self.coeffs.items()))
+
+
+# -- Poly arithmetic on a dict of exponent tuples ---------------------------------
+
+class TupleDictPoly:
+    """A polynomial in d variables as a plain dict from exponent tuple to
+    nonzero Fraction coefficient; every operation is a loop over the terms
+    that adds one Fraction at a time and drops a key whose sum is 0.  It
+    packs no exponents and has no bound on them."""
+
+    def __init__(self, d, terms=()):
+        self.d = d
+        self.coeffs = {}
+        for exps, coeff in dict(terms).items():
+            self._add(tuple(exps), Fraction(coeff))
+
+    def matches(self, poly):
+        """Whether the ``Poly`` ``poly`` has the same terms, read through its
+        tuple API."""
+        return poly.d == self.d and dict(poly.sorted_terms()) == self.coeffs
+
+    def _add(self, exps, value):
+        total = self.coeffs.get(exps, Fraction(0)) + value
+        if total:
+            self.coeffs[exps] = total
+        else:
+            self.coeffs.pop(exps, None)
+
+    def combined(self, other, sign):
+        """self + sign * other."""
+        out = TupleDictPoly(self.d)
+        for exps, value in self.coeffs.items():
+            out._add(exps, value)
+        for exps, value in other.coeffs.items():
+            out._add(exps, sign * value)
+        return out
+
+    def scale(self, c):
+        out = TupleDictPoly(self.d)
+        for exps, value in self.coeffs.items():
+            out._add(exps, value * Fraction(c))
+        return out
+
+    def times(self, other):
+        out = TupleDictPoly(self.d)
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out._add(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return out
+
+    def max_exponent(self):
+        """The largest exponent of any variable in any term; 0 when zero."""
+        return max((e for exps in self.coeffs for e in exps), default=0)
+
+    def derive(self, var):
+        """Partial derivative with respect to x_var, 1-based."""
+        out = TupleDictPoly(self.d)
+        for exps, value in self.coeffs.items():
+            e = exps[var - 1]
+            if e:
+                lowered = list(exps)
+                lowered[var - 1] = e - 1
+                out._add(tuple(lowered), value * e)
+        return out
+
+    def derive_multi(self, alpha):
+        """d^alpha, one falling factorial per variable, multiplied out."""
+        out = TupleDictPoly(self.d)
+        for exps, value in self.coeffs.items():
+            if any(k > e for e, k in zip(exps, alpha)):
+                continue
+            factor = 1
+            for e, k in zip(exps, alpha):
+                for t in range(k):
+                    factor *= e - t
+            out._add(tuple(e - k for e, k in zip(exps, alpha)), value * factor)
+        return out
 
 
 # -- graph-level algebra with one GraphSum term per labeled graph ---------------

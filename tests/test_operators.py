@@ -16,7 +16,7 @@ from stargraphs.operators import (CoboundaryColumns, PolyDiffOperator, apply_gra
                                   oracle_gerstenhaber)
 from stargraphs.homology import graph_delta
 from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
-from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
+from stargraphs.poly import EXPONENT_BOUND, Poly, monomials_up_to_degree, parse_poly
 from stargraphs.solver import mc_defect, solve_up_to
 
 x = Poly.variable
@@ -173,7 +173,7 @@ def rational_args(rng, d, count):
         if kind == 1:
             pool = [f for f in monos if f.degree() <= 1]
         elif kind == 2:
-            pool = [f for f in monos if all(e[0] == 0 for e in f.terms)]
+            pool = [f for f in monos if all(e[0] == 0 for e, _ in f.sorted_terms())]
         total = Poly.zero(d)
         for f in rng.sample(pool, min(3, len(pool))):
             total = total + f.scale(Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
@@ -213,7 +213,22 @@ def test_apply_gives_integral_values_as_int():
     # {x1/2, 2 x2} = 1 on the symplectic plane, a product of two Fractions
     args = (Poly.monomial(2, (1, 0), Fraction(1, 2)), Poly.monomial(2, (0, 1), 2))
     value = apply_graph(GraphSum.single(POISSON), preset_poisson("symplectic2"), args)
-    assert value.terms == {(0, 0): 1} and type(value.terms[0, 0]) is int
+    assert value.sorted_terms() == [((0, 0), 1)] and type(value.coefficient((0, 0))) is int
+
+
+def test_evaluation_past_the_exponent_bound_raises_instead_of_wrapping():
+    # {x1 x3^bound, x2} = x3 * x3^bound on so3: the coefficient product
+    # passes the bound in the lowest field, where a wrap would carry into x2's
+    top = Poly.monomial(3, (1, 0, EXPONENT_BOUND))
+    with pytest.raises(DimensionError, match="above the bound"):
+        apply_graph(parse_graph(POISSON), so3(), (top, x(3, 2)))
+    with pytest.raises(DimensionError, match="above the bound"):
+        oracle_compose(GraphSum.single(POISSON), GraphSum.single(POISSON), so3(),
+                       (x(3, 3), top, x(3, 1)))
+    # x3 d_1 f - x1 d_3 f one step below
+    below = Poly.monomial(3, (1, 0, EXPONENT_BOUND - 1))
+    assert apply_graph(parse_graph(POISSON), so3(), (below, x(3, 2))) == Poly(3, {
+        (0, 0, EXPONENT_BOUND): 1, (2, 0, EXPONENT_BOUND - 2): 1 - EXPONENT_BOUND})
 
 
 def test_downset_walk_misses_keys_outside_a_union_of_boxes(monkeypatch):
@@ -342,7 +357,7 @@ def test_integer_fixtures_compile_to_int_coefficients(spec):
 
 def fresh_copies(args):
     """New Poly objects equal to ``args``, without derivative jets."""
-    return tuple(Poly(f.d, f.terms) for f in args)
+    return tuple(Poly(f.d, dict(f.sorted_terms())) for f in args)
 
 
 def normal_values(values):
@@ -813,6 +828,23 @@ def test_compile_sum_matches_the_reference_operator(spec):
         assert normal_values(op.terms.values())
         nonzero += not op.is_zero
     assert nonzero >= 4
+
+
+@pytest.mark.parametrize("spec", ["so3", CUBIC])
+def test_compile_sum_builds_no_operator_per_labeled_graph(spec, compiled_keys):
+    # a sum's terms are added from the orbit anchors' operators under
+    # permuted slot keys, so the structure caches only the anchors and the
+    # sums, and each anchor is compiled once
+    p = preset_from_string(spec)
+    sums = orbit_sums()
+    for s in sums:
+        compile_sum(s, p)
+    anchors = {orbit_anchor(cls.rep) for s in sums for cls, _ in s.terms()}
+    assert any(cls.rep.key not in anchors for s in sums for cls, _ in s.terms())
+    graphs = {key for key in p._op_cache if isinstance(key, DirectedGraph)}
+    assert {g.key for g in graphs} == anchors
+    assert sorted(compiled_keys(p)) == sorted(anchors)
+    assert len(p._op_cache) == len(anchors) + len({s.cache_key() for s in sums})
 
 
 def is_normal(c):
