@@ -337,46 +337,49 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     return tuple(key), sign, len(frontier)
 
 
-# (n, m) -> (labeled, plus, minus) of K_{n,m}: out-edge tuple -> GraphClass,
-# and canonical pairs -> the GraphClass of sign +1 (or 0) and of sign -1, so
-# tables[s] holds sign s.  Cleared in place, never replaced, so a caller may
-# hold them across a ``_register``.
-_TABLES = defaultdict(lambda: ({}, {}, {}))
-_TABLE_ENTRIES = 0  # labeled entries over all sizes
+# (n, m) -> (plus, minus) of K_{n,m}: canonical pairs -> the interned
+# GraphClass of sign +1 (or 0) and of sign -1, so tables[sign < 0] holds
+# sign ``sign``.  Only classes are kept, no labeled graph.  Cleared in
+# place, never replaced, so a caller may hold them across a ``_register``.
+_TABLES = defaultdict(lambda: ({}, {}))
+_TABLE_ENTRIES = 0  # interned classes over all sizes
 _CANON_CACHE_LIMIT = 120_000
 
 
 def _register(n: int, m: int, pairs: Pairs, best: Pairs = None, sign: int = 0) -> GraphClass:
-    """Record the class of the labeled graph of K_{n,m} on ``pairs`` and
-    return it: its canonical pairs ``best`` and sign ``sign``, from one
-    ``_canonical_raw`` search unless given.
+    """The interned class of the labeled graph of K_{n,m} on ``pairs``: its
+    canonical pairs ``best`` and sign ``sign``, from one ``_canonical_raw``
+    search unless given.  Nothing is stored for the labeled graph itself.
 
     One ``GraphClass`` is interned per (class, sign), both sharing one
     representative, built without re-checking admissibility
     (``DirectedGraph._trusted``) as ``best`` relabels an admissible graph.
-    At ``_CANON_CACHE_LIMIT`` labeled entries every table is cleared."""
+    With ``_CANON_CACHE_LIMIT`` classes held, interning one more first
+    clears every table."""
     global _TABLE_ENTRIES
     if best is None:
         best, sign, _ = _canonical_raw(n, m, pairs)
-    if _TABLE_ENTRIES >= _CANON_CACHE_LIMIT:
-        for tables in _TABLES.values():
-            for table in tables:
-                table.clear()
-        _TABLE_ENTRIES = 0
     tables = _TABLES[n, m]
-    side = sign or 1
+    side = sign < 0
     cls = tables[side].get(best)
     if cls is None:
-        twin = tables[-side].get(best)
+        if _TABLE_ENTRIES >= _CANON_CACHE_LIMIT:
+            for held in _TABLES.values():
+                for table in held:
+                    table.clear()
+            _TABLE_ENTRIES = 0
+        twin = tables[not side].get(best)
         rep = DirectedGraph._trusted(n, m, best) if twin is None else twin.rep
-        cls = tables[side][best] = GraphClass(rep, sign)
-    _TABLE_ENTRIES += pairs not in tables[0]
-    tables[0][cls.rep.out_edges if pairs == best else pairs] = cls
+        cls = tables[side][rep.out_edges] = GraphClass(rep, sign)
+        _TABLE_ENTRIES += 1
     return cls
 
 
 def _lookup(n: int, m: int, pairs: Pairs) -> GraphClass:
-    """Class of the admissible graph of K_{n,m} on ``pairs``, memoised."""
+    """Class of the admissible graph of K_{n,m} on ``pairs``.  Pairs that
+    are the canonical pairs of an interned class are that class's
+    representative, of sign +1 or 0, and are found in the ``+1``/``0``
+    table without a search; any other labeling costs one search."""
     return _TABLES[n, m][0].get(pairs) or _register(n, m, pairs)
 
 
@@ -388,10 +391,11 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     level-wise search in ``_canonical_raw``; it depends only on the orbit,
     so isomorphic graphs get the same representative, the same interned
     object while the cache holds it.  The sign is +1 or -1 by the parity of
-    L/R swaps that reach it, and 0 when both parities do.  Results are
-    memoised per labeled graph (``_lookup``), and ``enumerate_graphs``
-    records every class it yields, so a representative it returned is
-    found without a search.
+    L/R swaps that reach it, and 0 when both parities do.  The tables hold
+    classes only (``_lookup``): a representative of an interned class is
+    found without a search, and ``enumerate_graphs`` interns every class it
+    yields; any other labeled graph is searched each time it is seen, and
+    nothing is stored for it.
     """
     return _lookup(g.n, g.m, g.out_edges)
 
@@ -547,10 +551,10 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     passing the filter, plus the number of labeled graphs passing it (zero
     classes included).
 
-    Every class found, zero classes included, is registered with the
-    canonical-form tables (``_register``), and the nonzero ones are
-    returned as the interned ``GraphClass`` objects, so ``canonical_form``
-    on a returned representative makes no search."""
+    Every class found, zero classes included, is interned in the class
+    tables (``_register``), and the nonzero ones are returned as the
+    interned ``GraphClass`` objects, so ``canonical_form`` on a returned
+    representative makes no search."""
     _check_size(n, m, vertex_budget)
     if filter not in FILTERS:
         raise ValueError("unknown filter %r (expected one of %s)" % (filter, ", ".join(FILTERS)))
@@ -607,16 +611,17 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     ``pairs`` yields the out-edge tuples of the graphs, which the producers
     (grafting, slot splitting, Jacobiator expansion) build admissible from
     ``_PAIRS``, so no ``DirectedGraph`` is made for them.  Each is probed
-    once in the held table of K_{n,m} and its signed weight added into the
-    numerator of its class.  Callers scale their coefficients to ``int``
-    numerators over one common denominator and pass the accumulator of a
-    whole operation to ``GraphSum._from_numerators``, which keeps the
-    numerators, so the graph-level algebra makes no Fraction.  Numerators
-    that cancel stay in ``acc`` as 0.
+    once in the held ``+1``/``0`` table of K_{n,m}, which finds a canonical
+    labeling, and searched otherwise (``_register``); its signed weight is
+    added into the numerator of its class.  Callers scale their
+    coefficients to ``int`` numerators over one common denominator and pass
+    the accumulator of a whole operation to ``GraphSum._from_numerators``,
+    which keeps the numerators, so the graph-level algebra makes no
+    Fraction.  Numerators that cancel stay in ``acc`` as 0.
     """
-    labeled = _TABLES[n, m][0]
+    canonical = _TABLES[n, m][0]
     for out_edges in pairs:
-        cls = labeled.get(out_edges) or _register(n, m, out_edges)
+        cls = canonical.get(out_edges) or _register(n, m, out_edges)
         if cls.sign:
             rep = cls.rep
             acc[rep] = acc.get(rep, 0) + (weight if cls.sign > 0 else -weight)

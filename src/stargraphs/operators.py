@@ -13,16 +13,18 @@ zero without a search.  Relabeling the arguments of a graph only permutes
 the slots of its operator, so a graph is compiled once per orbit of
 argument relabelings (``_anchored``): the orbit's least class
 representative, its anchor, is compiled and cached on the Poisson
-structure, and each graph of the orbit is the anchor's operator with its
-slots permuted and the class sign applied.  The orbit of a class is looked
-up once (``_orbit``) and recorded for every class in it, so a graph of a
-known orbit costs one class lookup.  ``compile_sum`` and
-``CoboundaryColumns`` add the anchor's terms under the permuted slot keys,
-with the sign folded into the sum's ``int`` numerator, into one dict per
-key in ``int`` arithmetic, and divide by the sum's denominator once at the
-end; only ``apply_graph`` on a single graph builds and caches the permuted
-operator (``_compiled``).  ``compile_sum`` operators are cached under the
-sum.  ``Poly`` keeps integral coefficients as ``int``, so integral
+structure, and each class of the orbit is the anchor's operator with its
+slots permuted and the orbit sign applied.  The orbit of a class is looked
+up once (``_orbit``) and recorded for every class in it, so a class of a
+known orbit costs no lookup.  ``compile_sum`` and ``CoboundaryColumns``
+add the anchor's terms under the permuted slot keys, with the sign folded
+into the sum's ``int`` numerator, into one dict per key in ``int``
+arithmetic, and divide by the sum's denominator once at the end; no
+permuted operator is built.  ``compile_sum`` operators are cached under
+the sum.  Every entry point that takes a labeled graph (``apply_graph``,
+the oracles, ``CoboundaryColumns``) turns it into ``GraphSum.single`` once,
+which carries its class sign, so nothing is compiled or cached per labeled
+graph.  ``Poly`` keeps integral coefficients as ``int``, so integral
 cochains on an integral fixture evaluate on integral arguments without any
 ``Fraction`` arithmetic, and its packed exponent keys make every monomial
 product of compilation and evaluation one ``int`` addition.
@@ -329,58 +331,28 @@ def _orbit(rep: DirectedGraph) -> tuple:
     return _ORBITS[rep]
 
 
-def _anchored(g: DirectedGraph, p: PoissonStructure) -> tuple:
-    """(base, slots, sign) with ``g``'s operator equal to ``sign`` times the
-    operator ``base`` of the anchor of ``g``'s orbit of argument
-    relabelings, the least class representative in it, with slot t of each
-    key taken from slot ``slots[t]`` of ``base``'s key (``slots`` None: the
-    identity).  ``sign`` is 0 for a sign-0 class (its relabelings are sign 0
-    too), and ``base`` is then None.
+def _anchored(rep: DirectedGraph, p: PoissonStructure) -> tuple:
+    """(base, slots, sign) with the operator of ``rep``, the representative
+    of a nonzero class, equal to ``sign`` times the operator ``base`` of the
+    anchor of its orbit of argument relabelings, the least class
+    representative in it, with slot t of each key taken from slot
+    ``slots[t]`` of ``base``'s key (``slots`` None: the identity).
 
     Relabeling the arguments of a graph by a permutation s moves the
     derivatives of slot t to slot s(t) and changes nothing else, and a
     relabeled graph stays admissible.  So only the anchor is compiled, once
     per orbit and structure, and cached on the structure under the anchor.
-    A call costs one lookup of ``g``'s class (``graphs._lookup``); its
-    representative's record (``_orbit``) gives the relabeling ``perm`` that
-    takes it to the anchor's class, with its sign, and relabeling commutes
-    with the internal relabeling that relates ``g`` to its representative,
-    so ``g``'s operator is the anchor's with the slots of every key permuted
-    back, times both signs."""
-    cls = _lookup(g.n, g.m, g.out_edges)
-    if not cls.sign:
-        return None, None, 0
-    anchor, perm, sign = _orbit(cls.rep)
+    ``rep``'s record (``_orbit``) gives the relabeling ``perm`` that takes
+    it to the anchor's class, with its sign, so ``rep``'s operator is the
+    anchor's with the slots of every key permuted back, times that sign."""
+    anchor, perm, sign = _orbit(rep)
     cache = p._op_cache
     base = cache.get(anchor)
     if base is None:
         # through the module global, so that a wrapper sees every compile
         base = cache[anchor] = compile_graph(anchor, p)
-    slots = None if perm == tuple(range(1, g.m + 1)) else [s - 1 for s in perm]
-    return base, slots, sign * cls.sign
-
-
-def _compiled(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
-    """Operator of the labeled graph ``g``, cached on the Poisson structure
-    under ``g``; equal to ``compile_graph(g, p)``.  It is the orbit anchor's
-    operator with its slots permuted and the sign applied (``_anchored``),
-    the anchor's own object when both are trivial."""
-    cache = p._op_cache
-    op = cache.get(g)
-    if op is not None:
-        return op
-    base, slots, sign = _anchored(g, p)
-    if not sign:
-        op = PolyDiffOperator(p.d, g.m, {})
-    elif sign == 1 and slots is None:
-        op = base
-    else:
-        op = PolyDiffOperator(p.d, g.m, {
-            key if slots is None else tuple([key[s] for s in slots]):
-            poly if sign == 1 else -poly
-            for key, poly in base.terms.items()})
-    cache[g] = op
-    return op
+    slots = None if perm == tuple(range(1, rep.m + 1)) else [s - 1 for s in perm]
+    return base, slots, sign
 
 
 def _divided(terms: dict, denom: int) -> dict:
@@ -392,14 +364,13 @@ def _divided(terms: dict, denom: int) -> dict:
 
 
 def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
-    """acc[key] += coeff * (operator of g)[key] for every (g, coeff) in
-    terms, in place: the terms of the anchor of g's orbit (``_anchored``),
-    added under the permuted slot keys with the sign folded into the
-    numerator, so no permuted operator is built for g."""
-    for g, coeff in terms:
-        base, slots, sign = _anchored(g, p)
-        if not sign:
-            continue
+    """acc[key] += coeff * (operator of rep)[key] for every (rep, coeff) in
+    terms, class representatives with ``int`` numerators, in place: the
+    terms of the anchor of rep's orbit (``_anchored``), added under the
+    permuted slot keys with the sign folded into the numerator, so no
+    permuted operator is built."""
+    for rep, coeff in terms:
+        base, slots, sign = _anchored(rep, p)
         coeff *= sign
         for key, poly in base.terms.items():
             if slots is not None:
@@ -417,47 +388,28 @@ def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     op = cache.get(s)
     if op is not None:
         return op
-    denom, graph_terms = _graph_terms(s)
     acc: dict[tuple, dict] = {}
-    _add_graph_terms(acc, graph_terms, p)
-    total = PolyDiffOperator(p.d, s.arity, {op_key: _wrap(p.d, _divided(terms, denom))
+    _add_graph_terms(acc, s._nums.items(), p)
+    total = PolyDiffOperator(p.d, s.arity, {op_key: _wrap(p.d, _divided(terms, s._denom))
                                             for op_key, terms in acc.items()})
     cache[s] = total
     return total
 
 
-def _arity(s) -> int:
+def _as_sum(s) -> GraphSum:
+    """``s`` as a GraphSum: a labeled graph becomes ``GraphSum.single``,
+    which carries its class sign, once, at an entry point."""
     if isinstance(s, DirectedGraph):
-        return s.m
+        return GraphSum.single(s)
     if isinstance(s, GraphSum):
-        return s.arity
-    raise TypeError("expected GraphSum or DirectedGraph")
-
-
-def _graph_terms(s) -> tuple:
-    """(D, [(graph, numerator)]): a GraphSum's ``int`` numerators over its
-    denominator D, as stored, or a labeled graph (itself, not
-    canonicalized) with numerator and D 1.  So integral operators stay in
-    ``int`` arithmetic."""
-    if isinstance(s, DirectedGraph):
-        return 1, [(s, 1)]
-    return s._denom, s._nums.items()
-
-
-def _operator(s, p: PoissonStructure) -> PolyDiffOperator:
-    """The operator of a GraphSum (``compile_sum``), or of a single labeled
-    graph compiled as labeled, without canonicalization (``_compiled``)."""
-    if isinstance(s, DirectedGraph):
-        return _compiled(s, p)
-    if isinstance(s, GraphSum):
-        return compile_sum(s, p)
+        return s
     raise TypeError("expected GraphSum or DirectedGraph")
 
 
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
-    """Evaluate a GraphSum, or a single labeled graph (compiled as labeled,
-    without canonicalization), on concrete polynomial arguments."""
-    return _operator(s, p).apply(args)
+    """Evaluate a GraphSum, or a single labeled graph (as the sum of its
+    class with its sign), on concrete polynomial arguments."""
+    return compile_sum(_as_sum(s), p).apply(args)
 
 
 class CoboundaryColumns:
@@ -486,24 +438,24 @@ class CoboundaryColumns:
     __slots__ = ("p", "arity", "width", "denoms", "pending", "trie", "products")
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
-        arities = {_arity(s) for s in sums}
+        sums = [_as_sum(s) for s in sums]
+        arities = {s.arity for s in sums}
         if len(arities) != 1:
             raise DimensionError("coboundary columns need one common arity, got %s"
                                  % sorted(arities))
         self.p = p
         self.arity = m = arities.pop()
         self.width = len(sums)
-        # slot orders -> {column: [(graph, coefficient)]}, not yet compiled
+        # slot orders -> {column: [(representative, numerator)]}, not yet compiled
         self.pending: dict[tuple, dict] = {}
         # column -> the denominator its trie terms are scaled by, when not 1
         self.denoms: dict[int, int] = {}
         for col, s in enumerate(sums):
-            denom, terms = _graph_terms(s)
-            if denom != 1:
-                self.denoms[col] = denom
-            for g, coeff in terms:
-                orders = tuple(len(g.in_edges.get(t, ())) for t in range(1, m + 1))
-                self.pending.setdefault(orders, {}).setdefault(col, []).append((g, coeff))
+            if s._denom != 1:
+                self.denoms[col] = s._denom
+            for rep, coeff in s._nums.items():
+                orders = tuple(len(rep.in_edges.get(t, ())) for t in range(1, m + 1))
+                self.pending.setdefault(orders, {}).setdefault(col, []).append((rep, coeff))
         self.trie: dict = {}  # compiled terms, see ``_insert``
         # (id(f), id(g)) -> (f, g, f * g): the entry holds f and g, so no id
         # is reused while it lives
@@ -572,7 +524,7 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     values (``InnerValues``).  The k1 + 1 outer evaluations are one
     ``_accumulate`` pass over D1's trie on the signed argument tuples, so a
     key reached by several substitutions multiplies its coefficient once."""
-    m1, m2 = _arity(s1), _arity(s2)
+    m1, m2 = s1.arity, s2.arity
     k1, k2 = m1 - 1, m2 - 1
     if len(args) != m1 + m2 - 1:
         raise DimensionError("composition of arities (%d, %d) needs %d arguments, got %d"
@@ -582,13 +534,13 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     tuples = [(args[:j] + (inner(s2, p, args[j:j + m2]),) + args[j + m2:],
                {0: -1 if (j * k2) % 2 else 1})
               for j in range(k1 + 1)]
-    return _wrap(p.d, _exact(_accumulate(_trie(_operator(s1, p)), tuples).get(0, {})))
+    return _wrap(p.d, _exact(_accumulate(_trie(compile_sum(s1, p)), tuples).get(0, {})))
 
 
 def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1 by ``_compose`` with the
     inner-value step ``inner`` (D o D once when D1 == D2)."""
-    k1, k2 = _arity(s1) - 1, _arity(s2) - 1
+    k1, k2 = s1.arity - 1, s2.arity - 1
     left = _compose(s1, s2, p, args, inner)
     right = left if s1 == s2 else _compose(s2, s1, p, args, inner)
     return left - right if (k1 * k2) % 2 == 0 else left + right
@@ -618,10 +570,10 @@ class InnerValues:
 def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Insertion composition evaluated by slot substitution (``_compose``),
     each inner value by ``apply_graph``."""
-    return _compose(s1, s2, p, args, apply_graph)
+    return _compose(_as_sum(s1), _as_sum(s2), p, args, apply_graph)
 
 
 def oracle_gerstenhaber(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1, evaluated (D o D once when
     D1 == D2), each inner value by ``apply_graph``."""
-    return _bracket(s1, s2, p, args, apply_graph)
+    return _bracket(_as_sum(s1), _as_sum(s2), p, args, apply_graph)

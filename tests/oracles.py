@@ -10,8 +10,8 @@ library, each stated from first principles with plain loops.
 * wheel detection: ``brute_force_has_wheel``;
 * ``compile_graph``: ``brute_force_compile_graph``, over all |pairs|^n
   index assignments;
-* orbit reuse (``_compiled``) and integer sums (``compile_sum``):
-  ``reference_operator``;
+* orbit reuse and integer sums (``compile_sum``, and ``apply_graph`` on a
+  labeled graph through ``GraphSum.single``): ``reference_operator``;
 * the evaluation pass (``apply``): ``brute_force_apply``, by Poly products;
 * ``CoboundaryColumns``: ``brute_force_delta``, by ``brute_force_columns``;
   a three-argument operator: ``transcribed_tridiff``;
@@ -351,9 +351,11 @@ def brute_force_apply(op, args):
 def reference_operator(s, p):
     """Operator of a GraphSum, or of one labeled graph, as the Poly sum over
     its terms of the coefficient times ``compile_graph`` of the term's
-    graph: no orbit reuse, no integer sums and no cache, so it checks
-    ``_compiled`` and ``compile_sum``, while ``compile_graph`` is checked
-    against ``brute_force_compile_graph`` on the same graphs."""
+    graph (a labeled graph: its own ``compile_graph``, not canonicalized):
+    no orbit reuse, no integer sums and no cache, so it checks
+    ``compile_sum`` and the labeled entry points that go through
+    ``GraphSum.single``, while ``compile_graph`` is checked against
+    ``brute_force_compile_graph`` on the same graphs."""
     if isinstance(s, DirectedGraph):
         return compile_graph(s, p)
     terms = {}

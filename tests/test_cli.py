@@ -1,10 +1,17 @@
 import hashlib
+import itertools
 import json
 import shutil
 
 import pytest
 
 from stargraphs.cli import main
+from stargraphs.graphs import GraphSum
+from stargraphs.homology import graph_delta
+from stargraphs.operators import apply_graph
+from stargraphs.poisson import preset_from_string
+from stargraphs.poly import monomials_up_to_degree
+from stargraphs.solver import StarSeries, mc_defect
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -125,6 +132,28 @@ def test_verify_assoc_kontsevich_k2(tmp_path):
     assert data["operator_identically_zero"] is True
     assert data["nonzero_defects"] == 0
     assert data["triples_checked"] == 5 ** 3
+
+
+def test_verify_assoc_counts_the_defects_of_a_wrong_weight(tmp_path):
+    # the Kontsevich series with the order-2 weight 1/2 of the first graph
+    # replaced by 1/4, so the order-2 residual is a nonzero operator
+    order2 = ["1/4\t2 2 ; 3: 1 2 / 4: 1 2", "1/3\t2 2 ; 3: 1 4 / 4: 1 2",
+              "1/3\t2 2 ; 3: 1 2 / 4: 3 2", "-1/6\t2 2 ; 3: 1 4 / 4: 3 2"]
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"1": ["1\t1 2 ; 3: 1 2"], "2": order2}))
+    code, data = run_cli(["verify-assoc", "--series", str(path), "--order", "2",
+                          "--preset", "so3", "--degree", "2"], tmp_path)
+    assert code == 2
+    assert data["operator_identically_zero"] is False
+    series = StarSeries({1: GraphSum.from_lines(["1\t1 2 ; 3: 1 2"]),
+                         2: GraphSum.from_lines(order2)})
+    residual = graph_delta(series.order(2)) + mc_defect(series, 2)
+    p = preset_from_string("so3")
+    monos = monomials_up_to_degree(3, 2)
+    defects = sum(not apply_graph(residual, p, triple).is_zero
+                  for triple in itertools.product(monos, repeat=3))
+    assert data["triples_checked"] == len(monos) ** 3 == 729
+    assert data["nonzero_defects"] == defects > 0
 
 
 def test_solve_mc_small(tmp_path):

@@ -17,7 +17,7 @@ from oracles import (FractionDictSum, brute_force_automorphisms, brute_force_can
                      brute_force_has_wheel, brute_force_labeled_graphs, brute_force_prefix_key,
                      labelled_graph_gerstenhaber, scan_enumerate_graphs, scan_zero_classes,
                      unpruned_restricted_growth)
-from stargraphs import graphs, operators
+from stargraphs import graphs, homology, operators
 from stargraphs.errors import BudgetExceededError, GraphError
 from stargraphs.graphs import (FILTERS, DirectedGraph, EnumerationResult, GraphClass, GraphSum,
                                _canonical_raw, _classes, _passes_filter, _restricted_growth,
@@ -133,16 +133,15 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(graphs, "_TABLE_ENTRIES", 0)
 
 
-def labeled_entries():
-    """{(n, m, out-edge tuple): GraphClass} over every labeled table."""
-    return {(n, m, pairs): cls for (n, m), (labeled, _, _) in graphs._TABLES.items()
-            for pairs, cls in labeled.items()}
+def table_entries():
+    """[(n, m, table key, GraphClass)] over both tables of every size."""
+    return [(n, m, pairs, cls) for (n, m), tables in graphs._TABLES.items()
+            for table in tables for pairs, cls in table.items()]
 
 
 def interned_classes():
     """Every interned GraphClass, of both signs."""
-    return [cls for _, plus, minus in graphs._TABLES.values()
-            for table in (plus, minus) for cls in table.values()]
+    return [cls for _, _, _, cls in table_entries()]
 
 
 def representatives():
@@ -167,12 +166,15 @@ def test_isomorphic_graphs_share_one_representative(fresh_tables):
 def test_cache_limit_clears_the_interned_representatives(fresh_tables, monkeypatch):
     monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", 2)
     first = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
-    assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")).rep is first.rep
-    assert len(labeled_entries()) == graphs._TABLE_ENTRIES == 2
-    other = canonical_form(parse_graph("1 2 ; 3: 2 1"))  # a miss at the limit
-    assert (labeled_entries(), representatives()) == (
-        {(1, 2, ((2, 1),)): other}, {other.rep.key: other.rep})
-    assert interned_classes() == [other]
+    assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")) is first
+    flipped = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 1 2"))
+    assert flipped.rep is first.rep and (first.sign, flipped.sign) == (-1, 1)
+    # the limit counts classes: the two signs of one class, no labeling
+    assert len(interned_classes()) == graphs._TABLE_ENTRIES == 2
+    other = canonical_form(parse_graph("1 2 ; 3: 2 1"))  # a new class at the limit
+    assert (table_entries(), representatives()) == (
+        [(1, 2, ((1, 2),), other)], {other.rep.key: other.rep})
+    assert graphs._TABLE_ENTRIES == 1
     again = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
     assert again == first and again.rep is not first.rep
 
@@ -191,6 +193,26 @@ def searches(monkeypatch):
     return calls
 
 
+def test_a_non_canonical_labeling_leaves_no_table_entry(fresh_tables, searches):
+    g = parse_graph("2 2 ; 3: 1 4 / 4: 2 1")
+    first = canonical_form(g)
+    assert canonical_form(g) is first and first.sign == -1
+    # searched on each sighting; only the class is kept, under its pairs
+    assert len(searches) == 2
+    assert table_entries() == [(2, 2, first.rep.out_edges, first)]
+    assert graphs._TABLE_ENTRIES == 1
+    # a producer's tuple of the same labeling: one more search, no entry
+    acc = graphs.add_labeled_graphs({}, 2, 2, [g.out_edges], 1)
+    assert acc == {first.rep: -1} and len(searches) == 3
+    assert table_entries() == [(2, 2, first.rep.out_edges, first)]
+    # the representative's own labeling is searched until its sign +1
+    # class is interned, and found without a search from then on
+    plus = canonical_form(first.rep)
+    assert len(searches) == 4 and plus.rep is first.rep and plus.sign == 1
+    assert canonical_form(first.rep) is plus and len(searches) == 4
+    assert graphs._TABLE_ENTRIES == len(table_entries()) == 2
+
+
 def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
     zeros = zero_classes(4, 2)
     assert zeros
@@ -203,11 +225,15 @@ def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
         assert canonical_form(rep).sign == 0
         assert GraphSum.single(rep).is_zero
     assert searches == []
-    # the tables hold exactly the enumerated classes, zero classes included
-    assert len(labeled_entries()) == len(representatives()) == len(result.classes) + len(zeros)
+    # the tables hold exactly the enumerated classes, zero classes included,
+    # each in the +1/0 table under its own pairs
+    classes = len(result.classes) + len(zeros)
+    assert len(interned_classes()) == len(representatives()) == classes
+    assert len(graphs._TABLES[4, 2][0]) == classes and not graphs._TABLES[4, 2][1]
+    assert all(pairs is cls.rep.out_edges for _, _, pairs, cls in table_entries())
     assert enumerate_graphs(4, 2) == scan_enumerate_graphs(4, 2)
-    # registering the classes again adds no entry and counts none
-    assert graphs._TABLE_ENTRIES == len(labeled_entries()) == len(representatives())
+    # interning the classes again adds no entry and counts none
+    assert graphs._TABLE_ENTRIES == len(interned_classes()) == classes
 
 
 def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
@@ -215,10 +241,9 @@ def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
     result = enumerate_graphs(3, 2)
     assert len(result.classes) > 10
     assert result == scan_enumerate_graphs(3, 2)
-    # cleared together: the tables hold the same last few classes
-    interned = set(labeled_entries().values())
-    assert 1 <= len(interned) <= 5
-    assert set(interned_classes()) == interned
+    # cleared together: both tables hold the same last few classes
+    interned = interned_classes()
+    assert 1 <= len(interned) == graphs._TABLE_ENTRIES <= 5
     assert set(representatives().values()) == {cls.rep for cls in interned}
     assert set(result.classes[-len(interned):]) >= {c for c in interned if c.sign}
 
@@ -236,43 +261,51 @@ def test_held_table_stays_valid_when_the_limit_clears_mid_loop(fresh_tables, mon
     limit = 5
     monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", limit)
     a, b, _ = jacobi_inputs()
-    held = graphs._TABLES[4, 3][0]  # the table the bracket's producer calls use
+    held = graphs._TABLES[4, 3][0]  # the table the bracket's producer calls probe
     register = graphs._register
     sizes = []
 
     def checking(*args):
         cls = register(*args)
-        sizes.append(len(labeled_entries()))
+        sizes.append(len(interned_classes()))
         assert graphs._TABLE_ENTRIES == sizes[-1] <= limit and len(held) <= limit
         return cls
 
     monkeypatch.setattr(graphs, "_register", checking)
     result = graph_gerstenhaber(a, b)
-    # a single graft call yields more graphs than the limit, so the tables
+    # a single graft call yields more classes than the limit, so the tables
     # were cleared inside the loop, in place
     assert sizes.count(1) > 3 and graphs._TABLES[4, 3][0] is held
     assert result == labelled_graph_gerstenhaber(a, b) and not result.is_zero
 
 
-def test_labeled_entries_retain_few_bytes(fresh_tables):
+def test_interned_classes_retain_few_bytes_per_graft(fresh_tables, monkeypatch):
     a, b, c = jacobi_inputs()
     ab = graph_gerstenhaber(a, b)
+    grafts = [0]
+    graft = homology.graft_terms
+
+    def counting(*args):
+        for pairs in graft(*args):
+            grafts[0] += 1
+            yield pairs
+
+    monkeypatch.setattr(homology, "graft_terms", counting)
     gc.collect()
     tracemalloc.start()
     try:
-        before, entries = tracemalloc.get_traced_memory()[0], graphs._TABLE_ENTRIES
+        before, classes = tracemalloc.get_traced_memory()[0], graphs._TABLE_ENTRIES
         graph_gerstenhaber(ab, c)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    added = graphs._TABLE_ENTRIES - entries
-    assert added > 2000
-    # an out-edge tuple of shared pairs and its dict slot, plus the classes
-    # (slotted) and representatives the new entries reach: about 382 bytes
-    # per entry on Python 3.11, and a stored (n, m, out_edges) tuple per
-    # representative would add about 64
-    assert retained / added <= 420
+    assert grafts[0] > 2000 and graphs._TABLE_ENTRIES - classes > 2000
+    # the new classes (slotted), their representatives with one tuple of
+    # shared pairs each, and their table slots, and nothing per labeled
+    # graft: about 270 bytes per graft on Python 3.10 and 3.11, where a
+    # table entry per labeled graft made it about 382
+    assert retained / grafts[0] <= 340
 
 
 def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch):
@@ -285,14 +318,13 @@ def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch)
     operators._orbit(canonical_form(parse_graph("3 3 ; 4: 1 2 / 5: 3 6 / 6: 1 4")).rep)
     enumerate_graphs(2, 3)
     a.permute_args((2, 1))  # a labeling of a's class that no producer made
-    sizes = {(n, m) for n, m, _ in labeled_entries()}
+    sizes = {(n, m) for n, m, _, _ in table_entries()}
     assert sizes == {(2, 2), (4, 3), (6, 4), (4, 4), (3, 2), (3, 3), (2, 3)}
-    stored = [pairs for _, _, pairs in labeled_entries()] + [
+    stored = [pairs for _, _, pairs, _ in table_entries()] + [
         rep.out_edges for rep in representatives().values()]
     assert all(graphs._PAIRS.get(pair) is pair for pairs in stored for pair in pairs)
-    # a representative's own labeling is stored as the representative's tuple
-    assert all(pairs is cls.rep.out_edges for (_, _, pairs), cls in labeled_entries().items()
-               if pairs == cls.rep.out_edges)
+    # every table key is its class's representative's own tuple
+    assert all(pairs is cls.rep.out_edges for _, _, pairs, cls in table_entries())
     # a parsed graph holds the shared pairs too
     pair, = parse_graph("1 2 ; 3: 2 1").out_edges
     assert pair is graphs._PAIRS[2, 1]

@@ -8,7 +8,7 @@ import pytest
 from oracles import (brute_force_apply, brute_force_columns, brute_force_compile_graph,
                      reference_operator, transcribed_tridiff)
 from stargraphs.errors import DimensionError
-from stargraphs import operators
+from stargraphs import graphs as graphs_module, operators
 from stargraphs.graphs import (DirectedGraph, GraphSum, canonical_form, enumerate_graphs,
                                parse_graph, zero_classes)
 from stargraphs.operators import (CoboundaryColumns, PolyDiffOperator, apply_graph,
@@ -577,7 +577,8 @@ def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_ke
     assert row == reference(high)
     assert not row[1].is_zero
     assert sorted(compiled_keys(p)) == sorted(fed | {orbit_anchor(c)})
-    # a labeled graph is compiled as labeled: flipping a pair flips the sign
+    # a labeled graph enters as its class with its sign: flipping a pair
+    # flips the sign
     rep_value = CoboundaryColumns([by_degrees[(1, 2)][0]], p).values(low)[0]
     assert delta.values(low)[2] == -rep_value
 
@@ -703,15 +704,16 @@ def small_reps():
 
 @pytest.mark.parametrize("spec", ORBIT_FIXTURES)
 def test_compiled_matches_compile_graph_on_small_classes(spec, compiled_keys):
-    # a fresh structure per spec, so that anchors and the graphs built from
-    # them by slot permutation both occur; the reference compiles every
-    # labeled graph itself on a structure of its own
+    # a fresh structure per spec, so that anchors and the classes whose
+    # terms are read from them by slot permutation both occur; the reference
+    # compiles every labeled graph itself on a structure of its own
     p, reference = preset_from_string(spec), preset_from_string(spec)
     reps = small_reps()
     count = 0
     for rep in reps:
         for g in labeled_variants(rep):
-            assert_same_operator(operators._compiled(g, p), compile_graph(g, reference))
+            assert_same_operator(compile_sum(GraphSum.single(g), p),
+                                 compile_graph(g, reference))
             count += 1
     assert count > 1000
     # exactly one compile per argument-relabeling orbit
@@ -762,7 +764,7 @@ def test_sign_zero_classes_compile_to_zero_without_a_search(spec, compiled_keys)
               for g in labeled_variants(rep)]
     assert len(graphs) > 50
     for g in graphs:
-        assert operators._compiled(g, p).is_zero
+        assert compile_sum(GraphSum.single(g), p).is_zero
         assert brute_force_compile_graph(g, reference).is_zero
     assert compiled_keys(p) == []
 
@@ -777,15 +779,17 @@ def residual_graphs():
 
 @pytest.mark.parametrize("spec", ["so3", CUBIC])
 def test_compiled_records_each_orbit_once(spec, monkeypatch):
-    # a fresh orbit table and a count of the class lookups ``_compiled`` makes
+    # a fresh orbit table and a count of the class lookups made by
+    # ``GraphSum.single`` (through ``canonical_form``) and ``compile_sum``
     monkeypatch.setattr(operators, "_ORBITS", {})
     lookups = []
-    lookup = operators._lookup
+    lookup = graphs_module._lookup
 
     def counting(*key):
         lookups.append(key)
         return lookup(*key)
 
+    monkeypatch.setattr(graphs_module, "_lookup", counting)
     monkeypatch.setattr(operators, "_lookup", counting)
     p, reference = preset_from_string(spec), preset_from_string(spec)
     reps = residual_graphs()
@@ -793,18 +797,20 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
     graphs = {relabel_args(g, perm).key: relabel_args(g, perm)
               for g in reps for perm in itertools.permutations((1, 2, 3))}
     orbits = {orbit_anchor(g) for g in reps}
-    lookups.clear()
+    costs = []
     nonzero = 0
     for g in graphs.values():
-        before = len(lookups)
         known = canonical_form(g).rep in operators._ORBITS
-        op = operators._compiled(g, p)
-        # a graph of a known orbit costs one lookup, a new orbit 1 + 3! more
-        assert len(lookups) - before == (1 if known else 7)
+        before = len(lookups)
+        op = compile_sum(GraphSum.single(g), p)
+        costs.append(len(lookups) - before)
+        # a graph of a known orbit costs one lookup, its class's; a new
+        # orbit 1 + 3!
+        assert costs[-1] == (1 if known else 7)
         assert_same_operator(op, compile_graph(g, reference))
         nonzero += not op.is_zero
     assert nonzero > 20
-    assert len(lookups) == len(graphs) + 6 * len(orbits)
+    assert sum(costs) == len(graphs) + 6 * len(orbits)
 
 
 def orbit_sums():
