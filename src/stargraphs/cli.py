@@ -158,11 +158,18 @@ def _load_series(spec: str) -> StarSeries:
         return kontsevich_k2()
     with open(spec) as handle:
         data = json.load(handle)
+    if not (isinstance(data, dict) and all(
+            isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+            for lines in data.values())):
+        raise GraphError("a series file is a JSON object of order -> list of "
+                         "graph-sum lines")
     return StarSeries({int(k): GraphSum.from_lines(lines)
                        for k, lines in data.items()})
 
 
 def cmd_verify_assoc(args) -> int:
+    if args.degree < 1:
+        raise ValueError("--degree must be >= 1, got %d" % args.degree)
     series = _load_series(args.series)
     p = preset_from_string(args.preset)
     residual = graph_delta(series.order(args.order)) + mc_defect(series, args.order)

@@ -648,9 +648,8 @@ class GraphSum:
     denominator and all numerators is 1, and the empty sum has denominator
     1.  The form is unique, so equal sums compare and hash equal.  The
     graph-level algebra reads and builds the numerators directly;
-    ``terms``, ``coefficient_of``, ``cache_key`` and the text give each
-    coefficient as a ``Fraction``.  A float coefficient raises
-    ``TypeError``.
+    ``terms``, ``coefficient_of`` and the text give each coefficient as a
+    ``Fraction``.  A float coefficient raises ``TypeError``.
     """
 
     __slots__ = ("arity", "_nums", "_denom", "_hash")
@@ -760,10 +759,6 @@ class GraphSum:
     def __eq__(self, other):
         return (isinstance(other, GraphSum) and self.arity == other.arity
                 and self._denom == other._denom and self._nums == other._nums)
-
-    def cache_key(self):
-        """(arity, (encoding key, coefficient) sorted by key)."""
-        return (self.arity,) + tuple((cls.rep.key, coeff) for cls, coeff in self.terms())
 
     def __hash__(self):
         """Hash of the normal form, computed once."""

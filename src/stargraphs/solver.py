@@ -180,62 +180,32 @@ def _assemble(columns: list, rhs: GraphSum | None = None):
     return rows, b
 
 
-def _images(basis: list) -> list:
-    return [graph_delta(GraphSum.single(cls.rep)) for cls in basis]
-
-
-def _solve_count_block(n: int, defect_n: GraphSum, wheel_free: bool,
-                       nonzero_cap: int):
-    """Assemble and solve  delta(c) + defect_n = sum lambda_i L_i  over the
-    classes with n internal vertices.  Returns a dict describing the block."""
-    basis = _wheel_basis(n, wheel_free)
-    generators = leibniz_generators(n, 3) if n >= 2 else []
-    columns = _images(basis) + [gen.expansion for gen in generators]
-    rows, b = _assemble(columns, defect_n.scale(-1))
-    ech = echelon(rows, b, len(columns), "markowitz", nonzero_budget=nonzero_cap)
-    return {
-        "count": n,
-        "basis": basis,
-        "generators": generators,
-        "shape": (len(rows), len(columns)),
-        "rank": ech.rank,
-        "feasible": not ech.inconsistent,
-        "particular": ech.particular_solution(),
-        "nullspace": ech.nullspace() if not ech.inconsistent else [],
-    }
-
-
-def _block_solution(block) -> GraphSum:
-    basis = block["basis"]
-    particular = block["particular"] or {}
-    return GraphSum(2, [(basis[col].rep, value)
-                       for col, value in particular.items() if col < len(basis)])
-
-
-def _block_leibniz_sum(block) -> GraphSum:
-    """sum_i lambda_i L_i over the Leibniz multipliers of the block's
-    particular solution."""
-    offset = len(block["basis"])
-    generators = block["generators"]
-    particular = block["particular"] or {}
-    return GraphSum(3, [(cls, coeff * value)
-                        for col, value in particular.items() if col >= offset
-                        for cls, coeff in generators[col - offset].expansion.terms()])
+def _block_system(n: int, basis, leibniz: bool, rhs: GraphSum | None = None,
+                  strategy: str = "markowitz",
+                  nonzero_cap: int | None = DEFAULT_MATRIX_NONZERO_CAP):
+    """The count-n system whose columns are delta(B_j) for the classes B_j of
+    ``basis``, then, when ``leibniz`` and n >= 2, the expansions of the
+    Leibniz generators with n internal vertices; right-hand side ``rhs``
+    (zero when None), eliminated with ``strategy`` under the nonzero budget
+    ``nonzero_cap`` (None: unbounded).  Returns (generators, row count,
+    Echelon)."""
+    generators = leibniz_generators(n, 3) if (leibniz and n >= 2) else []
+    columns = ([graph_delta(GraphSum.single(cls.rep)) for cls in basis]
+               + [gen.expansion for gen in generators])
+    rows, b = _assemble(columns, rhs)
+    return generators, len(rows), echelon(rows, b, len(columns), strategy,
+                                          nonzero_budget=nonzero_cap)
 
 
 def verify_order(series: StarSeries, k: int, strategy: str = "ordered") -> bool:
     """Independent re-check: delta(c_k) + defect lies in the Leibniz span,
     established by a fresh elimination with the given pivot strategy."""
     residual = graph_delta(series.order(k)) + mc_defect(series, k)
-    if residual.is_zero:
-        return True
     for n in residual.internal_counts():
-        part = residual.restrict_count(n)
-        if n < 2:
-            return False
-        columns = [gen.expansion for gen in leibniz_generators(n, 3)]
-        rows, b = _assemble(columns, part)
-        if echelon(rows, b, len(columns), strategy).inconsistent:
+        # unbounded: the re-check has no matrix cap of its own
+        _, _, ech = _block_system(n, (), True, residual.restrict_count(n),
+                                  strategy, None)
+        if ech.inconsistent:
             return False
     return True
 
@@ -260,51 +230,47 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
         raise GraphError("missing normalization: order 1 must be the Poisson class")
 
     defect = mc_defect(series, k)
-    blocks = []
-    feasible = True
+    blocks, summaries = [], []  # (basis, generators, Echelon) and its summary per count
     for n in range(1, k + 1):
-        block = _solve_count_block(n, defect.restrict_count(n), wheel_free,
-                                   nonzero_cap)
-        blocks.append(block)
-        if not block["feasible"]:
-            feasible = False
-    stray = [n for n in defect.internal_counts() if n > k]
-    if stray:
-        # counts above k have no unknowns and no relaxation at this order
-        feasible = False
-
-    basis_size = sum(len(b["basis"]) for b in blocks)
-    shape = (sum(b["shape"][0] for b in blocks), sum(b["shape"][1] for b in blocks))
-    block_summaries = [{
-        "count": b["count"],
-        "basis_size": len(b["basis"]),
-        "generator_count": len(b["generators"]),
-        "shape": list(b["shape"]),
-        "rank": b["rank"],
-        "feasible": b["feasible"],
-    } for b in blocks]
+        basis = _wheel_basis(n, wheel_free)
+        generators, row_count, ech = _block_system(
+            n, basis, True, defect.restrict_count(n).scale(-1), nonzero_cap=nonzero_cap)
+        blocks.append((basis, generators, ech))
+        summaries.append({"count": n, "basis_size": len(basis),
+                          "generator_count": len(generators),
+                          "shape": [row_count, len(basis) + len(generators)],
+                          "rank": ech.rank, "feasible": not ech.inconsistent})
+    # counts above k have no unknowns and no relaxation at this order
+    feasible = (all(s["feasible"] for s in summaries)
+                and all(n <= k for n in defect.internal_counts()))
+    basis_size = sum(s["basis_size"] for s in summaries)
+    shape = (sum(s["shape"][0] for s in summaries), sum(s["shape"][1] for s in summaries))
 
     if feasible:
-        solution = GraphSum.zero(2)
-        residual = defect
-        affine = 0
-        for b in blocks:
-            solution = solution + _block_solution(b)
-            residual = residual + _block_leibniz_sum(b)
-            affine += projected_span(b["nullspace"], len(b["basis"])).rank
+        # c_k and sum_i lambda_i L_i from each block's particular solution
+        solution_terms, leibniz_terms, affine = [], [], 0
+        for basis, generators, ech in blocks:
+            for col, value in ech.particular_solution().items():
+                if col < len(basis):
+                    solution_terms.append((basis[col].rep, value))
+                else:
+                    expansion = generators[col - len(basis)].expansion
+                    leibniz_terms.extend((cls, c * value) for cls, c in expansion.terms())
+            affine += projected_span(ech.nullspace(), len(basis)).rank
+        solution = GraphSum(2, solution_terms)
         # the witness: the generator columns enter the system unnegated, so
         # delta(c_k) + defect + sum_i lambda_i L_i must vanish as a GraphSum
-        if not (graph_delta(solution) + residual).is_zero:
+        if not (graph_delta(solution) + defect + GraphSum(3, leibniz_terms)).is_zero:
             raise AssertionError("solution failed the witness check at order %d: "
                                  "delta(c_k) + defect + sum lambda_i L_i != 0" % k)
         return MCReport(order=k, status="solved", basis_size=basis_size,
                         matrix_shape=shape, affine_dim=affine,
-                        solution=solution, blocks=block_summaries)
+                        solution=solution, blocks=summaries)
 
     # graph-level obstruction: ground it with the evaluation route
     report = eval_obstruction(series, k, fixtures=None, seed=seed,
                               wheel_free=wheel_free)
-    report.blocks = block_summaries
+    report.blocks = summaries
     if report.certificate is not None:
         report.certificate["graph_level"] = {
             "kind": "leibniz_gap",
@@ -524,18 +490,14 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
 # kernels and series utilities
 
 
-def cocycle_kernel(n: int, wheel_free: bool = True, modulo_leibniz: bool = False,
-                   nonzero_cap: int = DEFAULT_MATRIX_NONZERO_CAP) -> list:
+def cocycle_kernel(n: int, wheel_free: bool = True, modulo_leibniz: bool = False) -> list:
     """Exact nullspace basis of the graph differential on the chosen span of
     arity-2 classes with n internal vertices, optionally modulo the Leibniz
     span; returned as GraphSums."""
     if n < 1:
         raise GraphError("need n >= 1, got %d" % n)
     basis = _wheel_basis(n, wheel_free)
-    generators = leibniz_generators(n, 3) if (modulo_leibniz and n >= 2) else []
-    columns = _images(basis) + [gen.expansion for gen in generators]
-    rows, _ = _assemble(columns)
-    ech = echelon(rows, None, len(columns), "markowitz", nonzero_budget=nonzero_cap)
+    _, _, ech = _block_system(n, basis, modulo_leibniz)
     span = projected_span(ech.nullspace(), len(basis))
     return [GraphSum(2, [(basis[col].rep, coeff) for col, coeff in row.items()])
             for row in span.rows]
@@ -582,6 +544,8 @@ def solve_up_to(max_order: int, wheel_free: bool = True, seed: int = 0,
     """Build a series order by order; returns (series, [MCReport]).  Solving
     stops after the first order whose status is not ``solved`` (obstructed
     or inconclusive); that order's report is the last one."""
+    if max_order < 1:
+        raise GraphError("max order must be >= 1, got %d" % max_order)
     series = StarSeries({})
     reports = []
     for k in range(1, max_order + 1):

@@ -21,7 +21,7 @@ library, each stated from first principles with plain loops.
 * Leibniz generators (sorted pairs, skipped twin skeletons):
   ``product_order_leibniz_generators``;
 * ``GraphSum`` arithmetic (``+``, ``-``, ``scale``, ``restrict_count``,
-  ``coefficient_of``, ``cache_key``): ``FractionDictSum``, a plain dict of
+  ``coefficient_of``, ``terms``): ``FractionDictSum``, a plain dict of
   Fractions updated with loops;
 * ``Poly`` arithmetic on packed exponents (``+``, ``-``, ``*``, ``scale``,
   ``derive``, ``derive_multi``): ``TupleDictPoly``, a plain dict from
@@ -714,9 +714,10 @@ class FractionDictSum:
         cls = canonical_form(g)
         return self.coeffs.get(cls.rep.key, Fraction(0)) * cls.sign
 
-    def cache_key(self):
-        """(arity, (encoding key, coefficient) sorted by key)."""
-        return (self.arity,) + tuple(sorted(self.coeffs.items()))
+    def terms(self):
+        """(encoding key, coefficient) sorted by key: ``GraphSum.terms`` with
+        each class read by its representative's key."""
+        return sorted(self.coeffs.items())
 
 
 # -- Poly arithmetic on a dict of exponent tuples ---------------------------------

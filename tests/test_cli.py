@@ -134,13 +134,23 @@ def test_verify_assoc_kontsevich_k2(tmp_path):
     assert data["triples_checked"] == 5 ** 3
 
 
-def test_verify_assoc_counts_the_defects_of_a_wrong_weight(tmp_path):
-    # the Kontsevich series with the order-2 weight 1/2 of the first graph
-    # replaced by 1/4, so the order-2 residual is a nonzero operator
-    order2 = ["1/4\t2 2 ; 3: 1 2 / 4: 1 2", "1/3\t2 2 ; 3: 1 4 / 4: 1 2",
-              "1/3\t2 2 ; 3: 1 2 / 4: 3 2", "-1/6\t2 2 ; 3: 1 4 / 4: 3 2"]
+KONTSEVICH_ORDER2 = ["1/2\t2 2 ; 3: 1 2 / 4: 1 2", "1/3\t2 2 ; 3: 1 4 / 4: 1 2",
+                     "1/3\t2 2 ; 3: 1 2 / 4: 3 2", "-1/6\t2 2 ; 3: 1 4 / 4: 3 2"]
+
+
+def _series_with_weight(tmp_path, index, weight):
+    """A series file: the Kontsevich series with the order-2 weight of graph
+    ``index`` replaced by ``weight``, so the order-2 residual is a nonzero
+    operator; returns (path, order-2 lines)."""
+    order2 = list(KONTSEVICH_ORDER2)
+    order2[index] = weight + order2[index][order2[index].index("\t"):]
     path = tmp_path / "series.json"
     path.write_text(json.dumps({"1": ["1\t1 2 ; 3: 1 2"], "2": order2}))
+    return path, order2
+
+
+def test_verify_assoc_counts_the_defects_of_a_wrong_weight(tmp_path):
+    path, order2 = _series_with_weight(tmp_path, 0, "1/4")
     code, data = run_cli(["verify-assoc", "--series", str(path), "--order", "2",
                           "--preset", "so3", "--degree", "2"], tmp_path)
     assert code == 2
@@ -154,6 +164,43 @@ def test_verify_assoc_counts_the_defects_of_a_wrong_weight(tmp_path):
                   for triple in itertools.product(monos, repeat=3))
     assert data["triples_checked"] == len(monos) ** 3 == 729
     assert data["nonzero_defects"] == defects > 0
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_verify_assoc_rejects_a_degree_below_one(tmp_path, capsys, degree):
+    # the first weight only reaches second derivatives of f and g, the second
+    # one also reaches the product f g, which is not linear at degree 1
+    path, _ = _series_with_weight(tmp_path, 1, "1/4")
+    args = ["verify-assoc", "--series", str(path), "--order", "2", "--preset", "so3"]
+    # degree 1 already sees the defects, so an empty check must not read as a pass
+    code, data = run_cli(args + ["--degree", "1"], tmp_path, "one.json")
+    assert code == 2 and data["nonzero_defects"] > 0
+    capsys.readouterr()
+    code, data = run_cli(args + ["--degree", degree], tmp_path)
+    assert (code, data) == (1, None)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "--degree must be >= 1" in error["message"]
+
+
+@pytest.mark.parametrize("content", [
+    [["1\t1 2 ; 3: 1 2"]], {"1": "1\t1 2 ; 3: 1 2"}, {"1": [1]}, "1\t1 2 ; 3: 1 2",
+], ids=["list", "string-order", "number-line", "string"])
+def test_verify_assoc_rejects_a_series_file_of_the_wrong_shape(tmp_path, capsys, content):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(content))
+    code, data = run_cli(["verify-assoc", "--series", str(path), "--order", "1",
+                          "--preset", "so3", "--degree", "1"], tmp_path)
+    assert (code, data) == (1, None)
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "GraphError"
+
+
+@pytest.mark.parametrize("max_order", ["0", "-2"])
+def test_solve_mc_rejects_a_max_order_below_one(tmp_path, capsys, max_order):
+    code, data = run_cli(["solve-mc", "--max-order", max_order], tmp_path)
+    assert (code, data) == (1, None)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "GraphError"
+    assert "max order must be >= 1" in error["message"]
 
 
 def test_solve_mc_small(tmp_path):

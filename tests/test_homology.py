@@ -318,17 +318,16 @@ def test_merged_sums_equal_constructed_sums():
                                      for s, w in ((a, 1), (b, weight), (c, -1))
                                      for cls, coeff in s.terms()])
             assert merged == built
-            assert merged.cache_key() == built.cache_key()
+            assert merged.terms() == built.terms()
             assert hash(merged) == hash(built)
             assert merged.to_lines() == built.to_lines()
             for n in merged.internal_counts():
                 part = merged.restrict_count(n)
-                assert part.cache_key() == GraphSum(arity, [
-                    (cls, coeff) for cls, coeff in built.terms() if cls.rep.n == n]).cache_key()
+                assert part == GraphSum(arity, [
+                    (cls, coeff) for cls, coeff in built.terms() if cls.rep.n == n])
             assert (a + a.scale(-1)).is_zero
             assert a - a == GraphSum.zero(arity)
             assert a.scale(0) == GraphSum.zero(arity)
-            assert a.scale(0).cache_key() == (arity,)
             assert a + GraphSum.zero(arity) == a
 
 

@@ -850,7 +850,7 @@ def test_compile_sum_builds_no_operator_per_labeled_graph(spec, compiled_keys):
     graphs = {key for key in p._op_cache if isinstance(key, DirectedGraph)}
     assert {g.key for g in graphs} == anchors
     assert sorted(compiled_keys(p)) == sorted(anchors)
-    assert len(p._op_cache) == len(anchors) + len({s.cache_key() for s in sums})
+    assert len(p._op_cache) == len(anchors) + len(set(sums))
 
 
 def is_normal(c):

@@ -17,9 +17,8 @@ from stargraphs.operators import (CoboundaryColumns, InnerValues, apply_graph, c
                                   oracle_compose, oracle_delta, oracle_gerstenhaber)
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
-from stargraphs.solver import (DEFAULT_MATRIX_NONZERO_CAP, StarSeries, _bracket_pairs,
-                               _bracket_rhs,
-                               _solve_count_block, antisymmetric_part,
+from stargraphs.solver import (StarSeries, _block_system, _bracket_pairs, _bracket_rhs,
+                               _wheel_basis, antisymmetric_part,
                                cocycle_kernel, eval_obstruction, kontsevich_k2,
                                mc_defect, poisson_class_sum, reparametrize,
                                solve_order, solve_up_to, triples_by_total_degree,
@@ -174,20 +173,37 @@ def test_solve_orders_2_and_3():
     assert all(not has_wheel(cls.rep) for cls, _ in series.order(2).terms())
 
 
+@pytest.mark.parametrize("strategy", ["ordered", "markowitz"])
+def test_verify_order_rejects_a_perturbed_order(strategy):
+    series, _ = solve_up_to(3)
+    assert verify_order(series, 2, strategy)
+    shift = GraphSum.single("2 2 ; 3: 1 2 / 4: 1 2")
+    perturbed = series.with_order(2, series.order(2) + shift)
+    assert not verify_order(perturbed, 2, strategy)
+
+
+def test_orders_below_one_are_rejected():
+    for k in (0, -1):
+        with pytest.raises(GraphError, match="order must be >= 1"):
+            solve_order(StarSeries({}), k)
+        with pytest.raises(GraphError, match="max order must be >= 1"):
+            solve_up_to(k)
+
+
 def test_corrupted_leibniz_multiplier_fails_the_witness_check(monkeypatch):
     series, _ = solve_up_to(1)
 
-    def corrupted(n, *args):
-        block = _solve_count_block(n, *args)
-        if block["generators"]:
-            particular = dict(block["particular"])
-            col = len(block["basis"])  # the first Leibniz multiplier
+    def corrupted(n, basis, *args, **kwargs):
+        generators, row_count, ech = _block_system(n, basis, *args, **kwargs)
+        if generators:
+            particular = ech.particular_solution()
+            col = len(basis)  # the first Leibniz multiplier
             particular[col] = particular.get(col, 0) + 1
-            block["particular"] = particular
-        return block
+            ech.particular_solution = lambda: particular
+        return generators, row_count, ech
 
     assert solve_order(series, 2).status == "solved"
-    monkeypatch.setattr(solver, "_solve_count_block", corrupted)
+    monkeypatch.setattr(solver, "_block_system", corrupted)
     with pytest.raises(AssertionError, match="witness check at order 2"):
         solve_order(series, 2)
 
@@ -303,10 +319,12 @@ def test_graph_level_golden(wheel_free):
     defect = mc_defect(series, 4)
     blocks = []
     for n in range(1, 5):
-        b = _solve_count_block(n, defect.restrict_count(n), wheel_free,
-                               DEFAULT_MATRIX_NONZERO_CAP)
-        blocks.append(_block(n, len(b["basis"]), len(b["generators"]),
-                             b["shape"], b["rank"], b["feasible"]))
+        basis = _wheel_basis(n, wheel_free)
+        generators, row_count, ech = _block_system(
+            n, basis, True, defect.restrict_count(n).scale(-1))
+        blocks.append(_block(n, len(basis), len(generators),
+                             (row_count, len(basis) + len(generators)),
+                             ech.rank, not ech.inconsistent))
     assert blocks == golden["order4_blocks"]
 
     for n, (dim, digest) in golden["kernels_mod_leibniz"].items():
