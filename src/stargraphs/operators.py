@@ -16,14 +16,15 @@ representative, its anchor, is compiled and cached on the Poisson
 structure, and each class of the orbit is the anchor's operator with its
 slots permuted and the orbit sign applied.  The orbit of a class is looked
 up once (``_orbit``) and recorded for every class in it, so a class of a
-known orbit costs no lookup.  ``compile_sum`` and ``CoboundaryColumns``
-add the anchor's terms under the permuted slot keys, with the sign folded
-into the sum's ``int`` numerator, into one dict per key in ``int``
-arithmetic, and divide by the sum's denominator once at the end; no
-permuted operator is built.  ``compile_sum`` operators are cached under
-the sum.  Every entry point that takes a labeled graph (``apply_graph``,
-the oracles, ``CoboundaryColumns``) turns it into ``GraphSum.single`` once,
-which carries its class sign, so nothing is compiled or cached per labeled
+known orbit costs no lookup.  ``compile_sum`` and the in-degree gate
+(``_Gate``) add the anchor's terms under the permuted slot keys, with the
+sign folded into the sum's ``int`` numerator, into one dict per key in
+``int`` arithmetic, and divide by the sum's denominator once at the end;
+no permuted operator is built.  ``compile_sum`` operators are cached
+under the sum, gated ones under ("gated", sum).  Every entry point that
+takes a labeled graph (``apply_graph``, the oracles,
+``CoboundaryColumns``) turns it into ``GraphSum.single`` once, which
+carries its class sign, so nothing is compiled or cached per labeled
 graph.  ``Poly`` keeps integral coefficients as ``int``, so integral
 cochains on an integral fixture evaluate on integral arguments without any
 ``Fraction`` arithmetic, and its packed exponent keys make every monomial
@@ -45,23 +46,28 @@ the one-operator, one-tuple case.  ``CoboundaryColumns`` is the many-column
 case: the Hochschild coboundaries of many cochains on one argument tuple,
 whose m + 2 inner argument tuples enter each key as one signed
 combination; it forms each argument product f_j f_{j+1} once per argument
-pair.  Every key of a graph's operator has the slot orders (indeg(1), ..,
-indeg(m)), so ``CoboundaryColumns`` groups its graphs by in-degree before
-compiling and compiles a group into its trie only once some argument
-tuple's degrees admit it.
+pair.
+
+Every evaluation goes through one in-degree gate (``_Gate``), which
+compiles a group of graphs only once some argument tuple admits it:
+``CoboundaryColumns`` is a gate over many columns, and ``apply_graph``,
+``InnerValues`` and the outer pass of ``_compose`` use a sum's gated
+operator (``_gated``).  ``compile_sum`` stays eager: the full operator, for
+``is_zero``, the residual checks and the CLI.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
 at operator level (no graph rewriting): ``oracle_delta`` is the one-column
 case of ``CoboundaryColumns``, the other two substitute slot values by one
 composition formula (``_compose``) that takes the inner values from
-``apply_graph`` and evaluates the outer operator on all its substitutions
-in one signed ``_accumulate`` pass.  They are the reference implementations
-that the graph-level constructions in ``homology`` are tested against, and
-they also state the equations of the solver's evaluation route: its unknown
-columns are ``CoboundaryColumns`` of the basis graphs and its right-hand
-side is the same bracket formula (``_bracket``) with the inner values taken
-from a memo (``InnerValues``), so each is formed once per argument pair.
+``apply_graph`` and evaluates the outer gated operator on all its
+substitutions in one signed ``_accumulate`` pass.  They are the reference
+implementations that the graph-level constructions in ``homology`` are
+tested against, and they also state the equations of the solver's
+evaluation route: its unknown columns are ``CoboundaryColumns`` of the
+basis graphs and its right-hand side is the same bracket formula
+(``_bracket``) with the inner values taken from a memo (``InnerValues``),
+so each is formed once per argument pair.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ from .poly import Poly, _add_terms, _exact, _guards, _mul_terms, _rational, _unp
 
 class PolyDiffOperator:
     """m-linear differential operator: map from m-tuples of derivative
-    multi-indices to Poly coefficients."""
+    multi-indices to Poly coefficients.  A gated operator (``_gated``) holds
+    in ``terms`` only the groups of its graphs compiled so far."""
 
     __slots__ = ("d", "arity", "terms", "_trie")
 
@@ -101,10 +108,9 @@ class PolyDiffOperator:
         return not self.terms
 
     def apply(self, args: Sequence[Poly]) -> Poly:
-        """The operator's value: the one-column, one-tuple case of
-        ``_accumulate``."""
+        """The operator's value: the one-tuple case of ``_value``."""
         _check_args(self.d, self.arity, args)
-        return _wrap(self.d, _exact(_accumulate(_trie(self), [(args, None)]).get(0, {})))
+        return _wrap(self.d, _exact(_value(self, [(args, None)])))
 
 
 def _check_args(d: int, arity: int, args: Sequence[Poly]) -> None:
@@ -125,15 +131,21 @@ def _insert(trie: dict, key: tuple, col: int, coeffs: dict) -> None:
     node.setdefault(key[-1], []).append((col, coeffs))
 
 
-def _trie(op: PolyDiffOperator) -> dict:
-    """The terms of one operator (column 0) in a per-slot trie, built on
-    first use and kept on the operator."""
-    if op._trie is None:
-        trie: dict = {}
+def _value(op: PolyDiffOperator, tuples: list) -> dict:
+    """The terms of op's value on a linear combination of argument tuples:
+    one ``_accumulate`` pass over its terms (column 0) in a per-slot trie,
+    built on first use and kept on the operator.  A gated operator
+    (``_gated``) keeps a ``_Gate`` there instead, which first compiles the
+    groups of graphs that the tuples admit."""
+    trie = op._trie
+    if isinstance(trie, _Gate):
+        return trie.evaluate(tuples).get(0, {})
+    if trie is None:
+        trie = {}
         for key, poly in op.terms.items():
             _insert(trie, key, 0, poly.terms)
         object.__setattr__(op, "_trie", trie)
-    return op._trie
+    return _accumulate(trie, tuples).get(0, {})
 
 
 def _downset(f: Poly) -> set:
@@ -408,37 +420,29 @@ def _as_sum(s) -> GraphSum:
 
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Evaluate a GraphSum, or a single labeled graph (as the sum of its
-    class with its sign), on concrete polynomial arguments."""
-    return compile_sum(_as_sum(s), p).apply(args)
+    class with its sign), on concrete polynomial arguments, through its
+    gated operator (``_gated``)."""
+    return _gated(_as_sum(s), p).apply(args)
 
 
-class CoboundaryColumns:
-    """Hochschild coboundaries [m0, .] of many cochains of one arity m on one
-    Poisson structure, evaluated side by side:
+class _Gate:
+    """Graph sums of one arity, one column each, compiled on demand into one
+    per-slot trie (``_insert``): the in-degree gate of every evaluation.
 
-    (delta C)(f_0..f_m) = C(f_0..f_{m-1}) f_m + (-1)^{m-1} f_0 C(f_1..f_m)
-                          - (-1)^{m-1} sum_j (-1)^j C(.., f_j f_{j+1}, ..).
+    A graph puts derivatives of order indeg(t) on argument slot t, whatever
+    indices its edges take, so the columns' (representative, numerator)
+    terms are grouped by these slot orders before compiling, and
+    ``evaluate`` compiles a group the first time some argument tuple's
+    degrees admit it (``_fits``).  Groups only ever leave the pending set,
+    so a degree vector once checked admits nothing new and is skipped.  The
+    trie holds a column's terms times its ``int`` numerators, and each
+    value is divided by the column's denominator once.  ``op_terms``, when
+    given, receives the coefficient of every compiled key of column 0: the
+    ``terms`` of a gated operator."""
 
-    Graphs are compiled on demand.  A graph puts derivatives of order
-    indeg(t) on argument slot t, whatever indices its edges take, so every
-    key of its operator has the slot orders (indeg(1), .., indeg(m)), known
-    before compiling.  The columns' (graph, coefficient) terms are grouped
-    by these orders, and ``values`` compiles a group the first time its
-    argument degrees admit it, into the one per-slot trie of all compiled
-    terms; a graph that no argument tuple can feed is never compiled.
-    Compiled graphs are cached on the Poisson structure.  The trie holds a
-    column's terms times its ``int`` numerators, and each value is divided
-    by the column's denominator once.  ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
-    argument tuples, each with its outer factor and sign, for all the
-    columns at once, and returns the columns it touches.  Each product
-    f_j f_{j+1} is formed once per argument pair for the lifetime of the
-    columns (``products``), so the product object keeps its jet from one
-    argument tuple to the next."""
+    __slots__ = ("p", "arity", "width", "denoms", "pending", "checked", "trie", "op_terms")
 
-    __slots__ = ("p", "arity", "width", "denoms", "pending", "trie", "products")
-
-    def __init__(self, sums: Sequence, p: PoissonStructure):
-        sums = [_as_sum(s) for s in sums]
+    def __init__(self, sums: Sequence[GraphSum], p: PoissonStructure, op_terms=None):
         arities = {s.arity for s in sums}
         if len(arities) != 1:
             raise DimensionError("coboundary columns need one common arity, got %s"
@@ -446,8 +450,10 @@ class CoboundaryColumns:
         self.p = p
         self.arity = m = arities.pop()
         self.width = len(sums)
+        self.op_terms = op_terms
         # slot orders -> {column: [(representative, numerator)]}, not yet compiled
         self.pending: dict[tuple, dict] = {}
+        self.checked: set = set()  # argument degree vectors checked against pending
         # column -> the denominator its trie terms are scaled by, when not 1
         self.denoms: dict[int, int] = {}
         for col, s in enumerate(sums):
@@ -457,9 +463,6 @@ class CoboundaryColumns:
                 orders = tuple(len(rep.in_edges.get(t, ())) for t in range(1, m + 1))
                 self.pending.setdefault(orders, {}).setdefault(col, []).append((rep, coeff))
         self.trie: dict = {}  # compiled terms, see ``_insert``
-        # (id(f), id(g)) -> (f, g, f * g): the entry holds f and g, so no id
-        # is reused while it lives
-        self.products: dict[tuple, tuple] = {}
 
     def _compile(self, orders: tuple) -> None:
         """Compile one pending group into the trie.  Its keys have the slot
@@ -471,6 +474,59 @@ class CoboundaryColumns:
             for key, coeffs in acc.items():
                 if coeffs:
                     _insert(self.trie, key, col, coeffs)
+                    if self.op_terms is not None:
+                        self.op_terms[key] = _wrap(self.p.d,
+                                                   _divided(coeffs, self.denoms.get(col, 1)))
+
+    def evaluate(self, tuples: list) -> dict:
+        """{column: value terms} for the columns that one ``_accumulate``
+        pass over ``tuples`` touches, once every pending group that some
+        tuple's argument degrees (kept in the jets) admit is compiled."""
+        if self.pending:
+            degrees = {tuple([_jet(f)[2] for f in args]) for args, _ in tuples} - self.checked
+            if degrees:
+                self.checked |= degrees
+                for orders in [o for o in self.pending if _fits(o, degrees)]:
+                    self._compile(orders)
+        return {col: _divided(terms, self.denoms.get(col, 1))
+                for col, terms in _accumulate(self.trie, tuples).items()}
+
+
+def _gated(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
+    """The operator of ``s`` behind a one-column ``_Gate``, its ``terms``
+    the groups compiled so far; cached on the Poisson structure under
+    ("gated", s), beside ``compile_sum``'s full operator under s."""
+    cache = p._op_cache
+    op = cache.get(("gated", s))
+    if op is None:
+        op = cache["gated", s] = PolyDiffOperator(p.d, s.arity)
+        object.__setattr__(op, "_trie", _Gate([s], p, op.terms))
+    return op
+
+
+class CoboundaryColumns(_Gate):
+    """Hochschild coboundaries [m0, .] of many cochains of one arity m on one
+    Poisson structure, evaluated side by side:
+
+    (delta C)(f_0..f_m) = C(f_0..f_{m-1}) f_m + (-1)^{m-1} f_0 C(f_1..f_m)
+                          - (-1)^{m-1} sum_j (-1)^j C(.., f_j f_{j+1}, ..).
+
+    The cochains are the columns of one ``_Gate``, so a graph is compiled
+    only once some inner argument tuple's degrees admit it.
+    ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
+    argument tuples, each with its outer factor and sign, for all the
+    columns at once, and returns the columns it touches.  Each product
+    f_j f_{j+1} is formed once per argument pair for the lifetime of the
+    columns (``products``), so the product object keeps its jet from one
+    argument tuple to the next."""
+
+    __slots__ = ("products",)
+
+    def __init__(self, sums: Sequence, p: PoissonStructure):
+        super().__init__([_as_sum(s) for s in sums], p)
+        # (id(f), id(g)) -> (f, g, f * g): the entry holds f and g, so no id
+        # is reused while it lives
+        self.products: dict[tuple, tuple] = {}
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
@@ -479,9 +535,7 @@ class CoboundaryColumns:
 
     def touched_terms(self, args: Sequence[Poly]) -> list:
         """[(column, terms of (delta C_col)(args))] for the columns that the
-        pass touches, in ascending order; every other column is zero.  The
-        pending groups, while any are left, are checked against the argument
-        degrees kept in the jets."""
+        pass touches, in ascending order; every other column is zero."""
         d, m = self.p.d, self.arity
         args = tuple(args)
         _check_args(d, m + 1, args)
@@ -494,13 +548,7 @@ class CoboundaryColumns:
                 entry = self.products[id(f), id(g)] = (f, g, f * g)
             merged = args[:j] + (entry[2],) + args[j + 2:]
             tuples.append((merged, {0: -sgn if j % 2 == 0 else sgn}))
-        if self.pending:
-            degrees = [[_jet(f)[2] for f in inner] for inner, _ in tuples]
-            for orders in [o for o in self.pending if _fits(o, degrees)]:
-                self._compile(orders)
-        totals = _accumulate(self.trie, tuples)
-        return [(col, _divided(terms, self.denoms.get(col, 1)))
-                for col, terms in sorted(totals.items())]
+        return sorted(self.evaluate(tuples).items())
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +570,10 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     with each inner value D2(f_j..f_{j+k2}) taken from
     ``inner(s2, p, args)``: ``apply_graph`` itself, or a memo of its
     values (``InnerValues``).  The k1 + 1 outer evaluations are one
-    ``_accumulate`` pass over D1's trie on the signed argument tuples, so a
-    key reached by several substitutions multiplies its coefficient once."""
+    ``_value`` pass of D1's gated operator (``_gated``) on the signed
+    argument tuples, so a key reached by several substitutions multiplies
+    its coefficient once, and a group of D1 is compiled only once some
+    substituted tuple admits it."""
     m1, m2 = s1.arity, s2.arity
     k1, k2 = m1 - 1, m2 - 1
     if len(args) != m1 + m2 - 1:
@@ -534,7 +584,7 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
     tuples = [(args[:j] + (inner(s2, p, args[j:j + m2]),) + args[j + m2:],
                {0: -1 if (j * k2) % 2 else 1})
               for j in range(k1 + 1)]
-    return _wrap(p.d, _exact(_accumulate(_trie(compile_sum(s1, p)), tuples).get(0, {})))
+    return _wrap(p.d, _exact(_value(_gated(s1, p), tuples)))
 
 
 def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
@@ -552,7 +602,9 @@ class InnerValues:
     by identity and hold the objects of their key, so no id is reused while
     an entry lives; the memo lives as long as its owner keeps it (the
     evaluation route keeps one per fixture feed).  A returned value is the
-    same object on every hit, so its jet stays warm."""
+    same object on every hit, so its jet stays warm.  A value stays right
+    when later groups of D compile: a group its arguments did not admit
+    vanishes on them."""
 
     __slots__ = ("values",)
 

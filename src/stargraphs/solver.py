@@ -110,10 +110,18 @@ def mc_defect(series: StarSeries, k: int) -> GraphSum:
 
     [c_a, c_b] = [c_b, c_a] for arity-2 cochains, so each unordered pair is
     bracketed once: a < b with weight 1 and a = b with weight 1/2, as in
-    ``eval_obstruction``."""
+    ``eval_obstruction``.  Memoized by the lower orders, so a re-check
+    reuses the defect its solve formed."""
+    return _defect(tuple(series.order(a) for a in range(1, k)))
+
+
+@functools.lru_cache(maxsize=16)
+def _defect(lower: tuple) -> GraphSum:
+    """``mc_defect`` of the series with orders ``lower`` = (c_1, .., c_{k-1})."""
+    k = len(lower) + 1
     total = GraphSum.zero(3)
     for a in range(1, k // 2 + 1):
-        bracket = graph_gerstenhaber(series.order(a), series.order(k - a))
+        bracket = graph_gerstenhaber(lower[a - 1], lower[k - a - 1])
         total = total + (bracket if 2 * a < k else bracket.scale(Fraction(1, 2)))
     return total
 
@@ -376,8 +384,9 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     accumulation.  So the fixtures, the arguments and every
     compiled operator keep ``int`` coefficients, and Fractions enter only
     through these weights; the reducer scales each row by its common
-    denominator and eliminates in integers.  A basis graph is compiled only
-    once some triple's argument degrees can feed it.  Infeasibility
+    denominator and eliminates in integers.  A basis graph, or a graph of a
+    lower order, is compiled only once some argument tuple it is evaluated
+    on can feed it (the in-degree gate of ``operators``).  Infeasibility
     of the stacked system is a sound obstruction certificate for the given
     c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
     re-checked by a second elimination with Markowitz pivoting.

@@ -613,6 +613,131 @@ def test_coboundary_columns_trie_grows_between_calls(compiled_keys):
         assert cols == sorted(set(cols))
 
 
+def mixed_sum():
+    """An arity-2 sum with two graphs from each argument in-degree group of
+    the order-4 wheel-free basis, under assorted coefficients (some not
+    integral), and the groups it spans."""
+    by_degrees = {}
+    for cls in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    coeffs = itertools.cycle([Fraction(2, 3), -5, Fraction(-1, 7), 3])
+    terms = [(g, next(coeffs)) for graphs in by_degrees.values() for g in graphs[:2]]
+    return GraphSum(2, terms), set(by_degrees)
+
+
+def key_orders(key):
+    """The derivative order of each slot of an operator key."""
+    return tuple(sum(alpha) for alpha in key)
+
+
+def brute_force_compose(op1, op2, args):
+    """Insertion composition op1 o op2 on ``args``, term by term by
+    ``brute_force_apply``."""
+    m2, k2 = op2.arity, op2.arity - 1
+    total = Poly.zero(op1.d)
+    for j in range(op1.arity):
+        inner = brute_force_apply(op2, args[j:j + m2])
+        value = brute_force_apply(op1, args[:j] + (inner,) + args[j + m2:])
+        total = total + (value.scale(-1) if (j * k2) % 2 else value)
+    return total
+
+
+def test_gated_values_match_the_reference_as_groups_compile(compiled_keys):
+    # low, then high, then low argument degrees: each value matches the
+    # reference operator, the memo's low values still match once the high
+    # groups have compiled, and the gated operator's terms are exactly the
+    # reference's terms of the groups compiled so far
+    p = preset_from_string(CUBIC)
+    s, groups = mixed_sum()
+    assert s._denom != 1
+    reference = reference_operator(s, preset_from_string(CUBIC))
+    gated = operators._gated(s, p)
+    inner = operators.InnerValues()
+    low = [(x(3, 1), x(3, 2)), (x(3, 3), x(3, 1))]
+    high = [(x(3, 1) * x(3, 2), x(3, 3) * x(3, 3) * x(3, 2)),
+            (x(3, 2) * x(3, 2) * x(3, 2), x(3, 1) * x(3, 3))]
+
+    def compiled_part():
+        orders = {o for o in groups if o not in gated._trie.pending}
+        return {key: poly for key, poly in reference.terms.items() if key_orders(key) in orders}
+
+    first = [inner(s, p, args) for args in low]
+    assert first == [brute_force_apply(reference, args) for args in low]
+    assert any(not value.is_zero for value in first)
+    assert gated.terms == compiled_part()
+    compiled = len(compiled_keys(p))
+    for args in high:
+        assert apply_graph(s, p, args) == brute_force_apply(reference, args)
+    assert len(compiled_keys(p)) > compiled
+    assert gated.terms == compiled_part()
+    assert gated._trie.pending  # the (3, 3)-and-up groups still wait
+    for args, value in zip(low, first):
+        assert inner(s, p, args) is value
+        assert value == apply_graph(s, p, fresh_copies(args)) == brute_force_apply(reference, args)
+
+
+def test_gated_evaluations_compile_only_admitted_groups(compiled_keys):
+    # apply_graph and the outer pass of a composition compile exactly the
+    # orbits of the graphs that some evaluated tuple's argument degrees admit
+    s, _ = mixed_sum()
+    reps = [rep for rep, _ in s._nums.items()]
+    reference = reference_operator(s, preset_from_string(CUBIC))
+    p = preset_from_string(CUBIC)
+    pairs = [(x(3, 1), x(3, 2)), (x(3, 2) * x(3, 2), x(3, 3))]
+    for args in pairs:
+        assert apply_graph(s, p, args) == brute_force_apply(reference, args)
+    fed = {orbit_anchor(g) for g in reps if admitted(g, [(1, 1), (2, 1)])}
+    assert sorted(compiled_keys(p)) == sorted(fed)
+    assert fed != {orbit_anchor(g) for g in reps}
+    # a composition on degree-1 arguments: the inner tuples have degrees
+    # (1, 1), the outer ones the inner value's degree in one slot
+    q = preset_from_string(CUBIC)
+    args = (x(3, 1), x(3, 2), x(3, 3))
+    assert oracle_compose(s, s, q, args) == brute_force_compose(reference, reference, args)
+    inner = [brute_force_apply(reference, args[j:j + 2]).degree() for j in range(2)]
+    degrees = [(1, 1), (inner[0], 1), (1, inner[1])]
+    fed = {orbit_anchor(g) for g in reps if admitted(g, degrees)}
+    assert sorted(compiled_keys(q)) == sorted(fed)
+    assert fed != {orbit_anchor(g) for g in reps}
+
+
+def test_coboundary_columns_compile_each_group_once(compiled_keys, monkeypatch):
+    # many triples, with repeated degree vectors: every group is compiled
+    # at most once, every orbit once, and each degree vector is checked
+    # against the pending groups once
+    p = preset_from_string(CUBIC)
+    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    delta = CoboundaryColumns(columns, p)
+    compiled, checked = [], []
+    compile_, fits = operators._Gate._compile, operators._fits
+
+    def counting_compile(self, orders):
+        compiled.append(orders)
+        compile_(self, orders)
+
+    def counting_fits(orders, degrees):
+        checked.append(frozenset(degrees))
+        return fits(orders, degrees)
+
+    monkeypatch.setattr(operators._Gate, "_compile", counting_compile)
+    monkeypatch.setattr(operators, "_fits", counting_fits)
+    reference = brute_force_columns(columns, preset_from_string(CUBIC))
+    triples = degree_one_triples(3)
+    high = (x(3, 1) * x(3, 1), x(3, 2) * x(3, 3) * x(3, 3), x(3, 1) * x(3, 3))
+    for args in triples[:9] + [high] + triples[9:] + [high]:
+        row = delta.values(args)
+        if args is high or args in triples[::9]:
+            assert row == reference(args)
+    assert compiled and len(compiled) == len(set(compiled))
+    assert not set(compiled) & set(delta.pending)
+    keys = compiled_keys(p)
+    assert len(keys) == len(set(keys))
+    # one check per pending group and new degree set: no degree vector twice
+    vectors = [v for degrees in dict.fromkeys(checked) for v in degrees]
+    assert len(vectors) == len(set(vectors))
+    assert set(vectors) == delta.checked
+
+
 def test_delta_of_poisson_class_vanishes():
     rng = random.Random(3)
     s = GraphSum.single(POISSON)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stargraphs import solver
+from stargraphs import homology, solver
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta, graph_gerstenhaber
@@ -154,6 +154,25 @@ def test_solved_residuals_vanish_at_operator_level(spec):
 
 
 # -- solver ----------------------------------------------------------------------
+
+def test_recheck_reuses_the_defects_and_differentials_of_the_solve(monkeypatch):
+    # mc_defect is memoized by the lower orders and graph_delta is kept on
+    # its sum, so re-checking an order that the solve checked by its
+    # witness (k >= 2) brackets and splits nothing, and an equal series
+    # gets the same defect
+    series, _ = solve_up_to(3)
+
+    def recomputed(*args):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(solver, "graph_gerstenhaber", recomputed)
+    monkeypatch.setattr(homology, "_split_terms", recomputed)
+    for k in (2, 3):
+        assert verify_order(series, k)
+        assert mc_defect(series, k) is mc_defect(StarSeries(dict(series.orders)), k)
+    with pytest.raises(AssertionError, match="recomputed"):
+        graph_delta(series.order(3).scale(2))
+
 
 def test_solve_order_1():
     report = solve_order(StarSeries({}), 1)
@@ -533,6 +552,24 @@ def test_eval_obstruction_order4_cubic_golden_certificate():
         "rows_collected": 6,
         "unknowns": 90,
     }
+
+
+@pytest.mark.parametrize("specs, triples, rank", [
+    ((CUBIC,), list(itertools.product(monomials_up_to_degree(3, 1), repeat=3)), 6),
+    (("so3", "sl2"), list(triples_by_total_degree(3, 2)), 18),
+], ids=["cubic", "so3_sl2"])
+def test_eval_certificate_is_invariant_under_reparametrization(specs, triples, rank):
+    # wheel-free, the order-2 freedom is the reparametrization
+    # t -> t + alpha t^2 (c_2 -> c_2 + alpha c_1, c_3 -> c_3 + 2 alpha c_2 +
+    # alpha^2 c_1); the evaluated order-4 certificate does not depend on it
+    series, _ = solve_up_to(3, wheel_free=True)
+    fixtures = [(preset_from_string(spec), triples) for spec in specs]
+    certificate = eval_obstruction(series, 4, fixtures=fixtures).certificate
+    assert certificate["rank_coefficient"] == rank
+    for alpha in (1, Fraction(-3, 7)):
+        moved = reparametrize(series, {2: alpha})
+        assert moved.order(2) != series.order(2)
+        assert eval_obstruction(moved, 4, fixtures=fixtures).certificate == certificate
 
 
 def test_eval_obstruction_rows_golden(monkeypatch):
