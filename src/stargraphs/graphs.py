@@ -652,7 +652,7 @@ class GraphSum:
     ``Fraction``.  A float coefficient raises ``TypeError``.
     """
 
-    __slots__ = ("arity", "_nums", "_denom", "_hash", "_delta")
+    __slots__ = ("arity", "_nums", "_denom", "_hash")
 
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
@@ -677,7 +677,6 @@ class GraphSum:
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_denom", denom)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_delta", None)  # homology.graph_delta, kept on the sum
         return self
 
     @classmethod

@@ -53,19 +53,16 @@ def graph_delta(s: GraphSum) -> GraphSum:
     (-1)^m (-1)^(t-1) matching [m0, .] on the normalized complex.  Every
     split adds the signed ``int`` numerator of its term of ``s`` into one
     accumulator (``add_labeled_graphs``), and the result keeps the
-    denominator of ``s``.  A sum is immutable, so its differential is kept
-    on it, like its hash, and lives exactly as long as the sum.
+    denominator of ``s``.
     """
-    if s._delta is None:
-        m = s.arity
-        acc: dict = {}
-        outer_sign = 1 if m % 2 == 0 else -1
-        for rep, num in s._nums.items():
-            for slot in range(1, m + 1):
-                term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
-                add_labeled_graphs(acc, rep.n, m + 1, _split_terms(rep, slot), num * term_sign)
-        object.__setattr__(s, "_delta", GraphSum._from_numerators(m + 1, acc, s._denom))
-    return s._delta
+    m = s.arity
+    acc: dict = {}
+    outer_sign = 1 if m % 2 == 0 else -1
+    for rep, num in s._nums.items():
+        for slot in range(1, m + 1):
+            term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
+            add_labeled_graphs(acc, rep.n, m + 1, _split_terms(rep, slot), num * term_sign)
+    return GraphSum._from_numerators(m + 1, acc, s._denom)
 
 
 # ---------------------------------------------------------------------------

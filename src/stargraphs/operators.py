@@ -16,13 +16,12 @@ representative, its anchor, is compiled and cached on the Poisson
 structure, and each class of the orbit is the anchor's operator with its
 slots permuted and the orbit sign applied.  The orbit of a class is looked
 up once (``_orbit``) and recorded for every class in it, so a class of a
-known orbit costs no lookup.  ``compile_sum`` and the in-degree gate
-(``_Gate``) add the anchor's terms under the permuted slot keys, with the
-sign folded into the sum's ``int`` numerator, into one dict per key in
-``int`` arithmetic, and divide by the sum's denominator once at the end;
-no permuted operator is built.  ``compile_sum`` operators are cached
-under the sum, gated ones under ("gated", sum).  Every entry point that
-takes a labeled graph (``apply_graph``, the oracles,
+known orbit costs no lookup.  The in-degree gate (``_Gate``) adds the
+anchor's terms under the permuted slot keys, with the sign folded into the
+sum's ``int`` numerator, into one dict per key in ``int`` arithmetic, and
+divides by the sum's denominator once at the end; no permuted operator is
+built.  A sum's operator (``_gated``) is cached under the sum.  Every
+entry point that takes a labeled graph (``apply_graph``, the oracles,
 ``CoboundaryColumns``) turns it into ``GraphSum.single`` once, which
 carries its class sign, so nothing is compiled or cached per labeled
 graph.  ``Poly`` keeps integral coefficients as ``int``, so integral
@@ -52,8 +51,9 @@ Every evaluation goes through one in-degree gate (``_Gate``), which
 compiles a group of graphs only once some argument tuple admits it:
 ``CoboundaryColumns`` is a gate over many columns, and ``apply_graph``,
 ``InnerValues`` and the outer pass of ``_compose`` use a sum's gated
-operator (``_gated``).  ``compile_sum`` stays eager: the full operator, for
-``is_zero``, the residual checks and the CLI.
+operator (``_gated``).  ``compile_sum`` is the same operator with every
+group compiled: the full operator, for ``is_zero``, the residual checks
+and the CLI.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
@@ -391,21 +391,16 @@ def _add_graph_terms(acc: dict, terms, p: PoissonStructure) -> None:
 
 
 def compile_sum(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
-    """Operator of a whole graph sum; cached on the Poisson structure under
-    the sum itself, which hashes once.  The sum's ``int`` numerators are
-    accumulated in ``int`` arithmetic (on an integral structure), and each
-    coefficient of the result is divided by the sum's denominator D once,
-    so it is an ``int`` when integral."""
-    cache = p._op_cache
-    op = cache.get(s)
-    if op is not None:
-        return op
-    acc: dict[tuple, dict] = {}
-    _add_graph_terms(acc, s._nums.items(), p)
-    total = PolyDiffOperator(p.d, s.arity, {op_key: _wrap(p.d, _divided(terms, s._denom))
-                                            for op_key, terms in acc.items()})
-    cache[s] = total
-    return total
+    """Operator of a whole graph sum: its gated operator (``_gated``) with
+    every pending group compiled, so ``terms`` holds all of it.  The sum's
+    ``int`` numerators are accumulated in ``int`` arithmetic (on an
+    integral structure), and each coefficient is divided by the sum's
+    denominator once, so it is an ``int`` when integral."""
+    op = _gated(s, p)
+    gate = op._trie
+    for orders in list(gate.pending):
+        gate._compile(orders)
+    return op
 
 
 def _as_sum(s) -> GraphSum:
@@ -467,10 +462,16 @@ class _Gate:
     def _compile(self, orders: tuple) -> None:
         """Compile one pending group into the trie.  Its keys have the slot
         orders ``orders`` and no other group's keys do, so each leaf is
-        filled by one call, column by column in ascending order."""
-        for col, terms in self.pending.pop(orders).items():
+        filled by one call, column by column in ascending order.  The group
+        leaves the pending set only once all its graphs are compiled, so a
+        compile that raises leaves the gate as it was."""
+        accs = []
+        for col, terms in self.pending[orders].items():
             acc: dict[tuple, dict] = {}
             _add_graph_terms(acc, terms, self.p)
+            accs.append((col, acc))
+        del self.pending[orders]
+        for col, acc in accs:
             for key, coeffs in acc.items():
                 if coeffs:
                     _insert(self.trie, key, col, coeffs)
@@ -485,21 +486,21 @@ class _Gate:
         if self.pending:
             degrees = {tuple([_jet(f)[2] for f in args]) for args, _ in tuples} - self.checked
             if degrees:
-                self.checked |= degrees
                 for orders in [o for o in self.pending if _fits(o, degrees)]:
                     self._compile(orders)
+                self.checked |= degrees
         return {col: _divided(terms, self.denoms.get(col, 1))
                 for col, terms in _accumulate(self.trie, tuples).items()}
 
 
 def _gated(s: GraphSum, p: PoissonStructure) -> PolyDiffOperator:
     """The operator of ``s`` behind a one-column ``_Gate``, its ``terms``
-    the groups compiled so far; cached on the Poisson structure under
-    ("gated", s), beside ``compile_sum``'s full operator under s."""
+    the groups compiled so far; cached on the Poisson structure under the
+    sum itself, which hashes once."""
     cache = p._op_cache
-    op = cache.get(("gated", s))
+    op = cache.get(s)
     if op is None:
-        op = cache["gated", s] = PolyDiffOperator(p.d, s.arity)
+        op = cache[s] = PolyDiffOperator(p.d, s.arity)
         object.__setattr__(op, "_trie", _Gate([s], p, op.terms))
     return op
 

@@ -110,18 +110,10 @@ def mc_defect(series: StarSeries, k: int) -> GraphSum:
 
     [c_a, c_b] = [c_b, c_a] for arity-2 cochains, so each unordered pair is
     bracketed once: a < b with weight 1 and a = b with weight 1/2, as in
-    ``eval_obstruction``.  Memoized by the lower orders, so a re-check
-    reuses the defect its solve formed."""
-    return _defect(tuple(series.order(a) for a in range(1, k)))
-
-
-@functools.lru_cache(maxsize=16)
-def _defect(lower: tuple) -> GraphSum:
-    """``mc_defect`` of the series with orders ``lower`` = (c_1, .., c_{k-1})."""
-    k = len(lower) + 1
+    ``eval_obstruction``."""
     total = GraphSum.zero(3)
     for a in range(1, k // 2 + 1):
-        bracket = graph_gerstenhaber(lower[a - 1], lower[k - a - 1])
+        bracket = graph_gerstenhaber(series.order(a), series.order(k - a))
         total = total + (bracket if 2 * a < k else bracket.scale(Fraction(1, 2)))
     return total
 

@@ -701,6 +701,40 @@ def test_gated_evaluations_compile_only_admitted_groups(compiled_keys):
     assert fed != {orbit_anchor(g) for g in reps}
 
 
+@pytest.mark.parametrize("evaluate", ["apply_graph", "compile_sum"])
+def test_a_compile_that_raises_leaves_its_group_pending(evaluate, monkeypatch):
+    # the second compile raises, after the first group of the evaluation
+    # has compiled: the failing group stays pending and no degree vector is
+    # checked, so the retry compiles every admitted group and matches the
+    # reference operator
+    s, _ = mixed_sum()
+    reference = reference_operator(s, preset_from_string(CUBIC))
+    p = preset_from_string(CUBIC)
+    args = (x(3, 1) * x(3, 2), x(3, 3) * x(3, 3) * x(3, 2))
+    calls = []
+    compile_graph_ = operators.compile_graph
+
+    def failing_once(g, q):
+        calls.append(g.key)
+        if len(calls) == 2:
+            raise DimensionError("compile failed")
+        return compile_graph_(g, q)
+
+    monkeypatch.setattr(operators, "compile_graph", failing_once)
+    run = {"apply_graph": lambda: apply_graph(s, p, args),
+           "compile_sum": lambda: compile_sum(s, p).terms}[evaluate]
+    with pytest.raises(DimensionError, match="compile failed"):
+        run()
+    gate = operators._gated(s, p)._trie
+    assert not gate.checked
+    assert any(operators._fits(o, [tuple(f.degree() for f in args)]) for o in gate.pending)
+    run()
+    assert len(calls) > 2
+    assert apply_graph(s, p, args) == brute_force_apply(reference, args)
+    if evaluate == "compile_sum":
+        assert compile_sum(s, p).terms == reference.terms
+
+
 def test_coboundary_columns_compile_each_group_once(compiled_keys, monkeypatch):
     # many triples, with repeated degree vectors: every group is compiled
     # at most once, every orbit once, and each degree vector is checked

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stargraphs import homology, solver
+from stargraphs import solver
 from stargraphs.errors import DimensionError, GraphError
 from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta, graph_gerstenhaber
@@ -154,25 +154,6 @@ def test_solved_residuals_vanish_at_operator_level(spec):
 
 
 # -- solver ----------------------------------------------------------------------
-
-def test_recheck_reuses_the_defects_and_differentials_of_the_solve(monkeypatch):
-    # mc_defect is memoized by the lower orders and graph_delta is kept on
-    # its sum, so re-checking an order that the solve checked by its
-    # witness (k >= 2) brackets and splits nothing, and an equal series
-    # gets the same defect
-    series, _ = solve_up_to(3)
-
-    def recomputed(*args):
-        raise AssertionError("recomputed")
-
-    monkeypatch.setattr(solver, "graph_gerstenhaber", recomputed)
-    monkeypatch.setattr(homology, "_split_terms", recomputed)
-    for k in (2, 3):
-        assert verify_order(series, k)
-        assert mc_defect(series, k) is mc_defect(StarSeries(dict(series.orders)), k)
-    with pytest.raises(AssertionError, match="recomputed"):
-        graph_delta(series.order(3).scale(2))
-
 
 def test_solve_order_1():
     report = solve_order(StarSeries({}), 1)
