@@ -227,15 +227,16 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
 
     The key is the tuple of sorted pairs in new-label order, so it is built
     one entry at a time, from the shared ``_PAIRS``.  A frontier holds the
-    partial labelings (old vertices in new-label order, swap parity so far)
+    partial labelings (old labels in new-label order, swap parity so far)
     that give the minimal prefix.  For entry e, a labeling whose new vertex
     e is not yet fixed tries every unlabeled old vertex there; the still
     unlabeled internal targets of that vertex then take the next free
-    labels, in both orders when there are two.  Only extensions whose sorted pair equals the least
-    pair over the whole frontier survive.  The targets are split into old
-    vertex indices once per call, a candidate's pair is read off the
-    labeling it would extend, and only the candidates that tie with the
-    least pair are extended into new labelings.
+    labels, in both orders when there are two.  Only extensions whose
+    sorted pair equals the least pair over the whole frontier survive.  A
+    candidate's targets are read from ``pairs`` as old labels, an argument
+    keeping its own, its pair is read off the labeling it would extend, and
+    only the candidates that tie with the least pair are extended into new
+    labelings.
 
     This is exact: giving an unlabeled target any label other than the next
     free one makes entry e strictly larger while leaving the earlier entries
@@ -258,10 +259,8 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
     """
     base = m + 1
     bound = n if known is None else known
-    # the targets, split once: an internal target as its old vertex index
-    # (>= 0), an argument t as t - base (< 0)
-    ends = [(left - base, right - base) for left, right in pairs[:bound]]
-    everyone = range(bound)
+    top = base + bound  # old labels past the prefix read are >= top
+    everyone = range(base, top)
     key = []
     frontier = [((), 0)]
     for e in range(bound):
@@ -271,7 +270,7 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
             size = len(order)
             if e < size:
                 u = order[e]
-                if u >= bound:
+                if u >= top:
                     continue
                 candidates = (u,)
                 grow = False
@@ -283,27 +282,29 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
             for u in candidates:
                 if grow and u in order:
                     continue
-                a, b = ends[u]  # after the lookups: an unlabeled target, or -1
-                if a < 0:
-                    left = a + base
+                # a target still > m after the lookups is an unlabeled
+                # internal vertex; a labeled one is set to 0
+                a, b = pairs[u - base]
+                if a <= m:
+                    left = a
                 elif a in order:
                     left = base + order.index(a)
-                    a = -1
+                    a = 0
                 elif a == u:  # a loop, read as in ``labeled`` below
                     left = free - 1
-                    a = -1
+                    a = 0
                 else:
                     left = free
-                if b < 0:
-                    right = b + base
+                if b <= m:
+                    right = b
                 elif b in order:
                     right = base + order.index(b)
-                    b = -1
+                    b = 0
                 elif b == u:
                     right = free - 1
-                    b = -1
+                    b = 0
                 else:
-                    right = free + 1 if a >= 0 else free
+                    right = free + 1 if a > m else free
                 flip = left > right
                 if flip:
                     left, right = right, left
@@ -314,73 +315,65 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
                     continue
                 # only a candidate that ties is extended to a labeling
                 labeled = order + (u,) if grow else order
-                if a >= 0:
-                    if b >= 0:
+                if a > m:
+                    if b > m:
                         survivors.append((labeled + (a, b), parity))
                         survivors.append((labeled + (b, a), parity ^ 1))
                         continue
                     labeled += (a,)
-                elif b >= 0:
+                elif b > m:
                     labeled += (b,)
                 survivors.append((labeled, parity ^ flip))
         key.append(_PAIRS[lo, hi])
         if known is not None and key[e] < pairs[e]:
             break
         frontier = survivors
-    parities = {parity for _, parity in frontier}
-    if len(parities) == 2:
-        sign = 0
-    elif 0 in parities:
-        sign = 1
-    else:
-        sign = -1
-    return tuple(key), sign, len(frontier)
+    odd = 0
+    for _, parity in frontier:
+        odd += parity
+    return tuple(key), 1 if not odd else -1 if odd == len(frontier) else 0, len(frontier)
 
 
-# (n, m) -> (plus, minus) of K_{n,m}: canonical pairs -> the interned
-# GraphClass of sign +1 (or 0) and of sign -1, so tables[sign < 0] holds
-# sign ``sign``.  Only classes are kept, no labeled graph.  Cleared in
-# place, never replaced, so a caller may hold them across a ``_register``.
-_TABLES = defaultdict(lambda: ({}, {}))
-_TABLE_ENTRIES = 0  # interned classes over all sizes
+# (n, m) -> the table of K_{n,m}: canonical pairs -> the representative of
+# their class, or False for a zero class.  One record per class, whatever
+# the sign of the labeling it was found from, and none per labeled graph.
+# Cleared in place, never replaced, so a caller may hold one across a
+# ``_held``.
+_TABLES = defaultdict(dict)
+_TABLE_ENTRIES = 0  # classes held over all sizes
 _CANON_CACHE_LIMIT = 120_000
 
 
-def _register(n: int, m: int, pairs: Pairs, best: Pairs = None, sign: int = 0) -> GraphClass:
-    """The interned class of the labeled graph of K_{n,m} on ``pairs``: its
-    canonical pairs ``best`` and sign ``sign``, from one ``_canonical_raw``
-    search unless given.  Nothing is stored for the labeled graph itself.
+def _held(n: int, m: int, best: Pairs, sign: int):
+    """The record of the class of K_{n,m} with canonical pairs ``best`` and
+    sign ``sign``: its representative, or False for a zero class.
 
-    One ``GraphClass`` is interned per (class, sign), both sharing one
-    representative, built without re-checking admissibility
-    (``DirectedGraph._trusted``) as ``best`` relabels an admissible graph.
-    With ``_CANON_CACHE_LIMIT`` classes held, interning one more first
-    clears every table."""
+    A class not held yet is added, its representative built without
+    re-checking admissibility (``DirectedGraph._trusted``) as ``best``
+    relabels an admissible graph.  With ``_CANON_CACHE_LIMIT`` classes held,
+    adding one more first clears every table."""
     global _TABLE_ENTRIES
-    if best is None:
-        best, sign, _ = _canonical_raw(n, m, pairs)
-    tables = _TABLES[n, m]
-    side = sign < 0
-    cls = tables[side].get(best)
-    if cls is None:
+    table = _TABLES[n, m]
+    rep = table.get(best)
+    if rep is None:
         if _TABLE_ENTRIES >= _CANON_CACHE_LIMIT:
             for held in _TABLES.values():
-                for table in held:
-                    table.clear()
+                held.clear()
             _TABLE_ENTRIES = 0
-        twin = tables[not side].get(best)
-        rep = DirectedGraph._trusted(n, m, best) if twin is None else twin.rep
-        cls = tables[side][rep.out_edges] = GraphClass(rep, sign)
+        rep = table[best] = DirectedGraph._trusted(n, m, best) if sign else False
         _TABLE_ENTRIES += 1
-    return cls
+    return rep
 
 
 def _lookup(n: int, m: int, pairs: Pairs) -> GraphClass:
-    """Class of the admissible graph of K_{n,m} on ``pairs``.  Pairs that
-    are the canonical pairs of an interned class are that class's
-    representative, of sign +1 or 0, and are found in the ``+1``/``0``
-    table without a search; any other labeling costs one search."""
-    return _TABLES[n, m][0].get(pairs) or _register(n, m, pairs)
+    """Class of the admissible graph of K_{n,m} on ``pairs``.  The canonical
+    pairs of a class held are found without a search; any other labeling
+    costs one search (``_held``)."""
+    rep, sign = _TABLES[n, m].get(pairs), 1
+    if rep is None:
+        pairs, sign, _ = _canonical_raw(n, m, pairs)
+        rep = _held(n, m, pairs, sign)
+    return GraphClass(rep, sign) if rep else GraphClass(DirectedGraph._trusted(n, m, pairs), 0)
 
 
 def canonical_form(g: DirectedGraph) -> GraphClass:
@@ -389,13 +382,14 @@ def canonical_form(g: DirectedGraph) -> GraphClass:
     The representative is the lexicographically least tuple of sorted
     (L, R) pairs over all internal relabelings, found by the pruned
     level-wise search in ``_canonical_raw``; it depends only on the orbit,
-    so isomorphic graphs get the same representative, the same interned
-    object while the cache holds it.  The sign is +1 or -1 by the parity of
-    L/R swaps that reach it, and 0 when both parities do.  The tables hold
-    classes only (``_lookup``): a representative of an interned class is
-    found without a search, and ``enumerate_graphs`` interns every class it
-    yields; any other labeled graph is searched each time it is seen, and
-    nothing is stored for it.
+    so isomorphic graphs get the same representative, for a nonzero class
+    the one object its table record holds while the cache holds it.  The
+    sign is +1 or -1 by the parity of L/R swaps that reach it, and 0 when
+    both parities do.  The one table per size holds a record per class and
+    none per labeled graph (``_lookup``): the canonical labeling of a class
+    held is found without a search, and ``enumerate_graphs`` records every
+    class it yields; any other labeled graph is searched each time it is
+    seen.  The ``GraphClass`` is built for the caller and is not stored.
     """
     return _lookup(g.n, g.m, g.out_edges)
 
@@ -551,10 +545,10 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     passing the filter, plus the number of labeled graphs passing it (zero
     classes included).
 
-    Every class found, zero classes included, is interned in the class
-    tables (``_register``), and the nonzero ones are returned as the
-    interned ``GraphClass`` objects, so ``canonical_form`` on a returned
-    representative makes no search."""
+    Every class found, zero classes included, is recorded in the table of
+    K_{n,m} (``_held``), and the nonzero ones are returned with the held
+    representatives, so ``canonical_form`` on a returned representative
+    makes no search."""
     _check_size(n, m, vertex_budget)
     if filter not in FILTERS:
         raise ValueError("unknown filter %r (expected one of %s)" % (filter, ", ".join(FILTERS)))
@@ -562,9 +556,9 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     classes = []
     for pairs, sign, orbit in _classes(n, m, filter):
         labeled += orbit
-        cls = _register(n, m, pairs, pairs, sign)
+        rep = _held(n, m, pairs, sign)
         if sign:
-            classes.append(cls)
+            classes.append(GraphClass(rep, sign))
     return EnumerationResult(tuple(classes), labeled)
 
 
@@ -611,20 +605,25 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     ``pairs`` yields the out-edge tuples of the graphs, which the producers
     (grafting, slot splitting, Jacobiator expansion) build admissible from
     ``_PAIRS``, so no ``DirectedGraph`` is made for them.  Each is probed
-    once in the held ``+1``/``0`` table of K_{n,m}, which finds a canonical
-    labeling, and searched otherwise (``_register``); its signed weight is
-    added into the numerator of its class.  Callers scale their
-    coefficients to ``int`` numerators over one common denominator and pass
-    the accumulator of a whole operation to ``GraphSum._from_numerators``,
-    which keeps the numerators, so the graph-level algebra makes no
-    Fraction.  Numerators that cancel stay in ``acc`` as 0.
+    once in the table of K_{n,m}, which finds a canonical labeling of a
+    class held (sign +1, or a zero class), and searched otherwise; its
+    signed weight is added into the numerator of its class straight from
+    the search's (pairs, sign) and the class record (``_held``), so no
+    ``GraphClass`` is built, and a zero class adds nothing.  Callers scale
+    their coefficients to ``int`` numerators over one common denominator
+    and pass the accumulator of a whole operation to
+    ``GraphSum._from_numerators``, which keeps the numerators, so the
+    graph-level algebra makes no Fraction.  Numerators that cancel stay in
+    ``acc`` as 0.
     """
-    canonical = _TABLES[n, m][0]
+    table = _TABLES[n, m]
     for out_edges in pairs:
-        cls = canonical.get(out_edges) or _register(n, m, out_edges)
-        if cls.sign:
-            rep = cls.rep
-            acc[rep] = acc.get(rep, 0) + (weight if cls.sign > 0 else -weight)
+        rep, sign = table.get(out_edges), 1
+        if rep is None:
+            best, sign, _ = _canonical_raw(n, m, out_edges)
+            rep = _held(n, m, best, sign)
+        if rep:
+            acc[rep] = acc.get(rep, 0) + (weight if sign > 0 else -weight)
     return acc
 
 

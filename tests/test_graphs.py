@@ -134,19 +134,15 @@ def fresh_tables(monkeypatch):
 
 
 def table_entries():
-    """[(n, m, table key, GraphClass)] over both tables of every size."""
-    return [(n, m, pairs, cls) for (n, m), tables in graphs._TABLES.items()
-            for table in tables for pairs, cls in table.items()]
-
-
-def interned_classes():
-    """Every interned GraphClass, of both signs."""
-    return [cls for _, _, _, cls in table_entries()]
+    """[(n, m, table key, record)] over the table of every size: one entry
+    per class, its record the representative, or False for a zero class."""
+    return [(n, m, pairs, rep) for (n, m), table in graphs._TABLES.items()
+            for pairs, rep in table.items()]
 
 
 def representatives():
-    """{canonical key: representative} of every interned class."""
-    return {cls.rep.key: cls.rep for cls in interned_classes()}
+    """{canonical key: representative} of every nonzero class held."""
+    return {rep.key: rep for _, _, _, rep in table_entries() if rep}
 
 
 def test_isomorphic_graphs_share_one_representative(fresh_tables):
@@ -156,7 +152,9 @@ def test_isomorphic_graphs_share_one_representative(fresh_tables):
     flipped = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 1 2"))
     assert first.rep is twin.rep is flipped.rep
     assert str(first.rep) == "2 2 ; 3: 1 2 / 4: 1 3"
-    assert first is twin and (first.sign, flipped.sign) == (-1, 1)
+    assert first == twin and (first.sign, flipped.sign) == (-1, 1)
+    # one record for the class, whichever sign its labelings have
+    assert table_entries() == [(2, 2, first.rep.out_edges, first.rep)]
     # producers' pair tuples reach the same objects without a DirectedGraph
     acc = graphs.add_labeled_graphs({}, 2, 2, [((1, 2), (1, 3)), ((1, 4), (1, 2)),
                                                ((1, 4), (2, 1))], Fraction(3))
@@ -166,14 +164,17 @@ def test_isomorphic_graphs_share_one_representative(fresh_tables):
 def test_cache_limit_clears_the_interned_representatives(fresh_tables, monkeypatch):
     monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", 2)
     first = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
-    assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")) is first
+    assert canonical_form(parse_graph("2 2 ; 3: 4 1 / 4: 1 2")).rep is first.rep
     flipped = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 1 2"))
     assert flipped.rep is first.rep and (first.sign, flipped.sign) == (-1, 1)
-    # the limit counts classes: the two signs of one class, no labeling
-    assert len(interned_classes()) == graphs._TABLE_ENTRIES == 2
+    # the limit counts classes: both signs of one class are one record, and
+    # a zero class is one more
+    assert len(table_entries()) == graphs._TABLE_ENTRIES == 1
+    assert canonical_form(parse_graph("3 2 ; 3: 2 1 / 4: 1 2 / 5: 4 3")).sign == 0
+    assert len(table_entries()) == graphs._TABLE_ENTRIES == 2
     other = canonical_form(parse_graph("1 2 ; 3: 2 1"))  # a new class at the limit
     assert (table_entries(), representatives()) == (
-        [(1, 2, ((1, 2),), other)], {other.rep.key: other.rep})
+        [(1, 2, ((1, 2),), other.rep)], {other.rep.key: other.rep})
     assert graphs._TABLE_ENTRIES == 1
     again = canonical_form(parse_graph("2 2 ; 3: 1 4 / 4: 2 1"))
     assert again == first and again.rep is not first.rep
@@ -196,21 +197,22 @@ def searches(monkeypatch):
 def test_a_non_canonical_labeling_leaves_no_table_entry(fresh_tables, searches):
     g = parse_graph("2 2 ; 3: 1 4 / 4: 2 1")
     first = canonical_form(g)
-    assert canonical_form(g) is first and first.sign == -1
+    again = canonical_form(g)
+    assert again == first and again.rep is first.rep and first.sign == -1
     # searched on each sighting; only the class is kept, under its pairs
     assert len(searches) == 2
-    assert table_entries() == [(2, 2, first.rep.out_edges, first)]
+    assert table_entries() == [(2, 2, first.rep.out_edges, first.rep)]
     assert graphs._TABLE_ENTRIES == 1
     # a producer's tuple of the same labeling: one more search, no entry
     acc = graphs.add_labeled_graphs({}, 2, 2, [g.out_edges], 1)
     assert acc == {first.rep: -1} and len(searches) == 3
-    assert table_entries() == [(2, 2, first.rep.out_edges, first)]
-    # the representative's own labeling is searched until its sign +1
-    # class is interned, and found without a search from then on
+    assert table_entries() == [(2, 2, first.rep.out_edges, first.rep)]
+    # the class's one record serves its sign +1 labeling too: the
+    # representative's own labeling is found without a search
     plus = canonical_form(first.rep)
-    assert len(searches) == 4 and plus.rep is first.rep and plus.sign == 1
-    assert canonical_form(first.rep) is plus and len(searches) == 4
-    assert graphs._TABLE_ENTRIES == len(table_entries()) == 2
+    assert len(searches) == 3 and plus.rep is first.rep and plus.sign == 1
+    assert graphs.add_labeled_graphs({}, 2, 2, [first.rep.out_edges], 1) == {first.rep: 1}
+    assert len(searches) == 3 and graphs._TABLE_ENTRIES == len(table_entries()) == 1
 
 
 def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
@@ -219,21 +221,27 @@ def test_enumeration_interns_every_class_it_yields(fresh_tables, searches):
     result = enumerate_graphs(4, 2)
     searches.clear()
     for cls in result.classes:
-        assert canonical_form(cls.rep) is cls and cls.sign == 1
+        found = canonical_form(cls.rep)
+        assert found == cls and found.rep is cls.rep and cls.sign == 1
         assert GraphSum.single(cls.rep).terms() == [(cls, 1)]
     for rep in zeros:
         assert canonical_form(rep).sign == 0
         assert GraphSum.single(rep).is_zero
     assert searches == []
-    # the tables hold exactly the enumerated classes, zero classes included,
-    # each in the +1/0 table under its own pairs
+    # the table holds exactly the enumerated classes, zero classes included,
+    # each under its own pairs: a nonzero class's record is its
+    # representative, a zero class's is False
     classes = len(result.classes) + len(zeros)
-    assert len(interned_classes()) == len(representatives()) == classes
-    assert len(graphs._TABLES[4, 2][0]) == classes and not graphs._TABLES[4, 2][1]
-    assert all(pairs is cls.rep.out_edges for _, _, pairs, cls in table_entries())
+    assert len(graphs._TABLES[4, 2]) == len(table_entries()) == classes
+    held = representatives()
+    assert len(held) == len(result.classes)
+    assert all(held[cls.rep.key] is cls.rep for cls in result.classes)
+    assert sorted(pairs for _, _, pairs, rep in table_entries() if rep is False) == sorted(
+        rep.out_edges for rep in zeros)
+    assert all(pairs is rep.out_edges for _, _, pairs, rep in table_entries() if rep)
     assert enumerate_graphs(4, 2) == scan_enumerate_graphs(4, 2)
-    # interning the classes again adds no entry and counts none
-    assert graphs._TABLE_ENTRIES == len(interned_classes()) == classes
+    # recording the classes again adds no entry and counts none
+    assert graphs._TABLE_ENTRIES == len(table_entries()) == classes
 
 
 def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
@@ -241,11 +249,10 @@ def test_enumeration_respects_the_cache_limit(fresh_tables, monkeypatch):
     result = enumerate_graphs(3, 2)
     assert len(result.classes) > 10
     assert result == scan_enumerate_graphs(3, 2)
-    # cleared together: both tables hold the same last few classes
-    interned = interned_classes()
-    assert 1 <= len(interned) == graphs._TABLE_ENTRIES <= 5
-    assert set(representatives().values()) == {cls.rep for cls in interned}
-    assert set(result.classes[-len(interned):]) >= {c for c in interned if c.sign}
+    # cleared in place: the table holds the last few classes
+    held = table_entries()
+    assert 1 <= len(held) == graphs._TABLE_ENTRIES <= 5
+    assert set(result.classes[-len(held):]) >= {GraphClass(rep, 1) for *_, rep in held if rep}
 
 
 # three of the four K_{2,2} classes: the graded Jacobi sum of the graph-level
@@ -261,22 +268,45 @@ def test_held_table_stays_valid_when_the_limit_clears_mid_loop(fresh_tables, mon
     limit = 5
     monkeypatch.setattr(graphs, "_CANON_CACHE_LIMIT", limit)
     a, b, _ = jacobi_inputs()
-    held = graphs._TABLES[4, 3][0]  # the table the bracket's producer calls probe
-    register = graphs._register
+    held = graphs._TABLES[4, 3]  # the table the bracket's producer calls probe
+    record = graphs._held
     sizes = []
 
     def checking(*args):
-        cls = register(*args)
-        sizes.append(len(interned_classes()))
+        rep = record(*args)
+        sizes.append(len(table_entries()))
         assert graphs._TABLE_ENTRIES == sizes[-1] <= limit and len(held) <= limit
-        return cls
+        return rep
 
-    monkeypatch.setattr(graphs, "_register", checking)
+    monkeypatch.setattr(graphs, "_held", checking)
     result = graph_gerstenhaber(a, b)
-    # a single graft call yields more classes than the limit, so the tables
-    # were cleared inside the loop, in place
-    assert sizes.count(1) > 3 and graphs._TABLES[4, 3][0] is held
+    # a single graft call yields more classes than the limit, so the table
+    # was cleared inside the loop, in place
+    assert sizes.count(1) > 3 and graphs._TABLES[4, 3] is held
     assert result == labelled_graph_gerstenhaber(a, b) and not result.is_zero
+
+
+def test_the_producer_path_builds_no_graph_class(fresh_tables, searches, monkeypatch):
+    a, b, c = jacobi_inputs()
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return GraphClass(*args)
+
+    monkeypatch.setattr(graphs, "GraphClass", counting)
+    ab = graph_gerstenhaber(a, b)
+    result = graph_gerstenhaber(ab, c)
+    assert built == [] and len(searches) > 2000
+    # a sign-0 labeling and its class's canonical labeling add nothing; the
+    # class leaves one record, found without a search the second time
+    zero = parse_graph("3 2 ; 3: 2 1 / 4: 1 2 / 5: 4 3")
+    canonical = parse_graph("3 2 ; 3: 1 2 / 4: 1 2 / 5: 3 4")
+    searches.clear()
+    acc = graphs.add_labeled_graphs({}, 3, 2, [zero.out_edges, canonical.out_edges], 5)
+    assert acc == {} and built == [] and len(searches) == 1
+    assert graphs._TABLES[3, 2] == {canonical.out_edges: False}
+    assert result == labelled_graph_gerstenhaber(ab, c)
 
 
 def test_interned_classes_retain_few_bytes_per_graft(fresh_tables, monkeypatch):
@@ -301,11 +331,12 @@ def test_interned_classes_retain_few_bytes_per_graft(fresh_tables, monkeypatch):
     finally:
         tracemalloc.stop()
     assert grafts[0] > 2000 and graphs._TABLE_ENTRIES - classes > 2000
-    # the new classes (slotted), their representatives with one tuple of
-    # shared pairs each, and their table slots, and nothing per labeled
-    # graft: about 270 bytes per graft on Python 3.10 and 3.11, where a
-    # table entry per labeled graft made it about 382
-    assert retained / grafts[0] <= 340
+    # the representatives of the new classes, with one tuple of shared pairs
+    # each, and their table slots, and no GraphClass and nothing per labeled
+    # graft: about 223 bytes per graft on Python 3.11, where two tables of
+    # interned GraphClass objects made it about 269 and a table entry per
+    # labeled graft about 382
+    assert retained / grafts[0] <= 250
 
 
 def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch):
@@ -323,8 +354,8 @@ def test_stored_out_edge_tuples_hold_the_shared_pairs(fresh_tables, monkeypatch)
     stored = [pairs for _, _, pairs, _ in table_entries()] + [
         rep.out_edges for rep in representatives().values()]
     assert all(graphs._PAIRS.get(pair) is pair for pairs in stored for pair in pairs)
-    # every table key is its class's representative's own tuple
-    assert all(pairs is cls.rep.out_edges for _, _, pairs, cls in table_entries())
+    # every table key of a nonzero class is its representative's own tuple
+    assert all(pairs is rep.out_edges for _, _, pairs, rep in table_entries() if rep)
     # a parsed graph holds the shared pairs too
     pair, = parse_graph("1 2 ; 3: 2 1").out_edges
     assert pair is graphs._PAIRS[2, 1]
@@ -396,10 +427,11 @@ def test_canonical_search_matches_scan_on_all_small_graphs():
 
 @st.composite
 def _admissible_graphs(draw):
-    """Random K_{n,m} graphs, n <= 6, m <= 3: every argument first takes a
+    """Random K_{n,m} graphs, n <= 6, m <= 4, so the size K_{6,4} of the
+    graded Jacobi sum's grafts is drawn: every argument first takes a
     distinct edge slot, then the open slots get any other legal target."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(max(1, 3 - n), min(3, 2 * n)))  # K_{1,1} has no graph
+    m = draw(st.integers(max(1, 3 - n), min(4, 2 * n)))  # K_{1,1} has no graph
     slots = [[None, None] for _ in range(n)]
     for arg, slot in enumerate(draw(st.permutations(range(2 * n)))[:m], start=1):
         slots[slot // 2][slot % 2] = arg
