@@ -10,9 +10,8 @@ produces rational solutions or exact obstruction certificates.
 __version__ = "0.1.0"
 
 from .errors import (BudgetExceededError, DimensionError, GraphError, PresetError)
-from .graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
-                     canonical_form, encode_graph, enumerate_graphs, has_wheel,
-                     parse_graph, zero_classes)
+from .graphs import (DirectedGraph, EnumerationResult, GraphSum, canonical_form,
+                     encode_graph, enumerate_graphs, has_wheel, parse_graph, zero_classes)
 from .homology import (LeibnizGenerator, graft_terms, graph_compose, graph_delta,
                        graph_gerstenhaber, leibniz_generators)
 from .operators import (CoboundaryColumns, PolyDiffOperator, apply_graph, compile_graph,

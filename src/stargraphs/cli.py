@@ -89,7 +89,7 @@ def cmd_enumerate(args) -> int:
     _emit(args, _report(args, {
         "labeled_count": result.labeled_count,
         "class_count": len(result.classes),
-        "classes": [cls.rep.encode() for cls in result.classes],
+        "classes": [rep.encode() for rep in result.classes],
     }))
     return EXIT_OK
 
@@ -105,9 +105,9 @@ def cmd_wheels(args) -> int:
             graphs.extend(g for g, _ in parse_terms(handle))
     results = []
     for g in graphs:
-        cls = canonical_form(g)
+        rep, sign = canonical_form(g)
         results.append({"graph": g.encode(), "has_wheel": has_wheel(g),
-                        "canonical": cls.rep.encode(), "sign": cls.sign})
+                        "canonical": rep.encode(), "sign": sign})
     _emit(args, _report(args, {"graphs": results}))
     return EXIT_OK
 

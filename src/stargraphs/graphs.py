@@ -16,6 +16,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, GraphError
@@ -131,15 +132,6 @@ class DirectedGraph:
 
     def __str__(self) -> str:
         return self.encode()
-
-
-@dataclass(frozen=True, slots=True)
-class GraphClass:
-    """A canonical representative together with the sign relating a labeled
-    graph to it; sign 0 marks classes that are the zero cochain."""
-
-    rep: DirectedGraph
-    sign: int
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +334,7 @@ def _canonical_raw(n: int, m: int, pairs: Pairs, known: int | None = None):
 _TABLES = defaultdict(dict)
 _TABLE_ENTRIES = 0  # classes held over all sizes
 _CANON_CACHE_LIMIT = 120_000
+_ORBITS: dict = {}  # class representative -> (anchor, perm, sign), see ``_orbit``
 
 
 def _held(n: int, m: int, best: Pairs, sign: int):
@@ -351,7 +344,7 @@ def _held(n: int, m: int, best: Pairs, sign: int):
     A class not held yet is added, its representative built without
     re-checking admissibility (``DirectedGraph._trusted``) as ``best``
     relabels an admissible graph.  With ``_CANON_CACHE_LIMIT`` classes held,
-    adding one more first clears every table."""
+    adding one more first clears every table and the orbit records."""
     global _TABLE_ENTRIES
     table = _TABLES[n, m]
     rep = table.get(best)
@@ -359,39 +352,80 @@ def _held(n: int, m: int, best: Pairs, sign: int):
         if _TABLE_ENTRIES >= _CANON_CACHE_LIMIT:
             for held in _TABLES.values():
                 held.clear()
+            _ORBITS.clear()
             _TABLE_ENTRIES = 0
         rep = table[best] = DirectedGraph._trusted(n, m, best) if sign else False
         _TABLE_ENTRIES += 1
     return rep
 
 
-def _lookup(n: int, m: int, pairs: Pairs) -> GraphClass:
-    """Class of the admissible graph of K_{n,m} on ``pairs``.  The canonical
-    pairs of a class held are found without a search; any other labeling
-    costs one search (``_held``)."""
+def _lookup(n: int, m: int, pairs: Pairs) -> tuple:
+    """(representative, sign) of the class of the admissible graph of
+    K_{n,m} on ``pairs``; a zero class has sign 0 and a representative
+    that is not held.  The canonical pairs of a class held are found
+    without a search; any other labeling costs one search (``_held``)."""
     rep, sign = _TABLES[n, m].get(pairs), 1
     if rep is None:
         pairs, sign, _ = _canonical_raw(n, m, pairs)
         rep = _held(n, m, pairs, sign)
-    return GraphClass(rep, sign) if rep else GraphClass(DirectedGraph._trusted(n, m, pairs), 0)
+    return (rep, sign) if rep else (DirectedGraph._trusted(n, m, pairs), 0)
 
 
-def canonical_form(g: DirectedGraph) -> GraphClass:
-    """Class of ``g``: its orbit-minimal relabeling and the relating sign.
+def canonical_form(g: DirectedGraph) -> tuple:
+    """(representative, sign) of the class of ``g``: its orbit-minimal
+    relabeling and the relating sign.
 
     The representative is the lexicographically least tuple of sorted
     (L, R) pairs over all internal relabelings, found by the pruned
     level-wise search in ``_canonical_raw``; it depends only on the orbit,
     so isomorphic graphs get the same representative, for a nonzero class
-    the one object its table record holds while the cache holds it.  The
-    sign is +1 or -1 by the parity of L/R swaps that reach it, and 0 when
-    both parities do.  The one table per size holds a record per class and
-    none per labeled graph (``_lookup``): the canonical labeling of a class
-    held is found without a search, and ``enumerate_graphs`` records every
-    class it yields; any other labeled graph is searched each time it is
-    seen.  The ``GraphClass`` is built for the caller and is not stored.
+    the one object its table record holds while the cache holds it.  A
+    class is its representative: nothing else is stored for it.  The sign
+    is +1 or -1 by the parity of L/R swaps that reach it, and 0 when both
+    parities do.  The one table per size holds a record per class and none
+    per labeled graph (``_lookup``): the canonical labeling of a class held
+    is found without a search, and ``enumerate_graphs`` records every class
+    it yields; any other labeled graph is searched each time it is seen.
     """
     return _lookup(g.n, g.m, g.out_edges)
+
+
+def _relabeled_pairs(g: DirectedGraph, perm: tuple) -> tuple:
+    """Out-edge tuple of ``g`` with argument t renamed perm[t - 1], built
+    from the shared ``_PAIRS``."""
+    m = g.m
+    return tuple([_PAIRS[perm[left - 1] if left <= m else left,
+                         perm[right - 1] if right <= m else right]
+                  for left, right in g.out_edges])
+
+
+def _orbit(rep: DirectedGraph) -> tuple:
+    """(anchor, perm, sign) for the representative ``rep`` of a nonzero
+    class: ``anchor`` is the least class representative over the argument
+    relabelings of ``rep``, and ``perm`` the first relabeling in
+    ``permutations`` order whose class is the anchor's, with sign ``sign``.
+
+    Recorded once per orbit, for every class in it.  On a miss every
+    relabeling rep o s is looked up once (``_lookup``).  A class c found at
+    s with sign e is e (rep o s) up to internal relabeling, and an argument
+    relabeling commutes with an internal one, so c o t is e (rep o (t s)):
+    c's record is read off the same lookups.  The records are cleared with
+    the class tables (``_held``)."""
+    record = _ORBITS.get(rep)
+    if record is not None:
+        return record
+    perms = list(permutations(range(1, rep.m + 1)))
+    found = {s: _lookup(rep.n, rep.m, _relabeled_pairs(rep, s)) for s in perms}
+    anchor = min((c for c, _ in found.values()), key=lambda g: g.key)
+    for s, (c, sign) in found.items():
+        if c in _ORBITS:
+            continue
+        for t in perms:
+            target, target_sign = found[tuple([t[i - 1] for i in s])]
+            if target == anchor:
+                _ORBITS[c] = anchor, t, sign * target_sign
+                break
+    return _ORBITS[rep]
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +569,7 @@ def _check_size(n: int, m: int, vertex_budget: int):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    classes: tuple  # nonzero GraphClass entries, sorted by encoding
+    classes: tuple  # representatives of the nonzero classes, sorted by encoding
     labeled_count: int  # labeled graphs passing the filter
 
 
@@ -546,7 +580,7 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
     classes included).
 
     Every class found, zero classes included, is recorded in the table of
-    K_{n,m} (``_held``), and the nonzero ones are returned with the held
+    K_{n,m} (``_held``), and the nonzero ones are returned as their held
     representatives, so ``canonical_form`` on a returned representative
     makes no search."""
     _check_size(n, m, vertex_budget)
@@ -558,7 +592,7 @@ def enumerate_graphs(n: int, m: int, filter: str = "all",
         labeled += orbit
         rep = _held(n, m, pairs, sign)
         if sign:
-            classes.append(GraphClass(rep, sign))
+            classes.append(rep)
     return EnumerationResult(tuple(classes), labeled)
 
 
@@ -575,27 +609,24 @@ def zero_classes(n: int, m: int,
 
 
 def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
-    """(representative, signed nonzero coefficient) for each (graph-like,
-    coefficient) item, checked against the arity; the coefficient is an
-    exact rational by the rule of ``poly._rational`` (a float raises
-    ``TypeError``), and sign-0 classes vanish."""
+    """(representative, signed nonzero coefficient) for each (graph
+    encoding or DirectedGraph, coefficient) item, checked against the
+    arity; the coefficient is an exact rational by the rule of
+    ``poly._rational`` (a float raises ``TypeError``), and sign-0 classes
+    vanish.  A held representative is found again without a search."""
     for item, coeff in terms:
         coeff = _rational(coeff)
         if not coeff:
             continue
         if isinstance(item, str):
             item = parse_graph(item)
-        if isinstance(item, DirectedGraph):
-            cls = canonical_form(item)
-        elif isinstance(item, GraphClass):
-            cls = item
-        else:
-            raise TypeError("expected graph encoding, DirectedGraph or GraphClass")
-        if cls.rep.m != arity:
-            raise GraphError("term arity %d does not match sum arity %d"
-                             % (cls.rep.m, arity))
-        if cls.sign:
-            yield cls.rep, (coeff if cls.sign > 0 else -coeff)
+        if not isinstance(item, DirectedGraph):
+            raise TypeError("expected graph encoding or DirectedGraph")
+        rep, sign = canonical_form(item)
+        if rep.m != arity:
+            raise GraphError("term arity %d does not match sum arity %d" % (rep.m, arity))
+        if sign:
+            yield rep, (coeff if sign > 0 else -coeff)
 
 
 def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) -> dict:
@@ -608,13 +639,12 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
     once in the table of K_{n,m}, which finds a canonical labeling of a
     class held (sign +1, or a zero class), and searched otherwise; its
     signed weight is added into the numerator of its class straight from
-    the search's (pairs, sign) and the class record (``_held``), so no
-    ``GraphClass`` is built, and a zero class adds nothing.  Callers scale
-    their coefficients to ``int`` numerators over one common denominator
-    and pass the accumulator of a whole operation to
-    ``GraphSum._from_numerators``, which keeps the numerators, so the
-    graph-level algebra makes no Fraction.  Numerators that cancel stay in
-    ``acc`` as 0.
+    the search's (pairs, sign) and the class record (``_held``), and a
+    zero class adds nothing.  Callers scale their coefficients to ``int``
+    numerators over one common denominator and pass the accumulator of a
+    whole operation to ``GraphSum._from_numerators``, which keeps the
+    numerators, so the graph-level algebra makes no Fraction.  Numerators
+    that cancel stay in ``acc`` as 0.
     """
     table = _TABLES[n, m]
     for out_edges in pairs:
@@ -625,15 +655,6 @@ def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) 
         if rep:
             acc[rep] = acc.get(rep, 0) + (weight if sign > 0 else -weight)
     return acc
-
-
-def _relabeled_pairs(g: DirectedGraph, perm: tuple) -> tuple:
-    """Out-edge tuple of ``g`` with argument t renamed perm[t - 1], built
-    from the shared ``_PAIRS``."""
-    m = g.m
-    return tuple([_PAIRS[perm[left - 1] if left <= m else left,
-                         perm[right - 1] if right <= m else right]
-                  for left, right in g.out_edges])
 
 
 class GraphSum:
@@ -696,8 +717,7 @@ class GraphSum:
     def single(cls, graph, coeff=1) -> "GraphSum":
         if isinstance(graph, str):
             graph = parse_graph(graph)
-        arity = graph.rep.m if isinstance(graph, GraphClass) else graph.m
-        return cls(arity, [(graph, coeff)])
+        return cls(graph.m, [(graph, coeff)])
 
     # -- queries -----------------------------------------------------------
 
@@ -709,16 +729,18 @@ class GraphSum:
         return len(self._nums)
 
     def terms(self) -> list:
-        """Sorted list of (GraphClass with sign +1, Fraction coefficient)."""
-        return [(GraphClass(rep, 1), Fraction(self._nums[rep], self._denom))
+        """Sorted list of (class representative, Fraction coefficient): the
+        held representatives, so a sum rebuilt from its terms makes no
+        canonical search."""
+        return [(rep, Fraction(self._nums[rep], self._denom))
                 for rep in sorted(self._nums, key=lambda g: g.key)]
 
     def coefficient_of(self, graph) -> Fraction:
         """Effective coefficient of the given labeled graph (sign included)."""
         if isinstance(graph, str):
             graph = parse_graph(graph)
-        cls = canonical_form(graph) if isinstance(graph, DirectedGraph) else graph
-        return Fraction(self._nums.get(cls.rep, 0) * cls.sign, self._denom)
+        rep, sign = canonical_form(graph)
+        return Fraction(self._nums.get(rep, 0) * sign, self._denom)
 
     def internal_counts(self) -> tuple:
         return tuple(sorted({rep.n for rep in self._nums}))
@@ -778,7 +800,7 @@ class GraphSum:
     # -- text --------------------------------------------------------------
 
     def to_lines(self) -> list:
-        return ["%s\t%s" % (coeff, cls.rep.encode()) for cls, coeff in self.terms()]
+        return ["%s\t%s" % (coeff, rep.encode()) for rep, coeff in self.terms()]
 
     def __str__(self) -> str:
         return "\n".join(self.to_lines()) if self._nums else "(empty sum of arity %d)" % self.arity

@@ -120,11 +120,10 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
         b = [_rational(v) for v in rhs]
         if len(b) != len(work):
             raise ValueError("rhs length %d does not match %d rows" % (len(b), len(work)))
-    active = set(range(len(work)))
-    # column -> set of active rows holding it, maintained incrementally
+    # column -> set of unpivoted rows holding it, maintained incrementally
     col_rows: dict[int, set] = {}
-    for idx in active:
-        for col in work[idx]:
+    for idx, row in enumerate(work):
+        for col in row:
             col_rows.setdefault(col, set()).add(idx)
     # markowitz: (holder count, column) with lazy deletion; an entry is live
     # while its count is the column's holder count, and the columns whose
@@ -133,7 +132,6 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     heapq.heapify(heap)
     touched = set()
     pivots = []  # (col, row)
-    inconsistent = False
 
     def detach(idx):
         for col in work[idx]:
@@ -196,7 +194,6 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
                 pivot_row[col] = _rational(value / pivot_val)
             b[best_row] = _rational(b[best_row] / pivot_val)
         detach(best_row)
-        active.discard(best_row)
         pivots.append((best_col, best_row))
         for idx in sorted(col_rows.get(best_col, ())):
             factor = work[idx][best_col]
@@ -204,13 +201,9 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             eliminate_indexed(idx, pivot_row, factor)
             charge(idx, before)
             b[idx] = _rational(b[idx] - factor * b[best_row])
-            if not work[idx]:
-                if b[idx]:
-                    inconsistent = True
-                active.discard(idx)
-    for idx in active:
-        if b[idx]:
-            inconsistent = True
+    # no column is held by an unpivoted row any more, so every unpivoted row
+    # is empty and a pivot row never is
+    inconsistent = any(b[idx] for idx, row in enumerate(work) if not row)
 
     # back-substitute to full RREF: sweep pivot columns in descending order,
     # clearing each from every other pivot row in ascending pivot-column

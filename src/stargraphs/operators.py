@@ -15,19 +15,20 @@ argument relabelings (``_anchored``): the orbit's least class
 representative, its anchor, is compiled and cached on the Poisson
 structure, and each class of the orbit is the anchor's operator with its
 slots permuted and the orbit sign applied.  The orbit of a class is looked
-up once (``_orbit``) and recorded for every class in it, so a class of a
-known orbit costs no lookup.  The in-degree gate (``_Gate``) adds the
-anchor's terms under the permuted slot keys, with the sign folded into the
-sum's ``int`` numerator, into one dict per key in ``int`` arithmetic, and
-divides by the sum's denominator once at the end; no permuted operator is
-built.  A sum's operator (``_gated``) is cached under the sum.  Every
-entry point that takes a labeled graph (``apply_graph``, the oracles,
-``CoboundaryColumns``) turns it into ``GraphSum.single`` once, which
-carries its class sign, so nothing is compiled or cached per labeled
-graph.  ``Poly`` keeps integral coefficients as ``int``, so integral
-cochains on an integral fixture evaluate on integral arguments without any
-``Fraction`` arithmetic, and its packed exponent keys make every monomial
-product of compilation and evaluation one ``int`` addition.
+up once (``graphs._orbit``) and recorded beside the class tables for every
+class in it, so a class of a known orbit costs no lookup.  The in-degree
+gate (``_Gate``) adds the anchor's terms under the permuted slot keys, with
+the sign folded into the sum's ``int`` numerator, into one dict per key in
+``int`` arithmetic, and divides by the sum's denominator once at the end;
+no permuted operator is built.  A sum's operator (``_gated``) is cached
+under the sum.  Every entry point that takes a labeled graph
+(``apply_graph``, the oracles, ``CoboundaryColumns``) turns it into
+``GraphSum.single`` once, which carries its class sign, so nothing is
+compiled or cached per labeled graph.  ``Poly`` keeps integral
+coefficients as ``int``, so integral cochains on an integral fixture
+evaluate on integral arguments without any ``Fraction`` arithmetic, and
+its packed exponent keys make every monomial product of compilation and
+evaluation one ``int`` addition.
 
 Evaluation is one pass, ``_accumulate``, over operator terms stored in a
 per-slot trie: slot-1 derivative multi-index -> slot-2 multi-index -> .. ->
@@ -73,11 +74,11 @@ so each is formed once per argument pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Sequence
 
 from .errors import DimensionError
-from .graphs import _CANON_CACHE_LIMIT, DirectedGraph, GraphSum, _lookup, _relabeled_pairs
+from .graphs import DirectedGraph, GraphSum, _orbit
 from .poisson import PoissonStructure
 from .poly import Poly, _add_terms, _exact, _guards, _mul_terms, _rational, _unpack, _wrap
 
@@ -307,40 +308,6 @@ def compile_graph(g: DirectedGraph, p: PoissonStructure) -> PolyDiffOperator:
 
     visit(n - 1, None)
     return PolyDiffOperator(d, m, {key: _wrap(d, terms) for key, terms in acc.items()})
-
-
-_ORBITS: dict = {}  # class representative -> (anchor, perm, sign), see ``_orbit``
-
-
-def _orbit(rep: DirectedGraph) -> tuple:
-    """(anchor, perm, sign) for the representative ``rep`` of a nonzero
-    class: ``anchor`` is the least class representative over the argument
-    relabelings of ``rep``, and ``perm`` the first relabeling in
-    ``permutations`` order whose class is the anchor's, with sign ``sign``.
-
-    Recorded once per orbit, for every class in it.  On a miss every
-    relabeling rep o s is looked up once (``graphs._lookup``).  A class c
-    found at s with sign e is e (rep o s) up to internal relabeling, and an
-    argument relabeling commutes with an internal one, so c o t is
-    e (rep o (t s)): c's record is read off the same lookups.  The table is
-    cleared at ``graphs._CANON_CACHE_LIMIT``."""
-    record = _ORBITS.get(rep)
-    if record is not None:
-        return record
-    if len(_ORBITS) >= _CANON_CACHE_LIMIT:
-        _ORBITS.clear()
-    perms = list(permutations(range(1, rep.m + 1)))
-    found = {s: _lookup(rep.n, rep.m, _relabeled_pairs(rep, s)) for s in perms}
-    anchor = min((cls.rep for cls in found.values()), key=lambda g: g.key)
-    for s, cls in found.items():
-        if cls.rep in _ORBITS:
-            continue
-        for t in perms:
-            target = found[tuple([t[i - 1] for i in s])]
-            if target.rep == anchor:
-                _ORBITS[cls.rep] = anchor, t, cls.sign * target.sign
-                break
-    return _ORBITS[rep]
 
 
 def _anchored(rep: DirectedGraph, p: PoissonStructure) -> tuple:

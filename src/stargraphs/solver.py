@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, GraphError
-from .graphs import GraphClass, GraphSum, enumerate_graphs
+from .graphs import GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
@@ -145,8 +145,8 @@ class MCReport:
 
 @functools.lru_cache(maxsize=None)
 def _wheel_basis(n: int, wheel_free: bool) -> tuple:
-    """The arity-2 classes with n internal vertices, enumerated once per
-    (n, wheel_free)."""
+    """The representatives of the arity-2 classes with n internal vertices,
+    enumerated once per (n, wheel_free)."""
     return enumerate_graphs(n, 2, "wheel_free" if wheel_free else "all").classes
 
 
@@ -190,7 +190,7 @@ def _block_system(n: int, basis, leibniz: bool, rhs: GraphSum | None = None,
     ``nonzero_cap`` (None: unbounded).  Returns (generators, row count,
     Echelon)."""
     generators = leibniz_generators(n, 3) if (leibniz and n >= 2) else []
-    columns = ([graph_delta(GraphSum.single(cls.rep)) for cls in basis]
+    columns = ([graph_delta(GraphSum.single(rep)) for rep in basis]
                + [gen.expansion for gen in generators])
     rows, b = _assemble(columns, rhs)
     return generators, len(rows), echelon(rows, b, len(columns), strategy,
@@ -252,10 +252,10 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
         for basis, generators, ech in blocks:
             for col, value in ech.particular_solution().items():
                 if col < len(basis):
-                    solution_terms.append((basis[col].rep, value))
+                    solution_terms.append((basis[col], value))
                 else:
                     expansion = generators[col - len(basis)].expansion
-                    leibniz_terms.extend((cls, c * value) for cls, c in expansion.terms())
+                    leibniz_terms.extend((rep, c * value) for rep, c in expansion.terms())
             affine += projected_span(ech.nullspace(), len(basis)).rank
         solution = GraphSum(2, solution_terms)
         # the witness: the generator columns enter the system unnegated, so
@@ -393,10 +393,10 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     (six for the four policy fixtures, so the earliest stop is after the
     second feed of the second round) and the last three are equal, or when
     the cap would pass 8."""
-    basis: list[GraphClass] = []
+    basis: list = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
-    columns = [GraphSum.single(cls.rep) for cls in basis]
+    columns = [GraphSum.single(rep) for rep in basis]
     lower = _bracket_pairs(series, k)
     reducer = StreamingReducer()
     used: list[dict] = []
@@ -500,7 +500,7 @@ def cocycle_kernel(n: int, wheel_free: bool = True, modulo_leibniz: bool = False
     basis = _wheel_basis(n, wheel_free)
     _, _, ech = _block_system(n, basis, modulo_leibniz)
     span = projected_span(ech.nullspace(), len(basis))
-    return [GraphSum(2, [(basis[col].rep, coeff) for col, coeff in row.items()])
+    return [GraphSum(2, [(basis[col], coeff) for col, coeff in row.items()])
             for row in span.rows]
 
 

@@ -49,7 +49,8 @@ checks, so that each checks one rule:
   constructor, so they check the counting into classes; the operator-level
   tests check the producers.
 * ``FractionDictSum`` shares ``canonical_form`` to find each labeled
-  graph's class and sign.
+  graph's (representative, sign) pair, and keys its class by the
+  representative's encoding key.
 * ``product_order_leibniz_generators`` shares ``expand_jacobiator_vertex``,
   ``operator_jacobiator`` shares ``apply_graph``, and ``fraction_echelon``
   the ``Echelon`` container and the names of the pivot strategies.
@@ -61,9 +62,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from stargraphs.errors import BudgetExceededError, DimensionError
-from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphClass, GraphSum,
-                               _canonical_raw, _passes_filter, canonical_form, has_wheel,
-                               parse_graph)
+from stargraphs.graphs import (DirectedGraph, EnumerationResult, GraphSum, _canonical_raw,
+                               _passes_filter, canonical_form, has_wheel, parse_graph)
 from stargraphs.homology import (LeibnizGenerator, _jacobiator_terms, _split_terms,
                                  expand_jacobiator_vertex, graft_terms)
 from stargraphs.linalg import STRATEGIES, Echelon, Row
@@ -194,8 +194,7 @@ def scan_enumerate_graphs(n, m, filter="all"):
         if sign == 0:
             continue
         reps.add(best)
-    classes = tuple(GraphClass(DirectedGraph(n, m, pairs), 1)
-                    for pairs in sorted(reps))
+    classes = tuple(DirectedGraph(n, m, pairs) for pairs in sorted(reps))
     return EnumerationResult(classes, labeled)
 
 
@@ -359,8 +358,8 @@ def reference_operator(s, p):
     if isinstance(s, DirectedGraph):
         return compile_graph(s, p)
     terms = {}
-    for cls, coeff in s.terms():
-        for key, poly in compile_graph(cls.rep, p).terms.items():
+    for rep, coeff in s.terms():
+        for key, poly in compile_graph(rep, p).terms.items():
             terms[key] = terms.get(key, Poly.zero(p.d)) + poly.scale(coeff)
     return PolyDiffOperator(p.d, s.arity, terms)
 
@@ -636,11 +635,11 @@ def product_order_leibniz_generators(n_total, m, wheel_free_expansions=False,
             if expansion.is_zero:
                 continue
             if wheel_free_expansions and any(
-                    has_wheel(cls.rep) for cls, _ in expansion.terms()):
+                    has_wheel(rep) for rep, _ in expansion.terms()):
                 continue
             terms = expansion.terms()
             lead = terms[0][1]
-            key = tuple((cls.rep.key, coeff / lead) for cls, coeff in terms)
+            key = tuple((rep.key, coeff / lead) for rep, coeff in terms)
             if key in seen:
                 continue
             seen.add(key)
@@ -678,8 +677,8 @@ class FractionDictSum:
         self.arity = arity
         self.coeffs = {}
         for g, coeff in items:
-            cls = canonical_form(g)
-            self._add(cls.rep.key, Fraction(coeff) * cls.sign)
+            rep, sign = canonical_form(g)
+            self._add(rep.key, Fraction(coeff) * sign)
 
     def _add(self, key, value):
         total = self.coeffs.get(key, Fraction(0)) + value
@@ -711,8 +710,8 @@ class FractionDictSum:
         return out
 
     def coefficient_of(self, g):
-        cls = canonical_form(g)
-        return self.coeffs.get(cls.rep.key, Fraction(0)) * cls.sign
+        rep, sign = canonical_form(g)
+        return self.coeffs.get(rep.key, Fraction(0)) * sign
 
     def terms(self):
         """(encoding key, coefficient) sorted by key: ``GraphSum.terms`` with
@@ -824,11 +823,11 @@ def labelled_graph_delta(s):
     m = s.arity
     out = []
     outer_sign = 1 if m % 2 == 0 else -1
-    for cls, coeff in s.terms():
+    for rep, coeff in s.terms():
         for slot in range(1, m + 1):
             term_sign = outer_sign if (slot - 1) % 2 == 0 else -outer_sign
             weight = coeff * term_sign
-            for split in split_graphs(cls.rep, slot):
+            for split in split_graphs(rep, slot):
                 out.append((split, weight))
     return GraphSum(m + 1, out)
 
@@ -838,12 +837,12 @@ def labelled_graph_compose(s1, s2):
     constructor as its own term, slot t weighted (-1)^((t-1)(m2-1))."""
     m1, m2 = s1.arity, s2.arity
     out = []
-    for cls1, c1 in s1.terms():
-        for cls2, c2 in s2.terms():
+    for rep1, c1 in s1.terms():
+        for rep2, c2 in s2.terms():
             base = c1 * c2
             for slot in range(1, m1 + 1):
                 weight = base if ((slot - 1) * (m2 - 1)) % 2 == 0 else -base
-                for grafted in grafted_graphs(cls1.rep, slot, cls2.rep):
+                for grafted in grafted_graphs(rep1, slot, rep2):
                     out.append((grafted, weight))
     return GraphSum(m1 + m2 - 1, out)
 

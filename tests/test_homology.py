@@ -60,7 +60,7 @@ def test_delta_symmetric_graph_shape_and_value():
 
 def test_delta_squared_vanishes_at_graph_level():
     rng = random.Random(11)
-    pool = [cls.rep for n in (1, 2, 3) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2, 3) for rep in enumerate_graphs(n, 2).classes]
     for _ in range(10):
         s = rand_sum(rng, pool)
         assert graph_delta(graph_delta(s)).is_zero
@@ -68,7 +68,7 @@ def test_delta_squared_vanishes_at_graph_level():
 
 def test_delta_matches_oracle_on_random_sums():
     rng = random.Random(13)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     for _ in range(8):
         s = rand_sum(rng, pool)
         ds = graph_delta(s)
@@ -83,7 +83,7 @@ def test_compose_poisson_with_poisson():
     s = GraphSum.single(POISSON)
     comp = graph_compose(s, s)
     assert comp.arity == 3
-    assert all(cls.rep.n == 2 for cls, _ in comp.terms())
+    assert all(rep.n == 2 for rep, _ in comp.terms())
     for p in presets():
         rng = random.Random(3)
         args = rand_args(rng, p.d, 3)
@@ -99,7 +99,7 @@ def test_compose_with_zero_is_zero():
 
 def test_compose_matches_oracle_on_random_sums():
     rng = random.Random(17)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     for _ in range(6):
         s1 = rand_sum(rng, pool)
         s2 = rand_sum(rng, pool)
@@ -129,12 +129,12 @@ def test_bracket_of_poisson_is_nonzero_in_k23():
     br = graph_gerstenhaber(s, s)
     assert not br.is_zero
     assert br.arity == 3
-    assert all(cls.rep.n == 2 for cls, _ in br.terms())
+    assert all(rep.n == 2 for rep, _ in br.terms())
 
 
 def test_bracket_antisymmetry_odd_degree():
     rng = random.Random(19)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     for _ in range(5):
         s1 = rand_sum(rng, pool)
         s2 = rand_sum(rng, pool)
@@ -144,7 +144,7 @@ def test_bracket_antisymmetry_odd_degree():
 
 def test_bracket_matches_oracle():
     rng = random.Random(23)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     for _ in range(5):
         s1 = rand_sum(rng, pool)
         s2 = rand_sum(rng, pool)
@@ -156,7 +156,7 @@ def test_bracket_matches_oracle():
 
 def test_graded_jacobi_identity_at_operator_level():
     rng = random.Random(29)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     p = preset_poisson("so3")
     for _ in range(3):
         a, b, c = (rand_sum(rng, pool) for _ in range(3))
@@ -171,7 +171,7 @@ def test_graded_jacobi_identity_at_operator_level():
 def test_delta_agrees_with_product_bracket_at_operator_level():
     # delta C = m0 o C - (-1)^k C o m0, expanded literally with the product
     rng = random.Random(31)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     p = preset_poisson("so3")
     for _ in range(5):
         s = rand_sum(rng, pool)
@@ -192,7 +192,7 @@ def test_delta_agrees_with_product_bracket_at_operator_level():
 # -- counted graph-level algebra against one term per labelled graph ------------
 
 # classes of K_{n,m} by arity m, mixing internal counts (K_{1,3} is empty)
-COUNTED_POOLS = {m: [cls.rep for n in ns for cls in enumerate_graphs(n, m).classes]
+COUNTED_POOLS = {m: [rep for n in ns for rep in enumerate_graphs(n, m).classes]
                  for m, ns in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3)))}
 # few distinct values, so that classes reached from different terms cancel
 CANCELLING = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
@@ -314,9 +314,9 @@ def test_merged_sums_equal_constructed_sums():
             a, b, c = (cancelling_sum(rng, arity) for _ in range(3))
             weight = rng.choice(CANCELLING) * 3
             merged = a + b.scale(weight) - c
-            built = GraphSum(arity, [(relabelled(rng, cls.rep, swaps=False), coeff * w)
+            built = GraphSum(arity, [(relabelled(rng, rep, swaps=False), coeff * w)
                                      for s, w in ((a, 1), (b, weight), (c, -1))
-                                     for cls, coeff in s.terms()])
+                                     for rep, coeff in s.terms()])
             assert merged == built
             assert merged.terms() == built.terms()
             assert hash(merged) == hash(built)
@@ -324,7 +324,7 @@ def test_merged_sums_equal_constructed_sums():
             for n in merged.internal_counts():
                 part = merged.restrict_count(n)
                 assert part == GraphSum(arity, [
-                    (cls, coeff) for cls, coeff in built.terms() if cls.rep.n == n])
+                    (rep, coeff) for rep, coeff in built.terms() if rep.n == n])
             assert (a + a.scale(-1)).is_zero
             assert a - a == GraphSum.zero(arity)
             assert a.scale(0) == GraphSum.zero(arity)
@@ -387,7 +387,7 @@ def test_wheel_free_expansion_filter():
     filtered = leibniz_generators(3, 3, wheel_free_expansions=True)
     assert len(filtered) <= len(all_gens)
     for gen in filtered:
-        assert all(not has_wheel(cls.rep) for cls, _ in gen.expansion.terms())
+        assert all(not has_wheel(rep) for rep, _ in gen.expansion.terms())
 
 
 def test_generator_validation():

@@ -92,14 +92,11 @@ def test_canonical_sign_semantics():
     rng = random.Random(19)
     p = so3()
     classes = enumerate_graphs(2, 2).classes + enumerate_graphs(3, 2).classes[:6]
-    for cls in classes:
-        g = cls.rep
+    for g in classes:
         flipped = flip_first_pair(g)
         args = mono_args(rng, 3, 2)
         assert apply_graph(flipped, p, args) == -apply_graph(g, p, args)
-        fc = canonical_form(flipped)
-        assert fc.rep == g
-        assert fc.sign == -1
+        assert canonical_form(flipped) == (g, -1)
 
 
 def test_sign_zero_class_is_zero_operator():
@@ -145,8 +142,8 @@ def small_classes():
 @pytest.mark.parametrize("spec", ORACLE_FIXTURES)
 def test_compile_graph_matches_brute_force_small(spec):
     p = preset_from_string(spec)
-    for cls in small_classes():
-        for g in (cls.rep, flip_first_pair(cls.rep)):
+    for rep in small_classes():
+        for g in (rep, flip_first_pair(rep)):
             assert compile_graph(g, p).terms == brute_force_compile_graph(g, p).terms
 
 
@@ -155,8 +152,8 @@ def test_compile_graph_matches_brute_force_k42_wheel_free(spec):
     p = preset_from_string(spec)
     classes = enumerate_graphs(4, 2, "wheel_free").classes
     assert len(classes) == 74
-    for cls in classes:
-        assert compile_graph(cls.rep, p).terms == brute_force_compile_graph(cls.rep, p).terms
+    for rep in classes:
+        assert compile_graph(rep, p).terms == brute_force_compile_graph(rep, p).terms
 
 
 def rational_args(rng, d, count):
@@ -185,7 +182,7 @@ def rational_args(rng, d, count):
 def test_apply_matches_brute_force(spec):
     rng = random.Random(61)
     p = preset_from_string(spec)
-    pool = [cls.rep for cls in small_classes()]
+    pool = list(small_classes())
     for _ in range(12):
         arity = rng.choice((2, 3))
         reps = [g for g in pool if g.m == arity]
@@ -265,7 +262,7 @@ def test_downset_walk_misses_keys_outside_a_union_of_boxes(monkeypatch):
     for pair in ((square_sum, x(3, 1) * x(3, 1) + x(3, 2) * x(3, 3)),
                  (x(3, 2) * x(3, 2) - x(3, 3), square_sum)):
         assert sym.apply(pair) == brute_force_apply(sym, pair)
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     args = (square_sum, x(3, 1) * x(3, 3), x(3, 2) * x(3, 2) + x(3, 3))
     assert (CoboundaryColumns(columns, p).values(args)
             == brute_force_columns(columns, preset_poisson("so3"))(args))
@@ -282,7 +279,7 @@ def test_zero_argument_reaches_no_key():
             assert op.apply(args).is_zero
             assert brute_force_apply(op, args).is_zero
     # each inner tuple of the coboundary has a zero argument
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     delta, expected = CoboundaryColumns(columns, p), brute_force_columns(columns, p)
     for args in ((zero, x(3, 1), x(3, 2) * x(3, 3)), (x(3, 1) * x(3, 1), zero, x(3, 3))):
         values = delta.values(args)
@@ -296,8 +293,8 @@ def test_zero_argument_reaches_no_key():
 def order4_wheel_free_basis():
     """The 90 wheel-free arity-2 classes with 1..4 internal vertices: the
     unknowns of the order-4 evaluation route."""
-    return tuple(cls for n in (1, 2, 3, 4)
-                 for cls in enumerate_graphs(n, 2, "wheel_free").classes)
+    return tuple(rep for n in (1, 2, 3, 4)
+                 for rep in enumerate_graphs(n, 2, "wheel_free").classes)
 
 
 def coboundary_triples(d):
@@ -318,7 +315,7 @@ def test_coboundary_columns_match_brute_force_delta(spec):
     p = preset_from_string(spec)
     basis = order4_wheel_free_basis()
     assert len(basis) == 90
-    columns = [GraphSum.single(cls.rep) for cls in basis]
+    columns = [GraphSum.single(rep) for rep in basis]
     delta, reference = CoboundaryColumns(columns, p), brute_force_columns(columns, p)
     nonzero = 0
     for args in coboundary_triples(p.d):
@@ -343,13 +340,13 @@ def test_integer_fixtures_compile_to_int_coefficients(spec):
     p = preset_from_string(spec)
     basis = order4_wheel_free_basis()
     nonzero = 0
-    for cls in basis:
-        op = compile_graph(cls.rep, p)
+    for rep in basis:
+        op = compile_graph(rep, p)
         nonzero += not op.is_zero
         for poly in op.terms.values():
             assert all(type(c) is int for c in poly.terms.values())
     assert nonzero
-    delta = CoboundaryColumns([GraphSum.single(cls.rep) for cls in basis], p)
+    delta = CoboundaryColumns([GraphSum.single(rep) for rep in basis], p)
     for args in coboundary_triples(p.d)[:3]:
         for value in delta.values(args):
             assert all(type(c) is int for c in value.terms.values())
@@ -378,7 +375,7 @@ def test_jets_give_the_brute_force_values_on_every_use(spec):
     # normal form
     p = preset_from_string(spec)
     rng = random.Random(73)
-    pool = [cls.rep for cls in small_classes()]
+    pool = list(small_classes())
     for _ in range(8):
         arity = rng.choice((2, 3))
         reps = [g for g in pool if g.m == arity]
@@ -395,7 +392,7 @@ def test_jets_give_the_brute_force_values_on_every_use(spec):
             assert typed_terms(values[1]) == typed_terms(values[2]) == typed_terms(values[0])
             assert normal_values(values)
             assert use[0]._jet is not None
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
     reference = brute_force_columns(columns, preset_from_string(spec))
     nonzero = 0
@@ -415,7 +412,7 @@ def test_touched_terms_are_the_nonzero_columns_in_order(spec, monkeypatch):
     # ascending order; every other column is zero, and the touched ones
     # hold the brute-force values, each coefficient in normal form
     p = preset_from_string(spec)
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
     reference = brute_force_columns(columns, preset_from_string(spec))
     quadratic = monomials_up_to_degree(p.d, 2, min_degree=2)
@@ -451,8 +448,7 @@ def test_vertex_without_admissible_pair_compiles_to_zero_without_search(monkeypa
 
     monkeypatch.setattr(PoissonStructure, "entry_derivative", counting)
     dead = 0
-    for cls in order4_wheel_free_basis():
-        g = cls.rep
+    for g in order4_wheel_free_basis():
         internal_in = [sum(v in pair for pair in g.out_edges)
                        for v in range(g.m + 1, g.m + g.n + 1)]
         del calls[:]
@@ -493,7 +489,7 @@ def relabel_args(g, perm):
 def orbit_anchor(g):
     """The least class representative key over the argument relabelings of
     g: the one graph of its orbit that gets compiled."""
-    return min(canonical_form(relabel_args(g, perm)).rep.key
+    return min(canonical_form(relabel_args(g, perm))[0].key
                for perm in itertools.permutations(range(1, g.m + 1)))
 
 
@@ -518,12 +514,12 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     # one of them can contribute
     p = preset_from_string(CUBIC)
     basis = order4_wheel_free_basis()
-    columns = [GraphSum.single(cls.rep) for cls in basis]
+    columns = [GraphSum.single(rep) for rep in basis]
     delta = CoboundaryColumns(columns, p)
     triples = degree_one_triples(3)
     assert len(triples) == 27
     values = [delta.values(args) for args in triples]
-    fits = {cls.rep for cls in basis if admitted(cls.rep, [(1, 1), (2, 1), (1, 2)])}
+    fits = {rep for rep in basis if admitted(rep, [(1, 1), (2, 1), (1, 2)])}
     assert len(fits) == 11
     # one compile per argument-relabeling orbit of a graph that can be fed
     anchors = {orbit_anchor(g) for g in fits}
@@ -539,9 +535,9 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
     row = delta.values(args)
     assert row == reference(args)
     assert any(not value.is_zero for value in row)
-    forced = {cls.rep for cls in basis
-              if admitted(cls.rep, [(2, 3), (3, 2), (5, 2), (2, 5)])}
-    waiting = set(cls.rep for cls in basis) - fits - forced
+    forced = {rep for rep in basis
+              if admitted(rep, [(2, 3), (3, 2), (5, 2), (2, 5)])}
+    waiting = set(basis) - fits - forced
     assert waiting  # the (3, 3) graphs and up still wait
     anchors = {orbit_anchor(g) for g in fits | forced}
     assert not anchors & {orbit_anchor(g) for g in waiting}
@@ -555,8 +551,8 @@ def test_coboundary_columns_compile_only_graphs_the_arguments_feed(compiled_keys
 def test_coboundary_columns_compile_sums_and_labeled_graphs_by_group(compiled_keys):
     p = preset_from_string(CUBIC)
     by_degrees = {}
-    for cls in order4_wheel_free_basis():
-        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    for rep in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(rep), []).append(rep)
     a, b, c = by_degrees[(1, 1)][0], by_degrees[(2, 1)][0], by_degrees[(2, 2)][0]
     labeled = flip_first_pair(by_degrees[(1, 2)][0])  # not canonical
     columns = [GraphSum(2, [(a, Fraction(2, 3)), (b, -5), (c, Fraction(1, 7))]),
@@ -594,7 +590,7 @@ def test_coboundary_columns_trie_grows_between_calls(compiled_keys):
     # a degree-1 triple compiles the low groups, a degree-2 triple adds keys
     # to the same trie, and the first triple then reads the grown trie
     p = so3()
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
     reference = brute_force_columns(columns, so3())
     low = (x(3, 1), x(3, 3), x(3, 2))
@@ -618,8 +614,8 @@ def mixed_sum():
     the order-4 wheel-free basis, under assorted coefficients (some not
     integral), and the groups it spans."""
     by_degrees = {}
-    for cls in order4_wheel_free_basis():
-        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    for rep in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(rep), []).append(rep)
     coeffs = itertools.cycle([Fraction(2, 3), -5, Fraction(-1, 7), 3])
     terms = [(g, next(coeffs)) for graphs in by_degrees.values() for g in graphs[:2]]
     return GraphSum(2, terms), set(by_degrees)
@@ -740,7 +736,7 @@ def test_coboundary_columns_compile_each_group_once(compiled_keys, monkeypatch):
     # at most once, every orbit once, and each degree vector is checked
     # against the pending groups once
     p = preset_from_string(CUBIC)
-    columns = [GraphSum.single(cls.rep) for cls in order4_wheel_free_basis()]
+    columns = [GraphSum.single(rep) for rep in order4_wheel_free_basis()]
     delta = CoboundaryColumns(columns, p)
     compiled, checked = [], []
     compile_, fits = operators._Gate._compile, operators._fits
@@ -805,7 +801,7 @@ def test_delta_vanishes_on_constants():
 
 def test_delta_squared_is_zero():
     rng = random.Random(29)
-    pool = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2).classes]
+    pool = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2).classes]
     p = so3()
     for _ in range(6):
         s = GraphSum(2, [(rng.choice(pool), Fraction(rng.randint(1, 4)))])
@@ -858,7 +854,7 @@ def orbit_series():
 
 
 def small_reps():
-    return [cls.rep for n, m in small_sizes() for cls in enumerate_graphs(n, m).classes]
+    return [rep for n, m in small_sizes() for rep in enumerate_graphs(n, m).classes]
 
 
 @pytest.mark.parametrize("spec", ORBIT_FIXTURES)
@@ -884,7 +880,7 @@ def reference_graphs():
     references in this module: every class of the small sizes and every
     term of the orbit sums."""
     reps = set(small_reps())
-    reps.update(cls.rep for s in orbit_sums() for cls, _ in s.terms())
+    reps.update(rep for s in orbit_sums() for rep, _ in s.terms())
     return sorted(reps, key=lambda g: g.key)
 
 
@@ -933,14 +929,14 @@ def residual_graphs():
     of the wheel-free series, whose residuals the evaluation route checks."""
     series = orbit_series()
     sums = [graph_delta(series.order(k)) for k in (2, 3)] + [mc_defect(series, k) for k in (2, 3)]
-    return sorted({cls.rep for s in sums for cls, _ in s.terms()}, key=lambda g: g.key)
+    return sorted({rep for s in sums for rep, _ in s.terms()}, key=lambda g: g.key)
 
 
 @pytest.mark.parametrize("spec", ["so3", CUBIC])
 def test_compiled_records_each_orbit_once(spec, monkeypatch):
     # a fresh orbit table and a count of the class lookups made by
     # ``GraphSum.single`` (through ``canonical_form``) and ``compile_sum``
-    monkeypatch.setattr(operators, "_ORBITS", {})
+    monkeypatch.setattr(graphs_module, "_ORBITS", {})
     lookups = []
     lookup = graphs_module._lookup
 
@@ -949,7 +945,6 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
         return lookup(*key)
 
     monkeypatch.setattr(graphs_module, "_lookup", counting)
-    monkeypatch.setattr(operators, "_lookup", counting)
     p, reference = preset_from_string(spec), preset_from_string(spec)
     reps = residual_graphs()
     assert len(reps) > 20 and {g.m for g in reps} == {3}
@@ -959,7 +954,7 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
     costs = []
     nonzero = 0
     for g in graphs.values():
-        known = canonical_form(g).rep in operators._ORBITS
+        known = canonical_form(g)[0] in graphs_module._ORBITS
         before = len(lookups)
         op = compile_sum(GraphSum.single(g), p)
         costs.append(len(lookups) - before)
@@ -1004,8 +999,8 @@ def test_compile_sum_builds_no_operator_per_labeled_graph(spec, compiled_keys):
     sums = orbit_sums()
     for s in sums:
         compile_sum(s, p)
-    anchors = {orbit_anchor(cls.rep) for s in sums for cls, _ in s.terms()}
-    assert any(cls.rep.key not in anchors for s in sums for cls, _ in s.terms())
+    anchors = {orbit_anchor(rep) for s in sums for rep, _ in s.terms()}
+    assert any(rep.key not in anchors for s in sums for rep, _ in s.terms())
     graphs = {key for key in p._op_cache if isinstance(key, DirectedGraph)}
     assert {g.key for g in graphs} == anchors
     assert sorted(compiled_keys(p)) == sorted(anchors)
@@ -1031,8 +1026,8 @@ def test_compile_sum_and_columns_keep_integral_coefficients_int():
     reference = reference_operator(s, so3())
     assert normal_values(reference.terms.values())
     by_degrees = {}
-    for cls in order4_wheel_free_basis():
-        by_degrees.setdefault(in_degrees(cls.rep), []).append(cls.rep)
+    for rep in order4_wheel_free_basis():
+        by_degrees.setdefault(in_degrees(rep), []).append(rep)
     a, b, c = by_degrees[(1, 1)][0], by_degrees[(2, 1)][0], by_degrees[(2, 2)][0]
     series = orbit_series()
     columns = [GraphSum(2, [(a, Fraction(2, 3)), (b, -5), (c, Fraction(1, 7))]),
@@ -1072,7 +1067,7 @@ def test_compose_bilinearity():
 def test_gerstenhaber_antisymmetry_degree_one():
     rng = random.Random(41)
     p = so3()
-    pool = [cls.rep for cls in enumerate_graphs(2, 2).classes]
+    pool = list(enumerate_graphs(2, 2).classes)
     for _ in range(4):
         s1 = GraphSum(2, [(rng.choice(pool), rng.randint(1, 3))])
         s2 = GraphSum(2, [(rng.choice(pool), rng.randint(1, 3))])

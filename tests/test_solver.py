@@ -50,7 +50,7 @@ def test_series_normalization_guard():
 def test_kontsevich_k2_weights_read_back():
     order2 = kontsevich_k2().order(2)
     # canonical representatives carry the sign of the relabeling
-    assert {cls.rep.encode(): coeff for cls, coeff in order2.terms()} == {
+    assert {rep.encode(): coeff for rep, coeff in order2.terms()} == {
         "2 2 ; 3: 1 2 / 4: 1 2": Fraction(1, 2),
         "2 2 ; 3: 1 2 / 4: 1 3": Fraction(1, 3),
         "2 2 ; 3: 1 2 / 4: 2 3": Fraction(-1, 3),
@@ -66,7 +66,7 @@ def test_kontsevich_k2_weights_read_back():
 
 def test_kontsevich_k2_wheel_census():
     order2 = kontsevich_k2().order(2)
-    wheels = [cls for cls, _ in order2.terms() if has_wheel(cls.rep)]
+    wheels = [rep for rep, _ in order2.terms() if has_wheel(rep)]
     assert len(wheels) == 1
     # the printed weight belongs to the two-cycle graph as drawn
     assert order2.coefficient_of(parse_graph("2 2 ; 3: 1 4 / 4: 3 2")) == Fraction(-1, 6)
@@ -170,7 +170,7 @@ def test_solve_orders_2_and_3():
     assert verify_order(series, 2)
     assert verify_order(series, 3)
     # the order-2 solution is wheel-free
-    assert all(not has_wheel(cls.rep) for cls, _ in series.order(2).terms())
+    assert all(not has_wheel(rep) for rep, _ in series.order(2).terms())
 
 
 @pytest.mark.parametrize("strategy", ["ordered", "markowitz"])
@@ -363,7 +363,7 @@ def test_order2_evaluated_coboundaries_have_rank_three(spec, wheel_free, unknown
     # evaluation route, have rank 3: wheel-free, the one direction left is
     # the Poisson class, the reparametrization t -> t + alpha t^2
     which = "wheel_free" if wheel_free else "all"
-    basis = [cls.rep for n in (1, 2) for cls in enumerate_graphs(n, 2, which).classes]
+    basis = [rep for n in (1, 2) for rep in enumerate_graphs(n, 2, which).classes]
     assert len(basis) == unknowns
     delta = CoboundaryColumns(basis, preset_from_string(spec))
     reducer = StreamingReducer()
@@ -651,8 +651,8 @@ def test_memos_hold_their_arguments_against_id_reuse(memo):
     # memo holds the triples, so it would hide the other's reuse
     p = preset_poisson("so3")
     if memo == "products":
-        columns = [GraphSum.single(cls.rep) for n in (1, 2)
-                   for cls in enumerate_graphs(n, 2, "wheel_free").classes]
+        columns = [GraphSum.single(rep) for n in (1, 2)
+                   for rep in enumerate_graphs(n, 2, "wheel_free").classes]
         delta = CoboundaryColumns(columns, p)
         reference = brute_force_columns(columns, preset_poisson("so3"))
 
