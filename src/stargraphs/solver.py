@@ -393,7 +393,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     (six for the four policy fixtures, so the earliest stop is after the
     second feed of the second round) and the last three are equal, or when
     the cap would pass 8."""
-    basis: list = []
+    basis = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
     columns = [GraphSum.single(rep) for rep in basis]
