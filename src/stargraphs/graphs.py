@@ -608,34 +608,15 @@ def zero_classes(n: int, m: int,
 # rational combinations of classes
 
 
-def _canonical_terms(arity: int, terms: Iterable) -> Iterator[tuple]:
-    """(representative, signed nonzero coefficient) for each (graph
-    encoding or DirectedGraph, coefficient) item, checked against the
-    arity; the coefficient is an exact rational by the rule of
-    ``poly._rational`` (a float raises ``TypeError``), and sign-0 classes
-    vanish.  A held representative is found again without a search."""
-    for item, coeff in terms:
-        coeff = _rational(coeff)
-        if not coeff:
-            continue
-        if isinstance(item, str):
-            item = parse_graph(item)
-        if not isinstance(item, DirectedGraph):
-            raise TypeError("expected graph encoding or DirectedGraph")
-        rep, sign = canonical_form(item)
-        if rep.m != arity:
-            raise GraphError("term arity %d does not match sum arity %d" % (rep.m, arity))
-        if sign:
-            yield rep, (coeff if sign > 0 else -coeff)
-
-
 def add_labeled_graphs(acc: dict, n: int, m: int, pairs: Iterable, weight: int) -> dict:
     """Add ``weight`` times each labeled graph of K_{n,m} into ``acc``, a
     dict from canonical representative to ``int`` numerator, and return it.
 
-    ``pairs`` yields the out-edge tuples of the graphs, which the producers
-    (grafting, slot splitting, Jacobiator expansion) build admissible from
-    ``_PAIRS``, so no ``DirectedGraph`` is made for them.  Each is probed
+    ``pairs`` yields the out-edge tuples of admissible graphs: the ones the
+    producers (grafting, slot splitting, Jacobiator expansion) build from
+    ``_PAIRS``, for which no ``DirectedGraph`` is made, and those of the
+    checked graphs of the ``GraphSum`` constructor.  Every term of a sum
+    is counted into its class here, by this one path.  Each is probed
     once in the table of K_{n,m}, which finds a canonical labeling of a
     class held (sign +1, or a zero class), and searched otherwise; its
     signed weight is added into the numerator of its class straight from
@@ -669,7 +650,10 @@ class GraphSum:
     1.  The form is unique, so equal sums compare and hash equal.  The
     graph-level algebra reads and builds the numerators directly;
     ``terms``, ``coefficient_of`` and the text give each coefficient as a
-    ``Fraction``.  A float coefficient raises ``TypeError``.
+    ``Fraction``.  The constructor checks each term (an exact coefficient, a
+    graph encoding or ``DirectedGraph`` of the sum's arity; a float
+    coefficient raises ``TypeError``) and counts it into its class through
+    ``add_labeled_graphs``, as the producers of the graph-level algebra do.
     """
 
     __slots__ = ("arity", "_nums", "_denom", "_hash")
@@ -677,11 +661,23 @@ class GraphSum:
     def __init__(self, arity: int, terms: Iterable = ()):  # terms: (graph-like, coeff)
         if arity < 1:
             raise GraphError("arity must be >= 1, got %d" % arity)
-        items = list(_canonical_terms(arity, terms))
+        items = []
+        for item, coeff in terms:
+            coeff = _rational(coeff)
+            if not coeff:
+                continue
+            if isinstance(item, str):
+                item = parse_graph(item)
+            if not isinstance(item, DirectedGraph):
+                raise TypeError("expected graph encoding or DirectedGraph")
+            if item.m != arity:
+                raise GraphError("term arity %d does not match sum arity %d" % (item.m, arity))
+            items.append((item, coeff))
         denom = math.lcm(*(c.denominator for _, c in items))
         nums: dict = {}
-        for rep, c in items:
-            nums[rep] = nums.get(rep, 0) + c.numerator * (denom // c.denominator)
+        for g, c in items:
+            add_labeled_graphs(nums, g.n, arity, (g.out_edges,),
+                               c.numerator * (denom // c.denominator))
         self._set(arity, nums, denom)
 
     def _set(self, arity: int, nums: dict, denom: int) -> "GraphSum":
@@ -809,10 +805,8 @@ class GraphSum:
         return "GraphSum(arity=%d, terms=%d)" % (self.arity, len(self._nums))
 
     @classmethod
-    def from_lines(cls, lines: Iterable, arity: int | None = None) -> "GraphSum":
+    def from_lines(cls, lines: Iterable) -> "GraphSum":
         items = list(parse_terms(lines))
-        if arity is None:
-            if not items:
-                raise GraphError("cannot infer arity of an empty graph-sum file")
-            arity = items[0][0].m
-        return cls(arity, items)
+        if not items:
+            raise GraphError("cannot infer arity of an empty graph-sum file")
+        return cls(items[0][0].m, items)

@@ -4,10 +4,12 @@ the Jacobi-ideal generators.
 The differential and the composition are built combinatorially (argument-slot
 splitting with signs, grafting with Leibniz re-aiming) so that they agree
 exactly, as operators, with ``operators.oracle_delta`` and
-``operators.oracle_compose``.  Split terms that would leave a new argument
-vertex with indegree 0 cancel against the outer multiplication terms of the
-normalized complex and are dropped, which keeps every output inside the
-admissible graph family.
+``operators.oracle_compose``.  Slot splitting, grafting and the Jacobiator
+expansion re-aim edges by one shared step (``_reaimed``) and count the
+graphs they build into classes through ``graphs.add_labeled_graphs``.
+Split terms that would leave a new argument vertex with indegree 0 cancel
+against the outer multiplication terms of the normalized complex and are
+dropped, which keeps every output inside the admissible graph family.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ from .graphs import (_PAIRS, DEFAULT_VERTEX_BUDGET, DirectedGraph, GraphSum,
 # Hochschild differential
 
 
+def _reaimed(base: list, aimed, choices):
+    """The Leibniz re-aiming step: for each target tuple in ``choices``,
+    ``base`` with each edge end (pos, side) of ``aimed`` moved to its
+    target; yields out-edge tuples built from the shared ``_PAIRS``."""
+    for choice in choices:
+        pairs = base.copy()
+        for (pos, side), target in zip(aimed, choice):
+            left, right = pairs[pos]
+            pairs[pos] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
+        yield tuple(pairs)
+
+
 def _split_terms(g: DirectedGraph, slot: int):
     """All proper splits of the incoming edges of argument ``slot`` over two
     adjacent argument vertices; yields out-edge tuples of K_{n,m+1} built
@@ -36,13 +50,10 @@ def _split_terms(g: DirectedGraph, slot: int):
     # targets past the slot move up by one; the slot's own edges are set below
     base = [_PAIRS[left + (left >= slot), right + (right >= slot)]
             for left, right in g.out_edges]
-    for mask in range(1, (1 << k) - 1):
-        pairs = base.copy()
-        for bit, (src, side) in enumerate(incoming):
-            target = slot if (mask >> bit) & 1 else slot + 1
-            left, right = pairs[src]
-            pairs[src] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
-        yield tuple(pairs)
+    # the first edge's target varies fastest; the first and last choices
+    # aim every edge at one vertex and are no split
+    splits = itertools.product((slot + 1, slot), repeat=k)
+    yield from _reaimed(base, incoming[::-1], itertools.islice(splits, 1, (1 << k) - 1))
 
 
 def graph_delta(s: GraphSum) -> GraphSum:
@@ -104,12 +115,7 @@ def graft_terms(g1: DirectedGraph, slot: int, g2: DirectedGraph):
     template.extend(_PAIRS[map_g2(left), map_g2(right)] for left, right in g2.out_edges)
 
     graft_targets = tuple(range(slot, slot + m2)) + tuple(range(m + 1 + n1, m + 1 + n1 + g2.n))
-    for choice in itertools.product(graft_targets, repeat=len(aimed)):
-        pairs = template.copy()
-        for (pos, side), target in zip(aimed, choice):
-            left, right = pairs[pos]
-            pairs[pos] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
-        yield tuple(pairs)
+    yield from _reaimed(template, aimed, itertools.product(graft_targets, repeat=len(aimed)))
 
 
 def _compose_into(acc: dict, s1: GraphSum, s2: GraphSum, sign: int) -> int:
@@ -194,15 +200,10 @@ def _jacobiator_terms(m: int, ordinary_out: tuple, special_out: tuple):
     base = [_PAIRS[pair] for pair in ordinary_out]
     e1, e2, e3 = special_out
     for head, mid, tail in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        # outer factor p^{i l}: i -> head, l -> inner; inner factor p^{j k}
-        tail_pairs = (_PAIRS[head, b_id], _PAIRS[mid, tail])
-        for mask in range(1 << len(incoming)):
-            pairs = base.copy()
-            for bit, (pos, side) in enumerate(incoming):
-                target = a_id if (mask >> bit) & 1 == 0 else b_id
-                left, right = pairs[pos]
-                pairs[pos] = _PAIRS[target, right] if side == 0 else _PAIRS[left, target]
-            yield tuple(pairs) + tail_pairs
+        # outer factor p^{i l}: i -> head, l -> inner; inner factor p^{j k};
+        # the first incoming edge's target varies fastest
+        yield from _reaimed(base + [_PAIRS[head, b_id], _PAIRS[mid, tail]], incoming[::-1],
+                            itertools.product((a_id, b_id), repeat=len(incoming)))
 
 
 def expand_jacobiator_vertex(m: int, ordinary_out: tuple, special_out: tuple) -> GraphSum:

@@ -111,11 +111,23 @@ def jacobiator(p: PoissonStructure) -> dict:
 # presets
 
 PRESET_NAMES = ("symplectic2", "so3", "sl2", "jacobian", "free2")
+_PARAMETER_DIMENSION = {"jacobian": 3, "free2": 2}  # the presets that take a polynomial
+
+
+def _check_preset(name: str, has_parameter: bool) -> None:
+    """Reject an unknown preset name, and a parameter given to a preset that
+    takes none."""
+    if name not in PRESET_NAMES:
+        raise PresetError("unknown preset %r (expected one of %s)"
+                          % (name, ", ".join(PRESET_NAMES)))
+    if has_parameter and name not in _PARAMETER_DIMENSION:
+        raise PresetError("preset %r takes no parameter" % name)
 
 
 def preset_poisson(name: str, param: Poly | None = None) -> PoissonStructure:
     """Construct a named Poisson structure; one that fails the Jacobi
     identity is rejected."""
+    _check_preset(name, param is not None)
     x = Poly.variable
     if name == "symplectic2":
         p = PoissonStructure(2, {(1, 2): Poly.const(2, 1)}, label="symplectic2")
@@ -131,23 +143,21 @@ def preset_poisson(name: str, param: Poly | None = None) -> PoissonStructure:
         p = PoissonStructure(3, {(1, 2): param.derive(3), (1, 3): -param.derive(2),
                                  (2, 3): param.derive(1)},
                              label="jacobian(%s)" % param)
-    elif name == "free2":
+    else:
         if param is None or param.d != 2:
             raise PresetError("free2 preset needs a d=2 polynomial parameter")
         p = PoissonStructure(2, {(1, 2): param}, label="free2(%s)" % param)
-    else:
-        raise PresetError("unknown preset %r (expected one of %s)"
-                          % (name, ", ".join(PRESET_NAMES)))
     if not p.is_poisson:
         raise PresetError("preset %r failed the Jacobi check" % name)
     return p
 
 
 def preset_from_string(spec: str) -> PoissonStructure:
-    """CLI grammar: ``name`` or ``name:poly`` (jacobian and free2 take a poly)."""
+    """CLI grammar: ``name`` or ``name:poly`` (jacobian and free2 take a poly);
+    the name is checked before the poly is parsed."""
     name, sep, param_text = spec.partition(":")
     name = name.strip()
+    _check_preset(name, bool(sep))
     if not sep:
         return preset_poisson(name)
-    d = 3 if name == "jacobian" else 2
-    return preset_poisson(name, parse_poly(param_text, d))
+    return preset_poisson(name, parse_poly(param_text, _PARAMETER_DIMENSION[name]))

@@ -105,16 +105,35 @@ def kontsevich_k2() -> StarSeries:
     return StarSeries({1: poisson_class_sum(), 2: order2})
 
 
+def _bracket_pairs(series: StarSeries, k: int) -> list:
+    """-(1/2) sum_{a+b=k} [c_a, c_b] as sum weight * [D_a c_a, D_b c_b]:
+    one (D_a c_a, D_b c_b, weight) per pair a <= b, D_a the denominator of
+    c_a (so D_a c_a is c_a's numerators over 1) and weight
+    -1/(2^[a=b] D_a D_b), since [c_a, c_b] = [c_b, c_a] for arity-2
+    cochains.  The one list of bracket pairs: ``mc_defect`` brackets them at
+    graph level and ``_bracket_rhs`` at operator level.  Raises
+    ``GraphError`` on the first of c_1..c_{k-1} the series is missing."""
+    integral = {}
+    for a in range(1, k):
+        c_a = series.order(a)
+        integral[a] = (GraphSum._from_numerators(c_a.arity, c_a._nums, 1), c_a._denom)
+    pairs = []
+    for a in range(1, k // 2 + 1):
+        (c_a, d_a), (c_b, d_b) = integral[a], integral[k - a]
+        pairs.append((c_a, c_b, Fraction(-1, (2 if 2 * a == k else 1) * d_a * d_b)))
+    return pairs
+
+
 def mc_defect(series: StarSeries, k: int) -> GraphSum:
     """(1/2) sum_{a+b=k, a,b>=1} [c_a, c_b]; empty at k = 1.
 
-    [c_a, c_b] = [c_b, c_a] for arity-2 cochains, so each unordered pair is
-    bracketed once: a < b with weight 1 and a = b with weight 1/2, as in
-    ``eval_obstruction``."""
+    The sum of -weight * [D_a c_a, D_b c_b] over the pairs of
+    ``_bracket_pairs``, the list the evaluation route's right-hand side
+    iterates too: each unordered pair is bracketed once, as
+    [c_a, c_b] = [c_b, c_a] for arity-2 cochains."""
     total = GraphSum.zero(3)
-    for a in range(1, k // 2 + 1):
-        bracket = graph_gerstenhaber(series.order(a), series.order(k - a))
-        total = total + (bracket if 2 * a < k else bracket.scale(Fraction(1, 2)))
+    for c_a, c_b, weight in _bracket_pairs(series, k):
+        total = total + graph_gerstenhaber(c_a, c_b).scale(-weight)
     return total
 
 
@@ -218,8 +237,6 @@ def solve_order(series: StarSeries, k: int, wheel_free: bool = True,
     grounded by the evaluation route before being reported."""
     if k < 1:
         raise GraphError("order must be >= 1, got %d" % k)
-    for a in range(1, k):
-        series.order(a)  # raises on missing orders
     if k == 1:
         # delta(c_1) = 0 and the antisymmetric-part normalization force the
         # Poisson class itself; no residual freedom survives the normalization.
@@ -326,23 +343,6 @@ def triples_by_total_degree(d: int, cap: int, prev_cap: int = 0):
                             yield (f, g, h)
 
 
-def _bracket_pairs(series: StarSeries, k: int) -> list:
-    """-(1/2) sum_{a+b=k} [c_a, c_b] as sum weight * [D_a c_a, D_b c_b]:
-    one (D_a c_a, D_b c_b, weight) per pair a <= b, D_a the denominator of
-    c_a (so D_a c_a is c_a's numerators over 1) and weight
-    -1/(2^[a=b] D_a D_b), since [c_a, c_b] = [c_b, c_a] for arity-2
-    cochains."""
-    integral = {}
-    for a in range(1, k):
-        c_a = series.order(a)
-        integral[a] = (GraphSum._from_numerators(c_a.arity, c_a._nums, 1), c_a._denom)
-    pairs = []
-    for a in range(1, k // 2 + 1):
-        (c_a, d_a), (c_b, d_b) = integral[a], integral[k - a]
-        pairs.append((c_a, c_b, Fraction(-1, (2 if 2 * a == k else 1) * d_a * d_b)))
-    return pairs
-
-
 def _bracket_rhs(lower: list, p: PoissonStructure, args, inner) -> Poly:
     """sum weight * [D_a c_a, D_b c_b](args) over the pairs of
     ``_bracket_pairs``, in their order, each bracket by
@@ -383,16 +383,18 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     c_1..c_{k-1}; feasibility alone is inconclusive.  The verdict is always
     re-checked by a second elimination with Markowitz pivoting.
 
-    ``fixtures`` is a list of (PoissonStructure, [argument tuples]), each fed
-    in full.  When None, the fixture-growth policy feeds so3, then sl2, then
-    two jacobian cubics, in rounds over the argument-degree caps 2, 4 and 8;
-    a round feeds each fixture the triples new at its cap, and a feed is cut
-    short after ``STALL_WINDOW`` consecutive triples that raise no rank.  The
-    rank is recorded after every feed, and growth stops at the first
-    inconsistency, or once at least ``len(family) + 2`` ranks are recorded
-    (six for the four policy fixtures, so the earliest stop is after the
-    second feed of the second round) and the last three are equal, or when
-    the cap would pass 8."""
+    Both policies are one sequence of (fixture, triples) feeds, run by one
+    loop that stops at the first inconsistency.  ``fixtures`` is a list of
+    (PoissonStructure, [argument tuples]), each fed in full, and the one
+    rank reported is the final one.  When None, the fixture-growth policy
+    feeds so3, then sl2, then two jacobian cubics, in rounds over the
+    argument-degree caps (0, 2], (2, 4] and (4, 8]; a round feeds each
+    fixture the triples new at its cap, and a feed is cut short after
+    ``STALL_WINDOW`` consecutive triples that raise no rank.  The rank is
+    recorded after every growth feed, and growth also stops once at least
+    ``len(family) + 2`` ranks are recorded (six for the four policy
+    fixtures, so the earliest stop is after the second feed of the second
+    round) and the last three are equal, or after the last round."""
     basis = []
     for n in range(1, k + 1):
         basis.extend(_wheel_basis(n, wheel_free))
@@ -401,17 +403,16 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     reducer = StreamingReducer()
     used: list[dict] = []
 
-    def feed(p: PoissonStructure, triples, exhaustive: bool) -> bool:
-        """Returns True when an inconsistency was found."""
+    def feed(p: PoissonStructure, triples, window) -> bool:
+        """Returns True when an inconsistency was found; the feed is cut
+        short after ``window`` consecutive rank-neutral triples (None: never)."""
         if not p.is_poisson:
             raise DimensionError("evaluation fixtures must be Poisson structures "
                                  "(%s fails the Jacobi identity)" % p.label)
         delta = CoboundaryColumns(columns, p)  # operators cached on p after the first feed
         inner = InnerValues()  # the lower orders' values on argument pairs, for this feed
-        stall = 0
-        count = 0
-        for triple in triples:
-            count += 1
+        stall = count = 0
+        for count, triple in enumerate(triples, 1):
             touched = delta.touched_terms(triple)
             rhs_poly = _bracket_rhs(lower, p, triple, inner)
             # one row per monomial, from the touched columns in ascending order
@@ -429,42 +430,28 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
                 if outcome == "pivot":
                     progressed = True
             stall = 0 if progressed else stall + 1
-            if not exhaustive and stall >= STALL_WINDOW:
+            if window is not None and stall >= window:
                 break
         used.append({"fixture": p.label, "triples_evaluated": count})
         return False
 
-    policy = "explicit"
+    # one sequence of (fixture, triples, stall window) feeds
     if fixtures is not None:
-        infeasible = False
-        for p, triples in fixtures:
-            if feed(p, triples, exhaustive=True):
-                infeasible = True
-                break
-        ranks = [reducer.rank]
+        policy = "explicit"
+        feeds = ((p, triples, None) for p, triples in fixtures)
     else:
-        policy = "fixture_growth"
-        infeasible = False
-        ranks = []
-        family = policy_fixtures(seed)
-        prev_cap, cap = 0, 2
-        while True:
-            # one round: feed the triples new at this cap, fixture by fixture
-            for p in family:
-                if feed(p, triples_by_total_degree(p.d, cap, prev_cap),
-                        exhaustive=False):
-                    infeasible = True
-                    break
-                ranks.append(reducer.rank)
-                # stop on three equal ranks, once len(family) + 2 are recorded
-                if (len(ranks) >= len(family) + 2
-                        and ranks[-1] == ranks[-2] == ranks[-3]):
-                    break
-            else:
-                prev_cap, cap = cap, cap * 2
-                if cap > 8:
-                    break
-                continue
+        policy, family = "fixture_growth", policy_fixtures(seed)
+        # one round per cap: each fixture is fed the triples new at that cap
+        feeds = ((p, triples_by_total_degree(p.d, cap, prev_cap), STALL_WINDOW)
+                 for prev_cap, cap in ((0, 2), (2, 4), (4, 8)) for p in family)
+    infeasible, ranks = False, []
+    for p, triples, window in feeds:
+        infeasible = feed(p, triples, window)
+        if infeasible:
+            break
+        ranks.append(reducer.rank)
+        # growth stops on three equal ranks, once len(family) + 2 are recorded
+        if window and len(ranks) >= len(family) + 2 and ranks[-1] == ranks[-2] == ranks[-3]:
             break
 
     certificate = {
@@ -475,7 +462,7 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         "rows_collected": len(reducer.raw_rows),
         "rank_coefficient": reducer.rank,
         "rank_augmented": reducer.rank + (1 if reducer.inconsistent else 0),
-        "round_ranks": ranks,
+        "round_ranks": ranks if fixtures is None else [reducer.rank],
     }
     second = reducer.reverify("markowitz")
     if second["inconsistent"] != infeasible:

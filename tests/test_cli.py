@@ -227,6 +227,17 @@ def test_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_preset_parameter_that_is_never_used_is_a_json_error(tmp_path, capsys):
+    sum_file = tmp_path / "in.sum"
+    sum_file.write_text("1\t1 2 ; 3: 1 2\n")
+    code = main(["eval", "--input", str(sum_file), "--preset", "so3:x1", "--args", "x1; x2",
+                 "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "PresetError"
+    assert "so3" in error["message"] and "takes no parameter" in error["message"]
+
+
 @pytest.mark.parametrize("command, sum_text, error_type", [
     (["reduce"], "1/0\t1 2 ; 3: 1 2\n", "GraphError"),
     (["eval", "--preset", "free2:1/0*x1", "--args", "x1; x2"], "1\t1 2 ; 3: 1 2\n",

@@ -779,6 +779,8 @@ def test_graph_sum_file_round_trip(tmp_path):
     path = tmp_path / "sum.txt"
     path.write_text("\n".join(lines) + "\n")
     assert GraphSum.from_lines(path.read_text().splitlines()) == s
+    with pytest.raises(GraphError, match="cannot infer arity"):
+        GraphSum.from_lines([])
 
 
 def test_permute_args():

@@ -935,7 +935,8 @@ def residual_graphs():
 @pytest.mark.parametrize("spec", ["so3", CUBIC])
 def test_compiled_records_each_orbit_once(spec, monkeypatch):
     # a fresh orbit table and a count of the class lookups made by
-    # ``GraphSum.single`` (through ``canonical_form``) and ``compile_sum``
+    # ``compile_sum``; ``GraphSum.single`` counts its term through
+    # ``add_labeled_graphs``, which makes no lookup
     monkeypatch.setattr(graphs_module, "_ORBITS", {})
     lookups = []
     lookup = graphs_module._lookup
@@ -958,13 +959,12 @@ def test_compiled_records_each_orbit_once(spec, monkeypatch):
         before = len(lookups)
         op = compile_sum(GraphSum.single(g), p)
         costs.append(len(lookups) - before)
-        # a graph of a known orbit costs one lookup, its class's; a new
-        # orbit 1 + 3!
-        assert costs[-1] == (1 if known else 7)
+        # a graph of a known orbit costs no lookup; a new orbit 3!
+        assert costs[-1] == (0 if known else 6)
         assert_same_operator(op, compile_graph(g, reference))
         nonzero += not op.is_zero
     assert nonzero > 20
-    assert sum(costs) == len(graphs) + 6 * len(orbits)
+    assert sum(costs) == 6 * len(orbits)
 
 
 def orbit_sums():

@@ -128,6 +128,18 @@ def test_preset_errors():
         preset_poisson("jacobian")  # missing parameter
     with pytest.raises(PresetError):
         preset_poisson("jacobian", Poly.variable(2, 1))  # wrong dimension
+    # a parameter of a preset that takes none is rejected before it is parsed
+    for name in ("symplectic2", "so3", "sl2"):
+        with pytest.raises(PresetError, match="takes no parameter"):
+            preset_poisson(name, Poly.variable(3, 1))
+        for param in ("x1", "x3", "1/0*x1"):
+            with pytest.raises(PresetError, match="takes no parameter"):
+                preset_from_string("%s:%s" % (name, param))
+    for spec in ("nope", "nope:x1", "nope:1/0*x1"):
+        with pytest.raises(PresetError, match="unknown preset"):
+            preset_from_string(spec)
+    with pytest.raises(PresetError, match="unknown preset"):
+        preset_poisson("nope", Poly.variable(2, 1))
 
 
 def test_preset_from_string():

@@ -190,6 +190,11 @@ def test_orders_below_one_are_rejected():
             solve_up_to(k)
 
 
+def test_solve_order_rejects_a_missing_lower_order():
+    with pytest.raises(GraphError, match="series is missing order 2"):
+        solve_order(StarSeries({1: poisson_class_sum()}), 3)
+
+
 def test_corrupted_leibniz_multiplier_fails_the_witness_check(monkeypatch):
     series, _ = solve_up_to(1)
 
@@ -510,6 +515,49 @@ def test_eval_obstruction_fixture_growth_golden_certificate():
         "rows_collected": 3,
         "unknowns": 4,
     }
+
+
+@pytest.mark.parametrize("policy", ["explicit", "fixture_growth"])
+def test_eval_obstruction_infeasible_golden_certificate(policy):
+    # an order-2 term that no order-3 choice can balance: the first so3 feed
+    # turns inconsistent at its 85th triple under either policy, and growth
+    # records no rank for the feed it stopped in
+    series, _ = solve_up_to(2)
+    bad = series.with_order(2, series.order(2) + GraphSum.single("2 2 ; 3: 1 2 / 4: 1 3"))
+    if policy == "explicit":
+        report = eval_obstruction(
+            bad, 3, [(preset_poisson("so3"), list(triples_by_total_degree(3, 2)))])
+    else:
+        report = eval_obstruction(bad, 3, fixtures=None, seed=7)
+    assert report.status == "obstructed"
+    assert report.matrix_shape == (7, 16)
+    assert report.certificate == {
+        "fixtures": [{"fixture": "so3", "triples_evaluated": 85,
+                      "args": ["x1", "x1*x2", "x1"]}],
+        "kind": "evaluated_system_infeasible",
+        "policy": policy,
+        "rank_augmented": 7,
+        "rank_coefficient": 6,
+        "reverified": {"inconsistent": True, "rank_augmented": 7,
+                       "rank_coefficient": 6, "strategy": "markowitz"},
+        "round_ranks": [6] if policy == "explicit" else [],
+        "rows_collected": 7,
+        "unknowns": 16,
+    }
+
+
+def test_eval_obstruction_fixture_growth_reaches_the_last_cap(monkeypatch):
+    # four triples per feed never stall, and no three recorded ranks are
+    # equal, so growth feeds all three rounds of four fixtures (caps 2, 4, 8)
+    everything = solver.triples_by_total_degree
+    monkeypatch.setattr(solver, "triples_by_total_degree",
+                        lambda *args: list(itertools.islice(everything(*args), 4)))
+    report = eval_obstruction(solve_up_to(3)[0], 4, fixtures=None, seed=7)
+    assert report.status == "inconclusive"
+    certificate = report.certificate
+    assert [feed["triples_evaluated"] for feed in certificate["fixtures"]] == [4] * 12
+    assert certificate["round_ranks"] == [2, 2, 6, 6, 11, 11, 18, 18, 20, 20, 22, 22]
+    assert report.matrix_shape == (22, 90)
 
 
 def test_eval_obstruction_order4_cubic_golden_certificate():
