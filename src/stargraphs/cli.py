@@ -157,14 +157,27 @@ def _load_series(spec: str) -> StarSeries:
     if spec == BUILTIN_SERIES:
         return kontsevich_k2()
     with open(spec) as handle:
-        data = json.load(handle)
-    if not (isinstance(data, dict) and all(
+        # each object as the tuple of its (key, value) pairs, so that a key
+        # written twice is seen
+        data = json.load(handle, object_pairs_hook=tuple)
+    is_object = isinstance(data, tuple)
+    orders = {_order(key): lines for key, lines in data} if is_object else {}
+    if not (is_object and None not in orders and len(orders) == len(data) and all(
             isinstance(lines, list) and all(isinstance(line, str) for line in lines)
-            for lines in data.values())):
+            for lines in orders.values())):
         raise GraphError("a series file is a JSON object of order -> list of "
-                         "graph-sum lines")
-    return StarSeries({int(k): GraphSum.from_lines(lines)
-                       for k, lines in data.items()})
+                         "graph-sum lines, each order written once as a plain decimal")
+    return StarSeries({k: GraphSum.from_lines(lines) for k, lines in orders.items()})
+
+
+def _order(key: str) -> int | None:
+    """The order a series-file key names, or None unless the key is the
+    plain decimal ``str(int(key))``."""
+    try:
+        k = int(key)
+    except ValueError:
+        return None
+    return k if key == str(k) else None
 
 
 def cmd_verify_assoc(args) -> int:

@@ -9,13 +9,17 @@ integral quotients stored as ``int``, so rows of ``int`` never turn into
 floats.  ``StreamingReducer`` is fraction-free
 (Bareiss-style cross-multiplication on rows scaled to integers); its
 verdicts are re-checked by ``echelon``.  Two deterministic pivot
-strategies are provided so that every certificate can be re-verified with
-an independent elimination order:
+strategies give the same rank and feasibility, so each re-checks the
+other's verdicts, but their reduced rows differ:
 
 * ``markowitz``: the sparsest live column, ties broken by the lower column,
   then the sparsest row holding it, ties broken by the lower row; columns
-  come from a heap of (holder count, column);
-* ``ordered``: leftmost unpivoted column, lowest surviving row.
+  come from a heap of (holder count, column).  A row may keep entries left
+  of its pivot;
+* ``ordered``: leftmost unpivoted column, lowest surviving row.  Each pivot
+  is its row's leftmost entry, so the rows are the reduced row echelon
+  form, canonical for the row space: kernel bases (``projected_span``)
+  use it.
 
 No modular arithmetic is used anywhere; all verdicts are unconditional.
 """
@@ -52,11 +56,12 @@ def _eliminate_into(target: Row, pivot_row: Row, factor: int):
 
 @dataclass
 class Echelon:
-    """Reduced row echelon data for the system A x = b."""
+    """Reduced echelon data for the system A x = b: each pivot column is
+    zero outside its own row (the RREF under ``ordered`` only)."""
 
     ncols: int
     pivot_cols: list  # one per reduced row, ascending along rows
-    rows: list  # RREF rows (pivot coefficient 1)
+    rows: list  # reduced rows (pivot coefficient 1)
     rhs: list  # reduced right-hand sides aligned with rows
     inconsistent: bool  # some row reduced to 0 = nonzero
 
@@ -90,7 +95,8 @@ class Echelon:
 
 def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             strategy: str = "markowitz", nonzero_budget: int | None = None) -> Echelon:
-    """Bring A (with optional b) to reduced row echelon form.
+    """Bring A (with optional b) to reduced echelon form on the pivot
+    columns ``strategy`` picks, the RREF under ``ordered`` only.
 
     Values are kept exact, integral ones as ``int`` (see the module
     docstring).  ``nonzero_budget`` bounds the nonzeros of A held at any
@@ -105,14 +111,6 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     if live > budget:
         raise BudgetExceededError("matrix has %d nonzeros, budget is %d"
                                   % (live, nonzero_budget))
-
-    def charge(idx, before):
-        """Account for the change in length of row idx (``before`` entries)."""
-        nonlocal live
-        live += len(work[idx]) - before
-        if live > budget:
-            raise BudgetExceededError("elimination fill-in reached %d nonzeros, "
-                                      "budget is %d" % (live, nonzero_budget))
 
     if rhs is None:
         b = [0] * len(work)
@@ -133,17 +131,21 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
     touched = set()
     pivots = []  # (col, row)
 
-    def detach(idx):
-        for col in work[idx]:
-            holders = col_rows.get(col)
-            if holders is not None:
-                holders.discard(idx)
-                touched.add(col)
-                if not holders:
-                    del col_rows[col]
+    def release(col, idx):
+        """Drop row idx from the holders of col."""
+        holders = col_rows[col]
+        holders.discard(idx)
+        touched.add(col)
+        if not holders:
+            del col_rows[col]
 
-    def eliminate_indexed(idx, pivot_row, factor):
-        target = work[idx]
+    def reduce(idx, pivot_idx, pivot_col):
+        """The one row update: clear pivot_col from row idx and its rhs with
+        row pivot_idx, keeping col_rows and the live nonzero count."""
+        nonlocal live
+        target, pivot_row = work[idx], work[pivot_idx]
+        factor = target[pivot_col]
+        before = len(target)
         for col, value in pivot_row.items():
             cur = target.get(col)
             if cur is None:
@@ -154,15 +156,16 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
                 cur -= factor * value
                 if not cur:
                     del target[col]
-                    holders = col_rows[col]
-                    holders.discard(idx)
-                    touched.add(col)
-                    if not holders:
-                        del col_rows[col]
+                    release(col, idx)
                     continue
             if type(cur) is not int and cur.denominator == 1:
                 cur = cur.numerator
             target[col] = cur
+        live += len(target) - before
+        if live > budget:
+            raise BudgetExceededError("elimination fill-in reached %d nonzeros, "
+                                      "budget is %d" % (live, nonzero_budget))
+        b[idx] = _rational(b[idx] - factor * b[pivot_idx])
 
     while col_rows:
         if strategy == "ordered":
@@ -193,37 +196,28 @@ def echelon(rows: Iterable[Row], rhs: Iterable | None = None, ncols: int = 0,
             for col, value in pivot_row.items():
                 pivot_row[col] = _rational(value / pivot_val)
             b[best_row] = _rational(b[best_row] / pivot_val)
-        detach(best_row)
+        for col in pivot_row:
+            release(col, best_row)
         pivots.append((best_col, best_row))
         for idx in sorted(col_rows.get(best_col, ())):
-            factor = work[idx][best_col]
-            before = len(work[idx])
-            eliminate_indexed(idx, pivot_row, factor)
-            charge(idx, before)
-            b[idx] = _rational(b[idx] - factor * b[best_row])
+            reduce(idx, best_row, best_col)
     # no column is held by an unpivoted row any more, so every unpivoted row
     # is empty and a pivot row never is
     inconsistent = any(b[idx] for idx, row in enumerate(work) if not row)
 
-    # back-substitute to full RREF: sweep pivot columns in descending order,
-    # clearing each from every other pivot row in ascending pivot-column
-    # order (selection order under the markowitz strategy is not monotone
-    # in the column index); col_rows now indexes the pivot rows
+    # back-substitute to the reduced form (RREF under ordered): sweep pivot
+    # columns in descending order, clearing each from every other pivot row
+    # in ascending pivot-column order (selection order under markowitz is
+    # not monotone in the column index); col_rows now indexes the pivot rows
     pivots.sort()
     position = {row_idx: k for k, (_, row_idx) in enumerate(pivots)}
     for _, row_idx in pivots:
         for col in work[row_idx]:
             col_rows.setdefault(col, set()).add(row_idx)
     for col, row_idx in reversed(pivots):
-        pivot_row = work[row_idx]
         for idx in sorted(col_rows[col], key=position.__getitem__):
-            if idx == row_idx:
-                continue
-            factor = work[idx][col]
-            before = len(work[idx])
-            eliminate_indexed(idx, pivot_row, factor)
-            charge(idx, before)
-            b[idx] = _rational(b[idx] - factor * b[row_idx])
+            if idx != row_idx:
+                reduce(idx, row_idx, col)
     return Echelon(ncols=ncols,
                    pivot_cols=[col for col, _ in pivots],
                    rows=[work[row_idx] for _, row_idx in pivots],
@@ -260,10 +254,10 @@ class StreamingReducer:
         return len(self.pivots)
 
     def add_row(self, row: Row, rhs) -> str:
-        """Reduce one constraint; raw copies are kept only for rows that
-        become pivots or witness an inconsistency (redundant rows are linear
-        combinations of the kept ones, so the kept subsystem has the same
-        rank and feasibility verdict).
+        """Reduce one constraint; raw copies are kept, in one place, only for
+        rows that become pivots or witness an inconsistency (redundant rows
+        are linear combinations of the kept ones, so the kept subsystem has
+        the same rank and feasibility verdict).
 
         Fraction-free: ``int`` entries are taken as they are, and a row with
         ``Fraction`` entries or rhs is scaled to integers by the lcm of their
@@ -295,16 +289,7 @@ class StreamingReducer:
             col = min(work)
             pivot = self.pivots.get(col)
             if pivot is None:
-                g = math.gcd(b, *work.values())
-                if work[col] < 0:
-                    g = -g
-                if g != 1:
-                    work = {c: v // g for c, v in work.items()}
-                    b //= g
-                self.pivots[col] = (work, b)
-                self.raw_rows.append(dict(row))
-                self.raw_rhs.append(Fraction(rhs))
-                return "pivot"
+                break
             pivot_row, pivot_rhs = pivot
             lead, factor = pivot_row[col], work[col]
             g = math.gcd(lead, factor)
@@ -315,12 +300,23 @@ class StreamingReducer:
                 b *= lead
             _eliminate_into(work, pivot_row, factor)
             b -= factor * pivot_rhs
-        if b:
+        if work:
+            g = math.gcd(b, *work.values())
+            if work[col] < 0:
+                g = -g
+            if g != 1:
+                work = {c: v // g for c, v in work.items()}
+                b //= g
+            self.pivots[col] = (work, b)
+            outcome = "pivot"
+        elif b:
             self.inconsistent = True
-            self.raw_rows.append(dict(row))
-            self.raw_rhs.append(Fraction(rhs))
-            return "inconsistent"
-        return "redundant"
+            outcome = "inconsistent"
+        else:
+            return "redundant"
+        self.raw_rows.append(dict(row))
+        self.raw_rhs.append(Fraction(rhs))
+        return outcome
 
     def reverify(self, strategy: str = "markowitz") -> dict:
         """Recompute rank and feasibility of the collected raw system with an

@@ -169,34 +169,33 @@ def _wheel_basis(n: int, wheel_free: bool) -> tuple:
     return enumerate_graphs(n, 2, "wheel_free" if wheel_free else "all").classes
 
 
-def _entries(s: GraphSum) -> list:
-    """(representative, coefficient) of every term of ``s`` in sorted
+def _entries(s: GraphSum) -> dict:
+    """{representative: coefficient} of every term of ``s`` in sorted
     order; a coefficient is its ``int`` numerator when the denominator of
     ``s`` is 1, else a ``Fraction``."""
     nums, denom = s._nums, s._denom
     reps = sorted(nums, key=lambda g: g.key)
     if denom == 1:
-        return [(rep, nums[rep]) for rep in reps]
-    return [(rep, Fraction(nums[rep], denom)) for rep in reps]
+        return {rep: nums[rep] for rep in reps}
+    return {rep: Fraction(nums[rep], denom) for rep in reps}
 
 
-def _assemble(columns: list, rhs: GraphSum | None = None):
-    """Sparse rows and right-hand side of the system whose column j is the
-    GraphSum ``columns[j]``: one row per graph class, numbered by first
-    appearance over the columns, each in sorted term order, and then over
-    ``rhs`` (zero when None)."""
-    row_index: dict = {}
-    entries = [(row_index.setdefault(rep, len(row_index)), col, coeff)
-               for col, s in enumerate(columns) for rep, coeff in _entries(s)]
-    targets = [(row_index.setdefault(rep, len(row_index)), coeff)
-               for rep, coeff in (_entries(rhs) if rhs is not None else ())]
-    rows: list[dict] = [dict() for _ in row_index]
-    for row, col, coeff in entries:
-        rows[row][col] = coeff
-    b = [0] * len(rows)
-    for row, coeff in targets:
-        b[row] = coeff
-    return rows, b
+def _rows(columns, rhs_keys) -> dict:
+    """{row key: {column: coefficient}} from (column, {row key: coefficient})
+    pairs, the one step that turns columns into rows: keys in order of first
+    appearance over the columns, then over ``rhs_keys`` (a key only there
+    gets an empty row)."""
+    rows: dict = {}
+    for col, entries in columns:
+        for key, coeff in entries.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            row[col] = coeff
+    for key in rhs_keys:
+        if key not in rows:
+            rows[key] = {}
+    return rows
 
 
 def _block_system(n: int, basis, leibniz: bool, rhs: GraphSum | None = None,
@@ -206,13 +205,15 @@ def _block_system(n: int, basis, leibniz: bool, rhs: GraphSum | None = None,
     ``basis``, then, when ``leibniz`` and n >= 2, the expansions of the
     Leibniz generators with n internal vertices; right-hand side ``rhs``
     (zero when None), eliminated with ``strategy`` under the nonzero budget
-    ``nonzero_cap`` (None: unbounded).  Returns (generators, row count,
-    Echelon)."""
+    ``nonzero_cap`` (None: unbounded), one row per class by ``_rows`` over
+    the sorted terms of each column.  Returns (generators, row count, Echelon)."""
     generators = leibniz_generators(n, 3) if (leibniz and n >= 2) else []
     columns = ([graph_delta(GraphSum.single(rep)) for rep in basis]
                + [gen.expansion for gen in generators])
-    rows, b = _assemble(columns, rhs)
-    return generators, len(rows), echelon(rows, b, len(columns), strategy,
+    target = _entries(rhs) if rhs is not None else {}
+    rows = _rows(enumerate(map(_entries, columns)), target)
+    b = [target.get(rep, 0) for rep in rows]
+    return generators, len(rows), echelon(list(rows.values()), b, len(columns), strategy,
                                           nonzero_budget=nonzero_cap)
 
 
@@ -360,10 +361,11 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
                      wheel_free: bool = True) -> MCReport:
     """Stack the evaluated equations
         sum_j x_j delta(B_j)(f, g, h) = -(1/2) sum_{a+b=k} [c_a, c_b](f, g, h)
-    over concrete Poisson structures, one row per monomial of the values,
-    where B_j runs over the (wheel-free) basis classes with 1..k internal
-    vertices.  Both sides are evaluated at operator level: the rows of a
-    triple by one ``CoboundaryColumns`` pass over all basis columns, the
+    over concrete Poisson structures, one row per monomial of the values
+    (built by ``_rows``, as the graph-level blocks are), where B_j runs over
+    the (wheel-free) basis classes with 1..k internal vertices.  Both sides
+    are evaluated at operator level: the columns of a triple by one
+    ``CoboundaryColumns`` pass over all basis columns, the
     right-hand side by the operator-level bracket formula of
     ``oracle_gerstenhaber`` once per pair a <= b (the bracket of arity-2
     cochains is symmetric; no graph-level bracket is formed), on the
@@ -413,16 +415,11 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
         inner = InnerValues()  # the lower orders' values on argument pairs, for this feed
         stall = count = 0
         for count, triple in enumerate(triples, 1):
-            touched = delta.touched_terms(triple)
-            rhs_poly = _bracket_rhs(lower, p, triple, inner)
-            # one row per monomial, from the touched columns in ascending order
-            rows: dict = {e: {} for e in rhs_poly.terms}
-            for col, terms in touched:
-                for e, c in terms.items():
-                    rows.setdefault(e, {})[col] = c
+            rhs = _bracket_rhs(lower, p, triple, inner).terms
+            rows = _rows(delta.touched_terms(triple), rhs)  # one row per monomial
             progressed = False
             for e in sorted(rows):
-                outcome = reducer.add_row(rows[e], rhs_poly.terms.get(e, 0))
+                outcome = reducer.add_row(rows[e], rhs.get(e, 0))
                 if outcome == "inconsistent":
                     used.append({"fixture": p.label, "triples_evaluated": count,
                                  "args": [str(x) for x in triple]})

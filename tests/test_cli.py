@@ -182,12 +182,21 @@ def test_verify_assoc_rejects_a_degree_below_one(tmp_path, capsys, degree):
     assert "--degree must be >= 1" in error["message"]
 
 
-@pytest.mark.parametrize("content", [
-    [["1\t1 2 ; 3: 1 2"]], {"1": "1\t1 2 ; 3: 1 2"}, {"1": [1]}, "1\t1 2 ; 3: 1 2",
-], ids=["list", "string-order", "number-line", "string"])
-def test_verify_assoc_rejects_a_series_file_of_the_wrong_shape(tmp_path, capsys, content):
+POISSON_LINE = "1\t1 2 ; 3: 1 2"
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([[POISSON_LINE]]), json.dumps({"1": POISSON_LINE}), json.dumps({"1": [1]}),
+    json.dumps(POISSON_LINE),
+    # an order is written once, as a plain decimal: neither key may win silently
+    json.dumps({"1": [POISSON_LINE], "01": [POISSON_LINE]}),
+    '{"1": ["1\\t1 2 ; 3: 1 2"], "1": ["1\\t1 2 ; 3: 1 2"]}',
+    json.dumps({"+1": [POISSON_LINE]}), json.dumps({"x": [POISSON_LINE]}),
+], ids=["list", "string-order", "number-line", "string", "padded-order",
+        "repeated-order", "signed-order", "word-order"])
+def test_verify_assoc_rejects_a_series_file_of_the_wrong_shape(tmp_path, capsys, text):
     path = tmp_path / "series.json"
-    path.write_text(json.dumps(content))
+    path.write_text(text)
     code, data = run_cli(["verify-assoc", "--series", str(path), "--order", "1",
                           "--preset", "so3", "--degree", "1"], tmp_path)
     assert (code, data) == (1, None)

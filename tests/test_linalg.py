@@ -7,6 +7,7 @@ import pytest
 from oracles import dense_rank, fraction_echelon
 from stargraphs import linalg, solver
 from stargraphs.errors import BudgetExceededError
+from stargraphs.graphs import GraphSum
 from stargraphs.linalg import STRATEGIES, StreamingReducer, echelon, projected_span
 
 
@@ -486,3 +487,27 @@ def test_reverify_eliminates_once_with_the_dense_rank_verdict(monkeypatch):
             assert result == rank_verdict(red.raw_rows, red.raw_rhs, strategy)
             verdicts.add(result["inconsistent"])
     assert verdicts == {True, False}
+
+
+def test_the_two_pivot_rules_are_not_interchangeable(monkeypatch):
+    # the rows cocycle_kernel hands projected_span have the same rank under
+    # both rules, but only the ordered rows are the canonical kernel basis
+    calls = []
+
+    def recording(vectors, keep_cols):
+        calls.append(([dict(v) for v in vectors], keep_cols))
+        return projected_span(vectors, keep_cols)
+
+    monkeypatch.setattr(solver, "projected_span", recording)
+    kernel = solver.cocycle_kernel(4, wheel_free=True, modulo_leibniz=True)
+    ((vectors, keep),) = calls
+    rows = [r for r in ({c: v for c, v in vec.items() if c < keep} for vec in vectors) if r]
+    ordered, markowitz = (echelon(rows, None, keep, strategy)
+                          for strategy in ("ordered", "markowitz"))
+    assert ordered.rank == markowitz.rank == 12
+    assert echelon(ordered.rows + markowitz.rows, None, keep, "ordered").rank == 12
+    assert all(col == min(row) for col, row in zip(ordered.pivot_cols, ordered.rows))
+    assert any(col != min(row) for col, row in zip(markowitz.pivot_cols, markowitz.rows))
+    basis = solver._wheel_basis(4, True)
+    assert kernel == [GraphSum(2, [(basis[col], coeff) for col, coeff in row.items()])
+                      for row in ordered.rows]

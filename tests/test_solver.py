@@ -18,7 +18,7 @@ from stargraphs.operators import (CoboundaryColumns, InnerValues, apply_graph, c
 from stargraphs.poisson import preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 from stargraphs.solver import (StarSeries, _block_system, _bracket_pairs, _bracket_rhs,
-                               _wheel_basis, antisymmetric_part,
+                               _rows, _wheel_basis, antisymmetric_part,
                                cocycle_kernel, eval_obstruction, kontsevich_k2,
                                mc_defect, poisson_class_sum, reparametrize,
                                solve_order, solve_up_to, triples_by_total_degree,
@@ -336,6 +336,25 @@ def test_graph_level_golden(wheel_free):
         kernel = cocycle_kernel(n, wheel_free, modulo_leibniz=True)
         assert len(kernel) == dim
         assert _digest([vec.to_lines() for vec in kernel]) == digest
+
+
+def test_rows_number_keys_over_the_columns_then_the_right_hand_side():
+    # graph-representative keys, as _block_system passes them
+    p, q, r, s = _wheel_basis(2, False)
+    rows = _rows([(0, {q: 1, p: Fraction(1, 2)}), (1, {r: 3, q: -1})], {s: 5, p: 7})
+    assert list(rows) == [q, p, r, s]
+    assert rows == {q: {0: 1, 1: -1}, p: {0: Fraction(1, 2)}, r: {1: 3}, s: {}}
+    assert list(rows[q]) == [0, 1]
+    # monomial keys, as the evaluation feed passes them
+    f, g, h = (parse_poly(text, 3).terms for text in ("x1^2 + 3*x2*x3", "x3 - x1^2", "x2 + x3"))
+    x1x1, x2x3, x3, x2 = (next(iter(parse_poly(m, 3).terms))
+                          for m in ("x1^2", "x2*x3", "x3", "x2"))
+    assert list(g) == [x3, x1x1]
+    rows = _rows([(2, f), (5, g)], h)
+    assert list(rows) == [x1x1, x2x3, x3, x2]
+    assert rows == {x1x1: {2: 1, 5: -1}, x2x3: {2: 3}, x3: {5: 1}, x2: {}}
+    assert _rows([], {}) == {}
+
 
 # -- kernels ---------------------------------------------------------------------
 
