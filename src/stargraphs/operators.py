@@ -48,13 +48,20 @@ whose m + 2 inner argument tuples enter each key as one signed
 combination; it forms each argument product f_j f_{j+1} once per argument
 pair.
 
+Every evaluation cache is keyed by value and held by the object it
+describes: a ``Poly`` hashes by value, and the Poisson structure holds the
+entry derivatives, the compiled anchors and gated sums (``_op_cache``) and
+the values of ``apply_graph`` (``_value_cache``), so equal arguments built
+apart share one entry.  ``PolyDiffOperator.apply`` and the operator of
+``compile_sum`` are not cached: a residual check applies one operator to
+hundreds of thousands of argument tuples once each.
+
 Every evaluation goes through one in-degree gate (``_Gate``), which
 compiles a group of graphs only once some argument tuple admits it:
-``CoboundaryColumns`` is a gate over many columns, and ``apply_graph``,
-``InnerValues`` and the outer pass of ``_compose`` use a sum's gated
-operator (``_gated``).  ``compile_sum`` is the same operator with every
-group compiled: the full operator, for ``is_zero``, the residual checks
-and the CLI.
+``CoboundaryColumns`` is a gate over many columns, and ``apply_graph`` and
+the outer pass of ``_compose`` use a sum's gated operator (``_gated``).
+``compile_sum`` is the same operator with every group compiled: the full
+operator, for ``is_zero``, the residual checks and the CLI.
 
 ``oracle_delta``, ``oracle_compose`` and ``oracle_gerstenhaber`` evaluate the
 Hochschild coboundary, the insertion composition and the Gerstenhaber bracket
@@ -67,8 +74,8 @@ implementations that the graph-level constructions in ``homology`` are
 tested against, and they also state the equations of the solver's
 evaluation route: its unknown columns are ``CoboundaryColumns`` of the
 basis graphs and its right-hand side is the same bracket formula
-(``_bracket``) with the inner values taken from a memo (``InnerValues``),
-so each is formed once per argument pair.
+(``_bracket``), whose inner values ``apply_graph`` forms once per argument
+pair and structure.
 """
 
 from __future__ import annotations
@@ -383,8 +390,17 @@ def _as_sum(s) -> GraphSum:
 def apply_graph(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Evaluate a GraphSum, or a single labeled graph (as the sum of its
     class with its sign), on concrete polynomial arguments, through its
-    gated operator (``_gated``)."""
-    return _gated(_as_sum(s), p).apply(args)
+    gated operator (``_gated``).  The value is cached on the Poisson
+    structure under (sum, *args), keyed by value, so equal arguments built
+    apart share it, and a hit returns the first value object, whose jet
+    stays warm.  A cached value stays right when later groups of the sum
+    compile: a group its arguments did not admit vanishes on them."""
+    s = _as_sum(s)
+    key = (s, *args)
+    value = p._value_cache.get(key)
+    if value is None:
+        value = p._value_cache[key] = _gated(s, p).apply(args)
+    return value
 
 
 class _Gate:
@@ -484,17 +500,15 @@ class CoboundaryColumns(_Gate):
     ``touched_terms`` makes one ``_accumulate`` pass over the m + 2
     argument tuples, each with its outer factor and sign, for all the
     columns at once, and returns the columns it touches.  Each product
-    f_j f_{j+1} is formed once per argument pair for the lifetime of the
-    columns (``products``), so the product object keeps its jet from one
-    argument tuple to the next."""
+    f_j f_{j+1} is formed once per argument pair, keyed by value, for the
+    lifetime of the columns (``products``), so the product object keeps its
+    jet from one argument tuple to the next."""
 
     __slots__ = ("products",)
 
     def __init__(self, sums: Sequence, p: PoissonStructure):
         super().__init__([_as_sum(s) for s in sums], p)
-        # (id(f), id(g)) -> (f, g, f * g): the entry holds f and g, so no id
-        # is reused while it lives
-        self.products: dict[tuple, tuple] = {}
+        self.products: dict[tuple, Poly] = {}  # (f, g) -> f * g, keyed by value
 
     def values(self, args: Sequence[Poly]) -> list:
         """[(delta C_col)(args) for every column], as Polys."""
@@ -511,10 +525,10 @@ class CoboundaryColumns(_Gate):
         tuples = [(args[:m], args[m].terms), (args[1:], args[0].scale(sgn).terms)]
         for j in range(m):
             f, g = args[j], args[j + 1]
-            entry = self.products.get((id(f), id(g)))
-            if entry is None:
-                entry = self.products[id(f), id(g)] = (f, g, f * g)
-            merged = args[:j] + (entry[2],) + args[j + 2:]
+            fg = self.products.get((f, g))
+            if fg is None:
+                fg = self.products[f, g] = f * g
+            merged = args[:j] + (fg,) + args[j + 2:]
             tuples.append((merged, {0: -sgn if j % 2 == 0 else sgn}))
         return sorted(self.evaluate(tuples).items())
 
@@ -529,19 +543,18 @@ def oracle_delta(s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     return CoboundaryColumns([s], p).values(args)[0]
 
 
-def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
+def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Insertion composition evaluated by slot substitution:
 
     (D1 o D2)(f_0..f_{k1+k2}) =
         sum_{0<=j<=k1} (-1)^{j k2} D1(f_0.., D2(f_j..f_{j+k2}), ..f_{k1+k2}),
 
-    with each inner value D2(f_j..f_{j+k2}) taken from
-    ``inner(s2, p, args)``: ``apply_graph`` itself, or a memo of its
-    values (``InnerValues``).  The k1 + 1 outer evaluations are one
-    ``_value`` pass of D1's gated operator (``_gated``) on the signed
-    argument tuples, so a key reached by several substitutions multiplies
-    its coefficient once, and a group of D1 is compiled only once some
-    substituted tuple admits it."""
+    with each inner value D2(f_j..f_{j+k2}) taken from ``apply_graph``,
+    which caches it on the Poisson structure.  The k1 + 1 outer evaluations
+    are one ``_value`` pass of D1's gated operator (``_gated``) on the
+    signed argument tuples, so a key reached by several substitutions
+    multiplies its coefficient once, and a group of D1 is compiled only
+    once some substituted tuple admits it."""
     m1, m2 = s1.arity, s2.arity
     k1, k2 = m1 - 1, m2 - 1
     if len(args) != m1 + m2 - 1:
@@ -549,51 +562,28 @@ def _compose(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
                              % (m1, m2, m1 + m2 - 1, len(args)))
     args = tuple(args)
     _check_args(p.d, m1 + m2 - 1, args)
-    tuples = [(args[:j] + (inner(s2, p, args[j:j + m2]),) + args[j + m2:],
+    tuples = [(args[:j] + (apply_graph(s2, p, args[j:j + m2]),) + args[j + m2:],
                {0: -1 if (j * k2) % 2 else 1})
               for j in range(k1 + 1)]
     return _wrap(p.d, _exact(_value(_gated(s1, p), tuples)))
 
 
-def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly], inner) -> Poly:
-    """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1 by ``_compose`` with the
-    inner-value step ``inner`` (D o D once when D1 == D2)."""
+def _bracket(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
+    """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1 by ``_compose`` (D o D once
+    when D1 == D2)."""
     k1, k2 = s1.arity - 1, s2.arity - 1
-    left = _compose(s1, s2, p, args, inner)
-    right = left if s1 == s2 else _compose(s2, s1, p, args, inner)
+    left = _compose(s1, s2, p, args)
+    right = left if s1 == s2 else _compose(s2, s1, p, args)
     return left - right if (k1 * k2) % 2 == 0 else left + right
-
-
-class InnerValues:
-    """``apply_graph`` with a memo: each value D(f_0..f_{m-1}) is formed once
-    per (cochain, Poisson structure, argument objects).  Entries are keyed
-    by identity and hold the objects of their key, so no id is reused while
-    an entry lives; the memo lives as long as its owner keeps it (the
-    evaluation route keeps one per fixture feed).  A returned value is the
-    same object on every hit, so its jet stays warm.  A value stays right
-    when later groups of D compile: a group its arguments did not admit
-    vanishes on them."""
-
-    __slots__ = ("values",)
-
-    def __init__(self):
-        self.values: dict[tuple, tuple] = {}
-
-    def __call__(self, s, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
-        key = (id(s), id(p), *map(id, args))
-        entry = self.values.get(key)
-        if entry is None:
-            entry = self.values[key] = (s, p, tuple(args), apply_graph(s, p, args))
-        return entry[3]
 
 
 def oracle_compose(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """Insertion composition evaluated by slot substitution (``_compose``),
     each inner value by ``apply_graph``."""
-    return _compose(_as_sum(s1), _as_sum(s2), p, args, apply_graph)
+    return _compose(_as_sum(s1), _as_sum(s2), p, args)
 
 
 def oracle_gerstenhaber(s1, s2, p: PoissonStructure, args: Sequence[Poly]) -> Poly:
     """[D1, D2] = D1 o D2 - (-1)^{k1 k2} D2 o D1, evaluated (D o D once when
     D1 == D2), each inner value by ``apply_graph``."""
-    return _bracket(_as_sum(s1), _as_sum(s2), p, args, apply_graph)
+    return _bracket(_as_sum(s1), _as_sum(s2), p, args)

@@ -15,38 +15,41 @@ from .poly import Poly, parse_poly
 
 
 class PoissonStructure:
-    """Dimension d plus an antisymmetric matrix of Poly entries; only the
-    strictly upper triangle is stored.  ``is_poisson`` records whether the
-    Jacobi identity holds."""
+    """Dimension d plus an antisymmetric matrix of Poly entries; each nonzero
+    entry is stored in both orientations, so no read negates.
+    ``is_poisson`` records whether the Jacobi identity holds.  The structure
+    also holds every evaluation cache that describes it, keyed by value:
+    entry derivatives (``entry_derivative``), compiled operators and
+    evaluated graph values (``operators``)."""
 
-    __slots__ = ("d", "_upper", "is_poisson", "_pairs", "_deriv_cache",
-                 "_op_cache", "label")
+    __slots__ = ("d", "_entries", "is_poisson", "_pairs", "_deriv_cache",
+                 "_op_cache", "_value_cache", "label")
 
     def __init__(self, d: int, entries, label: str = ""):
-        """entries: mapping (i, j) -> Poly with i != j; lower-triangle keys are
-        folded in with a sign flip."""
+        """entries: mapping (i, j) -> Poly with i != j, or an iterable of
+        ((i, j), Poly) pairs; p^{ji} = -p^{ij} is implied, and a position
+        given twice, in either orientation, is rejected."""
         if d < 2:
             raise DimensionError("Poisson structure needs d >= 2, got %d" % d)
-        upper: dict[tuple, Poly] = {}
+        given: dict[tuple, Poly] = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for (i, j), poly in items:
             if not (1 <= i <= d and 1 <= j <= d) or i == j:
                 raise DimensionError("bad matrix position (%d, %d) for d=%d" % (i, j, d))
             if poly.d != d:
                 raise DimensionError("entry (%d, %d) has wrong dimension" % (i, j))
-            key, signed = ((i, j), poly) if i < j else ((j, i), -poly)
-            if key in upper:
+            if (i, j) in given:
                 raise DimensionError("duplicate matrix position (%d, %d)" % (i, j))
-            if not signed.is_zero:
-                upper[key] = signed
+            given[i, j], given[j, i] = poly, -poly
+        stored = {key: poly for key, poly in given.items() if not poly.is_zero}
         set_field = object.__setattr__
         set_field(self, "d", d)
-        set_field(self, "_upper", upper)
+        set_field(self, "_entries", stored)
         # all ordered index pairs (i, j) with a nonzero entry, both orientations
-        set_field(self, "_pairs",
-                  tuple(sorted(pair for (i, j) in upper for pair in ((i, j), (j, i)))))
+        set_field(self, "_pairs", tuple(sorted(stored)))
         set_field(self, "_deriv_cache", {})
         set_field(self, "_op_cache", {})
+        set_field(self, "_value_cache", {})
         set_field(self, "label", label or "poisson(d=%d)" % d)
         set_field(self, "is_poisson", not jacobiator(self))
 
@@ -56,13 +59,8 @@ class PoissonStructure:
     def entry(self, i: int, j: int) -> Poly:
         if not (1 <= i <= self.d and 1 <= j <= self.d):
             raise DimensionError("matrix position (%d, %d) out of range" % (i, j))
-        if i == j:
-            return Poly.zero(self.d)
-        if i < j:
-            poly = self._upper.get((i, j))
-            return poly if poly is not None else Poly.zero(self.d)
-        poly = self._upper.get((j, i))
-        return -poly if poly is not None else Poly.zero(self.d)
+        poly = self._entries.get((i, j))
+        return poly if poly is not None else Poly.zero(self.d)
 
     def nonzero_ordered_pairs(self):
         """All ordered index pairs (i, j) with a nonzero entry, both

@@ -103,6 +103,8 @@ class Poly:
     subtracts them, and a product that would pass the bound raises
     ``DimensionError``.
 
+    A Poly hashes by value, consistently with ``==``, so equal polynomials
+    built apart share one entry of a value-keyed cache (``operators``).
     Being immutable, a Poly can carry its own derivative jet: ``_jet`` is
     None until the polynomial first enters an operator evaluation as an
     argument (``operators._jet``), and then holds its downset, a table
@@ -263,10 +265,8 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.d == other.d and self.terms == other.terms
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None  # mutable-dict backed; not usable as a dict key
+    def __hash__(self):
+        return hash((self.d, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -24,8 +24,8 @@ when a triple first reaches it), and the
 brackets of the lower orders on the right, still evaluated at operator
 level by slot substitution (the formula of
 ``operators.oracle_gerstenhaber``, each unordered pair once), with the
-lower orders' inner values on argument pairs memoized per fixture feed
-(``operators.InnerValues``); it uses no graph-level delta, bracket or
+lower orders' inner values on argument pairs cached on each fixture
+(``operators.apply_graph``); it uses no graph-level delta, bracket or
 Leibniz span, so its infeasibility certificate holds without them, for the
 lower orders c_1..c_{k-1} that the series fixes.
 """
@@ -42,7 +42,7 @@ from .graphs import GraphSum, enumerate_graphs
 from .homology import graph_delta, graph_gerstenhaber, leibniz_generators
 from .linalg import StreamingReducer, echelon, projected_span
 # compile_sum is not called here, but perfbench/tracing.py wraps solver.compile_sum
-from .operators import CoboundaryColumns, InnerValues, _bracket, compile_sum  # noqa: F401
+from .operators import CoboundaryColumns, _bracket, compile_sum  # noqa: F401
 from .poisson import PoissonStructure, preset_poisson
 from .poly import Poly, _compositions, _rational, monomials_up_to_degree
 
@@ -344,13 +344,13 @@ def triples_by_total_degree(d: int, cap: int, prev_cap: int = 0):
                             yield (f, g, h)
 
 
-def _bracket_rhs(lower: list, p: PoissonStructure, args, inner) -> Poly:
+def _bracket_rhs(lower: list, p: PoissonStructure, args) -> Poly:
     """sum weight * [D_a c_a, D_b c_b](args) over the pairs of
     ``_bracket_pairs``, in their order, each bracket by
-    ``operators._bracket`` with the inner-value step ``inner``."""
+    ``operators._bracket``."""
     total = Poly.zero(p.d)
     for c_a, c_b, weight in lower:
-        total = total + _bracket(c_a, c_b, p, args, inner).scale(weight)
+        total = total + _bracket(c_a, c_b, p, args).scale(weight)
     return total
 
 
@@ -371,11 +371,12 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
     cochains is symmetric; no graph-level bracket is formed), on the
     integral sums D_a c_a with one weight -1/(2^[a=b] D_a D_b) per pair
     (``_bracket_pairs``).  Each argument's work is done once: its
-    derivatives are kept on it (``Poly`` jets), and within one fixture's
-    feed each product f_j f_{j+1} and each inner value D_a c_a(f_j, f_{j+1})
-    is formed once per argument pair (``CoboundaryColumns`` and an
-    ``InnerValues`` memo), which changes no value, value type or order of
-    accumulation.  So the fixtures, the arguments and every
+    derivatives are kept on it (``Poly`` jets), each product f_j f_{j+1}
+    is formed once per argument pair within one fixture's feed
+    (``CoboundaryColumns``), and each inner value D_a c_a(f_j, f_{j+1}) once
+    per argument pair and fixture (cached on the fixture by
+    ``apply_graph``), all keyed by value, which changes no value, value type
+    or order of accumulation.  So the fixtures, the arguments and every
     compiled operator keep ``int`` coefficients, and Fractions enter only
     through these weights; the reducer scales each row by its common
     denominator and eliminates in integers.  A basis graph, or a graph of a
@@ -412,10 +413,9 @@ def eval_obstruction(series: StarSeries, k: int, fixtures=None, *, seed: int = 0
             raise DimensionError("evaluation fixtures must be Poisson structures "
                                  "(%s fails the Jacobi identity)" % p.label)
         delta = CoboundaryColumns(columns, p)  # operators cached on p after the first feed
-        inner = InnerValues()  # the lower orders' values on argument pairs, for this feed
         stall = count = 0
         for count, triple in enumerate(triples, 1):
-            rhs = _bracket_rhs(lower, p, triple, inner).terms
+            rhs = _bracket_rhs(lower, p, triple).terms
             rows = _rows(delta.touched_terms(triple), rhs)  # one row per monomial
             progressed = False
             for e in sorted(rows):

@@ -406,6 +406,26 @@ def test_jets_give_the_brute_force_values_on_every_use(spec):
     assert nonzero
 
 
+def test_value_caches_are_keyed_by_value():
+    # equal Polys built apart hash equal and share a dict entry, so a value
+    # of apply_graph and a product of the coboundary columns are formed once
+    # per argument values, however many objects carry them
+    f = parse_poly("x1^2*x2 - 3*x3", 3)
+    g = parse_poly("1/2*x1*x3 + x2^2", 3)
+    f2, g2 = fresh_copies((f, g))
+    assert f2 is not f and (f2, g2) == (f, g)
+    assert (hash(f2), hash(g2)) == (hash(f), hash(g))
+    names = {f: "f", g: "g"}
+    assert (names[f2], names[g2]) == ("f", "g")
+    p = so3()
+    s = GraphSum.single(POISSON)
+    assert apply_graph(s, p, (f, g)) is apply_graph(s, p, fresh_copies((f, g)))
+    delta = CoboundaryColumns([s], p)
+    triple = (x(3, 1), f, g)
+    assert delta.values(fresh_copies(triple)) == delta.values(triple)
+    assert len(delta.products) == 2
+
+
 @pytest.mark.parametrize("spec", ("so3", "jacobian:x1^3 + 2*x2^3 - x1^2*x3"))
 def test_touched_terms_are_the_nonzero_columns_in_order(spec, monkeypatch):
     # the evaluation route reads only the columns a pass touches, in
@@ -640,15 +660,15 @@ def brute_force_compose(op1, op2, args):
 
 def test_gated_values_match_the_reference_as_groups_compile(compiled_keys):
     # low, then high, then low argument degrees: each value matches the
-    # reference operator, the memo's low values still match once the high
-    # groups have compiled, and the gated operator's terms are exactly the
+    # reference operator, the cached low values still match once the high
+    # groups have compiled, as do the uncached values of the gated operator
+    # on fresh copies, and the gated operator's terms are exactly the
     # reference's terms of the groups compiled so far
     p = preset_from_string(CUBIC)
     s, groups = mixed_sum()
     assert s._denom != 1
     reference = reference_operator(s, preset_from_string(CUBIC))
     gated = operators._gated(s, p)
-    inner = operators.InnerValues()
     low = [(x(3, 1), x(3, 2)), (x(3, 3), x(3, 1))]
     high = [(x(3, 1) * x(3, 2), x(3, 3) * x(3, 3) * x(3, 2)),
             (x(3, 2) * x(3, 2) * x(3, 2), x(3, 1) * x(3, 3))]
@@ -657,7 +677,7 @@ def test_gated_values_match_the_reference_as_groups_compile(compiled_keys):
         orders = {o for o in groups if o not in gated._trie.pending}
         return {key: poly for key, poly in reference.terms.items() if key_orders(key) in orders}
 
-    first = [inner(s, p, args) for args in low]
+    first = [apply_graph(s, p, args) for args in low]
     assert first == [brute_force_apply(reference, args) for args in low]
     assert any(not value.is_zero for value in first)
     assert gated.terms == compiled_part()
@@ -668,8 +688,8 @@ def test_gated_values_match_the_reference_as_groups_compile(compiled_keys):
     assert gated.terms == compiled_part()
     assert gated._trie.pending  # the (3, 3)-and-up groups still wait
     for args, value in zip(low, first):
-        assert inner(s, p, args) is value
-        assert value == apply_graph(s, p, fresh_copies(args)) == brute_force_apply(reference, args)
+        assert apply_graph(s, p, args) is value
+        assert value == gated.apply(fresh_copies(args)) == brute_force_apply(reference, args)
 
 
 def test_gated_evaluations_compile_only_admitted_groups(compiled_keys):

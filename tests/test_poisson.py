@@ -39,6 +39,12 @@ def test_antisymmetric_storage():
 def test_duplicate_entry_rejected():
     with pytest.raises(DimensionError):
         PoissonStructure(3, [((1, 2), x3(3)), ((2, 1), x3(3))])
+    # a position whose first value is zero is given too: in the other
+    # orientation, and again in the same one
+    with pytest.raises(DimensionError):
+        PoissonStructure(3, {(1, 2): Poly.zero(3), (2, 1): x3(1)})
+    with pytest.raises(DimensionError):
+        PoissonStructure(3, [((1, 2), Poly.zero(3)), ((1, 2), x3(3))])
 
 
 # -- jacobiator ---------------------------------------------------------------

@@ -13,9 +13,9 @@ from stargraphs.graphs import GraphSum, enumerate_graphs, has_wheel, parse_graph
 from stargraphs.homology import graph_delta, graph_gerstenhaber
 from stargraphs.linalg import StreamingReducer
 from oracles import brute_force_columns
-from stargraphs.operators import (CoboundaryColumns, InnerValues, apply_graph, compile_sum,
+from stargraphs.operators import (CoboundaryColumns, apply_graph, compile_sum,
                                   oracle_compose, oracle_delta, oracle_gerstenhaber)
-from stargraphs.poisson import preset_from_string, preset_poisson
+from stargraphs.poisson import PoissonStructure, preset_from_string, preset_poisson
 from stargraphs.poly import Poly, monomials_up_to_degree, parse_poly
 from stargraphs.solver import (StarSeries, _block_system, _bracket_pairs, _bracket_rhs,
                                _rows, _wheel_basis, antisymmetric_part,
@@ -602,6 +602,37 @@ def test_eval_obstruction_order4_cubic_golden_certificate():
     }
 
 
+def nambu4(a1, a2):
+    """The d=4 Nambu structure {x_i, x_j} = sum_{k,l} eps_{ijkl} d_k a1 d_l a2."""
+    entries = {}
+    for i, j in itertools.combinations(range(1, 5), 2):
+        k, l = [v for v in range(1, 5) if v not in (i, j)]
+        inversions = sum(a > b for a, b in itertools.combinations((i, j, k, l), 2))
+        bracket = a1.derive(k) * a2.derive(l) - a1.derive(l) * a2.derive(k)
+        entries[i, j] = bracket.scale(-1 if inversions % 2 else 1)
+    return PoissonStructure(4, entries, label="nambu4")
+
+
+def test_nambu_fixture_refutes_only_the_solver_picked_c3_at_order_4():
+    # with c_1..c_3 held at the solver's pick, the d=4 Nambu structure N
+    # refutes the wheel-free order-4 system at its seventh triple.  The
+    # certificate holds only for that c_3: no verdict may rest on it until
+    # c_3 is left free in the evaluated system (order-3 rows next to the
+    # order-4 ones, and one column [c_1, B_j] per order-3 basis graph)
+    a1 = parse_poly("3*x1^2*x2 - 2*x3^2*x4 - x3*x4^2", 4)
+    a2 = parse_poly("-3*x1^2 + 2*x2*x3 + 2*x2*x4", 4)
+    n = nambu4(a1, a2)
+    assert n.is_poisson
+    series, _ = solve_up_to(3, wheel_free=True)
+    report = eval_obstruction(series, 4, fixtures=[(n, list(triples_by_total_degree(4, 2)))])
+    assert report.status == "obstructed"
+    assert report.matrix_shape == (11, 90)
+    certificate = report.certificate
+    assert (certificate["rank_coefficient"], certificate["rank_augmented"]) == (10, 11)
+    assert certificate["fixtures"] == [
+        {"fixture": "nambu4", "triples_evaluated": 7, "args": ["x1", "x2", "x3"]}]
+
+
 @pytest.mark.parametrize("specs, triples, rank", [
     ((CUBIC,), list(itertools.product(monomials_up_to_degree(3, 1), repeat=3)), 6),
     (("so3", "sl2"), list(triples_by_total_degree(3, 2)), 18),
@@ -694,28 +725,30 @@ def oracle_rhs(lower, p, triple):
 
 @pytest.mark.parametrize("spec", ("so3", "sl2", CUBIC))
 def test_memoized_right_hand_side_matches_the_oracle_brackets(spec):
-    # one memo of inner values over every triple of degree <= 2 arguments,
-    # as in one feed: equal values and value types to the memo-free oracle
+    # the inner values cached on one structure over every triple of degree
+    # <= 2 arguments, as in one feed: equal values and value types to the
+    # oracle on a structure of its own, so no cached value feeds both sides
     series, _ = solve_up_to(3, wheel_free=True)
     lower = _bracket_pairs(series, 4)
-    p = preset_from_string(spec)
-    inner = InnerValues()
+    p, q = preset_from_string(spec), preset_from_string(spec)
     nonzero = 0
     for triple in itertools.product(monomials_up_to_degree(3, 2), repeat=3):
-        value = _bracket_rhs(lower, p, triple, inner)
-        assert typed_terms(value) == typed_terms(oracle_rhs(lower, p, triple))
+        value = _bracket_rhs(lower, p, triple)
+        assert typed_terms(value) == typed_terms(oracle_rhs(lower, q, triple))
         nonzero += not value.is_zero
     assert nonzero
     # 9 * 9 argument pairs, each with the inner values of c_1, c_2 and c_3
-    assert len(inner.values) == 3 * 81
+    assert len(p._value_cache) == 3 * 81
 
 
 @pytest.mark.parametrize("memo", ("products", "inner_values"))
 def test_memos_hold_their_arguments_against_id_reuse(memo):
-    # fresh Polys are made and dropped in a loop; a memo keyed by id that
+    # fresh Polys are made and dropped in a loop; a cache keyed by id that
     # did not hold its arguments would serve a new Poly that took a dropped
-    # one's id the stale product or inner value.  One memo per run: either
-    # memo holds the triples, so it would hide the other's reuse
+    # one's id the stale product or inner value.  The caches are keyed by
+    # value, and the references are built on structures of their own.  One
+    # cache per run: either cache holds the triples, so it would hide the
+    # other's reuse
     p = preset_poisson("so3")
     if memo == "products":
         columns = [GraphSum.single(rep) for n in (1, 2)
@@ -728,10 +761,10 @@ def test_memos_hold_their_arguments_against_id_reuse(memo):
     else:
         series, _ = solve_up_to(3, wheel_free=True)
         lower = _bracket_pairs(series, 4)
-        inner = InnerValues()
+        q = preset_poisson("so3")
 
         def check(triple):
-            assert _bracket_rhs(lower, p, triple, inner) == oracle_rhs(lower, p, triple)
+            assert _bracket_rhs(lower, p, triple) == oracle_rhs(lower, q, triple)
     rng = random.Random(83)
     exponents = [f.sorted_terms()[0][0] for f in monomials_up_to_degree(3, 2)]
     for _ in range(60):
